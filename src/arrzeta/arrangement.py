@@ -14,7 +14,6 @@ element the ambient space (empty index set).
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from .core import (MultiPoly, QMatrix, kernel_basis, primitive_normal, rank,
                    rational, dot, poly_eval, div_linear_exact, AffineForm)
@@ -166,41 +165,38 @@ def _require_central(arr, what):
 def closure(arr, indices):
     """The flat spanned by a set of hyperplane indices.
 
-    Adds every hyperplane whose normal lies in the span of the given
-    normals, computes the codimension, and fixes a deterministic basis of
-    the underlying subspace via kernel_basis.
+    One kernel basis of the given normals spans the underlying subspace W;
+    the closed index set is every hyperplane whose form vanishes on it.
+    The basis depends only on the row space of the normals, so it is the
+    same deterministic basis as that of the closed set.
     """
     _require_central(arr, "closure")
     indices = set(int(i) for i in indices)
     for i in indices:
         if not 0 <= i < arr.r:
             raise ArrangementError("hyperplane index %d out of range" % i)
-    base = arr.normal_matrix(indices)
-    rk = rank(base)
-    closed = set(indices)
-    for i in range(arr.r):
-        if i in closed:
-            continue
-        aug = QMatrix.from_rows([arr.forms[j] for j in sorted(indices)] + [arr.forms[i]],
-                                cols=arr.n)
-        if rank(aug) == rk:
-            closed.add(i)
-    basis = kernel_basis(arr.normal_matrix(closed))
-    return Flat(closed, rk, basis)
+    basis = kernel_basis(arr.normal_matrix(indices))
+    closed = [i for i in range(arr.r)
+              if i in indices or all(dot(arr.forms[i], v) == 0 for v in basis)]
+    return Flat(closed, arr.n - len(basis), basis)
 
 
 class IntersectionLattice:
-    """All flats of a central arrangement with their Mobius numbers.
+    """All flats of a central arrangement with their Mobius table.
 
-    flats are sorted by (codim, index set); mobius maps each flat's index
-    set to mu(ambient, flat).
+    flats are sorted by (codim, index set).  The Mobius table holds
+    mu(X, Z) for every pair X <= Z; mobius maps each flat's index set to
+    mu(ambient, flat).  Every combinatorial number the package needs is
+    read off this table: the Euler characteristics of lattice intervals
+    and of open strata, and with them the dense edges.
     """
 
-    def __init__(self, arr, flats, mobius):
+    def __init__(self, arr, flats, table):
         self.arr = arr
         self.flats = tuple(sorted(flats, key=Flat.key))
         self._by_indices = {f.indices: f for f in self.flats}
-        self.mobius = dict(mobius)
+        self._table = table
+        self.mobius = dict(table[frozenset()])
 
     def flat(self, indices):
         key = frozenset(int(i) for i in indices)
@@ -225,6 +221,29 @@ class IntersectionLattice:
 
     def mu(self, flat):
         return self.mobius[flat.indices]
+
+    def interval_euler(self, X, Y):
+        """Euler characteristic of the projectivized complement of the
+        interval arrangement between flats X < Y:
+        sum over X <= Z <= Y of mu(X, Z) (codim Y - codim Z).
+        """
+        if not X.indices < Y.indices:
+            raise ArrangementError("interval needs flats X < Y (index set of X "
+                                   "strictly inside that of Y)")
+        return sum(m * (Y.codim - self._by_indices[z].codim)
+                   for z, m in self._table[X.indices].items() if z <= Y.indices)
+
+    def stratum_euler(self, X):
+        """Euler characteristic of the open stratum of X (the points of X on
+        no hyperplane outside X): sum over Z >= X of mu(X, Z)."""
+        return sum(self._table[X.indices].values())
+
+    def is_dense(self, flat):
+        """A proper flat is dense iff its localized arrangement is
+        indecomposable, iff Crapo's beta invariant of that localization,
+        which is up to sign interval_euler(ambient, flat), is nonzero
+        (Crapo, "A higher invariant for matroids", 1967)."""
+        return self.interval_euler(self.ambient, flat) != 0
 
     def __len__(self):
         return len(self.flats)
@@ -256,14 +275,15 @@ def intersection_lattice(arr):
                     new.append(h)
         frontier = new
     ordered = sorted(flats.values(), key=Flat.key)
-    mobius = {}
-    for f in ordered:
-        if not f.indices:
-            mobius[f.indices] = 1
-            continue
-        mobius[f.indices] = -sum(mobius[g.indices] for g in ordered
-                                 if g.indices < f.indices)
-    return IntersectionLattice(arr, ordered, mobius)
+    table = {}
+    for x in ordered:
+        row = {}
+        for z in ordered:
+            if x.indices <= z.indices:
+                row[z.indices] = 1 if z is x else -sum(
+                    m for w, m in row.items() if w < z.indices)
+        table[x.indices] = row
+    return IntersectionLattice(arr, ordered, table)
 
 
 def char_poly(arr, lattice=None):
@@ -373,51 +393,29 @@ def is_essential(arr):
     return rank(arr.normal_matrix()) == arr.n
 
 
-def _matroid_connected(normals, n):
-    """Connectivity of the matroid of the given normal vectors.
-
-    Disconnected iff some bipartition I, J has rank(I) + rank(J) equal to
-    the total rank.  A single vector is connected.
-    """
-    r = len(normals)
-    if r == 0:
-        raise ArrangementError("connectivity of an empty set of normals")
-    if r == 1:
-        return True
-    total = rank(QMatrix.from_rows(normals, cols=n))
-    # bipartitions with normals[0] on the left and a nonempty right side
-    for mask in range((1 << (r - 1)) - 1):
-        left = [normals[0]] + [normals[i] for i in range(1, r) if mask & (1 << (i - 1))]
-        right = [normals[i] for i in range(1, r) if not mask & (1 << (i - 1))]
-        if rank(QMatrix.from_rows(left, cols=n)) + rank(QMatrix.from_rows(right, cols=n)) == total:
-            return False
-    return True
-
-
 def is_indecomposable(arr):
-    """No nontrivial split of the hyperplanes with additive rank."""
+    """No nontrivial split of the hyperplanes with additive rank.
+
+    Equivalently, the minimal flat is dense.
+    """
     _require_central(arr, "is_indecomposable")
     if arr.r == 0:
         raise ArrangementError("indecomposability of the empty arrangement")
-    return _matroid_connected([list(f) for f in arr.forms], arr.n)
+    lattice = intersection_lattice(arr)
+    return lattice.is_dense(lattice.minimal_flat())
 
 
 def dense_edges(arr, lattice=None):
     """Proper flats whose localized arrangement is indecomposable.
 
-    Equivalently the flats whose index set spans a connected matroid of
-    normals.  Every hyperplane is dense; the origin is dense iff the
-    arrangement is essential and indecomposable.
+    Read off the Mobius table through Crapo's beta invariant (see
+    IntersectionLattice.is_dense).  Every hyperplane is dense; the origin
+    is dense iff the arrangement is essential and indecomposable.
     """
     _require_central(arr, "dense_edges")
     if lattice is None:
         lattice = intersection_lattice(arr)
-    out = []
-    for f in lattice.proper_flats():
-        normals = [list(arr.forms[i]) for i in sorted(f.indices)]
-        if _matroid_connected(normals, arr.n):
-            out.append(f)
-    return sorted(out, key=Flat.key)
+    return [f for f in lattice.proper_flats() if lattice.is_dense(f)]
 
 
 def localize_at_point(arr, point):

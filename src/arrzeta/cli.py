@@ -44,6 +44,21 @@ def parse_point(text):
     return tuple(rational(p) for p in parts)
 
 
+# JSON shape of each arrangement field: list depth, entry types, description
+_ARRANGEMENT_FIELDS = (
+    ("n", 0, (int,), "an integer"),
+    ("forms", 2, (int, str), 'a list of lists of integers or "p/q" strings'),
+    ("mults", 1, (int,), "a list of integers"),
+    ("factors", 2, (int,), "a list of lists of integers"),
+)
+
+
+def _json_shaped(value, depth, types):
+    if depth == 0:
+        return isinstance(value, types) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_json_shaped(v, depth - 1, types) for v in value)
+
+
 def load_arrangement(args):
     if getattr(args, "example", None):
         if args.example not in EXAMPLES:
@@ -57,8 +72,11 @@ def load_arrangement(args):
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError("bad JSON in %s: %s" % (args.file, e))
-    if not isinstance(obj, dict) or "n" not in obj or "forms" not in obj:
+    if not isinstance(obj, dict) or obj.get("n") is None or obj.get("forms") is None:
         raise ValueError('arrangement file needs at least "n" and "forms"')
+    for key, depth, types, what in _ARRANGEMENT_FIELDS:
+        if obj.get(key) is not None and not _json_shaped(obj[key], depth, types):
+            raise ValueError('"%s" must be %s' % (key, what))
     return Arrangement(obj["n"], obj["forms"], mults=obj.get("mults"),
                        factors=obj.get("factors"), name=obj.get("name"))
 
@@ -298,8 +316,8 @@ def cmd_multi_smc(args):
         raise ValueError("supply --zero-locus FILE")
     with open(args.zero_locus) as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or "zero_locus" not in obj:
-        raise ValueError('zero locus file needs a "zero_locus" list')
+    if not isinstance(obj, dict) or not _json_shaped(obj.get("zero_locus"), 2, (int,)):
+        raise ValueError('zero locus file needs a "zero_locus" list of lists of integers')
     verdict = multi_smc_verify(arr, obj["zero_locus"])
     d = verdict.data
     data = {"polar": [form_json(f) for f in d["polar"]],

@@ -12,7 +12,7 @@ ranks, kernels and everything derived from them are deterministic.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -140,13 +140,9 @@ def primitive_normal(v):
     v = vector(v)
     if all(e == 0 for e in v):
         raise ValueError("zero vector has no primitive normal")
-    den = 1
-    for e in v:
-        den = den * e.denominator // gcd(den, e.denominator)
+    den = lcm(*(e.denominator for e in v))
     ints = [int(e * den) for e in v]
-    g = 0
-    for e in ints:
-        g = gcd(g, abs(e))
+    g = gcd(*ints)
     ints = [e // g for e in ints]
     if next(e for e in ints if e != 0) < 0:
         ints = [-e for e in ints]
@@ -318,10 +314,7 @@ class AffineForm:
         const = int(const)
         if not coeffs or all(c == 0 for c in coeffs):
             raise ValueError("affine form needs a nonzero coefficient vector")
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        g = gcd(g, abs(const))
+        g = gcd(*coeffs, const)
         if g != 1:
             raise ValueError("non-canonical affine form (content %d); use AffineForm.canonical" % g)
         if next(c for c in coeffs if c) < 0:
@@ -336,10 +329,7 @@ class AffineForm:
         const = int(const)
         if not coeffs or all(c == 0 for c in coeffs):
             raise ValueError("affine form needs a nonzero coefficient vector")
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        g = gcd(g, abs(const))
+        g = gcd(*coeffs, const)
         if next(c for c in coeffs if c) < 0:
             g = -g
         return cls([c // g for c in coeffs], const // g), g

@@ -20,8 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import QMatrix, rank, rational, AffineForm
-from .arrangement import (ArrangementError, dense_edges, intersection_lattice,
-                          is_essential, is_indecomposable)
+from .arrangement import ArrangementError, dense_edges, intersection_lattice
 from .zeta import (candidate_poles, global_zeta, local_zeta,
                    multivariate_global_zeta, multivariate_local_zeta, poles,
                    resolution_datum)
@@ -53,8 +52,11 @@ class BRootSet:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict) or "roots" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("roots"), list):
             raise ValueError('root data must be an object with a "roots" list')
+        if not all(isinstance(x, (int, str)) and not isinstance(x, bool)
+                   for x in obj["roots"]):
+            raise ValueError('roots must be integers or "p/q" strings')
         return cls(obj["roots"])
 
     def __contains__(self, x):
@@ -90,13 +92,8 @@ def lct(arr):
         raise ArrangementError("lct needs a central arrangement")
     if arr.r == 0:
         raise ArrangementError("lct of the empty arrangement")
-    best = None
-    for f in dense_edges(arr):
-        datum = resolution_datum(arr, f)
-        val = Fraction(datum.nu, datum.N)
-        if best is None or val < best:
-            best = val
-    return best
+    data = [resolution_datum(arr, f) for f in dense_edges(arr)]
+    return min(Fraction(d.nu, d.N) for d in data)
 
 
 def log_canonical_polytope(arr):
@@ -124,15 +121,48 @@ def polytope_member(poly, beta, strict=False):
     return True
 
 
-def _require_adapted_preconditions(arr, what):
+def _verdict_lattice(arr, what, nd=False):
+    """The arrangement's lattice, built once its preconditions hold.
+
+    Essential means the minimal flat is the origin; indecomposable means
+    it is dense.  nd adds the size condition of the n/d checks.
+    """
     if not arr.central:
         raise ArrangementError("%s needs a central arrangement" % what)
     if arr.r == 0:
         raise ArrangementError("%s needs at least one hyperplane" % what)
-    if not is_essential(arr):
+    lattice = intersection_lattice(arr)
+    vmin = lattice.minimal_flat()
+    if vmin.codim != arr.n:
         raise ArrangementError("%s needs an essential arrangement" % what)
-    if not is_indecomposable(arr):
+    if not lattice.is_dense(vmin):
         raise ArrangementError("%s needs an indecomposable arrangement" % what)
+    if nd and arr.n < 2 and arr.r <= arr.n:
+        raise ArrangementError("%s needs n >= 2 or more hyperplanes than n" % what)
+    return lattice
+
+
+def _adapted_violations(arr, dense, beta):
+    """Witnesses of every way beta fails to be adapted, with the sums judged."""
+    bad = []
+    for i, x in enumerate(beta):
+        if x <= 0:
+            bad.append("component %d is not positive (%s)" % (i + 1, x))
+    full = frozenset(range(arr.r))
+    sums = []
+    for f in dense:
+        s = sum((beta[i] for i in f.indices), Fraction(0))
+        sums.append((tuple(sorted(f.indices)), s))
+        label = ("hyperplane %d" % (min(f.indices) + 1,) if len(f.indices) == 1
+                 else "edge {%s}" % ",".join(str(i + 1) for i in sorted(f.indices)))
+        if s > f.codim:
+            bad.append("polytope violated at dense %s (sum %s > %d)" % (label, s, f.codim))
+        if f.indices != full and s.denominator == 1:
+            bad.append("integral sum at dense %s (sum %s)" % (label, s))
+    total = sum(beta, Fraction(0))
+    if total != arr.n:
+        bad.append("total sum %s differs from the ambient dimension %d" % (total, arr.n))
+    return bad, {"beta": beta, "total": total, "dense_sums": sums}
 
 
 def validate_adapted(arr, beta):
@@ -143,31 +173,11 @@ def validate_adapted(arr, beta):
     the origin; total sum exactly the ambient dimension.  The verdict lists
     one witness per violation.
     """
-    _require_adapted_preconditions(arr, "validate_adapted")
+    lattice = _verdict_lattice(arr, "validate_adapted")
     beta = tuple(rational(x) for x in beta)
     if len(beta) != arr.r:
         raise ArrangementError("expected %d components, got %d" % (arr.r, len(beta)))
-    bad = []
-    for i, x in enumerate(beta):
-        if x <= 0:
-            bad.append("component %d is not positive (%s)" % (i + 1, x))
-    dense = dense_edges(arr)
-    full = frozenset(range(arr.r))
-    for f in dense:
-        s = sum((beta[i] for i in f.indices), Fraction(0))
-        label = ("hyperplane %d" % (min(f.indices) + 1,) if len(f.indices) == 1
-                 else "edge {%s}" % ",".join(str(i + 1) for i in sorted(f.indices)))
-        if s > f.codim:
-            bad.append("polytope violated at dense %s (sum %s > %d)" % (label, s, f.codim))
-        if f.indices != full and s.denominator == 1:
-            bad.append("integral sum at dense %s (sum %s)" % (label, s))
-    total = sum(beta, Fraction(0))
-    if total != arr.n:
-        bad.append("total sum %s differs from the ambient dimension %d" % (total, arr.n))
-    data = {"beta": beta, "total": total,
-            "dense_sums": [(tuple(sorted(f.indices)),
-                            sum((beta[i] for i in f.indices), Fraction(0)))
-                           for f in dense]}
+    bad, data = _adapted_violations(arr, dense_edges(arr, lattice), beta)
     if bad:
         return Verdict(False, bad, data)
     return Verdict(True, ["vector is adapted"], data)
@@ -188,25 +198,20 @@ def adapted_vector(arr):
     to n and satisfies the polytope strictly away from the origin edge; if
     some partial sums land on integers, a perturbation along differences of
     basis indicators (weights mu^k, then step eps, both halved through
-    deterministic schedules) clears them.  The result is re-certified by
-    validate_adapted before being returned.
+    deterministic schedules) clears them.  Every candidate is certified by
+    the check validate_adapted runs before it is returned.
     """
-    _require_adapted_preconditions(arr, "adapted_vector")
+    dense = dense_edges(arr, _verdict_lattice(arr, "adapted_vector"))
     bases = _matroid_bases(arr)
     assert bases, "essential arrangement has a basis of normals"
     count = len(bases)
     beta = tuple(Fraction(sum(1 for b in bases if i in b), count) for i in range(arr.r))
-    verdict = validate_adapted(arr, beta)
-    if verdict.passed:
+    bad, data = _adapted_violations(arr, dense, beta)
+    if not bad:
         return beta
     full = frozenset(range(arr.r))
-    violating = []
-    for f in dense_edges(arr):
-        if f.indices == full:
-            continue
-        s = sum((beta[i] for i in f.indices), Fraction(0))
-        if s.denominator == 1:
-            violating.append(f)
+    violating = [f for f, (_, s) in zip(dense, data["dense_sums"])
+                 if f.indices != full and s.denominator == 1]
     assert violating, "uniform basis average failed for a reason other than integrality"
     directions = []
     for f in violating:
@@ -234,7 +239,7 @@ def adapted_vector(arr):
     eps = Fraction(1, 2)
     for _ in range(200):
         cand = tuple(b + eps * x for b, x in zip(beta, v))
-        if validate_adapted(arr, cand).passed:
+        if not _adapted_violations(arr, dense, cand)[0]:
             return cand
         eps /= 2
     raise AssertionError("no adapted vector found along the perturbation direction")
@@ -242,19 +247,6 @@ def adapted_vector(arr):
 
 # ---------------------------------------------------------------------------
 # conjecture checks
-
-def _require_nd_preconditions(arr, what):
-    if not arr.central:
-        raise ArrangementError("%s needs a central arrangement" % what)
-    if arr.r == 0:
-        raise ArrangementError("%s needs at least one hyperplane" % what)
-    if not is_essential(arr):
-        raise ArrangementError("%s needs an essential arrangement" % what)
-    if not is_indecomposable(arr):
-        raise ArrangementError("%s needs an indecomposable arrangement" % what)
-    if arr.n < 2 and arr.r <= arr.n:
-        raise ArrangementError("%s needs n >= 2 or more hyperplanes than n" % what)
-
 
 def nd_check(arr):
     """Check that -n/d is a candidate pole, and report whether it is a pole.
@@ -264,10 +256,10 @@ def nd_check(arr):
     (d, n)); whether the candidate survives as an actual pole of the local
     zeta function is reported but not judged, since it can honestly fail.
     """
-    _require_nd_preconditions(arr, "nd_check")
+    lattice = _verdict_lattice(arr, "nd_check", nd=True)
     n, d = arr.n, arr.degree()
     ratio = Fraction(-n, d)
-    cands = candidate_poles(arr)
+    cands = candidate_poles(arr, lattice=lattice)
     z = local_zeta(arr)
     pole_pairs = poles(z).univariate
     pole_set = {p for p, _ in pole_pairs}
@@ -317,14 +309,14 @@ def multi_nd_check(arr):
     membership in the polar locus of the multivariate local zeta is
     reported alongside.
     """
-    _require_nd_preconditions(arr, "multi_nd_check")
+    lattice = _verdict_lattice(arr, "multi_nd_check", nd=True)
     if arr.factors is None:
         raise ArrangementError("multi_nd_check needs a factorization")
     if any(m != 1 for m in arr.mults):
         raise ArrangementError("multi_nd_check expects a reduced arrangement")
     degrees = arr.factor_degrees()
     hyper, _ = AffineForm.canonical(degrees, arr.n)
-    cands = candidate_poles(arr, multi=True)
+    cands = candidate_poles(arr, multi=True, lattice=lattice)
     z = multivariate_local_zeta(arr)
     polar = [f for f, _ in poles(z).multivariate]
     is_cand = hyper in cands

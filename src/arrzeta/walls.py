@@ -14,7 +14,7 @@ deterministic perturbation with halving step sizes.
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .core import primitive_normal, rational, vector
 from .arrangement import dense_edges
@@ -29,9 +29,7 @@ class WallFamily:
             raise ValueError("wall family needs a nonzero normal")
         if any(e < 0 for e in normal):
             raise ValueError("wall normals are nonnegative")
-        g = 0
-        for e in normal:
-            g = gcd(g, e)
+        g = gcd(*normal)
         if g != 1:
             raise ValueError("wall normal must be primitive (content %d)" % g)
         offsets = sorted({rational(o) for o in offsets})
@@ -48,10 +46,7 @@ class WallFamily:
 
     def content(self):
         """lcm of the offset denominators (1 for integer walls)."""
-        c = 1
-        for o in self.offsets:
-            c = c * o.denominator // gcd(c, o.denominator)
-        return c
+        return lcm(*(o.denominator for o in self.offsets))
 
     def evaluate(self, point):
         point = vector(point)
@@ -151,9 +146,7 @@ def walls_from_resolution(data):
             raise ValueError("order tuples are nonnegative")
         if all(e == 0 for e in raw):
             raise ValueError("zero order tuple generates no wall")
-        c = 0
-        for e in raw:
-            c = gcd(c, e)
+        c = gcd(*raw)
         normal = tuple(e // c for e in raw)
         offsets = {Fraction(k, c) for k in range(c)}
         fams.setdefault(normal, set()).update(offsets)
@@ -283,9 +276,7 @@ def extend_restricted_walls(walls):
         for size in range(1, len(support) + 1):
             for sub in combinations(support, size):
                 masked = tuple(e if i in sub else 0 for i, e in enumerate(fam.normal))
-                c = 0
-                for e in masked:
-                    c = gcd(c, e)
+                c = gcd(*masked)
                 normal = tuple(e // c for e in masked)
                 offs = set()
                 for o in fam.offsets:

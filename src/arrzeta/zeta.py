@@ -8,7 +8,10 @@ characteristics of the projectivized complements of the interval
 arrangements along the flag divided by the product of the corresponding
 (N s + nu) factors; the local zeta sums the flags starting at the minimal
 flat, the global one sums all flags weighted by the Euler characteristic of
-the open stratum of the first flat, plus the empty flag.
+the open stratum of the first flat, plus the empty flag.  Both Euler
+characteristics are read off the Mobius table of the one intersection
+lattice built per call (IntersectionLattice.interval_euler and
+stratum_euler); no interval or restriction arrangement is built.
 
 Results are exact rational functions: a list of flag terms plus a
 normalized numerator / denominator pair in which every removable linear
@@ -20,10 +23,8 @@ from fractions import Fraction
 
 from .core import (AffineForm, MultiPoly, div_linear_exact, divides_linear,
                    format_poly, poly_eval, rank, rational)
-from .arrangement import (ArrangementError, complement_euler, dense_edges,
-                          intersection_lattice, interval_arrangement,
-                          localize_at_point, proj_complement_euler,
-                          restriction_arrangement)
+from .arrangement import (ArrangementError, dense_edges, intersection_lattice,
+                          localize_at_point)
 
 
 class ResolutionDatum:
@@ -62,8 +63,6 @@ def candidate_poles(arr, multi=False, lattice=None):
     Univariate: the rationals -nu/N, sorted descending.  Multivariate: the
     canonical affine forms of (ord, nu), sorted; requires a factorization.
     """
-    if lattice is None:
-        lattice = intersection_lattice(arr)
     dense = dense_edges(arr, lattice)
     if multi:
         if arr.factors is None:
@@ -302,16 +301,17 @@ def _denominator_form(arr, flat, multi):
 
 
 def _flag_terms(arr, lattice, chains, multi, lead):
+    """One term per chain: lead(first flat) times the interval Euler
+    characteristics along the chain up to the ambient space."""
     ambient = lattice.ambient
     terms = []
     for chain in chains:
-        coef = lead(chain)
+        coef = Fraction(lead(chain.flats[0]))
         if coef == 0:
             continue
         flats = list(chain.flats) + [ambient]
         for j in range(len(chain.flats)):
-            step = interval_arrangement(arr, flats[j], flats[j + 1])
-            coef *= proj_complement_euler(step)
+            coef *= lattice.interval_euler(flats[j + 1], flats[j])
             if coef == 0:
                 break
         if coef == 0:
@@ -343,7 +343,7 @@ def _local(arr, multi):
     lattice = intersection_lattice(arr)
     vmin = lattice.minimal_flat()
     chains = enumerate_chains(lattice, start=vmin)
-    terms = _flag_terms(arr, lattice, chains, multi, lambda c: Fraction(1))
+    terms = _flag_terms(arr, lattice, chains, multi, lambda f: 1)
     return ZetaFunction(nvars, terms)
 
 
@@ -355,20 +355,8 @@ def _global(arr, multi):
     nvars = _zeta_nvars(arr, multi)
     lattice = intersection_lattice(arr)
     chains = enumerate_chains(lattice)
-    stratum_chi = {}
-
-    def lead(chain):
-        first = chain.flats[0]
-        if first.indices not in stratum_chi:
-            if first.codim == arr.n:
-                # the open stratum of the origin flat is the origin itself
-                stratum_chi[first.indices] = Fraction(1)
-            else:
-                stratum_chi[first.indices] = complement_euler(restriction_arrangement(arr, first))
-        return stratum_chi[first.indices]
-
-    terms = [(complement_euler(arr, lattice), ())]
-    terms += _flag_terms(arr, lattice, chains, multi, lead)
+    terms = [(lattice.stratum_euler(lattice.ambient), ())]
+    terms += _flag_terms(arr, lattice, chains, multi, lattice.stratum_euler)
     return ZetaFunction(nvars, terms)
 
 

@@ -83,6 +83,30 @@ def test_invalid_arrangement_file(capsys, tmp_path):
     assert "proportional" in err
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"n": 2, "forms": 5}, '"forms"'),
+    ({"n": 2, "forms": [[1, 0], [0, 1], [1, 1]], "factors": 7}, '"factors"'),
+    ({"n": 2, "forms": [[1.5, 0], [0, 1], [1, 1]]}, '"forms"'),
+    ({"n": 2, "forms": [[1, 0], [0, 1]], "mults": [1, 1.5]}, '"mults"'),
+    ({"n": "2", "forms": [[1, 0], [0, 1]]}, '"n"'),
+], ids=["forms-int", "factors-int", "float-entry", "float-mult", "n-string"])
+def test_mistyped_arrangement_file(capsys, tmp_path, obj, field):
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, ["analyze", str(p), "--json"])
+    assert code == 2 and not out
+    assert field in err
+
+
+def test_roots_given_as_a_string(capsys, tmp_path):
+    # a string is not read as a list of one-character roots
+    p = tmp_path / "roots.json"
+    p.write_text(json.dumps({"roots": "123"}))
+    code, out, err = run_cli(capsys, ["smc", "--example", "threelines", "--broots", str(p)])
+    assert code == 2 and not out
+    assert '"roots" list' in err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -291,6 +315,17 @@ def test_multi_smc_needs_locus(capsys, factored_file, tmp_path):
     bad.write_text(json.dumps(["not", "a", "dict"]))
     code, _, err = run_cli(capsys, ["multi-smc", factored_file, "--zero-locus", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("locus", [[5], [[1.5, 0, 1], [0, 1, 1], [1, 2, 2]]],
+                         ids=["int-item", "float-entry"])
+def test_mistyped_zero_locus(capsys, factored_file, tmp_path, locus):
+    # a float coefficient is not truncated into a passing locus
+    p = tmp_path / "locus.json"
+    p.write_text(json.dumps({"zero_locus": locus}))
+    code, out, err = run_cli(capsys, ["multi-smc", factored_file, "--zero-locus", str(p)])
+    assert code == 2 and not out
+    assert '"zero_locus" list of lists of integers' in err
 
 
 # ---------------------------------------------------------------------------
