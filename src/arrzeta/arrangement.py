@@ -250,30 +250,29 @@ class IntersectionLattice:
 
 
 def intersection_lattice(arr):
-    """All flats, found by closing the atoms under pairwise join."""
+    """All flats, found by walking up the covers from the ambient space.
+
+    The flats covering X correspond one to one to the hyperplanes of the
+    restriction of the arrangement to X (Orlik-Terao, Arrangements of
+    Hyperplanes, 1992): the hyperplanes outside X whose traces on X are
+    proportional cut out the same cover, whose index set is X's plus that
+    class.  Each new index set is closed once, so there is one closure,
+    and one kernel basis, per flat.
+    """
     _require_central(arr, "intersection_lattice")
-    flats = {}
     ambient = closure(arr, ())
-    flats[ambient.indices] = ambient
-    frontier = []
-    for i in range(arr.r):
-        f = closure(arr, (i,))
-        if f.indices not in flats:
-            flats[f.indices] = f
-            frontier.append(f)
-    while frontier:
-        new = []
-        current = list(flats.values())
-        for f in frontier:
-            for g in current:
-                joined = f.indices | g.indices
-                if joined in flats or joined == f.indices or joined == g.indices:
-                    continue
-                h = closure(arr, joined)
-                if h.indices not in flats:
-                    flats[h.indices] = h
-                    new.append(h)
-        frontier = new
+    flats = {ambient.indices: ambient}
+    queue = [ambient]
+    for x in queue:
+        classes = {}
+        for i in range(arr.r):
+            if i not in x.indices:
+                trace = primitive_normal([dot(arr.forms[i], v) for v in x.basis])
+                classes.setdefault(trace, set(x.indices)).add(i)
+        for indices in map(frozenset, classes.values()):
+            if indices not in flats:
+                flats[indices] = closure(arr, indices)
+                queue.append(flats[indices])
     ordered = sorted(flats.values(), key=Flat.key)
     table = {}
     for x in ordered:

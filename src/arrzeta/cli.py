@@ -50,6 +50,7 @@ _ARRANGEMENT_FIELDS = (
     ("forms", 2, (int, str), 'a list of lists of integers or "p/q" strings'),
     ("mults", 1, (int,), "a list of integers"),
     ("factors", 2, (int,), "a list of lists of integers"),
+    ("name", 0, (str,), "a string"),
 )
 
 

@@ -393,49 +393,17 @@ class AffineForm:
         return " ".join(parts)
 
 
-def divides_linear(form, p):
-    """True iff the affine form divides the polynomial p exactly.
+def div_linear(p, form):
+    """Long division of p by the affine form in the form's first pivot
+    variable s_m; returns (quotient, remainder) with p = quotient * form +
+    remainder and the remainder free of s_m.
 
-    Decided by substituting the zero locus of the form into p: solve the
-    form for its first pivot variable and check the substituted polynomial
-    vanishes identically.
+    The remainder is the restriction of p to the zero locus of the form
+    written in the other variables, so it is zero exactly when the form
+    divides p; exact arithmetic makes that a genuine certificate.
     """
     if not isinstance(form, AffineForm):
-        raise TypeError("divides_linear expects an AffineForm")
-    if p.nvars != form.nvars:
-        raise ValueError("variable count mismatch: form %d, poly %d" % (form.nvars, p.nvars))
-    m = next(j for j, c in enumerate(form.coeffs) if c)
-    cm = form.coeffs[m]
-    # s_m = -(const + sum_{j != m} c_j s_j) / c_m  on the zero locus
-    sub_terms = {}
-    for j, c in enumerate(form.coeffs):
-        if j != m and c:
-            ex = [0] * p.nvars
-            ex[j] = 1
-            sub_terms[tuple(ex)] = Fraction(-c, cm)
-    if form.const:
-        sub_terms[(0,) * p.nvars] = Fraction(-form.const, cm)
-    sub = MultiPoly(p.nvars, sub_terms)
-    powers = {0: MultiPoly.constant(p.nvars, 1)}
-    acc = MultiPoly(p.nvars)
-    for ex, c in p.terms.items():
-        k = ex[m]
-        if k not in powers:
-            top = max(powers)
-            for e in range(top + 1, k + 1):
-                powers[e] = powers[e - 1] * sub
-        rest = list(ex)
-        rest[m] = 0
-        acc = acc + MultiPoly(p.nvars, {tuple(rest): c}) * powers[k]
-    return acc.is_zero()
-
-
-def div_linear_exact(p, form):
-    """Divide p by the affine form, raising ValueError on a nonzero remainder.
-
-    Long division in the form's first pivot variable; exact arithmetic makes
-    the zero-remainder check a genuine certificate.
-    """
+        raise TypeError("div_linear expects an AffineForm")
     if p.nvars != form.nvars:
         raise ValueError("variable count mismatch: form %d, poly %d" % (form.nvars, p.nvars))
     m = next(j for j, c in enumerate(form.coeffs) if c)
@@ -454,6 +422,18 @@ def div_linear_exact(p, form):
         t = MultiPoly(p.nvars, lead)
         quot = quot + t
         rem = rem - t * fpoly
+    return quot, rem
+
+
+def divides_linear(form, p):
+    """True iff the affine form divides the polynomial p exactly: the
+    remainder of div_linear is zero."""
+    return div_linear(p, form)[1].is_zero()
+
+
+def div_linear_exact(p, form):
+    """The quotient of div_linear, raising ValueError on a nonzero remainder."""
+    quot, rem = div_linear(p, form)
     if not rem.is_zero():
         raise ValueError("polynomial is not divisible by %r" % (form,))
     return quot

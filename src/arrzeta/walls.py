@@ -14,7 +14,7 @@ deterministic perturbation with halving step sizes.
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 
 from .core import primitive_normal, rational, vector
 from .arrangement import dense_edges
@@ -172,24 +172,25 @@ def localized_walls(walls, point):
     return sorted(out)
 
 
+def _crossed_levels(walls, a, b):
+    """(family, L(a), L(b), gamma) for every wall at a level gamma with
+    min(L(a), L(b)) <= gamma < max(L(a), L(b)), family by family."""
+    for fam in walls:
+        va, vb = fam.evaluate(a), fam.evaluate(b)
+        lo, hi = min(va, vb), max(va, vb)
+        for o in fam.offsets:
+            for k in range(ceil(lo - o), ceil(hi - o)):
+                yield fam, va, vb, o + k
+
+
 def separating_walls(walls, a, b):
     """All wall instances separating a from b, closed below and open above.
 
     The wall at level gamma separates the pair iff min(L(a), L(b)) <= gamma
     < max(L(a), L(b)).  Sorted by (normal, level); empty iff same chamber.
     """
-    a = vector(a)
-    b = vector(b)
-    out = []
-    for fam in walls:
-        va, vb = fam.evaluate(a), fam.evaluate(b)
-        lo, hi = min(va, vb), max(va, vb)
-        if lo == hi:
-            continue
-        for o in fam.offsets:
-            for k in range(ceil(lo - o), ceil(hi - o)):
-                out.append(WallInstance(fam.normal, o + k))
-    return sorted(out)
+    return sorted(WallInstance(fam.normal, gamma)
+                  for fam, _, _, gamma in _crossed_levels(walls, vector(a), vector(b)))
 
 
 def same_chamber(walls, a, b):
@@ -204,7 +205,7 @@ def _perturbation_base(walls):
     for fam in walls:
         bound = max(bound, fam.content(), max(fam.normal))
     q = bound + 1
-    while any(q % p == 0 for p in range(2, int(q ** 0.5) + 1)):
+    while any(q % p == 0 for p in range(2, isqrt(q) + 1)):
         q += 1
     return q
 
@@ -235,24 +236,13 @@ def chamber_path(walls, a, b):
         if separating_walls(walls, a, a1) or separating_walls(walls, b, b1):
             eps /= 2
             continue
-        crossings = []
-        generic = True
-        for fam in walls:
-            va, vb = fam.evaluate(a1), fam.evaluate(b1)
-            if va == vb:
-                if fam.hits(va):
-                    generic = False  # segment runs inside a wall
-                    break
-                continue
-            lo, hi = min(va, vb), max(va, vb)
-            for o in fam.offsets:
-                for k in range(ceil(lo - o), ceil(hi - o)):
-                    gamma = o + k
-                    t = (gamma - va) / (vb - va)
-                    crossings.append((t, WallInstance(fam.normal, gamma)))
-        if not generic:
+        # a segment running inside a wall is not generic
+        if any(fam.evaluate(a1) == fam.evaluate(b1) and fam.hits(fam.evaluate(a1))
+               for fam in walls):
             eps /= 2
             continue
+        crossings = [((gamma - va) / (vb - va), WallInstance(fam.normal, gamma))
+                     for fam, va, vb, gamma in _crossed_levels(walls, a1, b1)]
         times = [t for t, _ in crossings]
         if len(set(times)) != len(times):
             eps /= 2

@@ -21,8 +21,8 @@ factor has been cancelled, so the reported poles are genuine.
 from collections import Counter
 from fractions import Fraction
 
-from .core import (AffineForm, MultiPoly, div_linear_exact, divides_linear,
-                   format_poly, poly_eval, rank, rational)
+from .core import (AffineForm, MultiPoly, div_linear, format_poly, poly_eval,
+                   rank, rational)
 from .arrangement import (ArrangementError, dense_edges, intersection_lattice,
                           localize_at_point)
 
@@ -164,12 +164,18 @@ class ZetaFunction:
         self.numerator, self.denominator = self._normalize()
 
     def _normalize(self):
+        # terms with equal denominators are summed before the expansion; the
+        # LCD still covers every raw term, also those whose sum is zero
         lcd = {}
-        for _, dens in self.terms:
+        merged = {}
+        for coef, dens in self.terms:
             for f, k in Counter(dens).items():
                 lcd[f] = max(lcd.get(f, 0), k)
+            merged[dens] = merged.get(dens, Fraction(0)) + coef
         num = MultiPoly(self.nvars)
-        for coef, dens in self.terms:
+        for dens, coef in merged.items():
+            if coef == 0:
+                continue
             part = MultiPoly.constant(self.nvars, coef)
             counts = Counter(dens)
             for f, k in lcd.items():
@@ -180,8 +186,11 @@ class ZetaFunction:
             return num, {}
         den = dict(lcd)
         for f in sorted(den):
-            while den[f] > 0 and divides_linear(f, num):
-                num = div_linear_exact(num, f)
+            while den[f] > 0:
+                quot, rem = div_linear(num, f)
+                if not rem.is_zero():
+                    break
+                num = quot
                 den[f] -= 1
             if den[f] == 0:
                 del den[f]

@@ -89,7 +89,10 @@ def test_invalid_arrangement_file(capsys, tmp_path):
     ({"n": 2, "forms": [[1.5, 0], [0, 1], [1, 1]]}, '"forms"'),
     ({"n": 2, "forms": [[1, 0], [0, 1]], "mults": [1, 1.5]}, '"mults"'),
     ({"n": "2", "forms": [[1, 0], [0, 1]]}, '"n"'),
-], ids=["forms-int", "factors-int", "float-entry", "float-mult", "n-string"])
+    ({"n": 2, "forms": [[1, 0], [0, 1]], "name": ["x"]}, '"name"'),
+    ({"n": 2, "forms": [[1, 0], [0, 1]], "name": 7}, '"name"'),
+], ids=["forms-int", "factors-int", "float-entry", "float-mult", "n-string",
+        "name-list", "name-int"])
 def test_mistyped_arrangement_file(capsys, tmp_path, obj, field):
     p = tmp_path / "typed.json"
     p.write_text(json.dumps(obj))

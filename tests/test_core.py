@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrzeta.core import (AffineForm, MultiPoly, QMatrix, div_linear_exact,
-                          divides_linear, kernel_basis, poly_eval,
+from arrzeta.core import (AffineForm, MultiPoly, QMatrix, div_linear,
+                          div_linear_exact, divides_linear, kernel_basis, poly_eval,
                           primitive_normal, rank, rational)
 
 F = Fraction
@@ -205,5 +205,11 @@ def test_division_roundtrip(c1, c2, k, ts):
     prod = p * form.to_poly()
     assert divides_linear(form, prod)
     assert div_linear_exact(prod, form) == p
+    assert div_linear(prod, form) == (p, MultiPoly(2))
     if not p.is_zero():
         assert not divides_linear(form, prod + 1)
+    # any p: p = q * form + r with r free of the pivot variable
+    pivot = next(j for j, c in enumerate(form.coeffs) if c)
+    q, r = div_linear(p, form)
+    assert q * form.to_poly() + r == p
+    assert r.degree_in(pivot) == 0

@@ -95,6 +95,30 @@ def test_closure_basis_is_that_of_the_closed_set(arr):
         assert closure(arr, f.indices).basis == tuple(kernel_basis(arr.normal_matrix(f.indices)))
 
 
+@over_corpus
+def test_lattice_is_the_closure_of_every_subset(arr):
+    lat = intersection_lattice(arr)
+    oracle = {}
+    for k in range(arr.r + 1):
+        for subset in combinations(range(arr.r), k):
+            f = closure(arr, subset)
+            oracle[f.indices] = (f.codim, f.basis)
+    assert {f.indices: (f.codim, f.basis) for f in lat.flats} == oracle
+
+
+@over_corpus
+def test_one_kernel_basis_per_flat(monkeypatch, arr):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(arrzeta.arrangement, "kernel_basis", counted)
+    lat = intersection_lattice(arr)
+    assert len(calls) == len(lat)
+
+
 def test_interval_euler_needs_nested_flats():
     lat = intersection_lattice(threelines())
     origin, line = lat.flat([0, 1, 2]), lat.flat([0])

@@ -144,6 +144,19 @@ def test_zeta_equality():
     assert a != ZetaFunction(1, [(1, (f1,))])
 
 
+@pytest.mark.parametrize("build", [lambda: local_zeta(veys()),
+                                   lambda: multivariate_global_zeta(boolean2_factored())],
+                         ids=["veys", "boolean2-factored"])
+def test_zeta_merges_equal_denominators(build):
+    # halving every raw term leaves pairs with equal denominators; the
+    # normalised quotient is unchanged and the raw terms are all kept
+    z = build()
+    halves = tuple((coef / 2, dens) for coef, dens in z.terms for _ in range(2))
+    split = ZetaFunction(z.nvars, halves)
+    assert split == z
+    assert split.terms == halves
+
+
 # ---------------------------------------------------------------------------
 # local zeta functions, frozen
 
