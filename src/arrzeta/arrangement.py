@@ -392,7 +392,7 @@ def is_essential(arr):
     return rank(arr.normal_matrix()) == arr.n
 
 
-def is_indecomposable(arr):
+def is_indecomposable(arr, lattice=None):
     """No nontrivial split of the hyperplanes with additive rank.
 
     Equivalently, the minimal flat is dense.
@@ -400,7 +400,8 @@ def is_indecomposable(arr):
     _require_central(arr, "is_indecomposable")
     if arr.r == 0:
         raise ArrangementError("indecomposability of the empty arrangement")
-    lattice = intersection_lattice(arr)
+    if lattice is None:
+        lattice = intersection_lattice(arr)
     return lattice.is_dense(lattice.minimal_flat())
 
 

@@ -146,13 +146,13 @@ def cmd_analyze(args):
         "degree": arr.degree(),
         "central": arr.central,
         "essential": is_essential(arr),
-        "indecomposable": is_indecomposable(arr),
+        "indecomposable": is_indecomposable(arr, lattice),
         "char_poly": format_poly(char_poly(arr, lattice), names=["t"]),
         "complement_euler": frac_str(complement_euler(arr, lattice)),
         "proj_complement_euler": frac_str(proj_complement_euler(arr, lattice)),
         "flats": len(lattice),
         "dense_edges": [],
-        "lct": frac_str(lct(arr)),
+        "lct": frac_str(lct(arr, lattice)),
         "candidate_poles": [frac_str(p) for p in candidate_poles(arr, lattice=lattice)],
     }
     for f in dense:

@@ -393,36 +393,50 @@ class AffineForm:
         return " ".join(parts)
 
 
-def div_linear(p, form):
-    """Long division of p by the affine form in the form's first pivot
-    variable s_m; returns (quotient, remainder) with p = quotient * form +
-    remainder and the remainder free of s_m.
+def _add_times_affine(out, terms, pairs, const):
+    """Add terms * (sum of c s_j over the pairs (j, c), plus const) into out
+    and return out.  terms and out are raw {exponent tuple: coefficient}
+    dicts; out may keep zero entries."""
+    for ex, a in terms.items():
+        if const:
+            out[ex] = out.get(ex, 0) + a * const
+        for j, c in pairs:
+            up = ex[:j] + (ex[j] + 1,) + ex[j + 1:]
+            out[up] = out.get(up, 0) + a * c
+    return out
 
-    The remainder is the restriction of p to the zero locus of the form
-    written in the other variables, so it is zero exactly when the form
-    divides p; exact arithmetic makes that a genuine certificate.
+
+def div_linear(p, form):
+    """Synthetic division of p by the affine form c_m s_m + g in the form's
+    first pivot variable s_m; returns (quotient, remainder) with p =
+    quotient * form + remainder and the remainder free of s_m.
+
+    p is sliced as the sum of P_k s_m^k with P_k free of s_m.  Horner's
+    scheme runs from the top degree d down: Q_{d-1} = P_d / c_m, then
+    Q_{k-1} = (P_k - g Q_k) / c_m, and the remainder is P_0 - g Q_0, so
+    each coefficient of p is touched once.  The remainder is the
+    restriction of p to the zero locus of the form written in the other
+    variables, so it is zero exactly when the form divides p; exact
+    arithmetic makes that a genuine certificate.
     """
     if not isinstance(form, AffineForm):
         raise TypeError("div_linear expects an AffineForm")
     if p.nvars != form.nvars:
         raise ValueError("variable count mismatch: form %d, poly %d" % (form.nvars, p.nvars))
     m = next(j for j, c in enumerate(form.coeffs) if c)
-    cm = Fraction(form.coeffs[m])
-    fpoly = form.to_poly()
-    quot = MultiPoly(p.nvars)
-    rem = p
-    while rem.degree_in(m) > 0:
-        d = rem.degree_in(m)
-        lead = {}
-        for ex, c in rem.terms.items():
-            if ex[m] == d:
-                low = list(ex)
-                low[m] = d - 1
-                lead[tuple(low)] = c / cm
-        t = MultiPoly(p.nvars, lead)
-        quot = quot + t
-        rem = rem - t * fpoly
-    return quot, rem
+    cm = form.coeffs[m]
+    minus_g = [(j, -c) for j, c in enumerate(form.coeffs) if c and j != m]
+    slices = {}
+    for ex, c in p.terms.items():
+        slices.setdefault(ex[m], {})[ex[:m] + (0,) + ex[m + 1:]] = c
+    quot, q = {}, {}
+    for k in range(max(slices, default=0), 0, -1):
+        low = _add_times_affine(dict(slices.get(k, {})), q, minus_g, -form.const)
+        q = {ex: c / cm for ex, c in low.items() if c}
+        for ex, c in q.items():
+            quot[ex[:m] + (k - 1,) + ex[m + 1:]] = c
+    rem = _add_times_affine(dict(slices.get(0, {})), q, minus_g, -form.const)
+    return MultiPoly(p.nvars, quot), MultiPoly(p.nvars, rem)
 
 
 def divides_linear(form, p):

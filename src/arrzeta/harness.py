@@ -86,13 +86,13 @@ class Polytope:
         return "Polytope(%d inequalities in R^%d)" % (len(self.inequalities), self.r)
 
 
-def lct(arr):
+def lct(arr, lattice=None):
     """Log canonical threshold: the least nu/N over the dense edges."""
     if not arr.central:
         raise ArrangementError("lct needs a central arrangement")
     if arr.r == 0:
         raise ArrangementError("lct of the empty arrangement")
-    data = [resolution_datum(arr, f) for f in dense_edges(arr)]
+    data = [resolution_datum(arr, f) for f in dense_edges(arr, lattice)]
     return min(Fraction(d.nu, d.N) for d in data)
 
 
@@ -260,7 +260,7 @@ def nd_check(arr):
     n, d = arr.n, arr.degree()
     ratio = Fraction(-n, d)
     cands = candidate_poles(arr, lattice=lattice)
-    z = local_zeta(arr)
+    z = local_zeta(arr, lattice=lattice)
     pole_pairs = poles(z).univariate
     pole_set = {p for p, _ in pole_pairs}
     is_cand = ratio in cands
@@ -317,7 +317,7 @@ def multi_nd_check(arr):
     degrees = arr.factor_degrees()
     hyper, _ = AffineForm.canonical(degrees, arr.n)
     cands = candidate_poles(arr, multi=True, lattice=lattice)
-    z = multivariate_local_zeta(arr)
+    z = multivariate_local_zeta(arr, lattice=lattice)
     polar = [f for f, _ in poles(z).multivariate]
     is_cand = hyper in cands
     in_polar = hyper in polar

@@ -20,9 +20,10 @@ factor has been cancelled, so the reported poles are genuine.
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
-from .core import (AffineForm, MultiPoly, div_linear, format_poly, poly_eval,
-                   rank, rational)
+from .core import (AffineForm, MultiPoly, _add_times_affine, div_linear,
+                   format_poly, poly_eval, rank, rational)
 from .arrangement import (ArrangementError, dense_edges, intersection_lattice,
                           localize_at_point)
 
@@ -117,21 +118,16 @@ def enumerate_chains(lattice, start=None):
     With start, only the chains whose smallest flat is that one.
     """
     proper = lattice.proper_flats()
-    chains = []
-
-    def grow(prefix):
-        chains.append(Chain(prefix))
-        last = prefix[-1]
-        for g in proper:
-            if g.indices < last.indices:
-                grow(prefix + [g])
-
     if start is not None:
         seeds = [lattice.flat(start.indices)]
     else:
         seeds = proper
-    for f in seeds:
-        grow([f])
+    chains = []
+    stack = [[f] for f in seeds]
+    while stack:
+        prefix = stack.pop()
+        chains.append(Chain(prefix))
+        stack.extend(prefix + [g] for g in proper if g.indices < prefix[-1].indices)
     return sorted(chains, key=Chain.key)
 
 
@@ -164,24 +160,30 @@ class ZetaFunction:
         self.numerator, self.denominator = self._normalize()
 
     def _normalize(self):
-        # terms with equal denominators are summed before the expansion; the
-        # LCD still covers every raw term, also those whose sum is zero
+        # terms with equal denominators are summed first; the LCD still
+        # covers every raw term, also those whose sum is zero.  The merged
+        # coefficients are scaled to integers by the lcm of their
+        # denominators, each term is expanded against the LCD on a raw
+        # integer dict, and the sum is divided by that one scale at the end
         lcd = {}
         merged = {}
         for coef, dens in self.terms:
             for f, k in Counter(dens).items():
                 lcd[f] = max(lcd.get(f, 0), k)
             merged[dens] = merged.get(dens, Fraction(0)) + coef
-        num = MultiPoly(self.nvars)
+        merged = {dens: coef for dens, coef in merged.items() if coef}
+        scale = lcm(*(coef.denominator for coef in merged.values()))
+        pairs = {f: [(j, c) for j, c in enumerate(f.coeffs) if c] for f in lcd}
+        total = {}
         for dens, coef in merged.items():
-            if coef == 0:
-                continue
-            part = MultiPoly.constant(self.nvars, coef)
+            part = {(0,) * self.nvars: coef.numerator * (scale // coef.denominator)}
             counts = Counter(dens)
             for f, k in lcd.items():
                 for _ in range(k - counts.get(f, 0)):
-                    part = part * f.to_poly()
-            num = num + part
+                    part = _add_times_affine({}, part, pairs[f], f.const)
+            for ex, c in part.items():
+                total[ex] = total.get(ex, 0) + c
+        num = MultiPoly(self.nvars, {ex: Fraction(c, scale) for ex, c in total.items() if c})
         if num.is_zero():
             return num, {}
         den = dict(lcd)
@@ -313,6 +315,7 @@ def _flag_terms(arr, lattice, chains, multi, lead):
     """One term per chain: lead(first flat) times the interval Euler
     characteristics along the chain up to the ambient space."""
     ambient = lattice.ambient
+    forms = {f: _denominator_form(arr, f, multi) for f in lattice.proper_flats()}
     terms = []
     for chain in chains:
         coef = Fraction(lead(chain.flats[0]))
@@ -327,7 +330,7 @@ def _flag_terms(arr, lattice, chains, multi, lead):
             continue
         dens = []
         for f in chain.flats:
-            form, scale = _denominator_form(arr, f, multi)
+            form, scale = forms[f]
             coef /= scale
             dens.append(form)
         terms.append((coef, dens))
@@ -342,14 +345,19 @@ def _zeta_nvars(arr, multi):
     return len(arr.factors)
 
 
-def _local(arr, multi):
+def _local(arr, multi, point, lattice):
+    if point is not None:
+        if lattice is not None:
+            raise ValueError("a lattice cannot be passed together with a point")
+        arr = localize_at_point(arr, point)
     if not arr.central:
         raise ArrangementError("local zeta at the origin needs a central arrangement; "
                                "pass the point explicitly otherwise")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
     nvars = _zeta_nvars(arr, multi)
-    lattice = intersection_lattice(arr)
+    if lattice is None:
+        lattice = intersection_lattice(arr)
     vmin = lattice.minimal_flat()
     chains = enumerate_chains(lattice, start=vmin)
     terms = _flag_terms(arr, lattice, chains, multi, lambda f: 1)
@@ -369,17 +377,17 @@ def _global(arr, multi):
     return ZetaFunction(nvars, terms)
 
 
-def local_zeta(arr, point=None):
+def local_zeta(arr, point=None, lattice=None):
     """The local topological zeta function at the origin (or at a point).
 
     With a point, the arrangement is first localized there; without one the
     arrangement must be central and the origin is used.  Flags start at the
     minimal flat, the intersection of all hyperplanes, which is the origin
-    exactly when the arrangement is essential.
+    exactly when the arrangement is essential.  A lattice, if given, is the
+    arrangement's intersection lattice and is used instead of building one;
+    it cannot be combined with a point.
     """
-    if point is not None:
-        arr = localize_at_point(arr, point)
-    return _local(arr, multi=False)
+    return _local(arr, False, point, lattice)
 
 
 def global_zeta(arr):
@@ -387,11 +395,10 @@ def global_zeta(arr):
     return _global(arr, multi=False)
 
 
-def multivariate_local_zeta(arr, point=None):
-    """Local zeta in one variable per factor of the factorization."""
-    if point is not None:
-        arr = localize_at_point(arr, point)
-    return _local(arr, multi=True)
+def multivariate_local_zeta(arr, point=None, lattice=None):
+    """Local zeta in one variable per factor of the factorization; point
+    and lattice as for local_zeta."""
+    return _local(arr, True, point, lattice)
 
 
 def multivariate_global_zeta(arr):

@@ -213,3 +213,23 @@ def test_division_roundtrip(c1, c2, k, ts):
     q, r = div_linear(p, form)
     assert q * form.to_poly() + r == p
     assert r.degree_in(pivot) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
+       st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+                max_size=6))
+def test_division_by_a_later_pivot(c2, c3, k, ts):
+    """Three variables, rational coefficients, pivot s2 or s3."""
+    if c2 == 0 and c3 == 0:
+        return
+    form, _ = AffineForm.canonical((0, c2, c3), k)
+    pivot = 1 if c2 else 2
+    p = MultiPoly(3)
+    for ex, c in ts:
+        p = p + MultiPoly(3, {ex: c})
+    q, r = div_linear(p, form)
+    assert q * form.to_poly() + r == p
+    assert r.degree_in(pivot) == 0
+    assert div_linear(q * form.to_poly(), form) == (q, MultiPoly(3))

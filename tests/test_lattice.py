@@ -13,12 +13,12 @@ import arrzeta.zeta
 from arrzeta import (Arrangement, ArrangementError, QMatrix, adapted_vector,
                      closure, complement_euler, dense_edges, global_zeta,
                      intersection_lattice, interval_arrangement,
-                     is_indecomposable, kernel_basis, local_zeta, nd_check,
-                     proj_complement_euler, rank, restriction_arrangement,
+                     is_indecomposable, kernel_basis, local_zeta,
+                     multi_nd_check, nd_check, proj_complement_euler, rank, restriction_arrangement,
                      validate_adapted)
 
 from conftest import (boolean2, ninefold, random_central_c3, random_lines,
-                      threelines, veys, xy_in_c3, xyz)
+                      threelines, threelines_factored, veys, xy_in_c3, xyz)
 
 
 def braid(n):
@@ -158,3 +158,18 @@ def test_one_lattice_per_call(lattice_count, call):
 def test_nd_check_builds_at_most_two_lattices(lattice_count):
     nd_check(veys())
     assert len(lattice_count) <= 2
+
+
+def test_nd_check_builds_one_lattice(lattice_count):
+    nd_check(veys())
+    assert len(lattice_count) == 1
+
+
+def test_multi_nd_check_builds_one_lattice(lattice_count):
+    multi_nd_check(threelines_factored())
+    assert len(lattice_count) == 1
+
+
+def test_analyze_builds_one_lattice(lattice_count, capsys):
+    assert arrzeta.cli.run(["analyze", "--example", "veys", "--json"]) == 0
+    assert len(lattice_count) == 1

@@ -1,16 +1,19 @@
 """Zeta functions: flag formula, normalization, poles, closed-form oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      dense_edges, enumerate_chains, global_zeta,
                      intersection_lattice, local_zeta,
                      multivariate_global_zeta, multivariate_local_zeta, poles,
                      rank2_zeta, resolution_datum, snc_zeta, specialize)
-from arrzeta.core import AffineForm
+from arrzeta.core import AffineForm, MultiPoly
 from arrzeta.zeta import Chain, ZetaFunction
 
 from conftest import (boolean2, boolean2_factored, ninefold, random_central_c3,
@@ -157,6 +160,106 @@ def test_zeta_merges_equal_denominators(build):
     assert split.terms == halves
 
 
+def _oracle_div_linear(p, form):
+    """Long division in the pivot variable, one leading slice per step."""
+    m = next(j for j, c in enumerate(form.coeffs) if c)
+    fpoly = form.to_poly()
+    quot, rem = MultiPoly(p.nvars), p
+    while rem.degree_in(m) > 0:
+        d = rem.degree_in(m)
+        t = MultiPoly(p.nvars, {ex[:m] + (d - 1,) + ex[m + 1:]: c / form.coeffs[m]
+                                for ex, c in rem.terms.items() if ex[m] == d})
+        quot, rem = quot + t, rem - t * fpoly
+    return quot, rem
+
+
+def _oracle_normalize(nvars, terms):
+    """Each merged term expanded against the LCD one MultiPoly product at a
+    time, then every LCD factor divided out while it divides."""
+    lcd, merged = {}, {}
+    for coef, dens in terms:
+        if coef == 0:
+            continue
+        dens = tuple(sorted(dens))
+        for f, k in Counter(dens).items():
+            lcd[f] = max(lcd.get(f, 0), k)
+        merged[dens] = merged.get(dens, F(0)) + coef
+    num = MultiPoly(nvars)
+    for dens, coef in merged.items():
+        part = MultiPoly.constant(nvars, coef)
+        counts = Counter(dens)
+        for f, k in lcd.items():
+            for _ in range(k - counts.get(f, 0)):
+                part = part * f.to_poly()
+        num = num + part
+    if num.is_zero():
+        return num, {}
+    den = dict(lcd)
+    for f in sorted(den):
+        while den[f] > 0:
+            quot, rem = _oracle_div_linear(num, f)
+            if not rem.is_zero():
+                break
+            num = quot
+            den[f] -= 1
+        if den[f] == 0:
+            del den[f]
+    return num, den
+
+
+@st.composite
+def _term_lists(draw):
+    nvars = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars).filter(any)
+    pool = [AffineForm.canonical(c, k)[0] for c, k in
+            draw(st.lists(st.tuples(coeffs, st.integers(0, 4)), min_size=1, max_size=4))]
+    # a pivot coefficient other than 1, e.g. 2 s1 + 3 s2 + 1
+    pool.append(AffineForm((2,) + (3,) * (nvars - 1), 1))
+    coef = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    terms = draw(st.lists(st.tuples(coef, st.lists(st.sampled_from(pool), min_size=1,
+                                                   max_size=3)), min_size=1, max_size=6))
+    # repeated forms give the LCD powers; a term and its negative merge to zero
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(pool))
+        c = draw(coef)
+        terms += [(c, [f, f]), (-c, [f, f])]
+    return nvars, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_term_lists())
+def test_normalize_matches_per_term_expansion(case):
+    nvars, terms = case
+    z = ZetaFunction(nvars, terms)
+    num, den = _oracle_normalize(nvars, terms)
+    assert z.numerator == num
+    assert z.denominator == den
+
+
+@pytest.fixture
+def mul_count(monkeypatch):
+    """Count MultiPoly products (both operand orders)."""
+    calls = []
+    original = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    return calls
+
+
+def test_multivariate_zeta_makes_no_polynomial_products(mul_count):
+    arr = Arrangement(3, ninefold().forms, factors=[(1, 1, 1, 0, 0, 0, 0, 0, 0),
+                                                    (0, 0, 0, 1, 1, 1, 0, 0, 0),
+                                                    (0, 0, 0, 0, 0, 0, 1, 1, 1)])
+    z = multivariate_local_zeta(arr)
+    assert z.denominator
+    assert mul_count == []
+
+
 # ---------------------------------------------------------------------------
 # local zeta functions, frozen
 
@@ -222,6 +325,19 @@ def test_local_zeta_at_point():
 def test_local_zeta_errors():
     with pytest.raises(ArrangementError):
         local_zeta(Arrangement(2, []))
+
+
+def test_local_zeta_given_lattice():
+    arr = veys()
+    lat = intersection_lattice(arr)
+    assert local_zeta(arr, lattice=lat) == local_zeta(arr)
+    # the lattice belongs to the arrangement at the origin, not to its
+    # localization at a point
+    with pytest.raises(ValueError):
+        local_zeta(arr, point=(0, 0, 1), lattice=lat)
+    with pytest.raises(ValueError):
+        multivariate_local_zeta(threelines_factored(), point=(0, 0),
+                                lattice=intersection_lattice(threelines_factored()))
 
 
 # ---------------------------------------------------------------------------
