@@ -4,11 +4,12 @@ Intersection lattices, dense edges, local and global (multivariate)
 topological zeta functions with genuine pole extraction, wall-and-chamber
 geometry of filtration parameters, log canonical polytopes and adapted
 vectors, and monodromy-conjecture verification workflows.  All arithmetic
-is exact over Q.
+is exact over Q; the intersection lattice is built over the integers.
 """
 
 from .core import (AffineForm, MultiPoly, QMatrix, Rational, divides_linear,
-                   kernel_basis, poly_eval, primitive_normal, rank, rational)
+                   integer_kernel, kernel_basis, poly_eval, primitive_normal,
+                   rank, rational)
 from .arrangement import (Arrangement, ArrangementError, Flat,
                           IntersectionLattice, char_poly, closure,
                           complement_euler, dense_edges, intersection_lattice,

@@ -11,12 +11,21 @@ W = intersection of the hyperplanes in I, and I is closed when it already
 contains every hyperplane through W.  The partial order used everywhere is
 reverse inclusion of subspaces, i.e. inclusion of index sets, with bottom
 element the ambient space (empty index set).
+
+The lattice is built over the integers: flats are spanned by integer
+kernel vectors of the primitive integer normals, and membership tests and
+traces are integer dot products.  Every value reported from it (flat
+bases, the Mobius function and the numbers read off it) is still exact,
+and rational values are Fractions.
 """
 
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from .core import (MultiPoly, QMatrix, kernel_basis, primitive_normal, rank,
-                   rational, dot, poly_eval, div_linear_exact, AffineForm)
+from .core import (MultiPoly, QMatrix, integer_kernel, primitive_key,
+                   primitive_normal, rank, rational, dot, poly_eval,
+                   div_linear_exact, AffineForm)
 
 
 class ArrangementError(ValueError):
@@ -27,6 +36,8 @@ class Arrangement:
     """A finite set of hyperplanes in C^n with multiplicities.
 
     forms: tuple of length-n normal vectors (rationals).
+    normals: parallel tuple of their primitive integer normals
+        (core.primitive_normal), which the lattice is built on.
     consts: parallel tuple of constant terms; all zero means central.
     mults: positive integer multiplicities d_i.
     factors: optional k x r matrix of nonnegative integers whose rows are
@@ -59,10 +70,10 @@ class Arrangement:
         self.forms = tuple(parsed_forms)
         self.consts = tuple(parsed_consts)
         self.r = len(self.forms)
+        self.normals = tuple(primitive_normal(normal) for normal in self.forms)
         # pairwise proportionality check via the affine canonical key
         seen = {}
-        for i, (normal, const) in enumerate(zip(self.forms, self.consts)):
-            prim = primitive_normal(normal)
+        for i, (normal, const, prim) in enumerate(zip(self.forms, self.consts, self.normals)):
             j = next(k for k, e in enumerate(prim) if e)
             scale = normal[j] / prim[j]
             key = (prim, const / scale)
@@ -131,14 +142,22 @@ class Arrangement:
 class Flat:
     """A flat of a central arrangement, identified by its closed index set.
 
-    codim is the codimension of the subspace W, basis a deterministic
-    rational basis of W.
+    codim is the codimension of the subspace W.  vectors are integer
+    vectors spanning W and den their common scale (core.integer_kernel of
+    the normals in the index set); basis, the deterministic rational basis
+    vectors / den of W (core.kernel_basis of those normals), is derived on
+    first read.
     """
 
-    def __init__(self, indices, codim, basis):
+    def __init__(self, indices, codim, vectors, den):
         self.indices = frozenset(int(i) for i in indices)
         self.codim = int(codim)
-        self.basis = tuple(tuple(v) for v in basis)
+        self.vectors = tuple(vectors)
+        self.den = den
+
+    @cached_property
+    def basis(self):
+        return tuple(tuple(Fraction(e, self.den) for e in w) for w in self.vectors)
 
     def key(self):
         return (self.codim, tuple(sorted(self.indices)))
@@ -165,20 +184,20 @@ def _require_central(arr, what):
 def closure(arr, indices):
     """The flat spanned by a set of hyperplane indices.
 
-    One kernel basis of the given normals spans the underlying subspace W;
-    the closed index set is every hyperplane whose form vanishes on it.
-    The basis depends only on the row space of the normals, so it is the
-    same deterministic basis as that of the closed set.
+    One integer kernel of the given normals spans the underlying subspace
+    W; the closed index set is every hyperplane whose normal vanishes on
+    it.  The kernel basis depends only on the row space of the normals, so
+    it is the same deterministic basis as that of the closed set.
     """
     _require_central(arr, "closure")
     indices = set(int(i) for i in indices)
     for i in indices:
         if not 0 <= i < arr.r:
             raise ArrangementError("hyperplane index %d out of range" % i)
-    basis = kernel_basis(arr.normal_matrix(indices))
+    vectors, den = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)
     closed = [i for i in range(arr.r)
-              if i in indices or all(dot(arr.forms[i], v) == 0 for v in basis)]
-    return Flat(closed, arr.n - len(basis), basis)
+              if i in indices or not any(sum(map(mul, arr.normals[i], w)) for w in vectors)]
+    return Flat(closed, arr.n - len(vectors), vectors, den)
 
 
 class IntersectionLattice:
@@ -255,32 +274,52 @@ def intersection_lattice(arr):
     The flats covering X correspond one to one to the hyperplanes of the
     restriction of the arrangement to X (Orlik-Terao, Arrangements of
     Hyperplanes, 1992): the hyperplanes outside X whose traces on X are
-    proportional cut out the same cover, whose index set is X's plus that
-    class.  Each new index set is closed once, so there is one closure,
-    and one kernel basis, per flat.
+    proportional cut out the same cover, whose index set, X's plus that
+    class, is already closed.  So there is one integer kernel per flat.
+    Traces are taken on X's integer vectors, which scale every trace by
+    the same diagonal matrix and so keep proportional traces
+    proportional; no Fraction is made.
+
+    The Mobius row mu(X, .) is summed over the upper interval of X only:
+    walking it upwards, each mu(X, W) is pushed onto every flat strictly
+    above W, and mu(X, Z) is minus what Z has collected.
     """
     _require_central(arr, "intersection_lattice")
     ambient = closure(arr, ())
     flats = {ambient.indices: ambient}
+    covers = {}
     queue = [ambient]
     for x in queue:
         classes = {}
         for i in range(arr.r):
             if i not in x.indices:
-                trace = primitive_normal([dot(arr.forms[i], v) for v in x.basis])
-                classes.setdefault(trace, set(x.indices)).add(i)
+                trace = [sum(map(mul, arr.normals[i], w)) for w in x.vectors]
+                classes.setdefault(primitive_key(trace), set(x.indices)).add(i)
+        covers[x.indices] = []
         for indices in map(frozenset, classes.values()):
             if indices not in flats:
-                flats[indices] = closure(arr, indices)
+                vectors, den = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)
+                flats[indices] = Flat(indices, arr.n - len(vectors), vectors, den)
                 queue.append(flats[indices])
+            covers[x.indices].append(indices)
     ordered = sorted(flats.values(), key=Flat.key)
+    pos = {f.indices: k for k, f in enumerate(ordered)}
+    # above[k]: positions of the flats strictly above ordered[k], in order
+    above = [None] * len(ordered)
+    for k in range(len(ordered) - 1, -1, -1):
+        up = set()
+        for c in covers[ordered[k].indices]:
+            up.add(pos[c])
+            up.update(above[pos[c]])
+        above[k] = sorted(up)
     table = {}
-    for x in ordered:
-        row = {}
-        for z in ordered:
-            if x.indices <= z.indices:
-                row[z.indices] = 1 if z is x else -sum(
-                    m for w, m in row.items() if w < z.indices)
+    for k, x in enumerate(ordered):
+        row = {x.indices: 1}
+        collected = dict.fromkeys(above[k], 1)  # mu(X, X) = 1, pushed up
+        for j in above[k]:
+            m = row[ordered[j].indices] = -collected[j]
+            for z in above[j]:
+                collected[z] += m
         table[x.indices] = row
     return IntersectionLattice(arr, ordered, table)
 

@@ -11,6 +11,7 @@ FAIL, 2 for bad input.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -435,10 +436,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser run() uses, built once per process: parsing leaves it
+    unchanged, and every call parses into a fresh namespace."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

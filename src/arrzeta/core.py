@@ -6,9 +6,12 @@ zeta numerators, and integer affine forms for zeta denominators and wall
 levels.  No floating point is used anywhere.
 
 Rational numbers are stdlib fractions (already canonical: reduced, positive
-denominator).  Matrices are immutable and row major.  Reduction to row
-echelon form picks the first nonzero entry in column order as pivot, so
-ranks, kernels and everything derived from them are deterministic.
+denominator).  Matrices are immutable and row major.  Ranks and kernels
+are computed over the integers by fraction-free elimination, which picks
+the first nonzero entry in column order as pivot, so ranks, kernels and
+everything derived from them are deterministic; kernel_basis still
+returns exact Fractions.  The intersection lattice is built on these
+integer kernels without making a Fraction.
 """
 
 from fractions import Fraction
@@ -82,53 +85,89 @@ class QMatrix:
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
 
 
-def _rref(m):
-    """Row reduce; return (reduced rows as lists, pivot column indices)."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
+def integer_kernel(rows, cols):
+    """Integer kernel vectors of an integer matrix, and their common scale.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968, in
+    the reduced form of Nakos, Turner and Williams, 1997): at each pivot p
+    every other row becomes (p * row - a * pivot row) / d, with a its entry
+    in the pivot column and d the previous pivot, and the division is
+    exact.  Pivots are the first nonzero entries in column order, as in
+    row reduction over Q, so the reduced matrix is den times the reduced
+    row echelon form, den being the last pivot (1 when there is none).
+    Returns (vectors, den): one vector w per free column f, in increasing
+    order, with w = den * v for the kernel basis vector v that has v[f] = 1
+    and zeros at the other free columns.  rows is a list of integer lists
+    of length cols; no rows means the kernel is everything.
+    """
+    rows = [list(r) for r in rows]
     pivots = []
-    r = 0
-    for c in range(m.cols):
+    den = 1
+    for c in range(cols):
+        r = len(pivots)
         if r == len(rows):
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [e / pv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[c]
+                rows[i] = [(p * x - a * y) // den for x, y in zip(row, top)]
+        den = p
         pivots.append(c)
-        r += 1
-    return rows, pivots
+    vectors = []
+    for f in range(cols):
+        if f not in pivots:
+            w = [0] * cols
+            w[f] = den
+            for row, p in zip(rows, pivots):
+                w[p] = -row[f]
+            vectors.append(tuple(w))
+    return vectors, den
+
+
+def _integer_rows(m):
+    """The rows of a QMatrix (or of a row list), each scaled to integers by
+    the lcm of its denominators; scaling a row keeps the kernel."""
+    if not isinstance(m, QMatrix):
+        m = QMatrix.from_rows(m)
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = lcm(*(e.denominator for e in row))
+        rows.append([e.numerator * (den // e.denominator) for e in row])
+    return rows, m.cols
 
 
 def rank(m):
-    if not isinstance(m, QMatrix):
-        m = QMatrix.from_rows(m)
-    return len(_rref(m)[1])
+    rows, cols = _integer_rows(m)
+    return cols - len(integer_kernel(rows, cols)[0])
 
 
 def kernel_basis(m):
     """Basis of the right kernel, one vector per free column.
 
     Free variables are taken in increasing column order and set to 1, so
-    the basis is deterministic.  A 0 x n matrix yields the standard basis.
+    the basis is deterministic: it is the basis read off the reduced row
+    echelon form, and depends only on the row space.  A 0 x n matrix
+    yields the standard basis.
     """
-    if not isinstance(m, QMatrix):
-        m = QMatrix.from_rows(m)
-    rows, pivots = _rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis.append(tuple(v))
-    return basis
+    vectors, den = integer_kernel(*_integer_rows(m))
+    return [tuple(Fraction(e, den) for e in w) for w in vectors]
+
+
+def primitive_key(v):
+    """A nonzero integer vector divided by the gcd of its entries, with the
+    sign that makes the first nonzero entry positive: equal exactly for
+    proportional vectors."""
+    g = gcd(*v)
+    if next(e for e in v if e) < 0:
+        g = -g
+    return tuple(e // g for e in v)
 
 
 def primitive_normal(v):
@@ -141,12 +180,7 @@ def primitive_normal(v):
     if all(e == 0 for e in v):
         raise ValueError("zero vector has no primitive normal")
     den = lcm(*(e.denominator for e in v))
-    ints = [int(e * den) for e in v]
-    g = gcd(*ints)
-    ints = [e // g for e in ints]
-    if next(e for e in ints if e != 0) < 0:
-        ints = [-e for e in ints]
-    return tuple(ints)
+    return primitive_key([e.numerator * (den // e.denominator) for e in v])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ judged, so a report can be audited without rerunning anything.
 from fractions import Fraction
 from itertools import combinations
 
-from .core import QMatrix, rank, rational, AffineForm
+from .core import AffineForm, integer_kernel, rational
 from .arrangement import ArrangementError, dense_edges, intersection_lattice
 from .zeta import (candidate_poles, global_zeta, local_zeta,
                    multivariate_global_zeta, multivariate_local_zeta, poles,
@@ -184,11 +184,10 @@ def validate_adapted(arr, beta):
 
 
 def _matroid_bases(arr):
-    out = []
-    for combo in combinations(range(arr.r), arr.n):
-        if rank(QMatrix.from_rows([arr.forms[i] for i in combo], cols=arr.n)) == arr.n:
-            out.append(combo)
-    return out
+    """The n-subsets of hyperplanes whose integer normals have rank n, i.e.
+    an empty kernel."""
+    return [combo for combo in combinations(range(arr.r), arr.n)
+            if not integer_kernel([arr.normals[i] for i in combo], arr.n)[0]]
 
 
 def adapted_vector(arr):

@@ -10,8 +10,38 @@ from arrzeta.examples import (boolean2, boolean2_factored, threelines,
 __all__ = [
     "boolean2", "boolean2_factored", "threelines", "threelines_factored",
     "veys", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
-    "random_central_c3", "random_rational_point",
+    "random_central_c3", "random_rational_point", "fraction_kernel",
 ]
+
+
+def fraction_kernel(rows, cols):
+    """Rank and kernel basis by row reduction over Q, the reference for the
+    fraction-free routes: pivots are the first nonzero entries in column
+    order, and each free column gives the kernel vector that is 1 there
+    and 0 at the other free columns."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for row, p in zip(rows, pivots):
+                v[p] = -row[f]
+            basis.append(tuple(v))
+    return len(pivots), basis
 
 
 def xy_ab(a, b):

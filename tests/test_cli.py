@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
+import arrzeta.cli
 from arrzeta import local_zeta, multivariate_local_zeta
-from arrzeta.cli import run, zeta_from_json
+from arrzeta.cli import build_parser, run, zeta_from_json, zeta_json
 
-from conftest import threelines_factored, veys
+from conftest import threelines, threelines_factored, veys
 
 
 def run_cli(capsys, argv):
@@ -163,6 +164,35 @@ def test_zeta_global_matches_local(capsys):
     a, b = json.loads(out_l), json.loads(out_g)
     for key in ("terms", "numerator", "denominator", "poles"):
         assert a[key] == b[key]
+
+
+@pytest.mark.parametrize("flag", [["--global"], ["--at", "0,1"]], ids=["global", "at"])
+def test_zeta_options_do_not_leak_into_the_next_call(capsys, flag):
+    code, first, _ = run_cli(capsys, ["zeta", "--example", "threelines", "--json"])
+    code_f, flagged, _ = run_cli(capsys, ["zeta", "--example", "threelines", "--json"] + flag)
+    code_l, plain, _ = run_cli(capsys, ["zeta", "--example", "threelines", "--json"])
+    assert code == code_f == code_l == 0
+    data = json.loads(plain)
+    assert plain == first != flagged
+    assert data["lines"][0].startswith("univariate local zeta")
+    assert zeta_json(local_zeta(threelines()))["terms"] == data["terms"]
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(arrzeta.cli, "build_parser", counted)
+    arrzeta.cli._parser.cache_clear()
+    try:
+        for argv in (["zeta", "--example", "veys"], ["--help"], ["nd", "--example", "veys"]):
+            run_cli(capsys, argv)
+    finally:
+        arrzeta.cli._parser.cache_clear()
+    assert built == [1]
 
 
 def test_zeta_at_point(capsys):

@@ -1,14 +1,17 @@
 """Exact linear algebra and polynomial layer."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrzeta.core import (AffineForm, MultiPoly, QMatrix, div_linear,
-                          div_linear_exact, divides_linear, kernel_basis, poly_eval,
-                          primitive_normal, rank, rational)
+                          div_linear_exact, divides_linear, integer_kernel,
+                          kernel_basis, poly_eval, primitive_normal, rank, rational)
+
+from conftest import fraction_kernel
 
 F = Fraction
 
@@ -71,6 +74,28 @@ def test_rank_nullity_and_annihilation(rows):
     for v in basis:
         for i in range(m.rows):
             assert sum(a * b for a, b in zip(m.row(i), v)) == 0
+
+
+rational_entries = st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4,
+                                                     max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda cols: st.tuples(
+    st.just(cols),
+    st.lists(st.one_of(st.just([0] * cols),
+                       st.lists(rational_entries, min_size=cols, max_size=cols)),
+             min_size=0, max_size=6))))
+def test_kernel_matches_fraction_row_reduction(shape):
+    cols, rows = shape
+    m = QMatrix.from_rows(rows, cols=cols)
+    want_rank, want_basis = fraction_kernel(rows, cols)
+    assert rank(m) == want_rank
+    assert kernel_basis(m) == want_basis
+    # each integer vector is den times the basis vector: den sits at its free column
+    scaled = [[int(e * lcm(*(F(x).denominator for x in row))) for e in row] for row in rows]
+    vectors, den = integer_kernel(scaled, cols)
+    assert vectors == [tuple(den * e for e in v) for v in want_basis]
 
 
 def test_primitive_normal_examples():

@@ -1,15 +1,19 @@
 """The Mobius-table routes against the geometric constructions they replace,
 and the number of intersection lattices each top-level call builds."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arrzeta
 import arrzeta.arrangement
 import arrzeta.cli
 import arrzeta.harness
 import arrzeta.zeta
+from arrzeta.core import integer_kernel, primitive_normal
 from arrzeta import (Arrangement, ArrangementError, QMatrix, adapted_vector,
                      closure, complement_euler, dense_edges, global_zeta,
                      intersection_lattice, interval_arrangement,
@@ -17,8 +21,8 @@ from arrzeta import (Arrangement, ArrangementError, QMatrix, adapted_vector,
                      multi_nd_check, nd_check, proj_complement_euler, rank, restriction_arrangement,
                      validate_adapted)
 
-from conftest import (boolean2, ninefold, random_central_c3, random_lines,
-                      threelines, threelines_factored, veys, xy_in_c3, xyz)
+from conftest import (boolean2, fraction_kernel, ninefold, random_central_c3,
+                      random_lines, threelines, threelines_factored, veys, xy_in_c3, xyz)
 
 
 def braid(n):
@@ -110,13 +114,76 @@ def test_lattice_is_the_closure_of_every_subset(arr):
 def test_one_kernel_basis_per_flat(monkeypatch, arr):
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return kernel_basis(m)
+    def counted(rows, cols):
+        calls.append(rows)
+        return integer_kernel(rows, cols)
 
-    monkeypatch.setattr(arrzeta.arrangement, "kernel_basis", counted)
+    monkeypatch.setattr(arrzeta.arrangement, "integer_kernel", counted)
     lat = intersection_lattice(arr)
     assert len(calls) == len(lat)
+
+
+def brute_force_lattice(arr):
+    """Every flat as the closure of an index subset and the Mobius table by
+    its definition, over Q on the forms as given: {indices: (codim, basis)}
+    and {indices of X: {indices of Z: mu(X, Z)}}."""
+    flats = {}
+    for k in range(arr.r + 1):
+        for subset in combinations(range(arr.r), k):
+            _, basis = fraction_kernel([arr.forms[i] for i in subset], arr.n)
+            closed = frozenset(i for i in range(arr.r) if all(
+                sum(a * b for a, b in zip(arr.forms[i], v)) == 0 for v in basis))
+            flats[closed] = (arr.n - len(basis), tuple(basis))
+    order = sorted(flats, key=lambda x: (flats[x][0], sorted(x)))
+    table = {}
+    for x in order:
+        row = table[x] = {}
+        for z in order:
+            if x <= z:
+                row[z] = 1 if z == x else -sum(m for w, m in row.items() if w < z)
+    return flats, table
+
+
+@st.composite
+def scaled_central_arrangements(draw):
+    """Central arrangements in C^2..C^4 whose forms are random rational
+    multiples of distinct primitive vectors, written with "p/q" entries."""
+    n = draw(st.integers(2, 4))
+    vectors = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                            .filter(any), min_size=1, max_size=6,
+                            unique_by=lambda v: primitive_normal(v)))
+    forms = []
+    for v in vectors:
+        scale = draw(st.sampled_from([1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]))
+        forms.append([str(scale * e) for e in v])
+    return Arrangement(n, forms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_central_arrangements())
+def test_integer_lattice_matches_rational_oracle(arr):
+    flats, table = brute_force_lattice(arr)
+    primitive = Arrangement(arr.n, arr.normals)
+    for lat in (intersection_lattice(arr), intersection_lattice(primitive)):
+        assert {f.indices: (f.codim, f.basis) for f in lat.flats} == flats
+        assert lat._table == table
+
+
+def test_lattice_is_built_without_fractions(monkeypatch):
+    """Fractions appear only when a flat's rational basis is first read."""
+    arrs = [braid(5), Arrangement(3, [(1, k, k * k) for k in range(1, 21)])]
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    lattices = [intersection_lattice(arr) for arr in arrs]
+    assert [len(lat) for lat in lattices] == [52, 212]
+    assert made == []
+    assert lattices[0].flats[1].basis and made
 
 
 def test_interval_euler_needs_nested_flats():
