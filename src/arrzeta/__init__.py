@@ -13,13 +13,12 @@ from .core import (AffineForm, MultiPoly, QMatrix, Rational, divides_linear,
 from .arrangement import (Arrangement, ArrangementError, Flat,
                           IntersectionLattice, char_poly, closure,
                           complement_euler, dense_edges, intersection_lattice,
-                          interval_arrangement, is_essential,
-                          is_indecomposable, localize_at_point,
-                          proj_complement_euler, restriction_arrangement)
-from .zeta import (Chain, PoleReport, ResolutionDatum, ZetaFunction,
-                   candidate_poles, enumerate_chains, global_zeta, local_zeta,
-                   multivariate_global_zeta, multivariate_local_zeta, poles,
-                   rank2_zeta, resolution_datum, snc_zeta, specialize)
+                          is_essential, is_indecomposable, localize_at_point,
+                          proj_complement_euler)
+from .zeta import (PoleReport, ResolutionDatum, ZetaFunction, candidate_poles,
+                   global_zeta, local_zeta, multivariate_global_zeta,
+                   multivariate_local_zeta, poles, rank2_zeta,
+                   resolution_datum, snc_zeta, specialize)
 from .walls import (WallFamily, WallInstance, WallSet, chamber_path,
                     extend_restricted_walls, localized_walls, nd_wall_set,
                     same_chamber, separating_walls, walls_from_resolution)

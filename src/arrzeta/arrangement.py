@@ -354,78 +354,6 @@ def proj_complement_euler(arr, lattice=None):
     return poly_eval(quotient, (1,))
 
 
-def _extend_basis(inner, outer, n):
-    """Vectors of outer extending span(inner), greedy in order."""
-    chosen = list(inner)
-    ext = []
-    rk = rank(QMatrix.from_rows(chosen, cols=n)) if chosen else 0
-    for v in outer:
-        trial = QMatrix.from_rows(chosen + [list(v)], cols=n)
-        if rank(trial) > rk:
-            chosen.append(list(v))
-            ext.append(tuple(v))
-            rk += 1
-    return ext
-
-
-def _dedupe_forms(rows):
-    """Keep one representative per proportionality class, preserving order."""
-    out = []
-    seen = set()
-    for row in rows:
-        key = primitive_normal(row)
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
-def interval_arrangement(arr, lower, upper):
-    """The arrangement of the lattice interval between two nested flats.
-
-    lower must be strictly below upper as a subspace (its index set strictly
-    larger).  Extend a basis of the lower flat by vectors C_1..C_m of the
-    upper one; the hyperplanes are the distinct traces of the forms in
-    I_lower minus I_upper on those coordinates.  Returned reduced (all
-    multiplicities 1).
-    """
-    _require_central(arr, "interval_arrangement")
-    if not upper.indices < lower.indices:
-        raise ArrangementError("interval needs strictly nested flats "
-                               "(lower strictly inside upper)")
-    ext = _extend_basis([list(v) for v in lower.basis], upper.basis, arr.n)
-    m = lower.codim - upper.codim
-    assert len(ext) == m, "basis extension does not match codimension step"
-    rows = []
-    for i in sorted(lower.indices - upper.indices):
-        row = tuple(dot(arr.forms[i], v) for v in ext)
-        assert any(e != 0 for e in row), "form trace vanished on interval coordinates"
-        rows.append(row)
-    rows = _dedupe_forms(rows)
-    assert rows, "interval arrangement is empty"
-    return Arrangement(m, rows)
-
-
-def restriction_arrangement(arr, flat):
-    """Traces of the hyperplanes not containing the flat, inside the flat.
-
-    Reduced (all multiplicities 1); may be empty, in which case the result
-    is the empty arrangement in C^{dim flat}.
-    """
-    _require_central(arr, "restriction_arrangement")
-    d = arr.n - flat.codim
-    if d == 0:
-        raise ArrangementError("cannot restrict to the origin")
-    rows = []
-    for i in range(arr.r):
-        if i in flat.indices:
-            continue
-        row = tuple(dot(arr.forms[i], v) for v in flat.basis)
-        assert any(e != 0 for e in row), "trace vanished off the flat's index set"
-        rows.append(row)
-    return Arrangement(d, _dedupe_forms(rows))
-
-
 def is_essential(arr):
     _require_central(arr, "is_essential")
     return rank(arr.normal_matrix()) == arr.n

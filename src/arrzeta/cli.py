@@ -21,9 +21,8 @@ from .arrangement import (Arrangement, ArrangementError, char_poly,
                           is_essential, is_indecomposable, proj_complement_euler)
 from .core import AffineForm, format_poly, rational
 from .examples import EXAMPLES, veys_broots
-from .harness import (BRootSet, adapted_vector, lct, log_canonical_polytope,
-                      multi_nd_check, multi_smc_verify, nd_check, smc_verify,
-                      validate_adapted)
+from .harness import (BRootSet, adapted_vector, lct, multi_nd_check,
+                      multi_smc_verify, nd_check, smc_verify, validate_adapted)
 from .vmono import (DiagClass, MonomialConnectionSpec, diag_annihilator,
                     diag_s_eigenvalue, diag_vres_member, diag_walls,
                     ncv_generator, ncv_walls)
@@ -31,7 +30,7 @@ from .walls import (extend_restricted_walls, localized_walls, nd_wall_set,
                     separating_walls)
 from .zeta import (ZetaFunction, candidate_poles, global_zeta, local_zeta,
                    multivariate_global_zeta, multivariate_local_zeta, poles,
-                   resolution_datum, specialize)
+                   resolution_datum)
 
 
 def frac_str(x):
@@ -188,6 +187,8 @@ def cmd_analyze(args):
 
 def cmd_zeta(args):
     arr = load_arrangement(args)
+    if args.at and args.use_global:
+        raise ValueError("--at localizes the local zeta; it cannot be combined with --global")
     point = parse_point(args.at) if args.at else None
     if args.multi:
         if args.use_global:

@@ -337,13 +337,18 @@ def multi_smc_verify(arr, zero_locus):
         raise ArrangementError("multi_smc_verify needs at least one hyperplane")
     if arr.factors is None:
         raise ArrangementError("multi_smc_verify needs a factorization")
+    width = len(arr.factors) + 1
     allowed = set()
-    for item in zero_locus:
+    for j, item in enumerate(zero_locus):
         if isinstance(item, AffineForm):
-            allowed.add(item)
+            row = item.coeffs + (item.const,)
         else:
-            item = [int(e) for e in item]
-            allowed.add(AffineForm.canonical(item[:-1], item[-1])[0])
+            row = [int(e) for e in item]
+        if len(row) != width:
+            raise ArrangementError("zero locus row %d has %d entries, expected %d "
+                                   "(one per factor, then the constant)"
+                                   % (j + 1, len(row), width))
+        allowed.add(AffineForm.canonical(row[:-1], row[-1])[0])
     z = multivariate_global_zeta(arr)
     polar = [f for f, _ in poles(z).multivariate]
     offenders = [f for f in polar if f not in allowed]

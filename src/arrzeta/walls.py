@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, isqrt, lcm
 
-from .core import primitive_normal, rational, vector
+from .core import rational, vector
 from .arrangement import dense_edges
 
 

@@ -6,12 +6,13 @@ are indexed by flags of proper flats.  Each flag of flats W_1 < ... < W_k
 (strictly increasing subspaces) contributes the product of the Euler
 characteristics of the projectivized complements of the interval
 arrangements along the flag divided by the product of the corresponding
-(N s + nu) factors; the local zeta sums the flags starting at the minimal
-flat, the global one sums all flags weighted by the Euler characteristic of
-the open stratum of the first flat, plus the empty flag.  Both Euler
+(N s + nu) factors.  The local zeta sums the flags starting at the minimal
+flat.  The global one sums all flags weighted by the Euler characteristic
+of the open stratum of the first flat, plus the empty flag; on a central
+arrangement that is the local sum (see global_zeta).  The interval Euler
 characteristics are read off the Mobius table of the one intersection
-lattice built per call (IntersectionLattice.interval_euler and
-stratum_euler); no interval or restriction arrangement is built.
+lattice built per call (IntersectionLattice.interval_euler); no interval
+arrangement is built.
 
 Results are exact rational functions: a list of flag terms plus a
 normalized numerator / denominator pair in which every removable linear
@@ -20,6 +21,7 @@ factor has been cancelled, so the reported poles are genuine.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_affine, div_linear,
@@ -73,62 +75,6 @@ def candidate_poles(arr, multi=False, lattice=None):
         return sorted(forms)
     roots = {Fraction(-f.codim, sum(arr.mults[i] for i in f.indices)) for f in dense}
     return sorted(roots, reverse=True)
-
-
-class Chain:
-    """A flag of proper flats, strictly increasing as subspaces.
-
-    Stored smallest subspace first, so index sets strictly decrease along
-    the tuple.
-    """
-
-    def __init__(self, flats):
-        flats = tuple(flats)
-        if not flats:
-            raise ValueError("a chain needs at least one flat")
-        if any(f.codim == 0 for f in flats):
-            raise ValueError("the ambient flat does not belong to chains")
-        for a, b in zip(flats, flats[1:]):
-            if not b.indices < a.indices:
-                raise ValueError("chain must strictly increase as subspaces")
-        self.flats = flats
-
-    def key(self):
-        return (len(self.flats), tuple(f.key() for f in self.flats))
-
-    def __len__(self):
-        return len(self.flats)
-
-    def __iter__(self):
-        return iter(self.flats)
-
-    def __eq__(self, other):
-        return isinstance(other, Chain) and self.flats == other.flats
-
-    def __hash__(self):
-        return hash(self.flats)
-
-    def __repr__(self):
-        return "Chain(%s)" % " < ".join(repr(f) for f in self.flats)
-
-
-def enumerate_chains(lattice, start=None):
-    """All chains of proper flats, sorted by (length, flat index sets).
-
-    With start, only the chains whose smallest flat is that one.
-    """
-    proper = lattice.proper_flats()
-    if start is not None:
-        seeds = [lattice.flat(start.indices)]
-    else:
-        seeds = proper
-    chains = []
-    stack = [[f] for f in seeds]
-    while stack:
-        prefix = stack.pop()
-        chains.append(Chain(prefix))
-        stack.extend(prefix + [g] for g in proper if g.indices < prefix[-1].indices)
-    return sorted(chains, key=Chain.key)
 
 
 # ---------------------------------------------------------------------------
@@ -304,36 +250,39 @@ def specialize(z, weights):
 # ---------------------------------------------------------------------------
 # the flag formula
 
-def _denominator_form(arr, flat, multi):
-    datum = resolution_datum(arr, flat)
-    if multi:
-        return AffineForm.canonical(datum.ord, datum.nu)
-    return AffineForm.canonical((datum.N,), datum.nu)
+def _flag_terms(arr, lattice, multi):
+    """The flag formula, walked level by level from the minimal flat.
 
-
-def _flag_terms(arr, lattice, chains, multi, lead):
-    """One term per chain: lead(first flat) times the interval Euler
-    characteristics along the chain up to the ambient space."""
+    A flag W_1 < ... < W_k (W_1 the minimal flat) carries the running
+    product of interval_euler(W_(j+1), W_j) over the scales of its
+    denominator forms, and its term is that times interval_euler(ambient,
+    W_k).  A flag whose product is 0 is not extended.  Each level extends
+    the flags of the one before, in order, by the proper flats in order,
+    so terms come out by length, then by flat keys.
+    """
     ambient = lattice.ambient
-    forms = {f: _denominator_form(arr, f, multi) for f in lattice.proper_flats()}
+    proper = lattice.proper_flats()
+    forms = {}
+    for f in proper:
+        d = resolution_datum(arr, f)
+        forms[f] = AffineForm.canonical(d.ord if multi else (d.N,), d.nu)
+
+    @cache
+    def extensions(x):
+        return [(g, e) for g in proper if g.indices < x.indices
+                for e in (lattice.interval_euler(g, x),) if e]
+
+    vmin = lattice.minimal_flat()
+    form, scale = forms[vmin]
+    level = [(vmin, Fraction(1, scale), (form,))]
     terms = []
-    for chain in chains:
-        coef = Fraction(lead(chain.flats[0]))
-        if coef == 0:
-            continue
-        flats = list(chain.flats) + [ambient]
-        for j in range(len(chain.flats)):
-            coef *= lattice.interval_euler(flats[j + 1], flats[j])
-            if coef == 0:
-                break
-        if coef == 0:
-            continue
-        dens = []
-        for f in chain.flats:
-            form, scale = forms[f]
-            coef /= scale
-            dens.append(form)
-        terms.append((coef, dens))
+    while level:
+        for x, coef, dens in level:
+            top = lattice.interval_euler(ambient, x)
+            if top:
+                terms.append((coef * top, dens))
+        level = [(g, coef * e / forms[g][1], dens + (forms[g][0],))
+                 for x, coef, dens in level for g, e in extensions(x)]
     return terms
 
 
@@ -358,10 +307,7 @@ def _local(arr, multi, point, lattice):
     nvars = _zeta_nvars(arr, multi)
     if lattice is None:
         lattice = intersection_lattice(arr)
-    vmin = lattice.minimal_flat()
-    chains = enumerate_chains(lattice, start=vmin)
-    terms = _flag_terms(arr, lattice, chains, multi, lambda f: 1)
-    return ZetaFunction(nvars, terms)
+    return ZetaFunction(nvars, _flag_terms(arr, lattice, multi))
 
 
 def _global(arr, multi):
@@ -369,12 +315,7 @@ def _global(arr, multi):
         raise ArrangementError("global zeta needs a central arrangement")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
-    nvars = _zeta_nvars(arr, multi)
-    lattice = intersection_lattice(arr)
-    chains = enumerate_chains(lattice)
-    terms = [(lattice.stratum_euler(lattice.ambient), ())]
-    terms += _flag_terms(arr, lattice, chains, multi, lattice.stratum_euler)
-    return ZetaFunction(nvars, terms)
+    return _local(arr, multi, None, None)
 
 
 def local_zeta(arr, point=None, lattice=None):
@@ -391,7 +332,15 @@ def local_zeta(arr, point=None, lattice=None):
 
 
 def global_zeta(arr):
-    """The global topological zeta function of a central arrangement."""
+    """The global topological zeta function of a central arrangement.
+
+    It is the local zeta at the origin, terms included.  The global flag
+    sum weights each flag by the Euler characteristic of the open stratum
+    of its first flat, and the empty flag by that of the complement.
+    Scaling acts freely on every open stratum except that of the minimal
+    flat, which is the whole minimal flat, so the weight is 1 there and 0
+    everywhere else: what is left is the local flag sum.
+    """
     return _global(arr, multi=False)
 
 
@@ -402,7 +351,8 @@ def multivariate_local_zeta(arr, point=None, lattice=None):
 
 
 def multivariate_global_zeta(arr):
-    """Global zeta in one variable per factor of the factorization."""
+    """Global zeta in one variable per factor of the factorization; equal
+    to the multivariate local zeta, as for global_zeta."""
     return _global(arr, multi=True)
 
 

@@ -1,16 +1,24 @@
-"""Shared fixture builders and seeded random generators for the suite."""
+"""Shared fixture builders, seeded random generators and test oracles for
+the suite."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from arrzeta import Arrangement, primitive_normal
+from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
+                     intersection_lattice, primitive_normal, rank,
+                     resolution_datum)
+from arrzeta.arrangement import _require_central
+from arrzeta.core import dot
 from arrzeta.examples import (boolean2, boolean2_factored, threelines,
                               threelines_factored, veys)
 
 __all__ = [
     "boolean2", "boolean2_factored", "threelines", "threelines_factored",
-    "veys", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
+    "veys", "braid", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
     "random_central_c3", "random_rational_point", "fraction_kernel",
+    "Chain", "enumerate_chains", "chain_terms", "interval_arrangement",
+    "restriction_arrangement",
 ]
 
 
@@ -42,6 +50,16 @@ def fraction_kernel(rows, cols):
                 v[p] = -row[f]
             basis.append(tuple(v))
     return len(pivots), basis
+
+
+def braid(n):
+    """x_i - x_j, i < j, in C^n."""
+    forms = []
+    for i, j in combinations(range(n), 2):
+        v = [0] * n
+        v[i], v[j] = 1, -1
+        forms.append(v)
+    return Arrangement(n, forms)
 
 
 def xy_ab(a, b):
@@ -113,3 +131,150 @@ def random_central_c3(seed, count=10):
 
 def random_rational_point(rng, dim, den=12, lo=-3, hi=3):
     return tuple(Fraction(rng.randint(lo * den, hi * den), den) for _ in range(dim))
+
+
+# ---------------------------------------------------------------------------
+# the chain-sum oracle for the flag formula
+
+class Chain:
+    """A flag of proper flats, strictly increasing as subspaces.
+
+    Stored smallest subspace first, so index sets strictly decrease along
+    the tuple.
+    """
+
+    def __init__(self, flats):
+        flats = tuple(flats)
+        if not flats:
+            raise ValueError("a chain needs at least one flat")
+        if any(f.codim == 0 for f in flats):
+            raise ValueError("the ambient flat does not belong to chains")
+        for a, b in zip(flats, flats[1:]):
+            if not b.indices < a.indices:
+                raise ValueError("chain must strictly increase as subspaces")
+        self.flats = flats
+
+    def key(self):
+        return (len(self.flats), tuple(f.key() for f in self.flats))
+
+    def __len__(self):
+        return len(self.flats)
+
+
+def enumerate_chains(lattice, start=None):
+    """All chains of proper flats, sorted by (length, flat index sets).
+
+    With start, only the chains whose smallest flat is that one.
+    """
+    proper = lattice.proper_flats()
+    seeds = proper if start is None else [lattice.flat(start.indices)]
+    chains = []
+    stack = [[f] for f in seeds]
+    while stack:
+        prefix = stack.pop()
+        chains.append(Chain(prefix))
+        stack.extend(prefix + [g] for g in proper if g.indices < prefix[-1].indices)
+    return sorted(chains, key=Chain.key)
+
+
+def chain_terms(arr, multi=False, use_global=False):
+    """The flag formula summed chain by chain, every chain's product taken
+    from the start, as the (coefficient, sorted denominator) pairs of
+    ZetaFunction.terms.  Local: the chains from the minimal flat.  Global:
+    every chain weighted by the open-stratum Euler characteristic of its
+    first flat, plus the empty flag weighted by that of the complement."""
+    lattice = intersection_lattice(arr)
+    if use_global:
+        chains = enumerate_chains(lattice)
+        terms = [(lattice.stratum_euler(lattice.ambient), ())]
+    else:
+        chains = enumerate_chains(lattice, start=lattice.minimal_flat())
+        terms = []
+    for chain in chains:
+        flats = chain.flats + (lattice.ambient,)
+        coef = Fraction(lattice.stratum_euler(flats[0]) if use_global else 1)
+        dens = []
+        for j, flat in enumerate(chain.flats):
+            coef *= lattice.interval_euler(flats[j + 1], flat)
+            datum = resolution_datum(arr, flat)
+            form, scale = AffineForm.canonical(datum.ord if multi else (datum.N,), datum.nu)
+            coef /= scale
+            dens.append(form)
+        terms.append((coef, tuple(sorted(dens))))
+    return tuple((coef, dens) for coef, dens in terms if coef)
+
+
+# ---------------------------------------------------------------------------
+# the geometric interval and restriction constructions that the Mobius
+# table replaces
+
+def _extend_basis(inner, outer, n):
+    """Vectors of outer extending span(inner), greedy in order."""
+    chosen = list(inner)
+    ext = []
+    rk = rank(QMatrix.from_rows(chosen, cols=n)) if chosen else 0
+    for v in outer:
+        trial = QMatrix.from_rows(chosen + [list(v)], cols=n)
+        if rank(trial) > rk:
+            chosen.append(list(v))
+            ext.append(tuple(v))
+            rk += 1
+    return ext
+
+
+def _dedupe_forms(rows):
+    """Keep one representative per proportionality class, preserving order."""
+    out = []
+    seen = set()
+    for row in rows:
+        key = primitive_normal(row)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
+def interval_arrangement(arr, lower, upper):
+    """The arrangement of the lattice interval between two nested flats.
+
+    lower must be strictly below upper as a subspace (its index set strictly
+    larger).  Extend a basis of the lower flat by vectors C_1..C_m of the
+    upper one; the hyperplanes are the distinct traces of the forms in
+    I_lower minus I_upper on those coordinates.  Returned reduced (all
+    multiplicities 1).
+    """
+    _require_central(arr, "interval_arrangement")
+    if not upper.indices < lower.indices:
+        raise ArrangementError("interval needs strictly nested flats "
+                               "(lower strictly inside upper)")
+    ext = _extend_basis([list(v) for v in lower.basis], upper.basis, arr.n)
+    m = lower.codim - upper.codim
+    assert len(ext) == m, "basis extension does not match codimension step"
+    rows = []
+    for i in sorted(lower.indices - upper.indices):
+        row = tuple(dot(arr.forms[i], v) for v in ext)
+        assert any(e != 0 for e in row), "form trace vanished on interval coordinates"
+        rows.append(row)
+    rows = _dedupe_forms(rows)
+    assert rows, "interval arrangement is empty"
+    return Arrangement(m, rows)
+
+
+def restriction_arrangement(arr, flat):
+    """Traces of the hyperplanes not containing the flat, inside the flat.
+
+    Reduced (all multiplicities 1); may be empty, in which case the result
+    is the empty arrangement in C^{dim flat}.
+    """
+    _require_central(arr, "restriction_arrangement")
+    d = arr.n - flat.codim
+    if d == 0:
+        raise ArrangementError("cannot restrict to the origin")
+    rows = []
+    for i in range(arr.r):
+        if i in flat.indices:
+            continue
+        row = tuple(dot(arr.forms[i], v) for v in flat.basis)
+        assert any(e != 0 for e in row), "trace vanished off the flat's index set"
+        rows.append(row)
+    return Arrangement(d, _dedupe_forms(rows))

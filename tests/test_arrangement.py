@@ -7,13 +7,13 @@ import pytest
 
 from arrzeta import (Arrangement, ArrangementError, char_poly, closure,
                      complement_euler, dense_edges, intersection_lattice,
-                     interval_arrangement, is_essential, is_indecomposable,
-                     localize_at_point, proj_complement_euler,
-                     restriction_arrangement)
+                     is_essential, is_indecomposable, localize_at_point,
+                     proj_complement_euler)
 from arrzeta.core import MultiPoly
 
-from conftest import (boolean2, ninefold, random_central_c3, threelines,
-                      threelines_factored, veys, xy_ab, xy_in_c3, xyz)
+from conftest import (boolean2, interval_arrangement, ninefold, random_central_c3,
+                      restriction_arrangement, threelines, threelines_factored,
+                      veys, xy_in_c3, xyz)
 
 F = Fraction
 

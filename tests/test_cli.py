@@ -201,6 +201,13 @@ def test_zeta_at_point(capsys):
     assert "poles: -1 (order 1)" in out
 
 
+def test_zeta_global_rejects_point(capsys):
+    code, out, err = run_cli(capsys, ["zeta", "--example", "veys", "--global",
+                                      "--at", "0,0,1"])
+    assert code == 2 and not out
+    assert "--at" in err and "--global" in err
+
+
 def test_zeta_multi(capsys, factored_file):
     code, out, _ = run_cli(capsys, ["zeta", factored_file, "--multi"])
     assert code == 0
@@ -338,6 +345,17 @@ def test_multi_smc(capsys, factored_file, tmp_path):
                                     "--zero-locus", str(short)])
     assert code == 1
     assert "polar component s1 + 2*s2 + 2 is not in the zero locus" in out
+
+
+@pytest.mark.parametrize("locus", [[[1, 1], [1, 1]],
+                                   [[1, 2, 2, 0], [1, 0, 1, 0], [0, 1, 1, 0]]],
+                         ids=["short-rows", "long-rows"])
+def test_multi_smc_row_length_is_bad_input(capsys, factored_file, tmp_path, locus):
+    p = tmp_path / "locus.json"
+    p.write_text(json.dumps({"zero_locus": locus}))
+    code, out, err = run_cli(capsys, ["multi-smc", factored_file, "--zero-locus", str(p)])
+    assert code == 2 and not out
+    assert "expected 3" in err
 
 
 def test_multi_smc_needs_locus(capsys, factored_file, tmp_path):

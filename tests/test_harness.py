@@ -261,3 +261,15 @@ def test_multi_smc_canonicalizes_input():
 def test_multi_smc_requires_factors():
     with pytest.raises(ArrangementError, match="factorization"):
         multi_smc_verify(veys(), [[1, 1]])
+
+
+@pytest.mark.parametrize("locus", [[[1, 1], [1, 1]],
+                                   [[1, 2, 2, 0], [1, 0, 1, 0], [0, 1, 1, 0]],
+                                   [AffineForm((1,), 1)],
+                                   [[1, 2, 2], AffineForm((1, 0, 0), 1)]],
+                         ids=["short-rows", "long-rows", "short-form", "long-form"])
+def test_multi_smc_rejects_row_length(locus):
+    # two factors: each zero-locus row is two coefficients and a constant;
+    # a row of another length would never match a polar component
+    with pytest.raises(ArrangementError, match="expected 3"):
+        multi_smc_verify(threelines_factored(), locus)

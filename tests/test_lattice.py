@@ -16,23 +16,14 @@ import arrzeta.zeta
 from arrzeta.core import integer_kernel, primitive_normal
 from arrzeta import (Arrangement, ArrangementError, QMatrix, adapted_vector,
                      closure, complement_euler, dense_edges, global_zeta,
-                     intersection_lattice, interval_arrangement,
-                     is_indecomposable, kernel_basis, local_zeta,
-                     multi_nd_check, nd_check, proj_complement_euler, rank, restriction_arrangement,
-                     validate_adapted)
+                     intersection_lattice, is_indecomposable, kernel_basis,
+                     local_zeta, multi_nd_check, nd_check, proj_complement_euler,
+                     rank, validate_adapted)
 
-from conftest import (boolean2, fraction_kernel, ninefold, random_central_c3,
-                      random_lines, threelines, threelines_factored, veys, xy_in_c3, xyz)
-
-
-def braid(n):
-    """x_i - x_j, i < j, in C^n."""
-    forms = []
-    for i, j in combinations(range(n), 2):
-        v = [0] * n
-        v[i], v[j] = 1, -1
-        forms.append(v)
-    return Arrangement(n, forms)
+from conftest import (boolean2, braid, fraction_kernel, interval_arrangement,
+                      ninefold, random_central_c3, random_lines,
+                      restriction_arrangement, threelines, threelines_factored,
+                      veys, xy_in_c3, xyz)
 
 
 def matroid_connected(normals, n):

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrzeta import (Arrangement, ArrangementError, candidate_poles,
-                     dense_edges, enumerate_chains, global_zeta,
+                     dense_edges, global_zeta,
                      intersection_lattice, local_zeta,
                      multivariate_global_zeta, multivariate_local_zeta, poles,
                      rank2_zeta, resolution_datum, snc_zeta, specialize)
-from arrzeta.core import AffineForm, MultiPoly
-from arrzeta.zeta import Chain, ZetaFunction
+from arrzeta.arrangement import IntersectionLattice
+from arrzeta.core import AffineForm, MultiPoly, primitive_normal
+from arrzeta.zeta import ZetaFunction
 
-from conftest import (boolean2, boolean2_factored, ninefold, random_central_c3,
+from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
+                      enumerate_chains, ninefold, random_central_c3,
                       random_lines, random_rational_point, threelines,
                       threelines_factored, veys, xy_ab, xy_in_c3, xyz)
 
@@ -361,6 +363,99 @@ def test_global_term_structure():
 def test_multivariate_global_equals_local():
     tf = threelines_factored()
     assert multivariate_global_zeta(tf) == multivariate_local_zeta(tf)
+
+
+# ---------------------------------------------------------------------------
+# the level walk against the chain-sum oracle
+
+def _ninefold_factored():
+    return Arrangement(3, ninefold().forms, factors=[(1, 1, 1, 0, 0, 0, 0, 0, 0),
+                                                     (0, 0, 0, 1, 1, 1, 0, 0, 0),
+                                                     (0, 0, 0, 0, 0, 0, 1, 1, 1)])
+
+
+ORACLE_CORPUS = [threelines(), xyz(), veys(), ninefold(), boolean2(), xy_in_c3(),
+                 braid(4), braid(5), boolean2_factored(), threelines_factored(),
+                 _ninefold_factored()]
+
+
+def _assert_matches_chain_oracle(arr):
+    # equal terms, in order, give equal normalised quotients as well
+    assert local_zeta(arr).terms == chain_terms(arr)
+    assert global_zeta(arr).terms == chain_terms(arr, use_global=True)
+    if arr.factors is not None:
+        assert multivariate_local_zeta(arr).terms == chain_terms(arr, multi=True)
+        assert (multivariate_global_zeta(arr).terms
+                == chain_terms(arr, multi=True, use_global=True))
+
+
+@pytest.mark.parametrize("arr", ORACLE_CORPUS, ids=[
+    "threelines", "xyz", "veys", "ninefold", "boolean2", "xy_in_c3", "braid-A3",
+    "braid-A4", "boolean2-factored", "threelines-factored", "ninefold-factored"])
+def test_zeta_terms_match_chain_oracle(arr):
+    _assert_matches_chain_oracle(arr)
+
+
+@st.composite
+def _central_arrangements(draw):
+    """Central arrangements in C^2 to C^4 with multiplicities and a
+    factorization.  A non-essential one draws the first n - 1 entries of
+    each normal v and sets v_n so that v is orthogonal to a vector u with
+    last entry 1: every hyperplane contains the line through u."""
+    n = draw(st.integers(2, 4))
+    nonessential = draw(st.booleans())
+    m = n - 1 if nonessential else n
+    vectors = st.lists(st.integers(-2, 2), min_size=m, max_size=m).filter(any)
+    rows = draw(st.lists(vectors, min_size=m, max_size=min(n + 2, 5),
+                         unique_by=primitive_normal))
+    if nonessential:
+        u = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        rows = [v + [-sum(a * b for a, b in zip(v, u))] for v in rows]
+    k = draw(st.integers(1, 3))
+    # each unit of multiplicity goes to one factor
+    owners = [draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)) for _ in rows]
+    factors = [[cols.count(j) for cols in owners] for j in range(k)]
+    return Arrangement(n, rows, mults=[len(cols) for cols in owners], factors=factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_arrangements())
+def test_stratum_euler_is_one_only_at_the_minimal_flat(arr):
+    # scaling acts freely on every open stratum but the minimal flat's
+    lat = intersection_lattice(arr)
+    vmin = lat.minimal_flat()
+    assert [lat.stratum_euler(x) for x in lat.flats] == [int(x is vmin) for x in lat.flats]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_arrangements())
+def test_zeta_terms_match_chain_oracle_random(arr):
+    _assert_matches_chain_oracle(arr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_central_arrangements())
+def test_walk_extends_only_nonzero_flags(arr):
+    # the walk reads interval_euler(ambient, W_k) once for each flag it
+    # reaches, and it reaches exactly the flags from the minimal flat whose
+    # running product is nonzero, in the oracle's order
+    lat = intersection_lattice(arr)
+    live = [c.flats[-1] for c in enumerate_chains(lat, start=lat.minimal_flat())
+            if all(lat.interval_euler(b, a) for a, b in zip(c.flats, c.flats[1:]))]
+    reached = []
+    original = IntersectionLattice.interval_euler
+
+    def recorded(self, X, Y):
+        if X is self.ambient:
+            reached.append(Y)
+        return original(self, X, Y)
+
+    IntersectionLattice.interval_euler = recorded
+    try:
+        local_zeta(arr, lattice=lat)
+    finally:
+        IntersectionLattice.interval_euler = original
+    assert reached == live
 
 
 # ---------------------------------------------------------------------------
