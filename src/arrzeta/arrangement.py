@@ -46,7 +46,7 @@ class Arrangement:
         sums to d_i.
     """
 
-    def __init__(self, n, forms, mults=None, factors=None, consts=None, name=None):
+    def __init__(self, n, forms, mults=None, factors=None, name=None):
         n = int(n)
         if n < 1:
             raise ArrangementError("ambient dimension must be at least 1")
@@ -55,11 +55,9 @@ class Arrangement:
         parsed_consts = []
         for idx, f in enumerate(forms):
             f = [rational(e) for e in f]
-            if len(f) == n and consts is None:
+            if len(f) == n:
                 normal, const = f, Fraction(0)
-            elif len(f) == n:
-                normal, const = f, rational(consts[idx])
-            elif len(f) == n + 1 and consts is None:
+            elif len(f) == n + 1:
                 normal, const = f[:n], f[n]
             else:
                 raise ArrangementError("form %d has length %d, expected %d" % (idx + 1, len(f), n))
@@ -114,10 +112,6 @@ class Arrangement:
     @property
     def central(self):
         return all(c == 0 for c in self.consts)
-
-    @property
-    def nfactors(self):
-        return len(self.factors) if self.factors is not None else None
 
     def degree(self):
         """Total degree d = sum of the multiplicities."""
@@ -233,10 +227,6 @@ class IntersectionLattice:
     def minimal_flat(self):
         """The intersection of all hyperplanes (bottom subspace, top flat)."""
         return max(self.flats, key=lambda f: (len(f.indices), f.codim))
-
-    def below(self, X, Y):
-        """True iff W_X contains W_Y (index set of X inside that of Y)."""
-        return X.indices <= Y.indices
 
     def mu(self, flat):
         return self.mobius[flat.indices]

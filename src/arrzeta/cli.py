@@ -127,10 +127,6 @@ def family_json(fam):
     return {"normal": list(fam.normal), "offsets": [frac_str(o) for o in fam.offsets]}
 
 
-def _indices_label(indices):
-    return "{%s}" % ",".join(str(i + 1) for i in sorted(indices))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 

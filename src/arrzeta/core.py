@@ -71,9 +71,6 @@ class QMatrix:
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
-
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

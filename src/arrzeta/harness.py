@@ -21,9 +21,8 @@ from itertools import combinations
 
 from .core import AffineForm, integer_kernel, rational
 from .arrangement import ArrangementError, dense_edges, intersection_lattice
-from .zeta import (candidate_poles, global_zeta, local_zeta,
-                   multivariate_global_zeta, multivariate_local_zeta, poles,
-                   resolution_datum)
+from .zeta import (candidate_poles, local_zeta, multivariate_global_zeta,
+                   multivariate_local_zeta, poles, resolution_datum)
 
 
 class Verdict:
@@ -273,8 +272,8 @@ def nd_check(arr):
     return Verdict(is_cand, witnesses, data)
 
 
-def smc_verify(arr, roots, use_global=False):
-    """Check that every pole of the (local) zeta lies in the supplied roots.
+def smc_verify(arr, roots):
+    """Check that every pole of the local zeta lies in the supplied roots.
 
     One-directional: a PASS is consistency of the supplied Bernstein-Sato
     root data with the strong monodromy conjecture, a FAIL pinpoints the
@@ -286,7 +285,7 @@ def smc_verify(arr, roots, use_global=False):
         raise ArrangementError("smc_verify needs a central arrangement")
     if arr.r == 0:
         raise ArrangementError("smc_verify needs at least one hyperplane")
-    z = global_zeta(arr) if use_global else local_zeta(arr)
+    z = local_zeta(arr)
     pole_pairs = poles(z).univariate
     offenders = [p for p, _ in pole_pairs if p not in roots]
     witnesses = []

@@ -8,13 +8,13 @@ convention: the wall L(alpha) = gamma separates a from b exactly when
 L(a) <= gamma < L(b) (or with a and b swapped).
 
 Everything is exact: separating walls are enumerated by integer interval
-arithmetic on Fractions, and chamber paths are made generic by a
-deterministic perturbation with halving step sizes.
+arithmetic on Fractions, and chamber paths order them by exact keys that an
+infinitesimal nudge of the endpoints makes distinct.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, gcd, lcm
 
 from .core import rational, vector
 from .arrangement import dense_edges
@@ -197,27 +197,19 @@ def same_chamber(walls, a, b):
     return not separating_walls(walls, a, b)
 
 
-def _perturbation_base(walls):
-    # q must exceed every family content and every normal entry: distinct
-    # normals then take distinct values on (1, 1/q, 1/q^2, ...), by base-q
-    # digit uniqueness, which is what makes crossing times separable
-    bound = 1
-    for fam in walls:
-        bound = max(bound, fam.content(), max(fam.normal))
-    q = bound + 1
-    while any(q % p == 0 for p in range(2, isqrt(q) + 1)):
-        q += 1
-    return q
-
-
 def chamber_path(walls, a, b):
-    """The walls crossed by a generic path from a's chamber to b's chamber,
-    in crossing order.
+    """The walls crossed on the way from a's chamber to b's chamber, in
+    crossing order.
 
-    Both endpoints are nudged down by eps * (1, 1/q, 1/q^2, ...) without
-    leaving their chambers, with eps halved until the straight segment
-    between the nudged points crosses one wall at a time; the multiset of
-    crossed walls always equals separating_walls(a, b).
+    Both endpoints are nudged by -delta, delta = (e, e^2, ..., e^d), for an
+    infinitesimal e > 0.  A nonnegative normal L drops by L(delta) > 0,
+    which is below every gap between wall levels, so no wall separates a
+    nudged endpoint from its original and the nudged segment crosses
+    exactly separating_walls(a, b).  With dL = L(b) - L(a) != 0 it crosses
+    L = gamma at time (gamma - L(a))/dL + sum_j e^j L_j/dL, so the walls
+    are sorted by the key ((gamma - L(a))/dL, L_1/dL, ..., L_d/dL).  Equal
+    keys force proportional primitive normals, hence the same family and
+    then the same gamma, so no two walls are crossed at once.
     """
     a = vector(a)
     b = vector(b)
@@ -227,29 +219,12 @@ def chamber_path(walls, a, b):
         return []
     if len(a) != walls.dim or len(b) != walls.dim:
         raise ValueError("points do not match the wall dimension")
-    q = _perturbation_base(walls)
-    delta = tuple(Fraction(1, q ** j) for j in range(len(a)))
-    eps = Fraction(1, 2)
-    for _ in range(64):
-        a1 = tuple(x - eps * d for x, d in zip(a, delta))
-        b1 = tuple(x - eps * d for x, d in zip(b, delta))
-        if separating_walls(walls, a, a1) or separating_walls(walls, b, b1):
-            eps /= 2
-            continue
-        # a segment running inside a wall is not generic
-        if any(fam.evaluate(a1) == fam.evaluate(b1) and fam.hits(fam.evaluate(a1))
-               for fam in walls):
-            eps /= 2
-            continue
-        crossings = [((gamma - va) / (vb - va), WallInstance(fam.normal, gamma))
-                     for fam, va, vb, gamma in _crossed_levels(walls, a1, b1)]
-        times = [t for t, _ in crossings]
-        if len(set(times)) != len(times):
-            eps /= 2
-            continue
-        assert all(0 < t < 1 for t in times), "crossing fell on a nudged endpoint"
-        return [w for _, w in sorted(crossings, key=lambda c: (c[0], c[1].key()))]
-    raise ValueError("chamber_path: no generic perturbation found after 64 halvings")
+    crossings = []
+    for fam, va, vb, gamma in _crossed_levels(walls, a, b):
+        dl = vb - va
+        key = ((gamma - va) / dl,) + tuple(e / dl for e in fam.normal)
+        crossings.append((key, WallInstance(fam.normal, gamma)))
+    return [w for _, w in sorted(crossings)]
 
 
 def extend_restricted_walls(walls):

@@ -6,8 +6,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
-                     intersection_lattice, primitive_normal, rank,
-                     resolution_datum)
+                     intersection_lattice, localized_walls, primitive_normal,
+                     rank, resolution_datum, separating_walls)
 from arrzeta.arrangement import _require_central
 from arrzeta.core import dot
 from arrzeta.examples import (boolean2, boolean2_factored, threelines,
@@ -18,7 +18,7 @@ __all__ = [
     "veys", "braid", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
     "random_central_c3", "random_rational_point", "fraction_kernel",
     "Chain", "enumerate_chains", "chain_terms", "interval_arrangement",
-    "restriction_arrangement",
+    "restriction_arrangement", "nudged_path",
 ]
 
 
@@ -278,3 +278,35 @@ def restriction_arrangement(arr, flat):
         assert any(e != 0 for e in row), "trace vanished off the flat's index set"
         rows.append(row)
     return Arrangement(d, _dedupe_forms(rows))
+
+
+# ---------------------------------------------------------------------------
+# the concrete-nudge oracle for chamber paths
+
+def _nudged_order(walls, a, b, eps):
+    delta = [eps ** (j + 1) for j in range(len(a))]
+    a1 = tuple(x - d for x, d in zip(a, delta))
+    b1 = tuple(x - d for x, d in zip(b, delta))
+    for p, p1 in ((a, a1), (b, b1)):
+        assert not separating_walls(walls, p, p1), "nudge left the chamber of %r" % (p,)
+        assert not localized_walls(walls, p1), "nudged endpoint lies on a wall"
+    levels = {f.normal: (f.evaluate(a1), f.evaluate(b1)) for f in walls}
+    crossings = []
+    for w in separating_walls(walls, a1, b1):
+        va, vb = levels[w.normal]
+        crossings.append(((w.gamma - va) / (vb - va), w))
+    times = [t for t, _ in crossings]
+    assert len(set(times)) == len(times), "two walls crossed at once"
+    assert all(0 < t < 1 for t in times)
+    return [w for _, w in sorted(crossings, key=lambda c: c[0])]
+
+
+def nudged_path(walls, a, b, eps=Fraction(1, 10 ** 12)):
+    """The walls crossed by the straight segment from a - delta to
+    b - delta, delta_j = eps^(j+1), in crossing order.  Checks that the
+    nudge keeps both endpoints in their chambers and off every wall, that
+    no two crossing times coincide, and that eps/1000 gives the same
+    order."""
+    order = _nudged_order(walls, a, b, eps)
+    assert _nudged_order(walls, a, b, eps / 1000) == order, "order not yet stable at eps"
+    return order

@@ -201,10 +201,6 @@ def test_smc_verify_monotone_in_roots():
     assert not smc_verify(threelines(), BRootSet({F(-1)})).passed
 
 
-def test_smc_verify_global_route():
-    assert smc_verify(veys(), veys_broots(), use_global=True).passed
-
-
 def test_smc_verify_accepts_plain_lists():
     assert smc_verify(threelines(), ["-1", "-2/3"]).passed
     with pytest.raises(ValueError):

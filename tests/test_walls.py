@@ -10,7 +10,9 @@ from arrzeta import (WallFamily, WallInstance, WallSet, chamber_path,
                      localized_walls, nd_wall_set, resolution_datum,
                      same_chamber, separating_walls, walls_from_resolution)
 
-from conftest import random_rational_point, threelines, threelines_factored, veys
+from conftest import (nudged_path, random_central_c3, random_lines,
+                      random_rational_point, threelines, threelines_factored,
+                      veys)
 
 F = Fraction
 
@@ -189,9 +191,11 @@ def test_chamber_path_golden_order():
 def test_chamber_path_from_wall_point():
     ws = diag_set()
     path = chamber_path(ws, (0, 0), (1, 1))
-    expect = separating_walls(ws, (0, 0), (1, 1))
-    assert sorted(path) == expect
-    assert len(path) == 4  # (1,0) and (0,1) at 0, (1,1) at 0 and 1
+    assert sorted(path) == separating_walls(ws, (0, 0), (1, 1))
+    # nudged to (-e, -e^2), the path meets y = 0 at time e^2, x + y = 0 at
+    # (e + e^2)/2 and x = 0 at e, then x + y = 1 at 1/2
+    assert [w.key() for w in path] == [
+        ((0, 1), F(0)), ((1, 1), F(0)), ((1, 0), F(0)), ((1, 1), F(1))]
 
 
 def test_chamber_path_errors():
@@ -227,6 +231,65 @@ def test_chamber_path_endpoints_stay_put():
     b = (1, 1, 1)
     path = chamber_path(ws, a, b)
     assert sorted(path) == separating_walls(ws, a, b)
+
+
+def fractional_sets():
+    """Hand-made families with fractional offsets, in dimensions 2 and 3."""
+    return [
+        WallSet([WallFamily((1, 2), [0, F(1, 2)]), WallFamily((2, 1), [F(1, 3)]),
+                 WallFamily((1, 0), [F(1, 4), F(3, 4)]), WallFamily((0, 1), [0]),
+                 WallFamily((1, 1), [F(1, 6)])]),
+        WallSet([WallFamily((1, 1, 0), [0, F(1, 2)]), WallFamily((0, 1, 1), [F(1, 3)]),
+                 WallFamily((1, 0, 2), [F(2, 5)]), WallFamily((0, 0, 1), [0, F(1, 4)]),
+                 WallFamily((1, 1, 1), [0])]),
+    ]
+
+
+def oracle_wall_sets():
+    return ([nd_wall_set(arr) for arr in random_lines(611, 4)]
+            + [nd_wall_set(arr) for arr in random_central_c3(612, 3)]
+            + [nd_wall_set(threelines()), tl_wall_set(), mixed_set()]
+            + fractional_sets())
+
+
+def oracle_pairs(ws, rng, count):
+    """Seeded endpoint pairs, a often on several walls; every other pair
+    has b - a an integer vector, so b lies on the walls through a."""
+    pairs = []
+    while len(pairs) < count:
+        a = random_rational_point(rng, ws.dim, den=rng.choice((1, 2, 12)))
+        if len(pairs) % 2:
+            b = tuple(x + rng.randint(-2, 2) for x in a)
+        else:
+            b = random_rational_point(rng, ws.dim, den=12)
+        if a != b:
+            pairs.append((a, b))
+    return pairs
+
+
+def test_chamber_path_matches_nudged_oracle():
+    rng = random.Random(8080)
+    checked = 0
+    for ws in oracle_wall_sets():
+        for a, b in oracle_pairs(ws, rng, 84):
+            path = chamber_path(ws, a, b)
+            assert sorted(path) == separating_walls(ws, a, b)
+            assert path == nudged_path(ws, a, b), (ws, a, b)
+            checked += 1
+    assert checked >= 1000
+
+
+@pytest.mark.parametrize("ws, a, b", [
+    (WallSet([WallFamily((1, 0), [0]), WallFamily((0, 1), [0])]), (0, 0), (2, 1)),
+    (nd_wall_set(threelines()), (0, 0, 0), (2, 1, 1)),
+    (nd_wall_set(veys()), (2, -2, F(-1, 2), 2, F(-3, 2)), (3, 1, 1, -2, -2)),
+])
+def test_chamber_path_regressions(ws, a, b):
+    # an endpoint on several walls at once, where a finite nudge of the
+    # endpoints used to find no generic segment
+    path = chamber_path(ws, a, b)
+    assert sorted(path) == separating_walls(ws, a, b)
+    assert path == nudged_path(ws, a, b)
 
 
 # ---------------------------------------------------------------------------
