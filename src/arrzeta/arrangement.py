@@ -23,9 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .core import (MultiPoly, QMatrix, integer_kernel, primitive_key,
-                   primitive_normal, rank, rational, dot, poly_eval,
-                   div_linear_exact, AffineForm)
+from .core import (MultiPoly, integer_kernel, primitive_key, primitive_normal,
+                   rational, dot)
 
 
 class ArrangementError(ValueError):
@@ -122,11 +121,6 @@ class Arrangement:
         if self.factors is None:
             raise ArrangementError("arrangement has no factorization data")
         return tuple(sum(row) for row in self.factors)
-
-    def normal_matrix(self, indices=None):
-        if indices is None:
-            indices = range(self.r)
-        return QMatrix.from_rows([self.forms[i] for i in sorted(indices)], cols=self.n)
 
     def __repr__(self):
         label = self.name or "arrangement"
@@ -327,26 +321,30 @@ def char_poly(arr, lattice=None):
 
 
 def complement_euler(arr, lattice=None):
-    """Euler characteristic of the complement, chi_A(1)."""
-    return poly_eval(char_poly(arr, lattice), (1,))
+    """Euler characteristic of the complement, chi_A(1) = sum of mu(X)."""
+    _require_central(arr, "complement_euler")
+    if lattice is None:
+        lattice = intersection_lattice(arr)
+    return Fraction(sum(lattice.mu(f) for f in lattice.flats))
 
 
 def proj_complement_euler(arr, lattice=None):
     """Euler characteristic of the projectivized complement.
 
-    (chi_A / (t - 1)) evaluated at 1; for the empty arrangement the
-    projectivized complement is P^{n-1} and the value is n.
+    That is (chi_A / (t - 1))(1).  A nonempty central arrangement has
+    chi_A(1) = 0, so the value is chi_A'(1) = sum of mu(X) dim X; for the
+    empty arrangement the same sum gives n, the value for P^{n-1}.
     """
     _require_central(arr, "proj_complement_euler")
-    if arr.r == 0:
-        return Fraction(arr.n)
-    quotient = div_linear_exact(char_poly(arr, lattice), AffineForm((1,), -1))
-    return poly_eval(quotient, (1,))
+    if lattice is None:
+        lattice = intersection_lattice(arr)
+    return Fraction(sum(lattice.mu(f) * f.dim(arr.n) for f in lattice.flats))
 
 
 def is_essential(arr):
+    """The normals span the dual space: their integer kernel is zero."""
     _require_central(arr, "is_essential")
-    return rank(arr.normal_matrix()) == arr.n
+    return not integer_kernel(arr.normals, arr.n)[0]
 
 
 def is_indecomposable(arr, lattice=None):

@@ -26,15 +26,11 @@ from .harness import (BRootSet, adapted_vector, lct, multi_nd_check,
 from .vmono import (DiagClass, MonomialConnectionSpec, diag_annihilator,
                     diag_s_eigenvalue, diag_vres_member, diag_walls,
                     ncv_generator, ncv_walls)
-from .walls import (extend_restricted_walls, localized_walls, nd_wall_set,
-                    separating_walls)
+from .walls import (WallFamily, WallInstance, extend_restricted_walls,
+                    localized_walls, nd_wall_set, separating_walls)
 from .zeta import (ZetaFunction, candidate_poles, global_zeta, local_zeta,
                    multivariate_global_zeta, multivariate_local_zeta, poles,
                    resolution_datum)
-
-
-def frac_str(x):
-    return str(Fraction(x))
 
 
 def parse_point(text):
@@ -82,49 +78,47 @@ def load_arrangement(args):
                        factors=obj.get("factors"), name=obj.get("name"))
 
 
+def json_form(value):
+    """The JSON form of a library value, for the values json cannot encode
+    itself (tuples already encode as arrays): a Fraction is a "p/q" string,
+    an affine form its coefficients and constant, a wall its normal and
+    level, a wall family its normal and offsets."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, AffineForm):
+        return {"coeffs": value.coeffs, "const": value.const}
+    if isinstance(value, WallInstance):
+        return {"normal": value.normal, "level": value.gamma}
+    if isinstance(value, WallFamily):
+        return {"normal": value.normal, "offsets": value.offsets}
+    raise TypeError("no JSON form for %r" % (value,))
+
+
 def emit(obj, as_json):
     if as_json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(json.dumps(obj, indent=2, sort_keys=True, default=json_form))
     else:
         for line in obj["lines"]:
             print(line)
 
 
-def form_json(f):
-    return {"coeffs": list(f.coeffs), "const": f.const}
-
-
-def form_from_json(obj):
-    return AffineForm(obj["coeffs"], obj["const"])
-
-
 def zeta_json(z):
     rep = poles(z)
-    if z.nvars == 1:
-        pole_part = [[frac_str(p), k] for p, k in rep.univariate]
-    else:
-        pole_part = [[form_json(f), k] for f, k in rep.multivariate]
     return {
         "variables": z.nvars,
-        "terms": [{"coef": frac_str(c),
-                   "denominator": [form_json(f) for f in dens]}
-                  for c, dens in z.terms],
-        "numerator": [[list(ex), frac_str(c)]
-                      for ex, c in sorted(z.numerator.terms.items())],
-        "denominator": [[form_json(f), k] for f, k in z.denominator_factors()],
-        "poles": pole_part,
+        "terms": [{"coef": c, "denominator": dens} for c, dens in z.terms],
+        "numerator": sorted(z.numerator.terms.items()),
+        "denominator": z.denominator_factors(),
+        "poles": rep.univariate if z.nvars == 1 else rep.multivariate,
     }
 
 
 def zeta_from_json(obj):
     """Rebuild a ZetaFunction from its serialized raw terms."""
-    terms = [(rational(t["coef"]), [form_from_json(f) for f in t["denominator"]])
+    terms = [(rational(t["coef"]), [AffineForm(f["coeffs"], f["const"])
+                                    for f in t["denominator"]])
              for t in obj["terms"]]
     return ZetaFunction(obj["variables"], terms)
-
-
-def family_json(fam):
-    return {"normal": list(fam.normal), "offsets": [frac_str(o) for o in fam.offsets]}
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +132,25 @@ def cmd_analyze(args):
         "name": arr.name,
         "n": arr.n,
         "r": arr.r,
-        "mults": list(arr.mults),
+        "mults": arr.mults,
         "degree": arr.degree(),
         "central": arr.central,
         "essential": is_essential(arr),
         "indecomposable": is_indecomposable(arr, lattice),
         "char_poly": format_poly(char_poly(arr, lattice), names=["t"]),
-        "complement_euler": frac_str(complement_euler(arr, lattice)),
-        "proj_complement_euler": frac_str(proj_complement_euler(arr, lattice)),
+        "complement_euler": complement_euler(arr, lattice),
+        "proj_complement_euler": proj_complement_euler(arr, lattice),
         "flats": len(lattice),
         "dense_edges": [],
-        "lct": frac_str(lct(arr, lattice)),
-        "candidate_poles": [frac_str(p) for p in candidate_poles(arr, lattice=lattice)],
+        "lct": lct(arr, lattice),
+        "candidate_poles": candidate_poles(arr, lattice=lattice),
     }
     for f in dense:
         datum = resolution_datum(arr, f)
         entry = {"indices": sorted(i + 1 for i in f.indices), "codim": f.codim,
                  "N": datum.N, "nu": datum.nu}
         if datum.ord is not None:
-            entry["ord"] = list(datum.ord)
+            entry["ord"] = datum.ord
         data["dense_edges"].append(entry)
     lines = [
         "arrangement %s: %d hyperplanes in C^%d, degree %d"
@@ -170,12 +164,12 @@ def cmd_analyze(args):
         "dense edges:",
     ]
     for entry in data["dense_edges"]:
-        extra = "  ord=%s" % (tuple(entry["ord"]),) if "ord" in entry else ""
+        extra = "  ord=%s" % (entry["ord"],) if "ord" in entry else ""
         lines.append("  %s  codim %d  N=%d nu=%d%s"
                      % ("{%s}" % ",".join(str(i) for i in entry["indices"]),
                         entry["codim"], entry["N"], entry["nu"], extra))
     lines.append("log canonical threshold: %s" % data["lct"])
-    lines.append("candidate poles: %s" % ", ".join(data["candidate_poles"]))
+    lines.append("candidate poles: %s" % ", ".join(map(str, data["candidate_poles"])))
     data["lines"] = lines
     emit(data, args.json)
     return 0
@@ -202,11 +196,11 @@ def cmd_zeta(args):
              "  %s" % z.format_str(),
              "terms in the flag sum: %d" % len(z.terms)]
     if z.nvars == 1:
-        lines.append("poles: %s" % (", ".join("%s (order %d)" % (frac_str(p), k)
-                                              for p, k in poles(z).univariate) or "none"))
+        lines.append("poles: %s" % (", ".join("%s (order %d)" % pk for pk in data["poles"])
+                                    or "none"))
     else:
         lines.append("polar locus: %s" % ("; ".join("%s (order %d)" % (f.format_str(), k)
-                                                    for f, k in poles(z).multivariate) or "empty"))
+                                                    for f, k in data["poles"]) or "empty"))
     data["lines"] = lines
     emit(data, args.json)
     return 0
@@ -215,30 +209,24 @@ def cmd_zeta(args):
 def cmd_walls(args):
     arr = load_arrangement(args)
     ws = nd_wall_set(arr)
-    data = {"families": [family_json(f) for f in ws]}
+    data = {"families": ws.families}
     lines = ["dense edge wall set of %s: %d families"
              % (arr.name or "arrangement", len(ws))]
     for fam in ws:
         lines.append("  normal %s  offsets %s"
-                     % (list(fam.normal), ", ".join(frac_str(o) for o in fam.offsets)))
+                     % (list(fam.normal), ", ".join(map(str, fam.offsets))))
+    queries = []
     if args.localize:
-        p = parse_point(args.localize)
-        hits = localized_walls(ws, p)
-        data["localized"] = [{"normal": list(w.normal), "level": frac_str(w.gamma)}
-                             for w in hits]
-        lines.append("walls through %s: %d" % (args.localize, len(hits)))
-        for w in hits:
-            lines.append("  %s = %s" % (list(w.normal), frac_str(w.gamma)))
+        queries.append(("localized", "walls through %s" % args.localize,
+                        localized_walls(ws, parse_point(args.localize))))
     if args.separate:
-        a = parse_point(args.separate[0])
-        b = parse_point(args.separate[1])
-        sep = separating_walls(ws, a, b)
-        data["separating"] = [{"normal": list(w.normal), "level": frac_str(w.gamma)}
-                              for w in sep]
-        lines.append("walls separating %s from %s: %d"
-                     % (args.separate[0], args.separate[1], len(sep)))
-        for w in sep:
-            lines.append("  %s = %s" % (list(w.normal), frac_str(w.gamma)))
+        a, b = args.separate
+        queries.append(("separating", "walls separating %s from %s" % (a, b),
+                        separating_walls(ws, parse_point(a), parse_point(b))))
+    for key, head, hits in queries:
+        data[key] = hits
+        lines.append("%s: %d" % (head, len(hits)))
+        lines.extend("  %s = %s" % (list(w.normal), w.gamma) for w in hits)
     data["lines"] = lines
     emit(data, args.json)
     return 0
@@ -248,34 +236,31 @@ def cmd_adapted(args):
     arr = load_arrangement(args)
     beta = adapted_vector(arr)
     verdict = validate_adapted(arr, beta)
-    data = {"beta": [frac_str(x) for x in beta], "valid": verdict.passed,
-            "witnesses": list(verdict.witnesses)}
-    data["lines"] = ["adapted vector: %s" % ",".join(frac_str(x) for x in beta),
+    data = {"beta": beta, "valid": verdict.passed, "witnesses": verdict.witnesses}
+    data["lines"] = ["adapted vector: %s" % ",".join(map(str, beta)),
                      "validation: %s" % ("PASS" if verdict.passed else "FAIL")]
     emit(data, args.json)
     return 0 if verdict.passed else 1
 
 
-def _verdict_exit(verdict, data, args, head):
+def _verdict_exit(verdict, args, head, fields):
+    """Print a verdict with the named fields of its data; exit 0 on PASS."""
+    data = {key: verdict.data[key] for key in fields}
     lines = [head] + ["  %s" % w for w in verdict.witnesses]
     lines.append("PASS" if verdict.passed else "FAIL")
     data["lines"] = lines
     data["passed"] = verdict.passed
-    data["witnesses"] = list(verdict.witnesses)
+    data["witnesses"] = verdict.witnesses
     emit(data, args.json)
     return 0 if verdict.passed else 1
 
 
 def cmd_nd(args):
     arr = load_arrangement(args)
-    verdict = nd_check(arr)
-    d = verdict.data
-    data = {"n": d["n"], "d": d["d"], "ratio": frac_str(d["ratio"]),
-            "candidates": [frac_str(p) for p in d["candidates"]],
-            "poles": [[frac_str(p), k] for p, k in d["poles"]],
-            "is_candidate": d["is_candidate"], "is_pole": d["is_pole"]}
-    return _verdict_exit(verdict, data, args,
-                         "n/d check for %s:" % (arr.name or "arrangement"))
+    return _verdict_exit(nd_check(arr), args,
+                         "n/d check for %s:" % (arr.name or "arrangement"),
+                         ("n", "d", "ratio", "candidates", "poles", "is_candidate",
+                          "is_pole"))
 
 
 def cmd_smc(args):
@@ -288,25 +273,16 @@ def cmd_smc(args):
     else:
         raise ValueError("supply --broots FILE (built-in roots exist only for "
                          "--example veys)")
-    verdict = smc_verify(arr, roots)
-    d = verdict.data
-    data = {"poles": [[frac_str(p), k] for p, k in d["poles"]],
-            "roots": [frac_str(x) for x in d["roots"]],
-            "offenders": [frac_str(x) for x in d["offenders"]]}
-    return _verdict_exit(verdict, data, args,
-                         "strong monodromy check for %s:" % (arr.name or "arrangement"))
+    return _verdict_exit(smc_verify(arr, roots), args,
+                         "strong monodromy check for %s:" % (arr.name or "arrangement"),
+                         ("poles", "roots", "offenders"))
 
 
 def cmd_multi_nd(args):
     arr = load_arrangement(args)
-    verdict = multi_nd_check(arr)
-    d = verdict.data
-    data = {"hyperplane": form_json(d["hyperplane"]),
-            "candidates": [form_json(f) for f in d["candidates"]],
-            "polar": [form_json(f) for f in d["polar"]],
-            "is_candidate": d["is_candidate"], "in_polar": d["in_polar"]}
-    return _verdict_exit(verdict, data, args,
-                         "multivariate n/d check for %s:" % (arr.name or "arrangement"))
+    return _verdict_exit(multi_nd_check(arr), args,
+                         "multivariate n/d check for %s:" % (arr.name or "arrangement"),
+                         ("hyperplane", "candidates", "polar", "is_candidate", "in_polar"))
 
 
 def cmd_multi_smc(args):
@@ -317,14 +293,10 @@ def cmd_multi_smc(args):
         obj = json.load(fh)
     if not isinstance(obj, dict) or not _json_shaped(obj.get("zero_locus"), 2, (int,)):
         raise ValueError('zero locus file needs a "zero_locus" list of lists of integers')
-    verdict = multi_smc_verify(arr, obj["zero_locus"])
-    d = verdict.data
-    data = {"polar": [form_json(f) for f in d["polar"]],
-            "zero_locus": [form_json(f) for f in d["zero_locus"]],
-            "offenders": [form_json(f) for f in d["offenders"]]}
-    return _verdict_exit(verdict, data, args,
+    return _verdict_exit(multi_smc_verify(arr, obj["zero_locus"]), args,
                          "multivariate strong monodromy check for %s:"
-                         % (arr.name or "arrangement"))
+                         % (arr.name or "arrangement"),
+                         ("polar", "zero_locus", "offenders"))
 
 
 def cmd_vmono_demo(args):
@@ -335,10 +307,10 @@ def cmd_vmono_demo(args):
                   (Fraction(7, 4), Fraction(1, 4))]:
         g = ncv_generator(spec, alpha)
         lines.append("  generator exponents at (%s, %s): (%d, %d)"
-                     % (frac_str(alpha[0]), frac_str(alpha[1]), g[0], g[1]))
+                     % (alpha[0], alpha[1], g[0], g[1]))
     for fam in ncv_walls(spec):
         lines.append("  wall family: normal %s offsets %s"
-                     % (list(fam.normal), [frac_str(o) for o in fam.offsets]))
+                     % (list(fam.normal), [str(o) for o in fam.offsets]))
     lines.append("diagonal direct image of the line in the plane")
     lines.append("  classes t1^m t2^n / (t1 - t2)^k, filtration level m + n - k")
     samples = [((0, 0, 1), (Fraction(1, 2), Fraction(1, 2))),
@@ -350,7 +322,7 @@ def cmd_vmono_demo(args):
         cls = DiagClass(m, n, k)
         member = diag_vres_member(cls, alpha)
         lines.append("  (m,n,k)=(%d,%d,%d) at alpha=(%s, %s): %s, s-eigenvalue %d"
-                     % (m, n, k, frac_str(alpha[0]), frac_str(alpha[1]),
+                     % (m, n, k, alpha[0], alpha[1],
                         "member" if member else "not a member",
                         diag_s_eigenvalue(cls)))
     ann = diag_annihilator((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(3, 2)))

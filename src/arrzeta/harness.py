@@ -281,10 +281,6 @@ def smc_verify(arr, roots):
     """
     if not isinstance(roots, BRootSet):
         roots = BRootSet(roots)
-    if not arr.central:
-        raise ArrangementError("smc_verify needs a central arrangement")
-    if arr.r == 0:
-        raise ArrangementError("smc_verify needs at least one hyperplane")
     z = local_zeta(arr)
     pole_pairs = poles(z).univariate
     offenders = [p for p, _ in pole_pairs if p not in roots]

@@ -52,7 +52,7 @@ class WallFamily:
         point = vector(point)
         if len(point) != self.dim:
             raise ValueError("point length %d, family dimension %d" % (len(point), self.dim))
-        return sum((Fraction(e) * x for e, x in zip(self.normal, point)), Fraction(0))
+        return sum(e * x for e, x in zip(self.normal, point) if e)
 
     def hits(self, value):
         """True iff some wall of the family passes through this level."""

@@ -25,7 +25,7 @@ from functools import cache
 from math import lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_affine, div_linear,
-                   format_poly, poly_eval, rank, rational)
+                   format_poly, integer_kernel, poly_eval, rational)
 from .arrangement import (ArrangementError, dense_edges, intersection_lattice,
                           localize_at_point)
 
@@ -300,22 +300,14 @@ def _local(arr, multi, point, lattice):
             raise ValueError("a lattice cannot be passed together with a point")
         arr = localize_at_point(arr, point)
     if not arr.central:
-        raise ArrangementError("local zeta at the origin needs a central arrangement; "
-                               "pass the point explicitly otherwise")
+        raise ArrangementError("zeta needs a central arrangement unless a point "
+                               "is given for the local zeta")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
     nvars = _zeta_nvars(arr, multi)
     if lattice is None:
         lattice = intersection_lattice(arr)
     return ZetaFunction(nvars, _flag_terms(arr, lattice, multi))
-
-
-def _global(arr, multi):
-    if not arr.central:
-        raise ArrangementError("global zeta needs a central arrangement")
-    if arr.r == 0:
-        raise ArrangementError("the empty arrangement has no zeta function")
-    return _local(arr, multi, None, None)
 
 
 def local_zeta(arr, point=None, lattice=None):
@@ -341,7 +333,7 @@ def global_zeta(arr):
     flat, which is the whole minimal flat, so the weight is 1 there and 0
     everywhere else: what is left is the local flag sum.
     """
-    return _global(arr, multi=False)
+    return _local(arr, False, None, None)
 
 
 def multivariate_local_zeta(arr, point=None, lattice=None):
@@ -353,7 +345,7 @@ def multivariate_local_zeta(arr, point=None, lattice=None):
 def multivariate_global_zeta(arr):
     """Global zeta in one variable per factor of the factorization; equal
     to the multivariate local zeta, as for global_zeta."""
-    return _global(arr, multi=True)
+    return _local(arr, True, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +363,7 @@ def snc_zeta(arr, multi=False):
         raise ArrangementError("snc oracle needs a central arrangement")
     if arr.r == 0:
         raise ArrangementError("snc oracle needs at least one hyperplane")
-    if rank(arr.normal_matrix()) != arr.r:
+    if len(integer_kernel(arr.normals, arr.n)[0]) != arr.n - arr.r:
         raise ArrangementError("snc oracle needs linearly independent normals")
     nvars = _zeta_nvars(arr, multi)
     forms = []

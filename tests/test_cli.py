@@ -9,7 +9,7 @@ import pytest
 
 import arrzeta.cli
 from arrzeta import local_zeta, multivariate_local_zeta
-from arrzeta.cli import build_parser, run, zeta_from_json, zeta_json
+from arrzeta.cli import build_parser, json_form, run, zeta_from_json, zeta_json
 
 from conftest import threelines, threelines_factored, veys
 
@@ -175,7 +175,8 @@ def test_zeta_options_do_not_leak_into_the_next_call(capsys, flag):
     data = json.loads(plain)
     assert plain == first != flagged
     assert data["lines"][0].startswith("univariate local zeta")
-    assert zeta_json(local_zeta(threelines()))["terms"] == data["terms"]
+    encoded = json.dumps(zeta_json(local_zeta(threelines())), default=json_form)
+    assert json.loads(encoded)["terms"] == data["terms"]
 
 
 def test_parser_built_once(monkeypatch, capsys):

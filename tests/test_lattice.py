@@ -13,12 +13,12 @@ import arrzeta.arrangement
 import arrzeta.cli
 import arrzeta.harness
 import arrzeta.zeta
-from arrzeta.core import integer_kernel, primitive_normal
-from arrzeta import (Arrangement, ArrangementError, QMatrix, adapted_vector,
-                     closure, complement_euler, dense_edges, global_zeta,
-                     intersection_lattice, is_indecomposable, kernel_basis,
-                     local_zeta, multi_nd_check, nd_check, proj_complement_euler,
-                     rank, validate_adapted)
+from arrzeta.core import div_linear_exact, integer_kernel, poly_eval, primitive_normal
+from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
+                     adapted_vector, char_poly, closure, complement_euler,
+                     dense_edges, global_zeta, intersection_lattice, is_essential,
+                     is_indecomposable, kernel_basis, local_zeta, multi_nd_check,
+                     nd_check, proj_complement_euler, rank, validate_adapted)
 
 from conftest import (boolean2, braid, fraction_kernel, interval_arrangement,
                       ninefold, random_central_c3, random_lines,
@@ -64,6 +64,25 @@ def test_interval_euler_matches_interval_arrangement(arr):
                 assert lat.interval_euler(x, y) == proj_complement_euler(step)
 
 
+EULER_CASES = ([a for _, a in CORPUS] + [Arrangement(n, []) for n in (1, 2, 3)]
+               + random_lines(913, count=8) + random_central_c3(914, count=8))
+
+
+@pytest.mark.parametrize("arr", EULER_CASES)
+def test_euler_characteristics_match_char_poly_route(arr):
+    # the Mobius sums against chi_A(1), (chi_A / (t - 1))(1) and the rank of
+    # the forms over Q; P^{n-1} has Euler characteristic n when r = 0
+    chi = char_poly(arr)
+    assert complement_euler(arr) == poly_eval(chi, (1,))
+    if arr.r == 0:
+        want = arr.n
+    else:
+        want = poly_eval(div_linear_exact(chi, AffineForm((1,), -1)), (1,))
+    assert proj_complement_euler(arr) == want
+    assert type(complement_euler(arr)) is type(proj_complement_euler(arr)) is Fraction
+    assert is_essential(arr) == (rank(QMatrix.from_rows(arr.forms, cols=arr.n)) == arr.n)
+
+
 @over_corpus
 def test_stratum_euler_matches_restriction(arr):
     lat = intersection_lattice(arr)
@@ -87,7 +106,8 @@ def test_dense_edges_match_bipartition_oracle(arr):
 @over_corpus
 def test_closure_basis_is_that_of_the_closed_set(arr):
     for f in intersection_lattice(arr).flats:
-        assert closure(arr, f.indices).basis == tuple(kernel_basis(arr.normal_matrix(f.indices)))
+        rows = [arr.forms[i] for i in sorted(f.indices)]
+        assert closure(arr, f.indices).basis == tuple(kernel_basis(QMatrix.from_rows(rows, cols=arr.n)))
 
 
 @over_corpus
