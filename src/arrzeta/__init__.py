@@ -7,9 +7,8 @@ vectors, and monodromy-conjecture verification workflows.  All arithmetic
 is exact over Q; the intersection lattice is built over the integers.
 """
 
-from .core import (AffineForm, MultiPoly, QMatrix, Rational, divides_linear,
-                   integer_kernel, kernel_basis, poly_eval, primitive_normal,
-                   rank, rational)
+from .core import (AffineForm, MultiPoly, QMatrix, integer_kernel, kernel_basis,
+                   poly_eval, primitive_normal, rank, rational)
 from .arrangement import (Arrangement, ArrangementError, Flat,
                           IntersectionLattice, char_poly, closure,
                           complement_euler, dense_edges, intersection_lattice,

@@ -16,7 +16,8 @@ The lattice is built over the integers: flats are spanned by integer
 kernel vectors of the primitive integer normals, and membership tests and
 traces are integer dot products.  Every value reported from it (flat
 bases, the Mobius function and the numbers read off it) is still exact,
-and rational values are Fractions.
+and rational values are Fractions.  Each arrangement builds its lattice
+once, on the first read of Arrangement.lattice, and every reader shares it.
 """
 
 from fractions import Fraction
@@ -31,6 +32,14 @@ class ArrangementError(ValueError):
     """Invalid arrangement data or an operation outside its preconditions."""
 
 
+def as_int(x, what):
+    """x as an int, if it is an int that is not a bool or a Fraction with
+    denominator 1; anything else raises ArrangementError naming what."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+        raise ArrangementError("%s must be an integer, got %r" % (what, x))
+    return int(x)
+
+
 class Arrangement:
     """A finite set of hyperplanes in C^n with multiplicities.
 
@@ -43,10 +52,15 @@ class Arrangement:
         the exponent vectors of a factorization h_1 ... h_k of the product
         of the f_i^{d_i}; every column has a positive entry and column i
         sums to d_i.
+    lattice: the IntersectionLattice of a central arrangement, built on
+        first read and kept; every lattice reader in the package uses it.
+
+    n, the multiplicities and the factor exponents must be integers: an
+    int that is not a bool, or a Fraction with denominator 1.
     """
 
     def __init__(self, n, forms, mults=None, factors=None, name=None):
-        n = int(n)
+        n = as_int(n, "the ambient dimension")
         if n < 1:
             raise ArrangementError("ambient dimension must be at least 1")
         self.n = n
@@ -81,14 +95,15 @@ class Arrangement:
             seen[key] = i
         if mults is None:
             mults = [1] * self.r
-        mults = [int(m) for m in mults]
+        mults = [as_int(m, "a multiplicity") for m in mults]
         if len(mults) != self.r:
             raise ArrangementError("expected %d multiplicities, got %d" % (self.r, len(mults)))
         if any(m < 1 for m in mults):
             raise ArrangementError("multiplicities must be positive")
         self.mults = tuple(mults)
         if factors is not None:
-            factors = tuple(tuple(int(e) for e in row) for row in factors)
+            factors = tuple(tuple(as_int(e, "a factor exponent") for e in row)
+                            for row in factors)
             if not factors:
                 raise ArrangementError("factor matrix must have at least one row")
             for j, row in enumerate(factors):
@@ -111,6 +126,12 @@ class Arrangement:
     @property
     def central(self):
         return all(c == 0 for c in self.consts)
+
+    @cached_property
+    def lattice(self):
+        # the module-level name is looked up on each first read, so a
+        # wrapper installed around intersection_lattice sees every build
+        return intersection_lattice(self)
 
     def degree(self):
         """Total degree d = sum of the multiplicities."""
@@ -198,8 +219,7 @@ class IntersectionLattice:
     and of open strata, and with them the dense edges.
     """
 
-    def __init__(self, arr, flats, table):
-        self.arr = arr
+    def __init__(self, flats, table):
         self.flats = tuple(sorted(flats, key=Flat.key))
         self._by_indices = {f.indices: f for f in self.flats}
         self._table = table
@@ -305,14 +325,16 @@ def intersection_lattice(arr):
             for z in above[j]:
                 collected[z] += m
         table[x.indices] = row
-    return IntersectionLattice(arr, ordered, table)
+    return IntersectionLattice(ordered, table)
 
 
 def char_poly(arr, lattice=None):
-    """Characteristic polynomial sum of mu(X) t^{dim X}, as a MultiPoly in t."""
-    _require_central(arr, "char_poly")
-    if lattice is None:
-        lattice = intersection_lattice(arr)
+    """Characteristic polynomial sum of mu(X) t^{dim X}, as a MultiPoly in t.
+
+    Here and in complement_euler and dense_edges, lattice defaults to
+    arr.lattice; one passed in must be arr's.
+    """
+    lattice = lattice or arr.lattice
     terms = {}
     for f in lattice.flats:
         ex = (arr.n - f.codim,)
@@ -322,23 +344,18 @@ def char_poly(arr, lattice=None):
 
 def complement_euler(arr, lattice=None):
     """Euler characteristic of the complement, chi_A(1) = sum of mu(X)."""
-    _require_central(arr, "complement_euler")
-    if lattice is None:
-        lattice = intersection_lattice(arr)
+    lattice = lattice or arr.lattice
     return Fraction(sum(lattice.mu(f) for f in lattice.flats))
 
 
-def proj_complement_euler(arr, lattice=None):
+def proj_complement_euler(arr):
     """Euler characteristic of the projectivized complement.
 
     That is (chi_A / (t - 1))(1).  A nonempty central arrangement has
     chi_A(1) = 0, so the value is chi_A'(1) = sum of mu(X) dim X; for the
     empty arrangement the same sum gives n, the value for P^{n-1}.
     """
-    _require_central(arr, "proj_complement_euler")
-    if lattice is None:
-        lattice = intersection_lattice(arr)
-    return Fraction(sum(lattice.mu(f) * f.dim(arr.n) for f in lattice.flats))
+    return Fraction(sum(arr.lattice.mu(f) * f.dim(arr.n) for f in arr.lattice.flats))
 
 
 def is_essential(arr):
@@ -347,17 +364,14 @@ def is_essential(arr):
     return not integer_kernel(arr.normals, arr.n)[0]
 
 
-def is_indecomposable(arr, lattice=None):
+def is_indecomposable(arr):
     """No nontrivial split of the hyperplanes with additive rank.
 
     Equivalently, the minimal flat is dense.
     """
-    _require_central(arr, "is_indecomposable")
     if arr.r == 0:
         raise ArrangementError("indecomposability of the empty arrangement")
-    if lattice is None:
-        lattice = intersection_lattice(arr)
-    return lattice.is_dense(lattice.minimal_flat())
+    return arr.lattice.is_dense(arr.lattice.minimal_flat())
 
 
 def dense_edges(arr, lattice=None):
@@ -367,9 +381,7 @@ def dense_edges(arr, lattice=None):
     IntersectionLattice.is_dense).  Every hyperplane is dense; the origin
     is dense iff the arrangement is essential and indecomposable.
     """
-    _require_central(arr, "dense_edges")
-    if lattice is None:
-        lattice = intersection_lattice(arr)
+    lattice = lattice or arr.lattice
     return [f for f in lattice.proper_flats() if lattice.is_dense(f)]
 
 

@@ -17,8 +17,8 @@ import sys
 from fractions import Fraction
 
 from .arrangement import (Arrangement, ArrangementError, char_poly,
-                          complement_euler, dense_edges, intersection_lattice,
-                          is_essential, is_indecomposable, proj_complement_euler)
+                          complement_euler, dense_edges, is_essential,
+                          is_indecomposable, proj_complement_euler)
 from .core import AffineForm, format_poly, rational
 from .examples import EXAMPLES, veys_broots
 from .harness import (BRootSet, adapted_vector, lct, multi_nd_check,
@@ -126,8 +126,7 @@ def zeta_from_json(obj):
 
 def cmd_analyze(args):
     arr = load_arrangement(args)
-    lattice = intersection_lattice(arr)
-    dense = dense_edges(arr, lattice)
+    dense = dense_edges(arr)
     data = {
         "name": arr.name,
         "n": arr.n,
@@ -136,14 +135,14 @@ def cmd_analyze(args):
         "degree": arr.degree(),
         "central": arr.central,
         "essential": is_essential(arr),
-        "indecomposable": is_indecomposable(arr, lattice),
-        "char_poly": format_poly(char_poly(arr, lattice), names=["t"]),
-        "complement_euler": complement_euler(arr, lattice),
-        "proj_complement_euler": proj_complement_euler(arr, lattice),
-        "flats": len(lattice),
+        "indecomposable": is_indecomposable(arr),
+        "char_poly": format_poly(char_poly(arr), names=["t"]),
+        "complement_euler": complement_euler(arr),
+        "proj_complement_euler": proj_complement_euler(arr),
+        "flats": len(arr.lattice),
         "dense_edges": [],
-        "lct": lct(arr, lattice),
-        "candidate_poles": candidate_poles(arr, lattice=lattice),
+        "lct": lct(arr),
+        "candidate_poles": candidate_poles(arr),
     }
     for f in dense:
         datum = resolution_datum(arr, f)

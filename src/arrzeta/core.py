@@ -17,11 +17,9 @@ integer kernels without making a Fraction.
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 
 def rational(x):
-    """Coerce an int, a 'p/q' string or a Fraction to a Rational."""
+    """Coerce an int, a 'p/q' string or a Fraction to a Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -376,7 +374,7 @@ class AffineForm:
         return dot(self.coeffs, point) + self.const
 
     def root(self):
-        """The zero of a univariate form, as a Rational."""
+        """The zero of a univariate form, as a Fraction."""
         if self.nvars != 1:
             raise ValueError("root is only defined for univariate forms")
         return Fraction(-self.const, self.coeffs[0])
@@ -468,17 +466,3 @@ def div_linear(p, form):
             quot[ex[:m] + (k - 1,) + ex[m + 1:]] = c
     rem = _add_times_affine(dict(slices.get(0, {})), q, minus_g, -form.const)
     return MultiPoly(p.nvars, quot), MultiPoly(p.nvars, rem)
-
-
-def divides_linear(form, p):
-    """True iff the affine form divides the polynomial p exactly: the
-    remainder of div_linear is zero."""
-    return div_linear(p, form)[1].is_zero()
-
-
-def div_linear_exact(p, form):
-    """The quotient of div_linear, raising ValueError on a nonzero remainder."""
-    quot, rem = div_linear(p, form)
-    if not rem.is_zero():
-        raise ValueError("polynomial is not divisible by %r" % (form,))
-    return quot

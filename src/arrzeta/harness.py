@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import AffineForm, integer_kernel, rational
-from .arrangement import ArrangementError, dense_edges, intersection_lattice
+from .arrangement import ArrangementError, as_int, dense_edges
 from .zeta import (candidate_poles, local_zeta, multivariate_global_zeta,
                    multivariate_local_zeta, poles, resolution_datum)
 
@@ -85,13 +85,11 @@ class Polytope:
         return "Polytope(%d inequalities in R^%d)" % (len(self.inequalities), self.r)
 
 
-def lct(arr, lattice=None):
+def lct(arr):
     """Log canonical threshold: the least nu/N over the dense edges."""
-    if not arr.central:
-        raise ArrangementError("lct needs a central arrangement")
     if arr.r == 0:
         raise ArrangementError("lct of the empty arrangement")
-    data = [resolution_datum(arr, f) for f in dense_edges(arr, lattice)]
+    data = [resolution_datum(arr, f) for f in dense_edges(arr)]
     return min(Fraction(d.nu, d.N) for d in data)
 
 
@@ -99,8 +97,6 @@ def log_canonical_polytope(arr):
     """One inequality per dense edge: sum of beta over the index set is at
     most the codimension.  Lives in exponent space, one coordinate per
     hyperplane, unweighted by multiplicities."""
-    if not arr.central:
-        raise ArrangementError("log canonical polytope needs a central arrangement")
     if arr.r == 0:
         raise ArrangementError("polytope of the empty arrangement")
     return Polytope(arr.r, [(f.indices, f.codim) for f in dense_edges(arr)])
@@ -120,8 +116,9 @@ def polytope_member(poly, beta, strict=False):
     return True
 
 
-def _verdict_lattice(arr, what, nd=False):
-    """The arrangement's lattice, built once its preconditions hold.
+def _require_verdict_input(arr, what, nd=False):
+    """Raise unless the arrangement is central, nonempty, essential and
+    indecomposable.
 
     Essential means the minimal flat is the origin; indecomposable means
     it is dense.  nd adds the size condition of the n/d checks.
@@ -130,15 +127,13 @@ def _verdict_lattice(arr, what, nd=False):
         raise ArrangementError("%s needs a central arrangement" % what)
     if arr.r == 0:
         raise ArrangementError("%s needs at least one hyperplane" % what)
-    lattice = intersection_lattice(arr)
-    vmin = lattice.minimal_flat()
+    vmin = arr.lattice.minimal_flat()
     if vmin.codim != arr.n:
         raise ArrangementError("%s needs an essential arrangement" % what)
-    if not lattice.is_dense(vmin):
+    if not arr.lattice.is_dense(vmin):
         raise ArrangementError("%s needs an indecomposable arrangement" % what)
     if nd and arr.n < 2 and arr.r <= arr.n:
         raise ArrangementError("%s needs n >= 2 or more hyperplanes than n" % what)
-    return lattice
 
 
 def _adapted_violations(arr, dense, beta):
@@ -172,11 +167,11 @@ def validate_adapted(arr, beta):
     the origin; total sum exactly the ambient dimension.  The verdict lists
     one witness per violation.
     """
-    lattice = _verdict_lattice(arr, "validate_adapted")
+    _require_verdict_input(arr, "validate_adapted")
     beta = tuple(rational(x) for x in beta)
     if len(beta) != arr.r:
         raise ArrangementError("expected %d components, got %d" % (arr.r, len(beta)))
-    bad, data = _adapted_violations(arr, dense_edges(arr, lattice), beta)
+    bad, data = _adapted_violations(arr, dense_edges(arr), beta)
     if bad:
         return Verdict(False, bad, data)
     return Verdict(True, ["vector is adapted"], data)
@@ -199,7 +194,8 @@ def adapted_vector(arr):
     deterministic schedules) clears them.  Every candidate is certified by
     the check validate_adapted runs before it is returned.
     """
-    dense = dense_edges(arr, _verdict_lattice(arr, "adapted_vector"))
+    _require_verdict_input(arr, "adapted_vector")
+    dense = dense_edges(arr)
     bases = _matroid_bases(arr)
     assert bases, "essential arrangement has a basis of normals"
     count = len(bases)
@@ -254,11 +250,11 @@ def nd_check(arr):
     (d, n)); whether the candidate survives as an actual pole of the local
     zeta function is reported but not judged, since it can honestly fail.
     """
-    lattice = _verdict_lattice(arr, "nd_check", nd=True)
+    _require_verdict_input(arr, "nd_check", nd=True)
     n, d = arr.n, arr.degree()
     ratio = Fraction(-n, d)
-    cands = candidate_poles(arr, lattice=lattice)
-    z = local_zeta(arr, lattice=lattice)
+    cands = candidate_poles(arr)
+    z = local_zeta(arr)
     pole_pairs = poles(z).univariate
     pole_set = {p for p, _ in pole_pairs}
     is_cand = ratio in cands
@@ -303,15 +299,15 @@ def multi_nd_check(arr):
     membership in the polar locus of the multivariate local zeta is
     reported alongside.
     """
-    lattice = _verdict_lattice(arr, "multi_nd_check", nd=True)
+    _require_verdict_input(arr, "multi_nd_check", nd=True)
     if arr.factors is None:
         raise ArrangementError("multi_nd_check needs a factorization")
     if any(m != 1 for m in arr.mults):
         raise ArrangementError("multi_nd_check expects a reduced arrangement")
     degrees = arr.factor_degrees()
     hyper, _ = AffineForm.canonical(degrees, arr.n)
-    cands = candidate_poles(arr, multi=True, lattice=lattice)
-    z = multivariate_local_zeta(arr, lattice=lattice)
+    cands = candidate_poles(arr, multi=True)
+    z = multivariate_local_zeta(arr)
     polar = [f for f, _ in poles(z).multivariate]
     is_cand = hyper in cands
     in_polar = hyper in polar
@@ -338,7 +334,7 @@ def multi_smc_verify(arr, zero_locus):
         if isinstance(item, AffineForm):
             row = item.coeffs + (item.const,)
         else:
-            row = [int(e) for e in item]
+            row = [as_int(e, "a zero locus entry") for e in item]
         if len(row) != width:
             raise ArrangementError("zero locus row %d has %d entries, expected %d "
                                    "(one per factor, then the constant)"

@@ -10,8 +10,8 @@ arrangements along the flag divided by the product of the corresponding
 flat.  The global one sums all flags weighted by the Euler characteristic
 of the open stratum of the first flat, plus the empty flag; on a central
 arrangement that is the local sum (see global_zeta).  The interval Euler
-characteristics are read off the Mobius table of the one intersection
-lattice built per call (IntersectionLattice.interval_euler); no interval
+characteristics are read off the Mobius table (interval_euler) of the
+arrangement's one intersection lattice, Arrangement.lattice; no interval
 arrangement is built.
 
 Results are exact rational functions: a list of flag terms plus a
@@ -26,8 +26,7 @@ from math import lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_affine, div_linear,
                    format_poly, integer_kernel, poly_eval, rational)
-from .arrangement import (ArrangementError, dense_edges, intersection_lattice,
-                          localize_at_point)
+from .arrangement import ArrangementError, dense_edges, localize_at_point
 
 
 class ResolutionDatum:
@@ -65,6 +64,7 @@ def candidate_poles(arr, multi=False, lattice=None):
 
     Univariate: the rationals -nu/N, sorted descending.  Multivariate: the
     canonical affine forms of (ord, nu), sorted; requires a factorization.
+    lattice as for dense_edges.
     """
     dense = dense_edges(arr, lattice)
     if multi:
@@ -250,7 +250,7 @@ def specialize(z, weights):
 # ---------------------------------------------------------------------------
 # the flag formula
 
-def _flag_terms(arr, lattice, multi):
+def _flag_terms(arr, multi):
     """The flag formula, walked level by level from the minimal flat.
 
     A flag W_1 < ... < W_k (W_1 the minimal flat) carries the running
@@ -260,6 +260,7 @@ def _flag_terms(arr, lattice, multi):
     the flags of the one before, in order, by the proper flats in order,
     so terms come out by length, then by flat keys.
     """
+    lattice = arr.lattice
     ambient = lattice.ambient
     proper = lattice.proper_flats()
     forms = {}
@@ -294,33 +295,28 @@ def _zeta_nvars(arr, multi):
     return len(arr.factors)
 
 
-def _local(arr, multi, point, lattice):
+def _local(arr, multi, point):
     if point is not None:
-        if lattice is not None:
-            raise ValueError("a lattice cannot be passed together with a point")
         arr = localize_at_point(arr, point)
     if not arr.central:
         raise ArrangementError("zeta needs a central arrangement unless a point "
                                "is given for the local zeta")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
-    nvars = _zeta_nvars(arr, multi)
-    if lattice is None:
-        lattice = intersection_lattice(arr)
-    return ZetaFunction(nvars, _flag_terms(arr, lattice, multi))
+    return ZetaFunction(_zeta_nvars(arr, multi), _flag_terms(arr, multi))
 
 
-def local_zeta(arr, point=None, lattice=None):
+def local_zeta(arr, point=None):
     """The local topological zeta function at the origin (or at a point).
 
     With a point, the arrangement is first localized there; without one the
     arrangement must be central and the origin is used.  Flags start at the
     minimal flat, the intersection of all hyperplanes, which is the origin
-    exactly when the arrangement is essential.  A lattice, if given, is the
-    arrangement's intersection lattice and is used instead of building one;
-    it cannot be combined with a point.
+    exactly when the arrangement is essential.  The flags are read off the
+    arrangement's lattice (Arrangement.lattice); a localized arrangement is
+    a new Arrangement with a lattice of its own.
     """
-    return _local(arr, False, point, lattice)
+    return _local(arr, False, point)
 
 
 def global_zeta(arr):
@@ -333,19 +329,19 @@ def global_zeta(arr):
     flat, which is the whole minimal flat, so the weight is 1 there and 0
     everywhere else: what is left is the local flag sum.
     """
-    return _local(arr, False, None, None)
+    return _local(arr, False, None)
 
 
-def multivariate_local_zeta(arr, point=None, lattice=None):
+def multivariate_local_zeta(arr, point=None):
     """Local zeta in one variable per factor of the factorization; point
-    and lattice as for local_zeta."""
-    return _local(arr, True, point, lattice)
+    as for local_zeta."""
+    return _local(arr, True, point)
 
 
 def multivariate_global_zeta(arr):
     """Global zeta in one variable per factor of the factorization; equal
     to the multivariate local zeta, as for global_zeta."""
-    return _local(arr, True, None, None)
+    return _local(arr, True, None)
 
 
 # ---------------------------------------------------------------------------

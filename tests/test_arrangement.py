@@ -51,6 +51,26 @@ def test_rejects_bad_data():
         Arrangement(2, [(1, 0, 0, 0)])
 
 
+@pytest.mark.parametrize("n, mults, factors", [
+    (F(5, 2), None, None), (2.0, None, None), (True, None, None), ("2", None, None),
+    (2, [1, 2.5, 1], None), (2, [1, F(3, 2), 1], None), (2, [1, True, 1], None),
+    (2, None, [(1, 0, 0), (0, 1, 1.0)]), (2, None, [(1, 0, 0), (0, F(1, 2), 1)])],
+    ids=["n-fraction", "n-float", "n-bool", "n-str", "mult-float", "mult-fraction",
+         "mult-bool", "factor-float", "factor-fraction"])
+def test_rejects_non_integer_data(n, mults, factors):
+    # a non-integer dimension, multiplicity or exponent is an error, not
+    # truncated: mults [1, 2.5, 1] used to read as (1, 2, 1)
+    with pytest.raises(ArrangementError, match="must be an integer"):
+        Arrangement(n, [(1, 0), (0, 1), (1, -1)], mults=mults, factors=factors)
+
+
+def test_accepts_integral_fractions():
+    arr = Arrangement(F(2), [(1, 0), (0, 1), (1, -1)], mults=[1, F(4, 2), 1],
+                      factors=[(1, 0, 0), (0, F(2), 1)])
+    assert (arr.n, arr.mults, arr.factors) == (2, (1, 2, 1), ((1, 0, 0), (0, 2, 1)))
+    assert all(type(e) is int for e in (arr.n, *arr.mults, *arr.factors[1]))
+
+
 def test_factor_validation():
     ok = Arrangement(2, [(1, 0), (0, 1), (1, -1)], mults=[1, 1, 1],
                      factors=[(1, 0, 0), (0, 1, 1)])

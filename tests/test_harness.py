@@ -259,6 +259,14 @@ def test_multi_smc_requires_factors():
         multi_smc_verify(veys(), [[1, 1]])
 
 
+@pytest.mark.parametrize("row", [[1.5, 0, 1], [Fraction(3, 2), 0, 1], [1, True, 1],
+                                 ["1", 0, 1]], ids=["float", "fraction", "bool", "str"])
+def test_multi_smc_rejects_non_integer_rows(row):
+    # [1.5, 0, 1] used to read as s1 + 1, a polar component, and PASS
+    with pytest.raises(ArrangementError, match="must be an integer"):
+        multi_smc_verify(threelines_factored(), [row, [0, 1, 1], [1, 2, 2]])
+
+
 @pytest.mark.parametrize("locus", [[[1, 1], [1, 1]],
                                    [[1, 2, 2, 0], [1, 0, 1, 0], [0, 1, 1, 0]],
                                    [AffineForm((1,), 1)],

@@ -1,8 +1,10 @@
 """The Mobius-table routes against the geometric constructions they replace,
 and the number of intersection lattices each top-level call builds."""
 
+import ast
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,15 @@ from hypothesis import strategies as st
 import arrzeta
 import arrzeta.arrangement
 import arrzeta.cli
-import arrzeta.harness
-import arrzeta.zeta
-from arrzeta.core import div_linear_exact, integer_kernel, poly_eval, primitive_normal
+from arrzeta.core import div_linear, integer_kernel, poly_eval, primitive_normal
 from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
-                     adapted_vector, char_poly, closure, complement_euler,
-                     dense_edges, global_zeta, intersection_lattice, is_essential,
-                     is_indecomposable, kernel_basis, local_zeta, multi_nd_check,
-                     nd_check, proj_complement_euler, rank, validate_adapted)
+                     adapted_vector, candidate_poles, char_poly, closure,
+                     complement_euler, dense_edges, global_zeta,
+                     intersection_lattice, is_essential, is_indecomposable,
+                     kernel_basis, lct, local_zeta, log_canonical_polytope,
+                     multi_nd_check, nd_check, nd_wall_set, proj_complement_euler,
+                     rank, smc_verify, validate_adapted)
+from arrzeta.examples import veys_broots
 
 from conftest import (boolean2, braid, fraction_kernel, interval_arrangement,
                       ninefold, random_central_c3, random_lines,
@@ -77,7 +80,9 @@ def test_euler_characteristics_match_char_poly_route(arr):
     if arr.r == 0:
         want = arr.n
     else:
-        want = poly_eval(div_linear_exact(chi, AffineForm((1,), -1)), (1,))
+        quot, rem = div_linear(chi, AffineForm((1,), -1))
+        assert rem.is_zero()
+        want = poly_eval(quot, (1,))
     assert proj_complement_euler(arr) == want
     assert type(complement_euler(arr)) is type(proj_complement_euler(arr)) is Fraction
     assert is_essential(arr) == (rank(QMatrix.from_rows(arr.forms, cols=arr.n)) == arr.n)
@@ -210,9 +215,13 @@ def test_interval_euler_needs_nested_flats():
 # ---------------------------------------------------------------------------
 # lattices per call
 
+SRC = Path(arrzeta.__file__).parent
+
+
 @pytest.fixture
 def lattice_count(monkeypatch):
-    """Count intersection_lattice calls through every module binding."""
+    """Count intersection_lattice calls through every module binding: the
+    package's export and arrangement, where Arrangement.lattice calls it."""
     calls = []
     original = arrzeta.arrangement.intersection_lattice
 
@@ -220,9 +229,45 @@ def lattice_count(monkeypatch):
         calls.append(arr)
         return original(arr)
 
-    for mod in (arrzeta, arrzeta.arrangement, arrzeta.zeta, arrzeta.harness, arrzeta.cli):
+    for mod in (arrzeta, arrzeta.arrangement):
         monkeypatch.setattr(mod, "intersection_lattice", counted)
     return calls
+
+
+def _call_scopes(node, name, scope=()):
+    """The class and function names around each call of name under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                    getattr(child.func, "attr", None)):
+            yield scope
+        inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield from _call_scopes(child, name, inner)
+
+
+def test_only_arrangement_lattice_builds_a_lattice():
+    # the count tests see every build only if Arrangement.lattice is the one
+    # caller of intersection_lattice and no module but the package's
+    # __init__ (its public export) imports the name
+    calls, imports = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += [(path.name, scope) for scope in _call_scopes(tree, "intersection_lattice")]
+        imports += [path.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and any(a.name == "intersection_lattice" for a in node.names)]
+    assert calls == [("arrangement.py", ("Arrangement", "lattice"))]
+    assert imports == ["__init__.py"]
+
+
+def test_one_arrangement_builds_one_lattice(lattice_count):
+    arr = veys()
+    beta = adapted_vector(arr)
+    for call in (nd_check, lct, candidate_poles, dense_edges, char_poly,
+                 complement_euler, proj_complement_euler, is_indecomposable,
+                 nd_wall_set, log_canonical_polytope, local_zeta, global_zeta,
+                 lambda a: smc_verify(a, veys_broots()),
+                 lambda a: validate_adapted(a, beta)):
+        call(arr)
+    assert lattice_count == [arr]
 
 
 @pytest.mark.parametrize("call", [local_zeta, global_zeta, adapted_vector,
@@ -248,6 +293,7 @@ def test_multi_nd_check_builds_one_lattice(lattice_count):
     assert len(lattice_count) == 1
 
 
-def test_analyze_builds_one_lattice(lattice_count, capsys):
-    assert arrzeta.cli.run(["analyze", "--example", "veys", "--json"]) == 0
+@pytest.mark.parametrize("command", ["analyze", "adapted"])
+def test_analyze_builds_one_lattice(lattice_count, capsys, command):
+    assert arrzeta.cli.run([command, "--example", "veys", "--json"]) == 0
     assert len(lattice_count) == 1

@@ -329,19 +329,6 @@ def test_local_zeta_errors():
         local_zeta(Arrangement(2, []))
 
 
-def test_local_zeta_given_lattice():
-    arr = veys()
-    lat = intersection_lattice(arr)
-    assert local_zeta(arr, lattice=lat) == local_zeta(arr)
-    # the lattice belongs to the arrangement at the origin, not to its
-    # localization at a point
-    with pytest.raises(ValueError):
-        local_zeta(arr, point=(0, 0, 1), lattice=lat)
-    with pytest.raises(ValueError):
-        multivariate_local_zeta(threelines_factored(), point=(0, 0),
-                                lattice=intersection_lattice(threelines_factored()))
-
-
 # ---------------------------------------------------------------------------
 # global zeta
 
@@ -439,7 +426,7 @@ def test_walk_extends_only_nonzero_flags(arr):
     # the walk reads interval_euler(ambient, W_k) once for each flag it
     # reaches, and it reaches exactly the flags from the minimal flat whose
     # running product is nonzero, in the oracle's order
-    lat = intersection_lattice(arr)
+    lat = arr.lattice
     live = [c.flats[-1] for c in enumerate_chains(lat, start=lat.minimal_flat())
             if all(lat.interval_euler(b, a) for a, b in zip(c.flats, c.flats[1:]))]
     reached = []
@@ -452,7 +439,7 @@ def test_walk_extends_only_nonzero_flags(arr):
 
     IntersectionLattice.interval_euler = recorded
     try:
-        local_zeta(arr, lattice=lat)
+        local_zeta(arr)
     finally:
         IntersectionLattice.interval_euler = original
     assert reached == live
