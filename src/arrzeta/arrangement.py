@@ -14,30 +14,22 @@ element the ambient space (empty index set).
 
 The lattice is built over the integers: flats are spanned by integer
 kernel vectors of the primitive integer normals, and membership tests and
-traces are integer dot products.  Every value reported from it (flat
-bases, the Mobius function and the numbers read off it) is still exact,
-and rational values are Fractions.  Each arrangement builds its lattice
-once, on the first read of Arrangement.lattice, and every reader shares it.
+traces are integer dot products.  Every value reported from it (the
+Mobius function and the numbers read off it) is exact.  Each arrangement
+builds its lattice once, on the first read of Arrangement.lattice, and
+every reader shares it.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .core import (MultiPoly, integer_kernel, primitive_key, primitive_normal,
-                   rational, dot)
+from .core import (MultiPoly, as_int, integer_kernel, primitive_key,
+                   primitive_normal, rational, dot)
 
 
 class ArrangementError(ValueError):
     """Invalid arrangement data or an operation outside its preconditions."""
-
-
-def as_int(x, what):
-    """x as an int, if it is an int that is not a bool or a Fraction with
-    denominator 1; anything else raises ArrangementError naming what."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
-        raise ArrangementError("%s must be an integer, got %r" % (what, x))
-    return int(x)
 
 
 class Arrangement:
@@ -60,7 +52,7 @@ class Arrangement:
     """
 
     def __init__(self, n, forms, mults=None, factors=None, name=None):
-        n = as_int(n, "the ambient dimension")
+        n = as_int(n, "the ambient dimension", ArrangementError)
         if n < 1:
             raise ArrangementError("ambient dimension must be at least 1")
         self.n = n
@@ -95,14 +87,15 @@ class Arrangement:
             seen[key] = i
         if mults is None:
             mults = [1] * self.r
-        mults = [as_int(m, "a multiplicity") for m in mults]
+        mults = [as_int(m, "a multiplicity", ArrangementError) for m in mults]
         if len(mults) != self.r:
             raise ArrangementError("expected %d multiplicities, got %d" % (self.r, len(mults)))
         if any(m < 1 for m in mults):
             raise ArrangementError("multiplicities must be positive")
         self.mults = tuple(mults)
         if factors is not None:
-            factors = tuple(tuple(as_int(e, "a factor exponent") for e in row)
+            factors = tuple(tuple(as_int(e, "a factor exponent", ArrangementError)
+                                  for e in row)
                             for row in factors)
             if not factors:
                 raise ArrangementError("factor matrix must have at least one row")
@@ -153,9 +146,8 @@ class Flat:
 
     codim is the codimension of the subspace W.  vectors are integer
     vectors spanning W and den their common scale (core.integer_kernel of
-    the normals in the index set); basis, the deterministic rational basis
-    vectors / den of W (core.kernel_basis of those normals), is derived on
-    first read.
+    the normals in the index set): vectors / den is the basis of W read off
+    the reduced row echelon form of those normals.
     """
 
     def __init__(self, indices, codim, vectors, den):
@@ -163,10 +155,6 @@ class Flat:
         self.codim = int(codim)
         self.vectors = tuple(vectors)
         self.den = den
-
-    @cached_property
-    def basis(self):
-        return tuple(tuple(Fraction(e, self.den) for e in w) for w in self.vectors)
 
     def key(self):
         return (self.codim, tuple(sorted(self.indices)))
@@ -188,25 +176,6 @@ class Flat:
 def _require_central(arr, what):
     if not arr.central:
         raise ArrangementError("%s requires a central arrangement" % what)
-
-
-def closure(arr, indices):
-    """The flat spanned by a set of hyperplane indices.
-
-    One integer kernel of the given normals spans the underlying subspace
-    W; the closed index set is every hyperplane whose normal vanishes on
-    it.  The kernel basis depends only on the row space of the normals, so
-    it is the same deterministic basis as that of the closed set.
-    """
-    _require_central(arr, "closure")
-    indices = set(int(i) for i in indices)
-    for i in indices:
-        if not 0 <= i < arr.r:
-            raise ArrangementError("hyperplane index %d out of range" % i)
-    vectors, den = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)
-    closed = [i for i in range(arr.r)
-              if i in indices or not any(sum(map(mul, arr.normals[i], w)) for w in vectors)]
-    return Flat(closed, arr.n - len(vectors), vectors, den)
 
 
 class IntersectionLattice:
@@ -289,7 +258,7 @@ def intersection_lattice(arr):
     above W, and mu(X, Z) is minus what Z has collected.
     """
     _require_central(arr, "intersection_lattice")
-    ambient = closure(arr, ())
+    ambient = Flat((), 0, *integer_kernel([], arr.n))
     flats = {ambient.indices: ambient}
     covers = {}
     queue = [ambient]
@@ -331,8 +300,10 @@ def intersection_lattice(arr):
 def char_poly(arr, lattice=None):
     """Characteristic polynomial sum of mu(X) t^{dim X}, as a MultiPoly in t.
 
-    Here and in complement_euler and dense_edges, lattice defaults to
-    arr.lattice; one passed in must be arr's.
+    Here and in complement_euler, dense_edges and zeta.candidate_poles,
+    lattice defaults to arr.lattice, which the package reads everywhere;
+    one passed in must be arr's.  The parameter stays for callers that
+    build and time the lattice apart (perfbench/workloads.py).
     """
     lattice = lattice or arr.lattice
     terms = {}

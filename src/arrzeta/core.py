@@ -6,11 +6,12 @@ zeta numerators, and integer affine forms for zeta denominators and wall
 levels.  No floating point is used anywhere.
 
 Rational numbers are stdlib fractions (already canonical: reduced, positive
-denominator).  Matrices are immutable and row major.  Ranks and kernels
-are computed over the integers by fraction-free elimination, which picks
-the first nonzero entry in column order as pivot, so ranks, kernels and
-everything derived from them are deterministic; kernel_basis still
-returns exact Fractions.  The intersection lattice is built on these
+denominator); integer data is an int that is not a bool, or a Fraction with
+denominator 1, and nothing is truncated to fit.  Matrices are immutable and
+row major.  Ranks and kernels are computed over the integers by
+fraction-free elimination (integer_kernel), which picks the first nonzero
+entry in column order as pivot, so ranks, kernels and everything derived
+from them are deterministic.  The intersection lattice is built on these
 integer kernels without making a Fraction.
 """
 
@@ -19,17 +20,26 @@ from math import gcd, lcm
 
 
 def rational(x):
-    """Coerce an int, a 'p/q' string or a Fraction to a Fraction."""
+    """Coerce an int, a 'p/q' string or a Fraction to a Fraction; anything
+    else, a bool or a float included, raises ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError("bad rational literal %r: %s" % (x, e))
-    raise TypeError("cannot interpret %r as a rational" % (x,))
+    raise ValueError("cannot interpret %r as a rational" % (x,))
+
+
+def as_int(x, what, error=ValueError):
+    """x as an int, if it is an int that is not a bool or a Fraction with
+    denominator 1; anything else raises error naming what."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+        raise error("%s must be an integer, got %r" % (what, x))
+    return int(x)
 
 
 def vector(entries):
@@ -68,13 +78,6 @@ class QMatrix:
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def __eq__(self, other):
-        return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
@@ -125,9 +128,9 @@ def integer_kernel(rows, cols):
     return vectors, den
 
 
-def _integer_rows(m):
-    """The rows of a QMatrix (or of a row list), each scaled to integers by
-    the lcm of its denominators; scaling a row keeps the kernel."""
+def rank(m):
+    """Rank of a QMatrix or of a list of rows, over the integers: scaling
+    each row by the lcm of its denominators keeps the kernel."""
     if not isinstance(m, QMatrix):
         m = QMatrix.from_rows(m)
     rows = []
@@ -135,24 +138,7 @@ def _integer_rows(m):
         row = m.row(i)
         den = lcm(*(e.denominator for e in row))
         rows.append([e.numerator * (den // e.denominator) for e in row])
-    return rows, m.cols
-
-
-def rank(m):
-    rows, cols = _integer_rows(m)
-    return cols - len(integer_kernel(rows, cols)[0])
-
-
-def kernel_basis(m):
-    """Basis of the right kernel, one vector per free column.
-
-    Free variables are taken in increasing column order and set to 1, so
-    the basis is deterministic: it is the basis read off the reduced row
-    echelon form, and depends only on the row space.  A 0 x n matrix
-    yields the standard basis.
-    """
-    vectors, den = integer_kernel(*_integer_rows(m))
-    return [tuple(Fraction(e, den) for e in w) for w in vectors]
+    return m.cols - len(integer_kernel(rows, m.cols)[0])
 
 
 def primitive_key(v):
@@ -339,8 +325,8 @@ class AffineForm:
     """
 
     def __init__(self, coeffs, const):
-        coeffs = tuple(int(c) for c in coeffs)
-        const = int(const)
+        coeffs = tuple(as_int(c, "an affine form coefficient") for c in coeffs)
+        const = as_int(const, "an affine form constant")
         if not coeffs or all(c == 0 for c in coeffs):
             raise ValueError("affine form needs a nonzero coefficient vector")
         g = gcd(*coeffs, const)
@@ -354,8 +340,8 @@ class AffineForm:
     @classmethod
     def canonical(cls, coeffs, const):
         """Normalize integer data; return (form, scale) with input = scale * form."""
-        coeffs = [int(c) for c in coeffs]
-        const = int(const)
+        coeffs = [as_int(c, "an affine form coefficient") for c in coeffs]
+        const = as_int(const, "an affine form constant")
         if not coeffs or all(c == 0 for c in coeffs):
             raise ValueError("affine form needs a nonzero coefficient vector")
         g = gcd(*coeffs, const)

@@ -34,12 +34,6 @@ def threelines_factored():
                        factors=[(1, 0, 0), (0, 1, 1)], name="threelines-factored")
 
 
-def boolean2_factored():
-    """xy split as h_1 = x, h_2 = y."""
-    return Arrangement(2, [(1, 0), (0, 1)], mults=[1, 1],
-                       factors=[(1, 0), (0, 1)], name="boolean2-factored")
-
-
 def veys_broots():
     """Roots of the Bernstein-Sato polynomial of the veys arrangement."""
     roots = [Fraction(-1, 3), Fraction(-2, 3), Fraction(-4, 3)]

@@ -19,8 +19,8 @@ judged, so a report can be audited without rerunning anything.
 from fractions import Fraction
 from itertools import combinations
 
-from .core import AffineForm, integer_kernel, rational
-from .arrangement import ArrangementError, as_int, dense_edges
+from .core import AffineForm, as_int, integer_kernel, rational
+from .arrangement import ArrangementError, dense_edges
 from .zeta import (candidate_poles, local_zeta, multivariate_global_zeta,
                    multivariate_local_zeta, poles, resolution_datum)
 
@@ -100,20 +100,6 @@ def log_canonical_polytope(arr):
     if arr.r == 0:
         raise ArrangementError("polytope of the empty arrangement")
     return Polytope(arr.r, [(f.indices, f.codim) for f in dense_edges(arr)])
-
-
-def polytope_member(poly, beta, strict=False):
-    """Membership of a positive vector; strict checks the open inequalities."""
-    beta = tuple(rational(x) for x in beta)
-    if len(beta) != poly.r:
-        raise ValueError("vector length %d, polytope lives in R^%d" % (len(beta), poly.r))
-    if any(x <= 0 for x in beta):
-        raise ValueError("polytope membership is defined for positive vectors")
-    for indices, bound in poly.inequalities:
-        s = sum((beta[i] for i in indices), Fraction(0))
-        if s > bound or (strict and s == bound):
-            return False
-    return True
 
 
 def _require_verdict_input(arr, what, nd=False):
@@ -255,15 +241,14 @@ def nd_check(arr):
     ratio = Fraction(-n, d)
     cands = candidate_poles(arr)
     z = local_zeta(arr)
-    pole_pairs = poles(z).univariate
-    pole_set = {p for p, _ in pole_pairs}
+    report = poles(z)
     is_cand = ratio in cands
-    is_pole = ratio in pole_set
+    is_pole = ratio in report.pole_set()
     witnesses = ["-n/d = %s with n = %d, d = %d" % (ratio, n, d),
                  "candidate pole: %s" % ("yes" if is_cand else "NO"),
                  "pole of the local zeta function: %s" % ("yes" if is_pole else "no")]
     data = {"n": n, "d": d, "ratio": ratio, "candidates": list(cands),
-            "poles": list(pole_pairs), "is_candidate": is_cand, "is_pole": is_pole,
+            "poles": list(report.univariate), "is_candidate": is_cand, "is_pole": is_pole,
             "zeta": z}
     return Verdict(is_cand, witnesses, data)
 
@@ -321,26 +306,24 @@ def multi_nd_check(arr):
 
 def multi_smc_verify(arr, zero_locus):
     """Check the polar locus of the multivariate global zeta against a
-    supplied zero locus (a list of affine forms, canonicalized on input)."""
-    if not arr.central:
-        raise ArrangementError("multi_smc_verify needs a central arrangement")
-    if arr.r == 0:
-        raise ArrangementError("multi_smc_verify needs at least one hyperplane")
-    if arr.factors is None:
-        raise ArrangementError("multi_smc_verify needs a factorization")
+    supplied zero locus (a list of affine forms, canonicalized on input).
+
+    The zeta is computed first, which checks that the arrangement is
+    central, nonempty and factored; then the zero locus rows are read.
+    """
+    z = multivariate_global_zeta(arr)
     width = len(arr.factors) + 1
     allowed = set()
     for j, item in enumerate(zero_locus):
         if isinstance(item, AffineForm):
             row = item.coeffs + (item.const,)
         else:
-            row = [as_int(e, "a zero locus entry") for e in item]
+            row = [as_int(e, "a zero locus entry", ArrangementError) for e in item]
         if len(row) != width:
             raise ArrangementError("zero locus row %d has %d entries, expected %d "
                                    "(one per factor, then the constant)"
                                    % (j + 1, len(row), width))
         allowed.add(AffineForm.canonical(row[:-1], row[-1])[0])
-    z = multivariate_global_zeta(arr)
     polar = [f for f, _ in poles(z).multivariate]
     offenders = [f for f in polar if f not in allowed]
     witnesses = []

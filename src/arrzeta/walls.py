@@ -14,9 +14,9 @@ infinitesimal nudge of the endpoints makes distinct.
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 
-from .core import rational, vector
+from .core import as_int, rational, vector
 from .arrangement import dense_edges
 
 
@@ -24,7 +24,7 @@ class WallFamily:
     """A primitive nonnegative normal with its offset set."""
 
     def __init__(self, normal, offsets):
-        normal = tuple(int(e) for e in normal)
+        normal = tuple(as_int(e, "a wall normal entry") for e in normal)
         if not normal or all(e == 0 for e in normal):
             raise ValueError("wall family needs a nonzero normal")
         if any(e < 0 for e in normal):
@@ -43,10 +43,6 @@ class WallFamily:
     @property
     def dim(self):
         return len(self.normal)
-
-    def content(self):
-        """lcm of the offset denominators (1 for integer walls)."""
-        return lcm(*(o.denominator for o in self.offsets))
 
     def evaluate(self, point):
         point = vector(point)
@@ -108,7 +104,7 @@ class WallInstance:
     """One wall: a family normal with a concrete level gamma."""
 
     def __init__(self, normal, gamma):
-        self.normal = tuple(int(e) for e in normal)
+        self.normal = tuple(as_int(e, "a wall normal entry") for e in normal)
         self.gamma = rational(gamma)
 
     def key(self):
@@ -130,18 +126,13 @@ class WallInstance:
 def walls_from_resolution(data):
     """Wall families generated by order tuples of a resolution.
 
-    Each datum (a ResolutionDatum with factor orders, or a plain tuple of
-    nonnegative integers) of content c contributes its primitive normal
-    with offsets 0, 1/c, ..., (c-1)/c; families with equal normals merge.
+    Each tuple of nonnegative integers (the ord of a ResolutionDatum, say)
+    of content c contributes its primitive normal with offsets 0, 1/c, ...,
+    (c-1)/c; families with equal normals merge.
     """
     fams = {}
     for item in data:
-        if hasattr(item, "ord"):
-            if item.ord is None:
-                raise ValueError("resolution datum %r has no factor orders" % (item,))
-            raw = item.ord
-        else:
-            raw = tuple(int(e) for e in item)
+        raw = tuple(as_int(e, "an order tuple entry") for e in item)
         if any(e < 0 for e in raw):
             raise ValueError("order tuples are nonnegative")
         if all(e == 0 for e in raw):
@@ -191,10 +182,6 @@ def separating_walls(walls, a, b):
     """
     return sorted(WallInstance(fam.normal, gamma)
                   for fam, _, _, gamma in _crossed_levels(walls, vector(a), vector(b)))
-
-
-def same_chamber(walls, a, b):
-    return not separating_walls(walls, a, b)
 
 
 def chamber_path(walls, a, b):

@@ -225,28 +225,6 @@ def poles(z):
     return PoleReport(multivariate=z.denominator_factors())
 
 
-def specialize(z, weights):
-    """Substitute s_j = w_j s for positive integer weights w_j.
-
-    Specializing a univariate zeta with weight (1,) is the identity.
-    """
-    weights = [int(w) for w in weights]
-    if len(weights) != z.nvars:
-        raise ValueError("expected %d weights, got %d" % (z.nvars, len(weights)))
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must be positive integers")
-    terms = []
-    for coef, dens in z.terms:
-        new = []
-        for f in dens:
-            merged = sum(c * w for c, w in zip(f.coeffs, weights))
-            form, scale = AffineForm.canonical((merged,), f.const)
-            coef = coef / scale
-            new.append(form)
-        terms.append((coef, new))
-    return ZetaFunction(1, terms)
-
-
 # ---------------------------------------------------------------------------
 # the flag formula
 

@@ -1,24 +1,34 @@
 """Shared fixture builders, seeded random generators and test oracles for
-the suite."""
+the suite.
+
+The oracles are routes the library does not take, kept here to check the
+routes it does: row reduction over Q (fraction_kernel), the rational basis
+of a flat (flat_basis), the closure of an index set, the chain-sum flag
+formula, the geometric interval and restriction arrangements, the
+specialization of a multivariate zeta, polytope membership and the
+concrete-nudge chamber path.
+"""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
-                     intersection_lattice, localized_walls, primitive_normal,
-                     rank, resolution_datum, separating_walls)
+from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, QMatrix,
+                     ZetaFunction, integer_kernel, intersection_lattice,
+                     localized_walls, primitive_normal, rank, rational,
+                     resolution_datum, separating_walls)
 from arrzeta.arrangement import _require_central
 from arrzeta.core import dot
-from arrzeta.examples import (boolean2, boolean2_factored, threelines,
-                              threelines_factored, veys)
+from arrzeta.examples import boolean2, threelines, threelines_factored, veys
 
 __all__ = [
     "boolean2", "boolean2_factored", "threelines", "threelines_factored",
     "veys", "braid", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
     "random_central_c3", "random_rational_point", "fraction_kernel",
-    "Chain", "enumerate_chains", "chain_terms", "interval_arrangement",
-    "restriction_arrangement", "nudged_path",
+    "flat_basis", "closure", "Chain", "enumerate_chains", "chain_terms",
+    "interval_arrangement", "restriction_arrangement", "specialize",
+    "polytope_member", "nudged_path",
 ]
 
 
@@ -50,6 +60,36 @@ def fraction_kernel(rows, cols):
                 v[p] = -row[f]
             basis.append(tuple(v))
     return len(pivots), basis
+
+
+def flat_basis(flat):
+    """The rational basis vectors / den of a flat's subspace."""
+    return tuple(tuple(Fraction(e, flat.den) for e in w) for w in flat.vectors)
+
+
+def closure(arr, indices):
+    """The flat spanned by a set of hyperplane indices.
+
+    One integer kernel of the given normals spans the underlying subspace
+    W; the closed index set is every hyperplane whose normal vanishes on
+    it.  The kernel basis depends only on the row space of the normals, so
+    it is the same deterministic basis as that of the closed set.
+    """
+    _require_central(arr, "closure")
+    indices = set(int(i) for i in indices)
+    for i in indices:
+        if not 0 <= i < arr.r:
+            raise ArrangementError("hyperplane index %d out of range" % i)
+    vectors, den = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)
+    closed = [i for i in range(arr.r)
+              if i in indices or not any(sum(map(mul, arr.normals[i], w)) for w in vectors)]
+    return Flat(closed, arr.n - len(vectors), vectors, den)
+
+
+def boolean2_factored():
+    """xy split as h_1 = x, h_2 = y."""
+    return Arrangement(2, [(1, 0), (0, 1)], mults=[1, 1],
+                       factors=[(1, 0), (0, 1)], name="boolean2-factored")
 
 
 def braid(n):
@@ -247,7 +287,7 @@ def interval_arrangement(arr, lower, upper):
     if not upper.indices < lower.indices:
         raise ArrangementError("interval needs strictly nested flats "
                                "(lower strictly inside upper)")
-    ext = _extend_basis([list(v) for v in lower.basis], upper.basis, arr.n)
+    ext = _extend_basis([list(v) for v in flat_basis(lower)], flat_basis(upper), arr.n)
     m = lower.codim - upper.codim
     assert len(ext) == m, "basis extension does not match codimension step"
     rows = []
@@ -274,10 +314,49 @@ def restriction_arrangement(arr, flat):
     for i in range(arr.r):
         if i in flat.indices:
             continue
-        row = tuple(dot(arr.forms[i], v) for v in flat.basis)
+        row = tuple(dot(arr.forms[i], v) for v in flat_basis(flat))
         assert any(e != 0 for e in row), "trace vanished off the flat's index set"
         rows.append(row)
     return Arrangement(d, _dedupe_forms(rows))
+
+
+# ---------------------------------------------------------------------------
+# specialization and polytope membership
+
+def specialize(z, weights):
+    """Substitute s_j = w_j s for positive integer weights w_j, term by term.
+
+    Specializing a univariate zeta with weight (1,) is the identity.
+    """
+    weights = [int(w) for w in weights]
+    if len(weights) != z.nvars:
+        raise ValueError("expected %d weights, got %d" % (z.nvars, len(weights)))
+    if any(w < 1 for w in weights):
+        raise ValueError("weights must be positive integers")
+    terms = []
+    for coef, dens in z.terms:
+        new = []
+        for f in dens:
+            merged = sum(c * w for c, w in zip(f.coeffs, weights))
+            form, scale = AffineForm.canonical((merged,), f.const)
+            coef = coef / scale
+            new.append(form)
+        terms.append((coef, new))
+    return ZetaFunction(1, terms)
+
+
+def polytope_member(poly, beta, strict=False):
+    """Membership of a positive vector; strict checks the open inequalities."""
+    beta = tuple(rational(x) for x in beta)
+    if len(beta) != poly.r:
+        raise ValueError("vector length %d, polytope lives in R^%d" % (len(beta), poly.r))
+    if any(x <= 0 for x in beta):
+        raise ValueError("polytope membership is defined for positive vectors")
+    for indices, bound in poly.inequalities:
+        s = sum((beta[i] for i in indices), Fraction(0))
+        if s > bound or (strict and s == bound):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

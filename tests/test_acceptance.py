@@ -15,16 +15,16 @@ from arrzeta import (BRootSet, DiagClass, MonomialConnectionSpec, WallFamily,
                      extend_restricted_walls, lct, local_zeta,
                      localized_walls, log_canonical_polytope,
                      multi_nd_check, multi_smc_verify, multivariate_local_zeta,
-                     nd_check, nd_wall_set, poles, polytope_member, rank2_zeta,
-                     same_chamber, separating_walls, smc_verify, snc_zeta,
-                     specialize, validate_adapted)
+                     nd_check, nd_wall_set, poles, rank2_zeta,
+                     separating_walls, smc_verify, snc_zeta, validate_adapted)
 from arrzeta.cli import run
 from arrzeta.core import AffineForm
 from arrzeta.examples import veys_broots
 
-from conftest import (boolean2, boolean2_factored, random_central_c3,
-                      random_lines, random_rational_point, threelines,
-                      threelines_factored, veys, xy_ab, xy_in_c3, xyz)
+from conftest import (boolean2, boolean2_factored, polytope_member,
+                      random_central_c3, random_lines, random_rational_point,
+                      specialize, threelines, threelines_factored, veys, xy_ab,
+                      xy_in_c3, xyz)
 
 F = Fraction
 
@@ -152,7 +152,6 @@ def test_08_wall_chamber_properties():
         assert sorted(separating_walls(ws, a, m)
                       + separating_walls(ws, m, b)) == sep
         assert sorted(chamber_path(ws, a, b)) == sep
-        assert same_chamber(ws, a, b) == (not sep)
         pairs += 1
     report(8, "separation symmetry, segment additivity and chamber path "
               "crossings agree on 100 random pairs over 3 wall sets")

@@ -5,15 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from arrzeta import (Arrangement, ArrangementError, char_poly, closure,
+from arrzeta import (Arrangement, ArrangementError, char_poly,
                      complement_euler, dense_edges, intersection_lattice,
                      is_essential, is_indecomposable, localize_at_point,
                      proj_complement_euler)
 from arrzeta.core import MultiPoly
 
-from conftest import (boolean2, interval_arrangement, ninefold, random_central_c3,
-                      restriction_arrangement, threelines, threelines_factored,
-                      veys, xy_in_c3, xyz)
+from conftest import (boolean2, closure, interval_arrangement, ninefold,
+                      random_central_c3, restriction_arrangement, threelines,
+                      threelines_factored, veys, xy_in_c3, xyz)
 
 F = Fraction
 
@@ -62,6 +62,15 @@ def test_rejects_non_integer_data(n, mults, factors):
     # truncated: mults [1, 2.5, 1] used to read as (1, 2, 1)
     with pytest.raises(ArrangementError, match="must be an integer"):
         Arrangement(n, [(1, 0), (0, 1), (1, -1)], mults=mults, factors=factors)
+
+
+@pytest.mark.parametrize("form", [(True, 0), (1, False), (1.5, 0), (1, 0.0)],
+                         ids=["bool", "bool-zero", "float", "float-zero"])
+def test_rejects_bool_and_float_forms(form):
+    # (True, 0) is not the line x = 0, and a float is a ValueError, not a
+    # TypeError, so the command line reports it as bad input
+    with pytest.raises(ValueError, match="cannot interpret"):
+        Arrangement(2, [form])
 
 
 def test_accepts_integral_fractions():

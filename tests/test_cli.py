@@ -157,6 +157,16 @@ def test_zeta_json_roundtrip(capsys):
     assert out == again
 
 
+@pytest.mark.parametrize("coeffs, const", [([1.5], 1), ([3], "1"), ([True], 1)],
+                         ids=["float", "str", "bool"])
+def test_zeta_from_json_rejects_non_integer_forms(coeffs, const):
+    # a denominator entry is never truncated: [1.5] is not the form s + 1
+    data = {"variables": 1, "terms": [{"coef": "1", "denominator": [
+        {"coeffs": coeffs, "const": const}]}]}
+    with pytest.raises(ValueError, match="must be an integer"):
+        zeta_from_json(data)
+
+
 def test_zeta_global_matches_local(capsys):
     code, out_l, _ = run_cli(capsys, ["zeta", "--example", "veys", "--json"])
     code_g, out_g, _ = run_cli(capsys, ["zeta", "--example", "veys", "--global", "--json"])

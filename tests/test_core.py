@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrzeta.core import (AffineForm, MultiPoly, QMatrix, div_linear,
-                          integer_kernel, kernel_basis, poly_eval,
-                          primitive_normal, rank, rational)
+                          integer_kernel, poly_eval, primitive_normal, rank,
+                          rational)
 
 from conftest import fraction_kernel
 
@@ -32,8 +32,10 @@ def test_rational_coercion():
         rational("x")
     with pytest.raises(ValueError):
         rational("1/0")
-    with pytest.raises(TypeError):
-        rational(0.5)
+    # a bool or a float is not read as a number
+    for bad in (0.5, 2.0, True, False, None):
+        with pytest.raises(ValueError, match="cannot interpret"):
+            rational(bad)
 
 
 def test_matrix_validation():
@@ -57,11 +59,12 @@ def test_rank_examples():
 
 
 def test_kernel_basis_examples():
-    # single relation in the plane: free variable set to 1
-    assert kernel_basis(QMatrix.from_rows([[1, 1]])) == [(F(-1), F(1))]
-    assert kernel_basis(QMatrix.from_rows([[1, 0], [0, 1]])) == []
+    # single relation in the plane: free variable set to the scale den
+    assert integer_kernel([[1, 1]], 2) == ([(-1, 1)], 1)
+    assert integer_kernel([[2, 3]], 2) == ([(-3, 2)], 2)
+    assert integer_kernel([[1, 0], [0, 1]], 2) == ([], 1)
     # 0 x n matrix has the standard basis as kernel
-    assert kernel_basis(QMatrix.from_rows([], cols=2)) == [(F(1), F(0)), (F(0), F(1))]
+    assert integer_kernel([], 2) == ([(1, 0), (0, 1)], 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,11 +72,11 @@ def test_kernel_basis_examples():
                 min_size=1, max_size=4))
 def test_rank_nullity_and_annihilation(rows):
     m = QMatrix.from_rows(rows)
-    basis = kernel_basis(m)
+    basis, _ = integer_kernel(rows, m.cols)
     assert rank(m) + len(basis) == m.cols
     for v in basis:
-        for i in range(m.rows):
-            assert sum(a * b for a, b in zip(m.row(i), v)) == 0
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 rational_entries = st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4,
@@ -91,7 +94,6 @@ def test_kernel_matches_fraction_row_reduction(shape):
     m = QMatrix.from_rows(rows, cols=cols)
     want_rank, want_basis = fraction_kernel(rows, cols)
     assert rank(m) == want_rank
-    assert kernel_basis(m) == want_basis
     # each integer vector is den times the basis vector: den sits at its free column
     scaled = [[int(e * lcm(*(F(x).denominator for x in row))) for e in row] for row in rows]
     vectors, den = integer_kernel(scaled, cols)
@@ -164,6 +166,9 @@ def test_affine_form_canonical():
     assert (f.coeffs, f.const, scale) == ((1, 0, 2), 3, -2)
     f, scale = AffineForm.canonical((1, 1), 0)
     assert (f.coeffs, f.const, scale) == ((1, 1), 0, 1)
+    # integral Fractions are integers
+    f, scale = AffineForm.canonical((F(4, 2), F(6, 3)), F(2, 1))
+    assert (f.coeffs, f.const, scale) == ((1, 1), 1, 2)
     with pytest.raises(ValueError):
         AffineForm.canonical((0, 0), 5)
     with pytest.raises(ValueError):
@@ -172,6 +177,19 @@ def test_affine_form_canonical():
         AffineForm((-1,), 1)  # sign
     with pytest.raises(ValueError):
         AffineForm((), 1)
+
+
+@pytest.mark.parametrize("coeffs, const", [
+    ((F(3, 2),), 1), ((1,), F(1, 2)), ((1.9, 1), 0), ((1,), 0.0), ((True,), 0),
+    ((1,), False), (("2",), 1)], ids=["coef-fraction", "const-fraction",
+                                      "coef-float", "const-float", "coef-bool",
+                                      "const-bool", "coef-str"])
+def test_affine_form_rejects_non_integers(coeffs, const):
+    # entries are never truncated: (3/2) s + 1 is not s + 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        AffineForm(coeffs, const)
+    with pytest.raises(ValueError, match="must be an integer"):
+        AffineForm.canonical(coeffs, const)
 
 
 def test_affine_form_behaviour():

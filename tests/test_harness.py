@@ -7,13 +7,13 @@ import pytest
 
 from arrzeta import (Arrangement, ArrangementError, BRootSet, Polytope,
                      adapted_vector, lct, log_canonical_polytope,
-                     multi_nd_check, multi_smc_verify, nd_check,
-                     polytope_member, smc_verify, validate_adapted)
+                     multi_nd_check, multi_smc_verify, nd_check, smc_verify,
+                     validate_adapted)
 from arrzeta.core import AffineForm, QMatrix, rank
 from arrzeta.examples import veys_broots
 
-from conftest import (boolean2, ninefold, threelines, threelines_factored,
-                      veys, xy_ab, xy_in_c3, xyz)
+from conftest import (boolean2, ninefold, polytope_member, threelines,
+                      threelines_factored, veys, xy_ab, xy_in_c3, xyz)
 
 F = Fraction
 
@@ -205,6 +205,13 @@ def test_smc_verify_accepts_plain_lists():
     assert smc_verify(threelines(), ["-1", "-2/3"]).passed
     with pytest.raises(ValueError):
         BRootSet([])
+
+
+@pytest.mark.parametrize("root", [0.5, -1.0, True, False], ids=["float", "float-int",
+                                                                "true", "false"])
+def test_broots_reject_bool_and_float(root):
+    with pytest.raises(ValueError, match="cannot interpret"):
+        BRootSet([F(-1), root])
 
 
 def test_broots_from_json():

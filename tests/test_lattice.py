@@ -15,18 +15,18 @@ import arrzeta.arrangement
 import arrzeta.cli
 from arrzeta.core import div_linear, integer_kernel, poly_eval, primitive_normal
 from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
-                     adapted_vector, candidate_poles, char_poly, closure,
+                     adapted_vector, candidate_poles, char_poly,
                      complement_euler, dense_edges, global_zeta,
                      intersection_lattice, is_essential, is_indecomposable,
-                     kernel_basis, lct, local_zeta, log_canonical_polytope,
-                     multi_nd_check, nd_check, nd_wall_set, proj_complement_euler,
-                     rank, smc_verify, validate_adapted)
+                     lct, local_zeta, log_canonical_polytope, multi_nd_check,
+                     nd_check, nd_wall_set, proj_complement_euler, rank,
+                     smc_verify, validate_adapted)
 from arrzeta.examples import veys_broots
 
-from conftest import (boolean2, braid, fraction_kernel, interval_arrangement,
-                      ninefold, random_central_c3, random_lines,
-                      restriction_arrangement, threelines, threelines_factored,
-                      veys, xy_in_c3, xyz)
+from conftest import (boolean2, braid, closure, flat_basis, fraction_kernel,
+                      interval_arrangement, ninefold, random_central_c3,
+                      random_lines, restriction_arrangement, threelines,
+                      threelines_factored, veys, xy_in_c3, xyz)
 
 
 def matroid_connected(normals, n):
@@ -112,7 +112,7 @@ def test_dense_edges_match_bipartition_oracle(arr):
 def test_closure_basis_is_that_of_the_closed_set(arr):
     for f in intersection_lattice(arr).flats:
         rows = [arr.forms[i] for i in sorted(f.indices)]
-        assert closure(arr, f.indices).basis == tuple(kernel_basis(QMatrix.from_rows(rows, cols=arr.n)))
+        assert flat_basis(closure(arr, f.indices)) == tuple(fraction_kernel(rows, arr.n)[1])
 
 
 @over_corpus
@@ -122,8 +122,8 @@ def test_lattice_is_the_closure_of_every_subset(arr):
     for k in range(arr.r + 1):
         for subset in combinations(range(arr.r), k):
             f = closure(arr, subset)
-            oracle[f.indices] = (f.codim, f.basis)
-    assert {f.indices: (f.codim, f.basis) for f in lat.flats} == oracle
+            oracle[f.indices] = (f.codim, flat_basis(f))
+    assert {f.indices: (f.codim, flat_basis(f)) for f in lat.flats} == oracle
 
 
 @over_corpus
@@ -181,12 +181,12 @@ def test_integer_lattice_matches_rational_oracle(arr):
     flats, table = brute_force_lattice(arr)
     primitive = Arrangement(arr.n, arr.normals)
     for lat in (intersection_lattice(arr), intersection_lattice(primitive)):
-        assert {f.indices: (f.codim, f.basis) for f in lat.flats} == flats
+        assert {f.indices: (f.codim, flat_basis(f)) for f in lat.flats} == flats
         assert lat._table == table
 
 
 def test_lattice_is_built_without_fractions(monkeypatch):
-    """Fractions appear only when a flat's rational basis is first read."""
+    """No Fraction is made until a flat's rational basis is read."""
     arrs = [braid(5), Arrangement(3, [(1, k, k * k) for k in range(1, 21)])]
     made = []
     original = Fraction.__new__
@@ -199,7 +199,7 @@ def test_lattice_is_built_without_fractions(monkeypatch):
     lattices = [intersection_lattice(arr) for arr in arrs]
     assert [len(lat) for lat in lattices] == [52, 212]
     assert made == []
-    assert lattices[0].flats[1].basis and made
+    assert flat_basis(lattices[0].flats[1]) and made
 
 
 def test_interval_euler_needs_nested_flats():

@@ -12,15 +12,16 @@ from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      dense_edges, global_zeta,
                      intersection_lattice, local_zeta,
                      multivariate_global_zeta, multivariate_local_zeta, poles,
-                     rank2_zeta, resolution_datum, snc_zeta, specialize)
+                     rank2_zeta, resolution_datum, snc_zeta)
 from arrzeta.arrangement import IntersectionLattice
 from arrzeta.core import AffineForm, MultiPoly, primitive_normal
 from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
                       enumerate_chains, ninefold, random_central_c3,
-                      random_lines, random_rational_point, threelines,
-                      threelines_factored, veys, xy_ab, xy_in_c3, xyz)
+                      random_lines, random_rational_point, specialize,
+                      threelines, threelines_factored, veys, xy_ab, xy_in_c3,
+                      xyz)
 
 F = Fraction
 
