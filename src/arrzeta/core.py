@@ -183,7 +183,8 @@ class MultiPoly:
             c = rational(c)
             if c == 0:
                 continue
-            ex = tuple(int(e) for e in ex)
+            if type(ex) is not tuple or not all(type(e) is int for e in ex):
+                ex = tuple(as_int(e, "an exponent") for e in ex)
             if len(ex) != nvars or any(e < 0 for e in ex):
                 raise ValueError("bad exponent tuple %r for %d variables" % (ex, nvars))
             clean[ex] = c

@@ -72,13 +72,13 @@ class Polytope:
     """Intersection of half spaces  sum_{i in I} beta_i <= bound."""
 
     def __init__(self, r, inequalities):
-        self.r = int(r)
+        self.r = as_int(r, "the dimension")
         ineqs = []
         for indices, bound in inequalities:
-            indices = frozenset(int(i) for i in indices)
+            indices = frozenset(as_int(i, "an inequality index") for i in indices)
             if any(not 0 <= i < self.r for i in indices):
                 raise ValueError("inequality index out of range")
-            ineqs.append((indices, int(bound)))
+            ineqs.append((indices, as_int(bound, "an inequality bound")))
         self.inequalities = tuple(sorted(ineqs, key=lambda q: (len(q[0]), sorted(q[0]))))
 
     def __repr__(self):

@@ -14,14 +14,19 @@ characteristics are read off the Mobius table (interval_euler) of the
 arrangement's one intersection lattice, Arrangement.lattice; no interval
 arrangement is built.
 
-Results are exact rational functions: a list of flag terms plus a
-normalized numerator / denominator pair in which every removable linear
-factor has been cancelled, so the reported poles are genuine.
+The flag sum is taken by a recursion over the proper flats (_flag_sum)
+that keeps, for each flat, the sum over the flags from it up to the
+ambient space with equal denominators merged; no flag is enumerated.
+Results are exact rational functions: a normalized numerator / denominator
+pair in which every removable linear factor has been cancelled, so the
+reported poles are genuine, and the list of raw flag terms, which the flag
+walk (_flag_terms) produces when it is first read.
 """
 
+from bisect import bisect
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_affine, div_linear,
@@ -83,7 +88,9 @@ def candidate_poles(arr, multi=False, lattice=None):
 class ZetaFunction:
     """Sum of constant/product-of-affine-forms terms, kept in two shapes.
 
-    terms: the raw flag contributions (coefficient, denominator factors).
+    terms: the raw flag contributions (coefficient, sorted denominator
+        factors), zero terms dropped.  A zeta function built from an
+        arrangement computes them on first read, by the flag walk.
     numerator, denominator: the normalized quotient over the least common
         denominator with all removable affine factors cancelled; the pole
         data is read from this shape.  A zero sum has zero numerator and
@@ -92,6 +99,30 @@ class ZetaFunction:
 
     def __init__(self, nvars, terms):
         self.nvars = int(nvars)
+        # an instance attribute shadows the lazy terms property below
+        self.terms = self._clean(terms)
+        merged = {}
+        for coef, dens in self.terms:
+            merged[dens] = merged.get(dens, Fraction(0)) + coef
+        self.numerator, self.denominator = _normalize(self.nvars, merged)
+
+    @classmethod
+    def _from_merged(cls, nvars, merged, source):
+        """The quotient of merged ({sorted denominator: coefficient}); the
+        raw terms come from source() on first read."""
+        z = cls.__new__(cls)
+        z.nvars = nvars
+        z._source = source
+        z.numerator, z.denominator = _normalize(nvars, merged)
+        return z
+
+    @cached_property
+    def terms(self):
+        terms = self._clean(self._source())
+        del self._source
+        return terms
+
+    def _clean(self, terms):
         clean = []
         for coef, dens in terms:
             coef = rational(coef)
@@ -102,49 +133,7 @@ class ZetaFunction:
                                      % (f, self.nvars))
             if coef != 0:
                 clean.append((coef, dens))
-        self.terms = tuple(clean)
-        self.numerator, self.denominator = self._normalize()
-
-    def _normalize(self):
-        # terms with equal denominators are summed first; the LCD still
-        # covers every raw term, also those whose sum is zero.  The merged
-        # coefficients are scaled to integers by the lcm of their
-        # denominators, each term is expanded against the LCD on a raw
-        # integer dict, and the sum is divided by that one scale at the end
-        lcd = {}
-        merged = {}
-        for coef, dens in self.terms:
-            for f, k in Counter(dens).items():
-                lcd[f] = max(lcd.get(f, 0), k)
-            merged[dens] = merged.get(dens, Fraction(0)) + coef
-        merged = {dens: coef for dens, coef in merged.items() if coef}
-        scale = lcm(*(coef.denominator for coef in merged.values()))
-        pairs = {f: [(j, c) for j, c in enumerate(f.coeffs) if c] for f in lcd}
-        total = {}
-        for dens, coef in merged.items():
-            part = {(0,) * self.nvars: coef.numerator * (scale // coef.denominator)}
-            counts = Counter(dens)
-            for f, k in lcd.items():
-                for _ in range(k - counts.get(f, 0)):
-                    part = _add_times_affine({}, part, pairs[f], f.const)
-            for ex, c in part.items():
-                total[ex] = total.get(ex, 0) + c
-        num = MultiPoly(self.nvars, {ex: Fraction(c, scale) for ex, c in total.items() if c})
-        if num.is_zero():
-            return num, {}
-        den = dict(lcd)
-        for f in sorted(den):
-            while den[f] > 0:
-                quot, rem = div_linear(num, f)
-                if not rem.is_zero():
-                    break
-                num = quot
-                den[f] -= 1
-            if den[f] == 0:
-                del den[f]
-        if num.total_degree() >= sum(den.values()):
-            raise ValueError("zeta function is not a proper rational function")
-        return num, den
+        return tuple(clean)
 
     def is_zero(self):
         return self.numerator.is_zero()
@@ -195,6 +184,49 @@ class ZetaFunction:
         return "ZetaFunction(%s)" % self.format_str()
 
 
+def _normalize(nvars, merged):
+    """The reduced quotient of a sum given as {sorted denominator tuple:
+    coefficient}.  The nonzero coefficients are scaled to integers by the
+    lcm of their denominators, each term is expanded against the least
+    common denominator on a raw integer dict, and the sum is divided by
+    that one scale at the end; then every denominator factor that divides
+    the numerator is cancelled.  The reduced quotient with canonical
+    denominator forms is unique, so any grouping of the same sum into
+    merged terms gives the same numerator and denominator."""
+    merged = {dens: coef for dens, coef in merged.items() if coef}
+    lcd = {}
+    for dens in merged:
+        for f, k in Counter(dens).items():
+            lcd[f] = max(lcd.get(f, 0), k)
+    scale = lcm(*(coef.denominator for coef in merged.values()))
+    pairs = {f: [(j, c) for j, c in enumerate(f.coeffs) if c] for f in lcd}
+    total = {}
+    for dens, coef in merged.items():
+        part = {(0,) * nvars: coef.numerator * (scale // coef.denominator)}
+        counts = Counter(dens)
+        for f, k in lcd.items():
+            for _ in range(k - counts.get(f, 0)):
+                part = _add_times_affine({}, part, pairs[f], f.const)
+        for ex, c in part.items():
+            total[ex] = total.get(ex, 0) + c
+    num = MultiPoly(nvars, {ex: Fraction(c, scale) for ex, c in total.items() if c})
+    if num.is_zero():
+        return num, {}
+    den = dict(lcd)
+    for f in sorted(den):
+        while den[f] > 0:
+            quot, rem = div_linear(num, f)
+            if not rem.is_zero():
+                break
+            num = quot
+            den[f] -= 1
+        if den[f] == 0:
+            del den[f]
+    if num.total_degree() >= sum(den.values()):
+        raise ValueError("zeta function is not a proper rational function")
+    return num, den
+
+
 class PoleReport:
     """Poles of a normalized zeta function.
 
@@ -228,18 +260,15 @@ def poles(z):
 # ---------------------------------------------------------------------------
 # the flag formula
 
-def _flag_terms(arr, multi):
-    """The flag formula, walked level by level from the minimal flat.
+def _flag_data(arr, multi):
+    """(forms, extensions) shared by the flag walk and the flag sum.
 
-    A flag W_1 < ... < W_k (W_1 the minimal flat) carries the running
-    product of interval_euler(W_(j+1), W_j) over the scales of its
-    denominator forms, and its term is that times interval_euler(ambient,
-    W_k).  A flag whose product is 0 is not extended.  Each level extends
-    the flags of the one before, in order, by the proper flats in order,
-    so terms come out by length, then by flat keys.
+    forms maps each proper flat to AffineForm.canonical of its (N or ord,
+    nu).  extensions(x) lists, in order, the pairs (g, interval_euler(g, x))
+    over the proper flats g with index set strictly inside that of x and a
+    nonzero Euler characteristic: the flats a flag can step to from x.
     """
     lattice = arr.lattice
-    ambient = lattice.ambient
     proper = lattice.proper_flats()
     forms = {}
     for f in proper:
@@ -251,18 +280,72 @@ def _flag_terms(arr, multi):
         return [(g, e) for g in proper if g.indices < x.indices
                 for e in (lattice.interval_euler(g, x),) if e]
 
+    return forms, extensions
+
+
+def _flag_terms(arr, multi):
+    """The flag formula, walked level by level from the minimal flat.
+
+    A flag W_1 < ... < W_k (W_1 the minimal flat) carries the running
+    product of interval_euler(W_(j+1), W_j) over the scales of its
+    denominator forms, and its term is that times interval_euler(ambient,
+    W_k).  A flag whose product is 0 is not extended.  Each level extends
+    the flags of the one before, in order, by the proper flats in order,
+    so terms come out by length, then by flat keys.  This is the source of
+    ZetaFunction.terms; the quotient comes from _flag_sum.
+    """
+    lattice = arr.lattice
+    forms, extensions = _flag_data(arr, multi)
     vmin = lattice.minimal_flat()
     form, scale = forms[vmin]
     level = [(vmin, Fraction(1, scale), (form,))]
     terms = []
     while level:
         for x, coef, dens in level:
-            top = lattice.interval_euler(ambient, x)
+            top = lattice.interval_euler(lattice.ambient, x)
             if top:
                 terms.append((coef * top, dens))
         level = [(g, coef * e / forms[g][1], dens + (forms[g][0],))
                  for x, coef, dens in level for g, e in extensions(x)]
     return terms
+
+
+def _flag_sum(arr, multi):
+    """The flag formula summed with equal denominators merged, as
+    {sorted denominator tuple: coefficient}: the merged form of the terms of
+    _flag_terms, without a flag enumerated.
+
+    D(X), the sum over the flags from a proper flat X up to the ambient
+    space with X's form and scale L_X, s_X, obeys
+
+        D(X) = (1/s_X) (interval_euler(ambient, X) {L_X}
+                        + sum over the extensions (Y, e) of X of e * (D(Y) with L_X added))
+
+    and the answer is D(minimal flat).  The flats are visited by index-set
+    size, so every D(Y) is ready when a flat that extends to Y needs it.
+    Inside the loop a denominator is a sorted tuple of the forms' ranks in
+    sorted order, which hashes faster than the forms.
+    """
+    lattice = arr.lattice
+    forms, extensions = _flag_data(arr, multi)
+    ordered = sorted({form for form, _ in forms.values()})
+    rank = {form: i for i, form in enumerate(ordered)}
+    sums = {}
+    for x in sorted(forms, key=lambda f: len(f.indices)):
+        form, scale = forms[x]
+        i = rank[form]
+        out = {}
+        top = lattice.interval_euler(lattice.ambient, x)
+        if top:
+            out[(i,)] = Fraction(top)
+        for g, e in extensions(x):
+            for dens, coef in sums[g].items():
+                at = bisect(dens, i)
+                key = dens[:at] + (i,) + dens[at:]
+                out[key] = out.get(key, 0) + e * coef
+        sums[x] = {dens: coef / scale for dens, coef in out.items() if coef}
+    return {tuple(ordered[i] for i in dens): coef
+            for dens, coef in sums[lattice.minimal_flat()].items()}
 
 
 def _zeta_nvars(arr, multi):
@@ -277,11 +360,12 @@ def _local(arr, multi, point):
     if point is not None:
         arr = localize_at_point(arr, point)
     if not arr.central:
-        raise ArrangementError("zeta needs a central arrangement unless a point "
-                               "is given for the local zeta")
+        raise ArrangementError("zeta needs a central arrangement (every hyperplane "
+                               "through the origin)")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
-    return ZetaFunction(_zeta_nvars(arr, multi), _flag_terms(arr, multi))
+    return ZetaFunction._from_merged(_zeta_nvars(arr, multi), _flag_sum(arr, multi),
+                                     lambda: _flag_terms(arr, multi))
 
 
 def local_zeta(arr, point=None):
@@ -292,7 +376,9 @@ def local_zeta(arr, point=None):
     minimal flat, the intersection of all hyperplanes, which is the origin
     exactly when the arrangement is essential.  The flags are read off the
     arrangement's lattice (Arrangement.lattice); a localized arrangement is
-    a new Arrangement with a lattice of its own.
+    a new Arrangement with a lattice of its own.  The quotient comes from
+    the flag sum over flats; the terms are walked flag by flag when first
+    read.
     """
     return _local(arr, False, point)
 
@@ -300,7 +386,7 @@ def local_zeta(arr, point=None):
 def global_zeta(arr):
     """The global topological zeta function of a central arrangement.
 
-    It is the local zeta at the origin, terms included.  The global flag
+    It is the local zeta at the origin, quotient and terms.  The global flag
     sum weights each flag by the Euler characteristic of the open stratum
     of its first flat, and the empty flag by that of the complement.
     Scaling acts freely on every open stratum except that of the minimal

@@ -379,6 +379,19 @@ def test_multi_smc_needs_locus(capsys, factored_file, tmp_path):
     assert code == 2
 
 
+def test_multi_smc_non_central_is_bad_input(capsys, tmp_path):
+    # the error names the input's fault, not a point option multi-smc lacks
+    arr = tmp_path / "affine.json"
+    arr.write_text(json.dumps({"n": 2, "forms": [[1, 0, 0], [0, 1, -1]],
+                               "factors": [[1, 0], [0, 1]]}))
+    locus = tmp_path / "locus.json"
+    locus.write_text(json.dumps({"zero_locus": [[1, 0, 1], [0, 1, 1]]}))
+    code, out, err = run_cli(capsys, ["multi-smc", str(arr), "--zero-locus", str(locus)])
+    assert code == 2 and not out
+    assert "central" in err
+    assert "point" not in err
+
+
 @pytest.mark.parametrize("locus", [[5], [[1.5, 0, 1], [0, 1, 1], [1, 2, 2]]],
                          ids=["int-item", "float-entry"])
 def test_mistyped_zero_locus(capsys, factored_file, tmp_path, locus):

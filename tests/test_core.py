@@ -141,6 +141,16 @@ def test_multipoly_arithmetic():
         poly_eval(p, (1,))
 
 
+@pytest.mark.parametrize("ex", [(1.5,), (True,), (F(1, 2),)], ids=["float", "bool", "fraction"])
+def test_multipoly_rejects_non_integer_exponents(ex):
+    with pytest.raises(ValueError, match="exponent"):
+        MultiPoly(1, {ex: 1})
+
+
+def test_multipoly_accepts_integral_fraction_exponents():
+    assert MultiPoly(1, {(F(2),): 1}) == MultiPoly(1, {(2,): 1})
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                           st.integers(-4, 4)), max_size=4),

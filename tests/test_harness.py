@@ -79,6 +79,13 @@ def test_polytope_member_semantics():
         Polytope(2, [((0, 5), 1)])
 
 
+@pytest.mark.parametrize("ineq", [((0, 1.7), F(5, 2)), ((0, 1), F(5, 2)), ((0, True), 1)],
+                         ids=["float-index", "fraction-bound", "bool-index"])
+def test_polytope_rejects_non_integral_data(ineq):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Polytope(2, [ineq])
+
+
 # ---------------------------------------------------------------------------
 # adapted vectors
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arrzeta.zeta
 from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      dense_edges, global_zeta,
                      intersection_lattice, local_zeta,
@@ -15,6 +16,8 @@ from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      rank2_zeta, resolution_datum, snc_zeta)
 from arrzeta.arrangement import IntersectionLattice
 from arrzeta.core import AffineForm, MultiPoly, primitive_normal
+from arrzeta.examples import veys_broots
+from arrzeta.harness import multi_nd_check, nd_check, smc_verify
 from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
@@ -368,13 +371,17 @@ ORACLE_CORPUS = [threelines(), xyz(), veys(), ninefold(), boolean2(), xy_in_c3()
 
 
 def _assert_matches_chain_oracle(arr):
-    # equal terms, in order, give equal normalised quotients as well
-    assert local_zeta(arr).terms == chain_terms(arr)
-    assert global_zeta(arr).terms == chain_terms(arr, use_global=True)
+    # the lazy terms equal the oracle's terms in order, and the quotient,
+    # which the flag sum gives without the terms, equals the oracle's
+    cases = [(local_zeta, {}), (global_zeta, {"use_global": True})]
     if arr.factors is not None:
-        assert multivariate_local_zeta(arr).terms == chain_terms(arr, multi=True)
-        assert (multivariate_global_zeta(arr).terms
-                == chain_terms(arr, multi=True, use_global=True))
+        cases += [(multivariate_local_zeta, {"multi": True}),
+                  (multivariate_global_zeta, {"multi": True, "use_global": True})]
+    for zeta, options in cases:
+        z = zeta(arr)
+        oracle = chain_terms(arr, **options)
+        assert ZetaFunction(z.nvars, oracle) == z
+        assert z.terms == oracle
 
 
 @pytest.mark.parametrize("arr", ORACLE_CORPUS, ids=[
@@ -382,6 +389,13 @@ def _assert_matches_chain_oracle(arr):
     "braid-A4", "boolean2-factored", "threelines-factored", "ninefold-factored"])
 def test_zeta_terms_match_chain_oracle(arr):
     _assert_matches_chain_oracle(arr)
+
+
+def test_flag_sum_matches_flag_route_braid_a5():
+    # braid A5: 5,687 flags merge into the quotient of the flag sum
+    z = local_zeta(braid(6))
+    assert len(z.terms) == 5687
+    assert ZetaFunction(1, z.terms) == z
 
 
 @st.composite
@@ -438,12 +452,34 @@ def test_walk_extends_only_nonzero_flags(arr):
             reached.append(Y)
         return original(self, X, Y)
 
+    z = local_zeta(arr)
     IntersectionLattice.interval_euler = recorded
     try:
-        local_zeta(arr)
+        z.terms
     finally:
         IntersectionLattice.interval_euler = original
     assert reached == live
+
+
+def test_quotient_and_verdicts_walk_no_flag(monkeypatch):
+    # the flag walk runs only when terms are read: the quotient, its poles
+    # and the verdicts come from the flag sum
+    def walk(arr, multi):
+        raise AssertionError("the flag walk ran")
+
+    monkeypatch.setattr(arrzeta.zeta, "_flag_terms", walk)
+    # braid A4 made essential by setting the last coordinate to 0
+    a4 = Arrangement(4, [f[:4] for f in braid(5).forms])
+    for arr, roots in ((veys(), veys_broots()), (a4, None)):
+        z = local_zeta(arr)
+        poles(z)
+        nd_check(arr)
+        smc_verify(arr, roots or [p for p, _ in poles(z).univariate])
+    arr = threelines_factored()
+    poles(multivariate_local_zeta(arr))
+    multi_nd_check(arr)
+    with pytest.raises(AssertionError, match="the flag walk ran"):
+        local_zeta(veys()).terms
 
 
 # ---------------------------------------------------------------------------
