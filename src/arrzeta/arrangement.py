@@ -195,7 +195,7 @@ class IntersectionLattice:
         self.mobius = dict(table[frozenset()])
 
     def flat(self, indices):
-        key = frozenset(int(i) for i in indices)
+        key = frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices)
         if key not in self._by_indices:
             raise ArrangementError("index set %r is not closed" % (sorted(key),))
         return self._by_indices[key]

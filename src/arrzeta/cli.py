@@ -114,7 +114,7 @@ def zeta_json(z):
 
 
 def zeta_from_json(obj):
-    """Rebuild a ZetaFunction from its serialized raw terms."""
+    """Rebuild a ZetaFunction from its serialized terms."""
     terms = [(rational(t["coef"]), [AffineForm(f["coeffs"], f["const"])
                                     for f in t["denominator"]])
              for t in obj["terms"]]

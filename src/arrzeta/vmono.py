@@ -18,7 +18,7 @@ membership predicates here are oracles for the wall behaviour elsewhere.
 from fractions import Fraction
 from math import ceil
 
-from .core import rational
+from .core import as_int, rational
 from .walls import WallFamily, WallSet
 
 
@@ -65,7 +65,7 @@ class DiagClass:
     """A basis class t1^m t2^n / (t1 - t2)^k of the diagonal direct image."""
 
     def __init__(self, m, n, k):
-        self.m, self.n, self.k = int(m), int(n), int(k)
+        self.m, self.n, self.k = (as_int(e, "a basis class exponent") for e in (m, n, k))
         if self.m < 0 or self.n < 0 or self.k < 0:
             raise ValueError("basis classes have nonnegative exponents")
 

@@ -17,19 +17,18 @@ arrangement is built.
 The flag sum is taken by a recursion over the proper flats (_flag_sum)
 that keeps, for each flat, the sum over the flags from it up to the
 ambient space with equal denominators merged; no flag is enumerated.
-Results are exact rational functions: a normalized numerator / denominator
+Results are exact rational functions in two shapes: the merged flag sum,
+one term per distinct denominator, and a normalized numerator / denominator
 pair in which every removable linear factor has been cancelled, so the
-reported poles are genuine, and the list of raw flag terms, which the flag
-walk (_flag_terms) produces when it is first read.
+reported poles are genuine.
 """
 
 from bisect import bisect
 from collections import Counter
 from fractions import Fraction
-from functools import cache, cached_property
 from math import lcm
 
-from .core import (AffineForm, MultiPoly, _add_times_affine, div_linear,
+from .core import (AffineForm, MultiPoly, _add_times_affine, as_int, div_linear,
                    format_poly, integer_kernel, poly_eval, rational)
 from .arrangement import ArrangementError, dense_edges, localize_at_point
 
@@ -45,9 +44,9 @@ class ResolutionDatum:
 
     def __init__(self, flat, N, nu, ord=None):
         self.flat = flat
-        self.N = int(N)
-        self.nu = int(nu)
-        self.ord = tuple(int(e) for e in ord) if ord is not None else None
+        self.N = as_int(N, "N")
+        self.nu = as_int(nu, "nu")
+        self.ord = tuple(as_int(e, "an ord entry") for e in ord) if ord is not None else None
 
     def __repr__(self):
         extra = ", ord=%r" % (self.ord,) if self.ord is not None else ""
@@ -88,9 +87,9 @@ def candidate_poles(arr, multi=False, lattice=None):
 class ZetaFunction:
     """Sum of constant/product-of-affine-forms terms, kept in two shapes.
 
-    terms: the raw flag contributions (coefficient, sorted denominator
-        factors), zero terms dropped.  A zeta function built from an
-        arrangement computes them on first read, by the flag walk.
+    terms: the (coefficient, sorted denominator factors) pairs as given,
+        zero terms dropped.  A zeta function built from an arrangement has
+        the flag sum with equal denominators merged, sorted by denominator.
     numerator, denominator: the normalized quotient over the least common
         denominator with all removable affine factors cancelled; the pole
         data is read from this shape.  A zero sum has zero numerator and
@@ -98,29 +97,12 @@ class ZetaFunction:
     """
 
     def __init__(self, nvars, terms):
-        self.nvars = int(nvars)
-        # an instance attribute shadows the lazy terms property below
+        self.nvars = as_int(nvars, "the number of variables")
         self.terms = self._clean(terms)
         merged = {}
         for coef, dens in self.terms:
             merged[dens] = merged.get(dens, Fraction(0)) + coef
         self.numerator, self.denominator = _normalize(self.nvars, merged)
-
-    @classmethod
-    def _from_merged(cls, nvars, merged, source):
-        """The quotient of merged ({sorted denominator: coefficient}); the
-        raw terms come from source() on first read."""
-        z = cls.__new__(cls)
-        z.nvars = nvars
-        z._source = source
-        z.numerator, z.denominator = _normalize(nvars, merged)
-        return z
-
-    @cached_property
-    def terms(self):
-        terms = self._clean(self._source())
-        del self._source
-        return terms
 
     def _clean(self, terms):
         clean = []
@@ -153,7 +135,7 @@ class ZetaFunction:
         return val
 
     def evaluate_terms(self, point):
-        """Exact value summed term by term (raw shape); cross-check route."""
+        """Exact value summed over terms, one by one; cross-check route."""
         total = Fraction(0)
         for coef, dens in self.terms:
             val = coef
@@ -260,74 +242,29 @@ def poles(z):
 # ---------------------------------------------------------------------------
 # the flag formula
 
-def _flag_data(arr, multi):
-    """(forms, extensions) shared by the flag walk and the flag sum.
-
-    forms maps each proper flat to AffineForm.canonical of its (N or ord,
-    nu).  extensions(x) lists, in order, the pairs (g, interval_euler(g, x))
-    over the proper flats g with index set strictly inside that of x and a
-    nonzero Euler characteristic: the flats a flag can step to from x.
-    """
-    lattice = arr.lattice
-    proper = lattice.proper_flats()
-    forms = {}
-    for f in proper:
-        d = resolution_datum(arr, f)
-        forms[f] = AffineForm.canonical(d.ord if multi else (d.N,), d.nu)
-
-    @cache
-    def extensions(x):
-        return [(g, e) for g in proper if g.indices < x.indices
-                for e in (lattice.interval_euler(g, x),) if e]
-
-    return forms, extensions
-
-
-def _flag_terms(arr, multi):
-    """The flag formula, walked level by level from the minimal flat.
-
-    A flag W_1 < ... < W_k (W_1 the minimal flat) carries the running
-    product of interval_euler(W_(j+1), W_j) over the scales of its
-    denominator forms, and its term is that times interval_euler(ambient,
-    W_k).  A flag whose product is 0 is not extended.  Each level extends
-    the flags of the one before, in order, by the proper flats in order,
-    so terms come out by length, then by flat keys.  This is the source of
-    ZetaFunction.terms; the quotient comes from _flag_sum.
-    """
-    lattice = arr.lattice
-    forms, extensions = _flag_data(arr, multi)
-    vmin = lattice.minimal_flat()
-    form, scale = forms[vmin]
-    level = [(vmin, Fraction(1, scale), (form,))]
-    terms = []
-    while level:
-        for x, coef, dens in level:
-            top = lattice.interval_euler(lattice.ambient, x)
-            if top:
-                terms.append((coef * top, dens))
-        level = [(g, coef * e / forms[g][1], dens + (forms[g][0],))
-                 for x, coef, dens in level for g, e in extensions(x)]
-    return terms
-
-
 def _flag_sum(arr, multi):
-    """The flag formula summed with equal denominators merged, as
-    {sorted denominator tuple: coefficient}: the merged form of the terms of
-    _flag_terms, without a flag enumerated.
+    """The flag formula summed with equal denominators merged: the
+    (coefficient, sorted denominator tuple) pairs with a nonzero
+    coefficient, sorted by denominator.  No flag is enumerated.
 
-    D(X), the sum over the flags from a proper flat X up to the ambient
-    space with X's form and scale L_X, s_X, obeys
+    Each proper flat X has the canonical form and scale L_X, s_X of its
+    (N or ord, nu).  D(X), the sum over the flags from X up to the ambient
+    space, obeys
 
         D(X) = (1/s_X) (interval_euler(ambient, X) {L_X}
-                        + sum over the extensions (Y, e) of X of e * (D(Y) with L_X added))
+                        + sum over the proper flats Y with I_Y strictly inside I_X
+                          of interval_euler(Y, X) * (D(Y) with L_X added))
 
     and the answer is D(minimal flat).  The flats are visited by index-set
-    size, so every D(Y) is ready when a flat that extends to Y needs it.
-    Inside the loop a denominator is a sorted tuple of the forms' ranks in
-    sorted order, which hashes faster than the forms.
+    size, so every such D(Y) is ready when X needs it.  Inside the loop a
+    denominator is a sorted tuple of the forms' ranks in sorted order, which
+    hashes faster than the forms and sorts the same way.
     """
     lattice = arr.lattice
-    forms, extensions = _flag_data(arr, multi)
+    forms = {}
+    for f in lattice.proper_flats():
+        d = resolution_datum(arr, f)
+        forms[f] = AffineForm.canonical(d.ord if multi else (d.N,), d.nu)
     ordered = sorted({form for form, _ in forms.values()})
     rank = {form: i for i, form in enumerate(ordered)}
     sums = {}
@@ -338,14 +275,18 @@ def _flag_sum(arr, multi):
         top = lattice.interval_euler(lattice.ambient, x)
         if top:
             out[(i,)] = Fraction(top)
-        for g, e in extensions(x):
-            for dens, coef in sums[g].items():
-                at = bisect(dens, i)
-                key = dens[:at] + (i,) + dens[at:]
-                out[key] = out.get(key, 0) + e * coef
+        for y, below in sums.items():
+            if y.indices < x.indices:
+                e = lattice.interval_euler(y, x)
+                if not e:
+                    continue
+                for dens, coef in below.items():
+                    at = bisect(dens, i)
+                    key = dens[:at] + (i,) + dens[at:]
+                    out[key] = out.get(key, 0) + e * coef
         sums[x] = {dens: coef / scale for dens, coef in out.items() if coef}
-    return {tuple(ordered[i] for i in dens): coef
-            for dens, coef in sums[lattice.minimal_flat()].items()}
+    return [(coef, tuple(ordered[i] for i in dens))
+            for dens, coef in sorted(sums[lattice.minimal_flat()].items())]
 
 
 def _zeta_nvars(arr, multi):
@@ -364,8 +305,7 @@ def _local(arr, multi, point):
                                "through the origin)")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
-    return ZetaFunction._from_merged(_zeta_nvars(arr, multi), _flag_sum(arr, multi),
-                                     lambda: _flag_terms(arr, multi))
+    return ZetaFunction(_zeta_nvars(arr, multi), _flag_sum(arr, multi))
 
 
 def local_zeta(arr, point=None):
@@ -376,9 +316,9 @@ def local_zeta(arr, point=None):
     minimal flat, the intersection of all hyperplanes, which is the origin
     exactly when the arrangement is essential.  The flags are read off the
     arrangement's lattice (Arrangement.lattice); a localized arrangement is
-    a new Arrangement with a lattice of its own.  The quotient comes from
-    the flag sum over flats; the terms are walked flag by flag when first
-    read.
+    a new Arrangement with a lattice of its own.  The terms are the flag
+    sum over flats with equal denominators merged, and the quotient is
+    normalized from them.
     """
     return _local(arr, False, point)
 

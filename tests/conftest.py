@@ -27,6 +27,7 @@ __all__ = [
     "veys", "braid", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
     "random_central_c3", "random_rational_point", "fraction_kernel",
     "flat_basis", "closure", "Chain", "enumerate_chains", "chain_terms",
+    "merged_terms",
     "interval_arrangement", "restriction_arrangement", "specialize",
     "polytope_member", "nudged_path",
 ]
@@ -219,7 +220,8 @@ def enumerate_chains(lattice, start=None):
 
 def chain_terms(arr, multi=False, use_global=False):
     """The flag formula summed chain by chain, every chain's product taken
-    from the start, as the (coefficient, sorted denominator) pairs of
+    from the start, as (coefficient, sorted denominator) pairs, one per
+    chain with a nonzero coefficient; merged_terms of them is the shape of
     ZetaFunction.terms.  Local: the chains from the minimal flat.  Global:
     every chain weighted by the open-stratum Euler characteristic of its
     first flat, plus the empty flag weighted by that of the complement."""
@@ -242,6 +244,16 @@ def chain_terms(arr, multi=False, use_global=False):
             dens.append(form)
         terms.append((coef, tuple(sorted(dens))))
     return tuple((coef, dens) for coef, dens in terms if coef)
+
+
+def merged_terms(terms):
+    """Terms with equal denominators merged and zero sums dropped, sorted by
+    denominator: the shape of ZetaFunction.terms for an arrangement."""
+    merged = {}
+    for coef, dens in terms:
+        dens = tuple(sorted(dens))
+        merged[dens] = merged.get(dens, 0) + coef
+    return tuple((coef, dens) for dens, coef in sorted(merged.items()) if coef)
 
 
 # ---------------------------------------------------------------------------

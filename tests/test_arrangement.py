@@ -80,6 +80,21 @@ def test_accepts_integral_fractions():
     assert all(type(e) is int for e in (arr.n, *arr.mults, *arr.factors[1]))
 
 
+@pytest.mark.parametrize("indices", [[2.9], [True], [F(5, 2)], [0, 1.0]],
+                         ids=["float", "bool", "fraction", "float-integral"])
+def test_lattice_flat_rejects_non_integer_indices(indices):
+    # an index is an integer, not truncated: [2.9] is not the flat {3}
+    with pytest.raises(ArrangementError, match="must be an integer"):
+        veys().lattice.flat(indices)
+
+
+def test_lattice_flat_reads_closed_index_sets():
+    lat = veys().lattice
+    assert lat.flat([F(2)]) is lat.flat([2])
+    with pytest.raises(ArrangementError, match="not closed"):
+        lat.flat([0, 1])
+
+
 def test_factor_validation():
     ok = Arrangement(2, [(1, 0), (0, 1), (1, -1)], mults=[1, 1, 1],
                      factors=[(1, 0, 0), (0, 1, 1)])

@@ -89,6 +89,10 @@ def test_diag_class_basics():
         DiagClass(-1, 0, 0)
     with pytest.raises(ValueError):
         DiagClass(0, 0, -2)
+    for m, n, k in ((1.5, 0, 1), (1, 0.9, 1), (True, 0, 1), (0, 0, F(1, 2))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DiagClass(m, n, k)
+    assert DiagClass(F(2), 1, 0).m == 2
 
 
 def test_diag_membership_golden():

@@ -1,27 +1,27 @@
 """Zeta functions: flag formula, normalization, poles, closed-form oracles."""
 
+import json
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import arrzeta.zeta
 from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      dense_edges, global_zeta,
                      intersection_lattice, local_zeta,
                      multivariate_global_zeta, multivariate_local_zeta, poles,
                      rank2_zeta, resolution_datum, snc_zeta)
-from arrzeta.arrangement import IntersectionLattice
+from arrzeta.cli import run
 from arrzeta.core import AffineForm, MultiPoly, primitive_normal
-from arrzeta.examples import veys_broots
-from arrzeta.harness import multi_nd_check, nd_check, smc_verify
-from arrzeta.zeta import ZetaFunction
+from arrzeta.zeta import ResolutionDatum, ZetaFunction
 
 from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
-                      enumerate_chains, ninefold, random_central_c3,
+                      enumerate_chains, merged_terms, ninefold, random_central_c3,
                       random_lines, random_rational_point, specialize,
                       threelines, threelines_factored, veys, xy_ab, xy_in_c3,
                       xyz)
@@ -55,6 +55,21 @@ def test_resolution_data_ord():
     origin = lat.flat([0, 1, 2])
     assert resolution_datum(arr, origin).ord == (1, 2)
     assert resolution_datum(arr, lat.flat([1])).ord == (0, 1)
+
+
+@pytest.mark.parametrize("N, nu, ord", [(1.5, 1, None), (1, True, None), (F(3, 2), 1, None),
+                                        (2, 1, (2.7,)), (2, 1, (F(1, 2), 1)), (2, 1, (False,))],
+                         ids=["float-N", "bool-nu", "fraction-N", "float-ord", "fraction-ord",
+                              "bool-ord"])
+def test_resolution_datum_rejects_non_integers(N, nu, ord):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ResolutionDatum(None, N, nu, ord=ord)
+
+
+def test_resolution_datum_accepts_integral_fractions():
+    d = ResolutionDatum(None, F(4), F(2), ord=(F(1), 3))
+    assert (d.N, d.nu, d.ord) == (4, 2, (1, 3))
+    assert all(type(e) is int for e in (d.N, d.nu) + d.ord)
 
 
 def test_candidate_poles_veys():
@@ -143,6 +158,9 @@ def test_zeta_container_rejects_improper():
 def test_zeta_container_checks_nvars():
     with pytest.raises(ValueError, match="variables"):
         ZetaFunction(2, [(1, (_af((1,), 1),))])
+    for nvars in (1.5, True, F(3, 2)):
+        with pytest.raises(ValueError, match="number of variables must be an integer"):
+            ZetaFunction(nvars, [])
 
 
 def test_zeta_equality():
@@ -157,8 +175,8 @@ def test_zeta_equality():
                                    lambda: multivariate_global_zeta(boolean2_factored())],
                          ids=["veys", "boolean2-factored"])
 def test_zeta_merges_equal_denominators(build):
-    # halving every raw term leaves pairs with equal denominators; the
-    # normalised quotient is unchanged and the raw terms are all kept
+    # halving every term leaves pairs with equal denominators; the
+    # normalised quotient is unchanged and the given terms are all kept
     z = build()
     halves = tuple((coef / 2, dens) for coef, dens in z.terms for _ in range(2))
     split = ZetaFunction(z.nvars, halves)
@@ -302,7 +320,7 @@ def test_local_zeta_veys_frozen():
     assert rep.univariate == [(F(-1, 4), 1), (F(-2, 7), 1), (F(-1, 2), 1),
                               (F(-2, 3), 1), (F(-1), 1)]
     # -1/3 is the origin candidate (9 s + 3, canonically 3 s + 1); the factor
-    # sits in every raw term but cancels out of the normalized quotient
+    # sits in every term but cancels out of the normalized quotient
     raw = {f for _, dens in z.terms for f in dens}
     assert _af((3,), 1) in raw
     assert F(-1, 3) in candidate_poles(veys())
@@ -357,7 +375,7 @@ def test_multivariate_global_equals_local():
 
 
 # ---------------------------------------------------------------------------
-# the level walk against the chain-sum oracle
+# the merged flag sum against the chain-sum oracle
 
 def _ninefold_factored():
     return Arrangement(3, ninefold().forms, factors=[(1, 1, 1, 0, 0, 0, 0, 0, 0),
@@ -371,17 +389,14 @@ ORACLE_CORPUS = [threelines(), xyz(), veys(), ninefold(), boolean2(), xy_in_c3()
 
 
 def _assert_matches_chain_oracle(arr):
-    # the lazy terms equal the oracle's terms in order, and the quotient,
-    # which the flag sum gives without the terms, equals the oracle's
+    # the terms are the oracle's chain terms merged by denominator; equal
+    # terms give the quotient the same normalisation input
     cases = [(local_zeta, {}), (global_zeta, {"use_global": True})]
     if arr.factors is not None:
         cases += [(multivariate_local_zeta, {"multi": True}),
                   (multivariate_global_zeta, {"multi": True, "use_global": True})]
     for zeta, options in cases:
-        z = zeta(arr)
-        oracle = chain_terms(arr, **options)
-        assert ZetaFunction(z.nvars, oracle) == z
-        assert z.terms == oracle
+        assert zeta(arr).terms == merged_terms(chain_terms(arr, **options))
 
 
 @pytest.mark.parametrize("arr", ORACLE_CORPUS, ids=[
@@ -392,10 +407,46 @@ def test_zeta_terms_match_chain_oracle(arr):
 
 
 def test_flag_sum_matches_flag_route_braid_a5():
-    # braid A5: 5,687 flags merge into the quotient of the flag sum
+    # braid A5: 5,687 flags merge into 46 distinct denominators
+    oracle = chain_terms(braid(6))
+    assert len(oracle) == 5687
     z = local_zeta(braid(6))
-    assert len(z.terms) == 5687
-    assert ZetaFunction(1, z.terms) == z
+    assert len(z.terms) == 46
+    assert z.terms == merged_terms(oracle)
+
+
+def _permuted(arr, rng):
+    order = list(range(arr.r))
+    rng.shuffle(order)
+    factors = None
+    if arr.factors is not None:
+        factors = [[row[i] for i in order] for row in arr.factors]
+    return Arrangement(arr.n, [arr.forms[i] for i in order],
+                       mults=[arr.mults[i] for i in order], factors=factors, name=arr.name)
+
+
+def _zeta_stdout(arr, multi, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({
+        "n": arr.n, "forms": [[int(e) for e in f] for f in arr.forms],
+        "mults": list(arr.mults), "factors": arr.factors, "name": arr.name}))
+    out = StringIO()
+    with redirect_stdout(out):
+        assert run(["zeta", str(path), "--json"] + ["--multi"] * multi) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("arr, multi", [(veys(), False), (ninefold(), False),
+                                        (braid(5), False), (threelines_factored(), True)],
+                         ids=["veys", "ninefold", "braid-A4", "threelines-factored"])
+def test_terms_do_not_depend_on_hyperplane_order(arr, multi, tmp_path):
+    zeta = multivariate_local_zeta if multi else local_zeta
+    terms, stdout = zeta(arr).terms, _zeta_stdout(arr, multi, tmp_path)
+    rng = random.Random(1301)
+    for _ in range(3):
+        other = _permuted(arr, rng)
+        assert zeta(other).terms == terms
+        assert _zeta_stdout(other, multi, tmp_path) == stdout
 
 
 @st.composite
@@ -435,53 +486,6 @@ def test_zeta_terms_match_chain_oracle_random(arr):
     _assert_matches_chain_oracle(arr)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_central_arrangements())
-def test_walk_extends_only_nonzero_flags(arr):
-    # the walk reads interval_euler(ambient, W_k) once for each flag it
-    # reaches, and it reaches exactly the flags from the minimal flat whose
-    # running product is nonzero, in the oracle's order
-    lat = arr.lattice
-    live = [c.flats[-1] for c in enumerate_chains(lat, start=lat.minimal_flat())
-            if all(lat.interval_euler(b, a) for a, b in zip(c.flats, c.flats[1:]))]
-    reached = []
-    original = IntersectionLattice.interval_euler
-
-    def recorded(self, X, Y):
-        if X is self.ambient:
-            reached.append(Y)
-        return original(self, X, Y)
-
-    z = local_zeta(arr)
-    IntersectionLattice.interval_euler = recorded
-    try:
-        z.terms
-    finally:
-        IntersectionLattice.interval_euler = original
-    assert reached == live
-
-
-def test_quotient_and_verdicts_walk_no_flag(monkeypatch):
-    # the flag walk runs only when terms are read: the quotient, its poles
-    # and the verdicts come from the flag sum
-    def walk(arr, multi):
-        raise AssertionError("the flag walk ran")
-
-    monkeypatch.setattr(arrzeta.zeta, "_flag_terms", walk)
-    # braid A4 made essential by setting the last coordinate to 0
-    a4 = Arrangement(4, [f[:4] for f in braid(5).forms])
-    for arr, roots in ((veys(), veys_broots()), (a4, None)):
-        z = local_zeta(arr)
-        poles(z)
-        nd_check(arr)
-        smc_verify(arr, roots or [p for p, _ in poles(z).univariate])
-    arr = threelines_factored()
-    poles(multivariate_local_zeta(arr))
-    multi_nd_check(arr)
-    with pytest.raises(AssertionError, match="the flag walk ran"):
-        local_zeta(veys()).terms
-
-
 # ---------------------------------------------------------------------------
 # multivariate zeta
 
@@ -495,7 +499,7 @@ def test_multivariate_threelines_frozen():
 
 def test_multivariate_boolean2_cancellation():
     z = multivariate_local_zeta(boolean2_factored())
-    # the origin factor s1 + s2 + 2 appears in the raw terms and cancels
+    # the origin factor s1 + s2 + 2 appears in the terms and cancels
     raw = {f for _, dens in z.terms for f in dens}
     assert _af((1, 1), 2) in raw
     assert z.numerator.terms == {(0, 0): F(1)}
