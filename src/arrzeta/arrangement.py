@@ -14,8 +14,8 @@ element the ambient space (empty index set).
 
 The lattice is built over the integers: flats are spanned by integer
 kernel vectors of the primitive integer normals, and membership tests and
-traces are integer dot products.  Every value reported from it (the
-Mobius function and the numbers read off it) is exact.  Each arrangement
+traces are integer dot products.  It keeps mu(ambient, X) and the nonzero
+interval Euler characteristics chi(X, Y), all exact.  Each arrangement
 builds its lattice once, on the first read of Arrangement.lattice, and
 every reader shares it.
 """
@@ -144,15 +144,15 @@ class Arrangement:
 class Flat:
     """A flat of a central arrangement, identified by its closed index set.
 
-    codim is the codimension of the subspace W.  vectors are integer
-    vectors spanning W and den their common scale (core.integer_kernel of
-    the normals in the index set): vectors / den is the basis of W read off
-    the reduced row echelon form of those normals.
+    codim, like each index an integer, is the codimension of the subspace
+    W.  vectors are integer vectors spanning W and den their common scale
+    (core.integer_kernel of the normals in the index set): vectors / den is
+    the basis of W read off the reduced row echelon form of those normals.
     """
 
     def __init__(self, indices, codim, vectors, den):
-        self.indices = frozenset(int(i) for i in indices)
-        self.codim = int(codim)
+        self.indices = frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices)
+        self.codim = as_int(codim, "a codimension", ArrangementError)
         self.vectors = tuple(vectors)
         self.den = den
 
@@ -179,20 +179,20 @@ def _require_central(arr, what):
 
 
 class IntersectionLattice:
-    """All flats of a central arrangement with their Mobius table.
+    """All flats of a central arrangement and the numbers read off them.
 
-    flats are sorted by (codim, index set).  The Mobius table holds
-    mu(X, Z) for every pair X <= Z; mobius maps each flat's index set to
-    mu(ambient, flat).  Every combinatorial number the package needs is
-    read off this table: the Euler characteristics of lattice intervals
-    and of open strata, and with them the dense edges.
+    flats are sorted by (codim, index set).  mobius maps each flat's index
+    set to mu(ambient, flat), which gives the characteristic polynomial.
+    euler maps each flat Y's index set to {index set of X: chi(X, Y)} over
+    the X < Y with a nonzero interval_euler chi, which gives the flag sum
+    and the dense edges.
     """
 
-    def __init__(self, flats, table):
+    def __init__(self, flats, mobius, euler):
         self.flats = tuple(sorted(flats, key=Flat.key))
         self._by_indices = {f.indices: f for f in self.flats}
-        self._table = table
-        self.mobius = dict(table[frozenset()])
+        self.mobius = mobius
+        self._euler = euler
 
     def flat(self, indices):
         key = frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices)
@@ -217,18 +217,16 @@ class IntersectionLattice:
     def interval_euler(self, X, Y):
         """Euler characteristic of the projectivized complement of the
         interval arrangement between flats X < Y:
-        sum over X <= Z <= Y of mu(X, Z) (codim Y - codim Z).
-        """
+        sum over X <= Z <= Y of mu(X, Z) (codim Y - codim Z)."""
         if not X.indices < Y.indices:
             raise ArrangementError("interval needs flats X < Y (index set of X "
                                    "strictly inside that of Y)")
-        return sum(m * (Y.codim - self._by_indices[z].codim)
-                   for z, m in self._table[X.indices].items() if z <= Y.indices)
+        return self._euler[Y.indices].get(X.indices, 0)
 
-    def stratum_euler(self, X):
-        """Euler characteristic of the open stratum of X (the points of X on
-        no hyperplane outside X): sum over Z >= X of mu(X, Z)."""
-        return sum(self._table[X.indices].values())
+    def euler_below(self, Y):
+        """The (X, interval_euler(X, Y)) pairs over the flats X < Y whose
+        value is nonzero, in lattice order."""
+        return [(self._by_indices[x], e) for x, e in self._euler[Y.indices].items()]
 
     def is_dense(self, flat):
         """A proper flat is dense iff its localized arrangement is
@@ -254,8 +252,9 @@ def intersection_lattice(arr):
     proportional; no Fraction is made.
 
     The Mobius row mu(X, .) is summed over the upper interval of X only:
-    walking it upwards, each mu(X, W) is pushed onto every flat strictly
-    above W, and mu(X, Z) is minus what Z has collected.
+    walking it upwards, mu(X, W) and mu(X, W) codim W are pushed onto every
+    flat above W.  Of the two sums Y collects, mu(X, Y) is minus the first,
+    and interval_euler(X, Y) is codim Y times the first minus the second.
     """
     _require_central(arr, "intersection_lattice")
     ambient = Flat((), 0, *integer_kernel([], arr.n))
@@ -285,16 +284,25 @@ def intersection_lattice(arr):
             up.add(pos[c])
             up.update(above[pos[c]])
         above[k] = sorted(up)
-    table = {}
+    mobius = {ambient.indices: 1}
+    euler = {f.indices: {} for f in ordered}
     for k, x in enumerate(ordered):
-        row = {x.indices: 1}
-        collected = dict.fromkeys(above[k], 1)  # mu(X, X) = 1, pushed up
+        # mu(X, X) = 1 pushed up, by position; only those above X are read
+        total = [1] * len(ordered)
+        weighted = [x.codim] * len(ordered)
         for j in above[k]:
-            m = row[ordered[j].indices] = -collected[j]
+            y = ordered[j]
+            e = y.codim * total[j] - weighted[j]
+            if e:
+                euler[y.indices][x.indices] = e
+            m = -total[j]
+            if not k:
+                mobius[y.indices] = m
+            mc = m * y.codim
             for z in above[j]:
-                collected[z] += m
-        table[x.indices] = row
-    return IntersectionLattice(ordered, table)
+                total[z] += m
+                weighted[z] += mc
+    return IntersectionLattice(ordered, mobius, euler)
 
 
 def char_poly(arr, lattice=None):

@@ -422,34 +422,35 @@ def _add_times_affine(out, terms, pairs, const):
     return out
 
 
-def div_linear(p, form):
-    """Synthetic division of p by the affine form c_m s_m + g in the form's
-    first pivot variable s_m; returns (quotient, remainder) with p =
-    quotient * form + remainder and the remainder free of s_m.
+def div_linear(terms, form):
+    """The quotient of an integer polynomial, a raw {exponent tuple: int}
+    dict, by the affine form c_m s_m + g (m its first pivot variable), or
+    None if the form does not divide it.  No Fraction is made.
 
-    p is sliced as the sum of P_k s_m^k with P_k free of s_m.  Horner's
-    scheme runs from the top degree d down: Q_{d-1} = P_d / c_m, then
-    Q_{k-1} = (P_k - g Q_k) / c_m, and the remainder is P_0 - g Q_0, so
-    each coefficient of p is touched once.  The remainder is the
-    restriction of p to the zero locus of the form written in the other
-    variables, so it is zero exactly when the form divides p; exact
-    arithmetic makes that a genuine certificate.
+    The polynomial is sliced as the sum of P_k s_m^k with P_k free of s_m.
+    Horner's scheme runs from the top degree d down: Q_{d-1} = P_d / c_m,
+    then Q_{k-1} = (P_k - g Q_k) / c_m, and the remainder P_0 - g Q_0 is
+    zero exactly when the form divides.  A canonical form is primitive, so
+    by Gauss's lemma a quotient over Q has integer coefficients, which the
+    steps compute: a step that c_m does not divide exactly proves that the
+    form does not divide either.
     """
-    if not isinstance(form, AffineForm):
-        raise TypeError("div_linear expects an AffineForm")
-    if p.nvars != form.nvars:
-        raise ValueError("variable count mismatch: form %d, poly %d" % (form.nvars, p.nvars))
     m = next(j for j, c in enumerate(form.coeffs) if c)
     cm = form.coeffs[m]
     minus_g = [(j, -c) for j, c in enumerate(form.coeffs) if c and j != m]
     slices = {}
-    for ex, c in p.terms.items():
+    for ex, c in terms.items():
         slices.setdefault(ex[m], {})[ex[:m] + (0,) + ex[m + 1:]] = c
     quot, q = {}, {}
     for k in range(max(slices, default=0), 0, -1):
         low = _add_times_affine(dict(slices.get(k, {})), q, minus_g, -form.const)
-        q = {ex: c / cm for ex, c in low.items() if c}
-        for ex, c in q.items():
-            quot[ex[:m] + (k - 1,) + ex[m + 1:]] = c
+        q = {}
+        for ex, c in low.items():
+            if c:
+                c, r = divmod(c, cm)
+                if r:
+                    return None
+                q[ex] = c
+                quot[ex[:m] + (k - 1,) + ex[m + 1:]] = c
     rem = _add_times_affine(dict(slices.get(0, {})), q, minus_g, -form.const)
-    return MultiPoly(p.nvars, quot), MultiPoly(p.nvars, rem)
+    return None if any(rem.values()) else quot

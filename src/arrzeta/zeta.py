@@ -10,17 +10,17 @@ arrangements along the flag divided by the product of the corresponding
 flat.  The global one sums all flags weighted by the Euler characteristic
 of the open stratum of the first flat, plus the empty flag; on a central
 arrangement that is the local sum (see global_zeta).  The interval Euler
-characteristics are read off the Mobius table (interval_euler) of the
-arrangement's one intersection lattice, Arrangement.lattice; no interval
-arrangement is built.
+characteristics are the nonzero ones the arrangement's one intersection
+lattice, Arrangement.lattice, keeps for each flat (euler_below); no
+interval arrangement is built.
 
 The flag sum is taken by a recursion over the proper flats (_flag_sum)
 that keeps, for each flat, the sum over the flags from it up to the
 ambient space with equal denominators merged; no flag is enumerated.
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a normalized numerator / denominator
-pair in which every removable linear factor has been cancelled, so the
-reported poles are genuine.
+pair in which every removable linear factor has been cancelled over the
+integers (_normalize), so the reported poles are genuine.
 """
 
 from bisect import bisect
@@ -170,11 +170,11 @@ def _normalize(nvars, merged):
     """The reduced quotient of a sum given as {sorted denominator tuple:
     coefficient}.  The nonzero coefficients are scaled to integers by the
     lcm of their denominators, each term is expanded against the least
-    common denominator on a raw integer dict, and the sum is divided by
-    that one scale at the end; then every denominator factor that divides
-    the numerator is cancelled.  The reduced quotient with canonical
-    denominator forms is unique, so any grouping of the same sum into
-    merged terms gives the same numerator and denominator."""
+    common denominator on one raw integer dict, every denominator factor
+    that divides it is cancelled there (div_linear), and the one MultiPoly
+    is made at the end, divided by the scale.  The reduced quotient with
+    canonical denominator forms is unique, so any grouping of the same sum
+    into merged terms gives the same numerator and denominator."""
     merged = {dens: coef for dens, coef in merged.items() if coef}
     lcd = {}
     for dens in merged:
@@ -191,19 +191,19 @@ def _normalize(nvars, merged):
                 part = _add_times_affine({}, part, pairs[f], f.const)
         for ex, c in part.items():
             total[ex] = total.get(ex, 0) + c
-    num = MultiPoly(nvars, {ex: Fraction(c, scale) for ex, c in total.items() if c})
-    if num.is_zero():
-        return num, {}
+    if not any(total.values()):
+        return MultiPoly(nvars), {}
     den = dict(lcd)
     for f in sorted(den):
         while den[f] > 0:
-            quot, rem = div_linear(num, f)
-            if not rem.is_zero():
+            quot = div_linear(total, f)
+            if quot is None:
                 break
-            num = quot
+            total = quot
             den[f] -= 1
         if den[f] == 0:
             del den[f]
+    num = MultiPoly(nvars, {ex: Fraction(c, scale) for ex, c in total.items()})
     if num.total_degree() >= sum(den.values()):
         raise ValueError("zeta function is not a proper rational function")
     return num, den
@@ -249,14 +249,13 @@ def _flag_sum(arr, multi):
 
     Each proper flat X has the canonical form and scale L_X, s_X of its
     (N or ord, nu).  D(X), the sum over the flags from X up to the ambient
-    space, obeys
+    space, is 1 with no denominator at the ambient space and otherwise
 
-        D(X) = (1/s_X) (interval_euler(ambient, X) {L_X}
-                        + sum over the proper flats Y with I_Y strictly inside I_X
-                          of interval_euler(Y, X) * (D(Y) with L_X added))
+        D(X) = (1/s_X) sum of interval_euler(Y, X) * (D(Y) with L_X added)
 
-    and the answer is D(minimal flat).  The flats are visited by index-set
-    size, so every such D(Y) is ready when X needs it.  Inside the loop a
+    over the flats Y < X with a nonzero interval_euler (euler_below).  The
+    answer is D(minimal flat).  The flats are visited in lattice order, so
+    every such D(Y) is ready when X needs it.  Inside the loop a
     denominator is a sorted tuple of the forms' ranks in sorted order, which
     hashes faster than the forms and sorts the same way.
     """
@@ -267,23 +266,15 @@ def _flag_sum(arr, multi):
         forms[f] = AffineForm.canonical(d.ord if multi else (d.N,), d.nu)
     ordered = sorted({form for form, _ in forms.values()})
     rank = {form: i for i, form in enumerate(ordered)}
-    sums = {}
-    for x in sorted(forms, key=lambda f: len(f.indices)):
-        form, scale = forms[x]
+    sums = {lattice.ambient: {(): Fraction(1)}}
+    for x, (form, scale) in forms.items():
         i = rank[form]
         out = {}
-        top = lattice.interval_euler(lattice.ambient, x)
-        if top:
-            out[(i,)] = Fraction(top)
-        for y, below in sums.items():
-            if y.indices < x.indices:
-                e = lattice.interval_euler(y, x)
-                if not e:
-                    continue
-                for dens, coef in below.items():
-                    at = bisect(dens, i)
-                    key = dens[:at] + (i,) + dens[at:]
-                    out[key] = out.get(key, 0) + e * coef
+        for y, e in lattice.euler_below(x):
+            for dens, coef in sums[y].items():
+                at = bisect(dens, i)
+                key = dens[:at] + (i,) + dens[at:]
+                out[key] = out.get(key, 0) + e * coef
         sums[x] = {dens: coef / scale for dens, coef in out.items() if coef}
     return [(coef, tuple(ordered[i] for i in dens))
             for dens, coef in sorted(sums[lattice.minimal_flat()].items())]

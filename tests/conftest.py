@@ -3,10 +3,12 @@ the suite.
 
 The oracles are routes the library does not take, kept here to check the
 routes it does: row reduction over Q (fraction_kernel), the rational basis
-of a flat (flat_basis), the closure of an index set, the chain-sum flag
-formula, the geometric interval and restriction arrangements, the
-specialization of a multivariate zeta, polytope membership and the
-concrete-nudge chamber path.
+of a flat (flat_basis), the closure of an index set, the brute-force
+lattice with its Mobius table by definition and the open-stratum Euler
+characteristics read off it, long division by an affine form over Q, the
+chain-sum flag formula, the geometric interval and restriction
+arrangements, the specialization of a multivariate zeta, polytope
+membership and the concrete-nudge chamber path.
 """
 
 import random
@@ -14,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, QMatrix,
-                     ZetaFunction, integer_kernel, intersection_lattice,
+from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, MultiPoly,
+                     QMatrix, ZetaFunction, integer_kernel, intersection_lattice,
                      localized_walls, primitive_normal, rank, rational,
                      resolution_datum, separating_walls)
 from arrzeta.arrangement import _require_central
@@ -26,8 +28,8 @@ __all__ = [
     "boolean2", "boolean2_factored", "threelines", "threelines_factored",
     "veys", "braid", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
     "random_central_c3", "random_rational_point", "fraction_kernel",
-    "flat_basis", "closure", "Chain", "enumerate_chains", "chain_terms",
-    "merged_terms",
+    "flat_basis", "closure", "brute_force_lattice", "stratum_euler",
+    "long_division", "Chain", "enumerate_chains", "chain_terms", "merged_terms",
     "interval_arrangement", "restriction_arrangement", "specialize",
     "polytope_member", "nudged_path",
 ]
@@ -85,6 +87,50 @@ def closure(arr, indices):
     closed = [i for i in range(arr.r)
               if i in indices or not any(sum(map(mul, arr.normals[i], w)) for w in vectors)]
     return Flat(closed, arr.n - len(vectors), vectors, den)
+
+
+def brute_force_lattice(arr):
+    """Every flat as the closure of an index subset and the Mobius table by
+    its definition, over Q on the forms as given: {indices: (codim, basis)}
+    and {indices of X: {indices of Z: mu(X, Z)}}."""
+    flats = {}
+    for k in range(arr.r + 1):
+        for subset in combinations(range(arr.r), k):
+            _, basis = fraction_kernel([arr.forms[i] for i in subset], arr.n)
+            closed = frozenset(i for i in range(arr.r) if all(
+                sum(a * b for a, b in zip(arr.forms[i], v)) == 0 for v in basis))
+            flats[closed] = (arr.n - len(basis), tuple(basis))
+    order = sorted(flats, key=lambda x: (flats[x][0], sorted(x)))
+    table = {}
+    for x in order:
+        row = table[x] = {}
+        for z in order:
+            if x <= z:
+                row[z] = 1 if z == x else -sum(m for w, m in row.items() if w < z)
+    return flats, table
+
+
+def stratum_euler(arr):
+    """The Euler characteristic of each flat's open stratum (the points of
+    X on no hyperplane outside X), sum over Z >= X of mu(X, Z) on the
+    brute-force Mobius table: {indices of X: value}."""
+    _, table = brute_force_lattice(arr)
+    return {x: sum(row.values()) for x, row in table.items()}
+
+
+def long_division(p, form):
+    """Long division of a MultiPoly by an affine form over Q in the form's
+    first pivot variable, one leading slice per step: (quotient,
+    remainder) with the remainder free of that variable."""
+    m = next(j for j, c in enumerate(form.coeffs) if c)
+    fpoly = form.to_poly()
+    quot, rem = MultiPoly(p.nvars), p
+    while rem.degree_in(m) > 0:
+        d = rem.degree_in(m)
+        t = MultiPoly(p.nvars, {ex[:m] + (d - 1,) + ex[m + 1:]: c / form.coeffs[m]
+                                for ex, c in rem.terms.items() if ex[m] == d})
+        quot, rem = quot + t, rem - t * fpoly
+    return quot, rem
 
 
 def boolean2_factored():
@@ -224,17 +270,19 @@ def chain_terms(arr, multi=False, use_global=False):
     chain with a nonzero coefficient; merged_terms of them is the shape of
     ZetaFunction.terms.  Local: the chains from the minimal flat.  Global:
     every chain weighted by the open-stratum Euler characteristic of its
-    first flat, plus the empty flag weighted by that of the complement."""
+    first flat, plus the empty flag weighted by that of the complement,
+    both from the brute-force Mobius table (stratum_euler)."""
     lattice = intersection_lattice(arr)
     if use_global:
         chains = enumerate_chains(lattice)
-        terms = [(lattice.stratum_euler(lattice.ambient), ())]
+        weight = stratum_euler(arr)
+        terms = [(weight[lattice.ambient.indices], ())]
     else:
         chains = enumerate_chains(lattice, start=lattice.minimal_flat())
         terms = []
     for chain in chains:
         flats = chain.flats + (lattice.ambient,)
-        coef = Fraction(lattice.stratum_euler(flats[0]) if use_global else 1)
+        coef = Fraction(weight[flats[0].indices] if use_global else 1)
         dens = []
         for j, flat in enumerate(chain.flats):
             coef *= lattice.interval_euler(flats[j + 1], flat)

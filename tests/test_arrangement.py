@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from arrzeta import (Arrangement, ArrangementError, char_poly,
+from arrzeta import (Arrangement, ArrangementError, Flat, char_poly,
                      complement_euler, dense_edges, intersection_lattice,
                      is_essential, is_indecomposable, localize_at_point,
                      proj_complement_euler)
@@ -86,6 +86,22 @@ def test_lattice_flat_rejects_non_integer_indices(indices):
     # an index is an integer, not truncated: [2.9] is not the flat {3}
     with pytest.raises(ArrangementError, match="must be an integer"):
         veys().lattice.flat(indices)
+    with pytest.raises(ArrangementError, match="hyperplane index must be an integer"):
+        Flat(indices, 1, (), 1)
+
+
+@pytest.mark.parametrize("codim", [1.7, 1.0, True, F(3, 2)],
+                         ids=["float", "float-integral", "bool", "fraction"])
+def test_flat_rejects_non_integer_codim(codim):
+    # Flat([1.5, True], 1.7, (), 1) used to read as indices {1}, codim 1
+    with pytest.raises(ArrangementError, match="codimension must be an integer"):
+        Flat([0], codim, (), 1)
+
+
+def test_flat_accepts_integral_fractions():
+    flat = Flat([F(2), 0], F(4, 2), (), 1)
+    assert (flat.indices, flat.codim) == ({0, 2}, 2)
+    assert all(type(e) is int for e in (*flat.indices, flat.codim))
 
 
 def test_lattice_flat_reads_closed_index_sets():

@@ -11,7 +11,7 @@ from arrzeta.core import (AffineForm, MultiPoly, QMatrix, div_linear,
                           integer_kernel, poly_eval, primitive_normal, rank,
                           rational)
 
-from conftest import fraction_kernel
+from conftest import fraction_kernel, long_division
 
 F = Fraction
 
@@ -217,34 +217,55 @@ def test_affine_form_behaviour():
     assert g.format_str(["s1", "s2"]) == "s1 + 2*s2 + 2"
 
 
-def divides(form, p):
-    """The form divides p exactly: div_linear leaves a zero remainder."""
-    return div_linear(p, form)[1].is_zero()
+def divided(p, form):
+    """div_linear of an integer MultiPoly against long division over Q:
+    None exactly when the remainder is nonzero, and otherwise the quotient,
+    with nonzero int entries.  Returns that quotient, or None."""
+    assert all(c.denominator == 1 for c in p.terms.values())
+    got = div_linear({ex: int(c) for ex, c in p.terms.items()}, form)
+    quot, rem = long_division(p, form)
+    if not rem.is_zero():
+        assert got is None
+        return None
+    assert all(type(c) is int and c for c in got.values())
+    assert MultiPoly(p.nvars, got) == quot
+    return quot
 
 
 def test_divides_linear_examples():
     l = AffineForm((1, 1), 2)
     other = AffineForm((1, 0), 1)
     p = l.to_poly() * other.to_poly()
-    assert divides(l, p)
-    assert divides(other, p)
-    assert not divides(other, l.to_poly())
-    assert divides(l, MultiPoly(2))  # everything divides zero
-    with pytest.raises(ValueError):
-        divides(AffineForm((1,), 0), p)  # arity mismatch
+    assert divided(p, l) == other.to_poly()
+    assert divided(p, other) == l.to_poly()
+    assert divided(l.to_poly(), other) is None
+    assert divided(MultiPoly(2), l) == MultiPoly(2)  # everything divides zero
 
 
 def test_div_linear_exact():
     t = MultiPoly.variable(1, 0)
     char3 = t * t - 3 * t + 2
-    assert div_linear(char3, AffineForm((1,), -1)) == (t - 2, MultiPoly(1))
-    assert not div_linear(t * t + 1, AffineForm((1,), -1))[1].is_zero()
+    assert divided(char3, AffineForm((1,), -1)) == t - 2
+    assert divided(t * t + 1, AffineForm((1,), -1)) is None  # every step exact
     # multivariate: quotient recovers the cofactor
     a = AffineForm((1, 2), 2)
     b = AffineForm((1, 1), 1)
     prod = a.to_poly() * b.to_poly()
-    assert div_linear(prod, a) == (b.to_poly(), MultiPoly(2))
-    assert div_linear(prod, b) == (a.to_poly(), MultiPoly(2))
+    assert divided(prod, a) == b.to_poly()
+    assert divided(prod, b) == a.to_poly()
+    # pivot coefficient 2: an integer quotient, content kept
+    two = AffineForm((2,), 1)
+    assert divided((t + 3) * two.to_poly(), two) == t + 3
+    assert divided(6 * t + 3, two) == MultiPoly.constant(1, 3)
+    assert divided(t * t + t, two) is None  # first step 1 / 2 inexact
+    assert divided(2 * t * t + 2 * t + 1, two) is None  # second step 1 / 2 inexact
+    # pivot coefficient 3 in two variables: 3 s1 + s2 + 1
+    three = AffineForm((3, 1), 1)
+    s1, s2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    cofactor = s1 * s2 - 2 * s2 + 5
+    assert divided(cofactor * three.to_poly(), three) == cofactor
+    assert divided(s1 * s1 + s2, three) is None  # first step inexact
+    assert divided(3 * s1 + 2 * s2 + 1, three) is None  # exact step, remainder s2
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,32 +280,24 @@ def test_division_roundtrip(c1, c2, k, ts):
     for a, b, c in ts:
         p = p + MultiPoly(2, {(a, b): c})
     prod = p * form.to_poly()
-    assert divides(form, prod)
-    assert div_linear(prod, form) == (p, MultiPoly(2))
+    assert divided(prod, form) == p
     if not p.is_zero():
-        assert not divides(form, prod + 1)
-    # any p: p = q * form + r with r free of the pivot variable
-    pivot = next(j for j, c in enumerate(form.coeffs) if c)
-    q, r = div_linear(p, form)
-    assert q * form.to_poly() + r == p
-    assert r.degree_in(pivot) == 0
+        assert divided(prod + 1, form) is None
+    divided(p, form)  # any p: against long division
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
        st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-                          st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+                          st.integers(-6, 6)),
                 max_size=6))
 def test_division_by_a_later_pivot(c2, c3, k, ts):
-    """Three variables, rational coefficients, pivot s2 or s3."""
+    """Three variables, pivot s2 or s3."""
     if c2 == 0 and c3 == 0:
         return
     form, _ = AffineForm.canonical((0, c2, c3), k)
-    pivot = 1 if c2 else 2
     p = MultiPoly(3)
     for ex, c in ts:
         p = p + MultiPoly(3, {ex: c})
-    q, r = div_linear(p, form)
-    assert q * form.to_poly() + r == p
-    assert r.degree_in(pivot) == 0
-    assert div_linear(q * form.to_poly(), form) == (q, MultiPoly(3))
+    divided(p, form)
+    assert divided(p * form.to_poly(), form) == p

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import arrzeta
 import arrzeta.arrangement
 import arrzeta.cli
-from arrzeta.core import div_linear, integer_kernel, poly_eval, primitive_normal
+from arrzeta.core import integer_kernel, poly_eval, primitive_normal
 from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
                      adapted_vector, candidate_poles, char_poly,
                      complement_euler, dense_edges, global_zeta,
@@ -23,9 +23,10 @@ from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
                      smc_verify, validate_adapted)
 from arrzeta.examples import veys_broots
 
-from conftest import (boolean2, braid, closure, flat_basis, fraction_kernel,
-                      interval_arrangement, ninefold, random_central_c3,
-                      random_lines, restriction_arrangement, threelines,
+from conftest import (boolean2, braid, brute_force_lattice, closure, flat_basis,
+                      fraction_kernel, interval_arrangement, long_division,
+                      ninefold, random_central_c3, random_lines,
+                      restriction_arrangement, stratum_euler, threelines,
                       threelines_factored, veys, xy_in_c3, xyz)
 
 
@@ -80,7 +81,7 @@ def test_euler_characteristics_match_char_poly_route(arr):
     if arr.r == 0:
         want = arr.n
     else:
-        quot, rem = div_linear(chi, AffineForm((1,), -1))
+        quot, rem = long_division(chi, AffineForm((1,), -1))
         assert rem.is_zero()
         want = poly_eval(quot, (1,))
     assert proj_complement_euler(arr) == want
@@ -91,12 +92,13 @@ def test_euler_characteristics_match_char_poly_route(arr):
 @over_corpus
 def test_stratum_euler_matches_restriction(arr):
     lat = intersection_lattice(arr)
-    assert lat.stratum_euler(lat.ambient) == complement_euler(arr)
+    weight = stratum_euler(arr)
+    assert weight[lat.ambient.indices] == complement_euler(arr)
     for x in lat.flats:
         if x.codim == arr.n:
-            assert lat.stratum_euler(x) == 1  # the open stratum of the origin
+            assert weight[x.indices] == 1  # the open stratum of the origin
         else:
-            assert lat.stratum_euler(x) == complement_euler(restriction_arrangement(arr, x))
+            assert weight[x.indices] == complement_euler(restriction_arrangement(arr, x))
 
 
 @over_corpus
@@ -139,27 +141,6 @@ def test_one_kernel_basis_per_flat(monkeypatch, arr):
     assert len(calls) == len(lat)
 
 
-def brute_force_lattice(arr):
-    """Every flat as the closure of an index subset and the Mobius table by
-    its definition, over Q on the forms as given: {indices: (codim, basis)}
-    and {indices of X: {indices of Z: mu(X, Z)}}."""
-    flats = {}
-    for k in range(arr.r + 1):
-        for subset in combinations(range(arr.r), k):
-            _, basis = fraction_kernel([arr.forms[i] for i in subset], arr.n)
-            closed = frozenset(i for i in range(arr.r) if all(
-                sum(a * b for a, b in zip(arr.forms[i], v)) == 0 for v in basis))
-            flats[closed] = (arr.n - len(basis), tuple(basis))
-    order = sorted(flats, key=lambda x: (flats[x][0], sorted(x)))
-    table = {}
-    for x in order:
-        row = table[x] = {}
-        for z in order:
-            if x <= z:
-                row[z] = 1 if z == x else -sum(m for w, m in row.items() if w < z)
-    return flats, table
-
-
 @st.composite
 def scaled_central_arrangements(draw):
     """Central arrangements in C^2..C^4 whose forms are random rational
@@ -178,11 +159,25 @@ def scaled_central_arrangements(draw):
 @settings(max_examples=60, deadline=None)
 @given(scaled_central_arrangements())
 def test_integer_lattice_matches_rational_oracle(arr):
+    # every stored number against the Mobius table by its definition: the
+    # ambient row, and chi(X, Y) = sum over X <= Z <= Y of
+    # mu(X, Z) (codim Y - codim Z), listed below Y exactly when nonzero
     flats, table = brute_force_lattice(arr)
     primitive = Arrangement(arr.n, arr.normals)
     for lat in (intersection_lattice(arr), intersection_lattice(primitive)):
         assert {f.indices: (f.codim, flat_basis(f)) for f in lat.flats} == flats
-        assert lat._table == table
+        assert lat.mobius == table[frozenset()]
+        for y in lat.flats:
+            want = {}
+            for x in lat.flats:
+                if x.indices < y.indices:
+                    want[x.indices] = sum(m * (y.codim - flats[z][0])
+                                          for z, m in table[x.indices].items()
+                                          if z <= y.indices)
+                    assert lat.interval_euler(x, y) == want[x.indices]
+            below = lat.euler_below(y)
+            assert len(below) == len({x for x, _ in below})
+            assert {x.indices: e for x, e in below} == {x: e for x, e in want.items() if e}
 
 
 def test_lattice_is_built_without_fractions(monkeypatch):

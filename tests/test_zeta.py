@@ -17,14 +17,15 @@ from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      multivariate_global_zeta, multivariate_local_zeta, poles,
                      rank2_zeta, resolution_datum, snc_zeta)
 from arrzeta.cli import run
-from arrzeta.core import AffineForm, MultiPoly, primitive_normal
+import arrzeta.zeta
+from arrzeta.core import AffineForm, MultiPoly, div_linear, primitive_normal
 from arrzeta.zeta import ResolutionDatum, ZetaFunction
 
 from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
-                      enumerate_chains, merged_terms, ninefold, random_central_c3,
-                      random_lines, random_rational_point, specialize,
-                      threelines, threelines_factored, veys, xy_ab, xy_in_c3,
-                      xyz)
+                      enumerate_chains, long_division, merged_terms, ninefold,
+                      random_central_c3, random_lines, random_rational_point,
+                      specialize, stratum_euler, threelines,
+                      threelines_factored, veys, xy_ab, xy_in_c3, xyz)
 
 F = Fraction
 
@@ -184,19 +185,6 @@ def test_zeta_merges_equal_denominators(build):
     assert split.terms == halves
 
 
-def _oracle_div_linear(p, form):
-    """Long division in the pivot variable, one leading slice per step."""
-    m = next(j for j, c in enumerate(form.coeffs) if c)
-    fpoly = form.to_poly()
-    quot, rem = MultiPoly(p.nvars), p
-    while rem.degree_in(m) > 0:
-        d = rem.degree_in(m)
-        t = MultiPoly(p.nvars, {ex[:m] + (d - 1,) + ex[m + 1:]: c / form.coeffs[m]
-                                for ex, c in rem.terms.items() if ex[m] == d})
-        quot, rem = quot + t, rem - t * fpoly
-    return quot, rem
-
-
 def _oracle_normalize(nvars, terms):
     """Each merged term expanded against the LCD one MultiPoly product at a
     time, then every LCD factor divided out while it divides."""
@@ -221,7 +209,7 @@ def _oracle_normalize(nvars, terms):
     den = dict(lcd)
     for f in sorted(den):
         while den[f] > 0:
-            quot, rem = _oracle_div_linear(num, f)
+            quot, rem = long_division(num, f)
             if not rem.is_zero():
                 break
             num = quot
@@ -282,6 +270,32 @@ def test_multivariate_zeta_makes_no_polynomial_products(mul_count):
     z = multivariate_local_zeta(arr)
     assert z.denominator
     assert mul_count == []
+
+
+def test_cancellation_makes_no_fraction(monkeypatch):
+    """No Fraction is made inside div_linear while a quotient is cancelled."""
+    inside, divided, made = [], [], []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        if inside:
+            made.append(args)
+        return original(cls, *args, **kwargs)
+
+    def traced(terms, form):
+        inside.append(form)
+        try:
+            quot = div_linear(terms, form)
+        finally:
+            inside.pop()
+        divided.append(quot is not None)
+        return quot
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    monkeypatch.setattr(arrzeta.zeta, "div_linear", traced)
+    assert multivariate_local_zeta(_ninefold_factored()).denominator
+    assert True in divided and False in divided
+    assert made == []
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +491,8 @@ def test_stratum_euler_is_one_only_at_the_minimal_flat(arr):
     # scaling acts freely on every open stratum but the minimal flat's
     lat = intersection_lattice(arr)
     vmin = lat.minimal_flat()
-    assert [lat.stratum_euler(x) for x in lat.flats] == [int(x is vmin) for x in lat.flats]
+    weight = stratum_euler(arr)
+    assert [weight[x.indices] for x in lat.flats] == [int(x is vmin) for x in lat.flats]
 
 
 @settings(max_examples=60, deadline=None)
