@@ -14,10 +14,9 @@ from .arrangement import (Arrangement, ArrangementError, Flat,
                           dense_edges, intersection_lattice, is_essential,
                           is_indecomposable, localize_at_point,
                           proj_complement_euler)
-from .zeta import (PoleReport, ResolutionDatum, ZetaFunction, candidate_poles,
-                   global_zeta, local_zeta, multivariate_global_zeta,
-                   multivariate_local_zeta, poles, rank2_zeta,
-                   resolution_datum, snc_zeta)
+from .zeta import (PoleReport, ZetaFunction, candidate_poles, global_zeta,
+                   local_zeta, multivariate_global_zeta,
+                   multivariate_local_zeta, poles, rank2_zeta, snc_zeta)
 from .walls import (WallFamily, WallInstance, WallSet, chamber_path,
                     extend_restricted_walls, localized_walls, nd_wall_set,
                     separating_walls, walls_from_resolution)

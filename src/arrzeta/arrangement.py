@@ -208,8 +208,10 @@ class IntersectionLattice:
         return [f for f in self.flats if f.codim > 0]
 
     def minimal_flat(self):
-        """The intersection of all hyperplanes (bottom subspace, top flat)."""
-        return max(self.flats, key=lambda f: (len(f.indices), f.codim))
+        """The intersection of all hyperplanes (bottom subspace, top flat).
+        Its codimension is the rank of the arrangement and no other flat
+        has that codimension, so it sorts last."""
+        return self.flats[-1]
 
     def mu(self, flat):
         return self.mobius[flat.indices]

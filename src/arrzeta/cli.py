@@ -29,8 +29,7 @@ from .vmono import (DiagClass, MonomialConnectionSpec, diag_annihilator,
 from .walls import (WallFamily, WallInstance, extend_restricted_walls,
                     localized_walls, nd_wall_set, separating_walls)
 from .zeta import (ZetaFunction, candidate_poles, global_zeta, local_zeta,
-                   multivariate_global_zeta, multivariate_local_zeta, poles,
-                   resolution_datum)
+                   multivariate_global_zeta, multivariate_local_zeta, poles)
 
 
 def parse_point(text):
@@ -145,11 +144,10 @@ def cmd_analyze(args):
         "candidate_poles": candidate_poles(arr),
     }
     for f in dense:
-        datum = resolution_datum(arr, f)
         entry = {"indices": sorted(i + 1 for i in f.indices), "codim": f.codim,
-                 "N": datum.N, "nu": datum.nu}
-        if datum.ord is not None:
-            entry["ord"] = datum.ord
+                 "N": sum(arr.mults[i] for i in f.indices), "nu": f.codim}
+        if arr.factors is not None:
+            entry["ord"] = tuple(sum(row[i] for i in f.indices) for row in arr.factors)
         data["dense_edges"].append(entry)
     lines = [
         "arrangement %s: %d hyperplanes in C^%d, degree %d"

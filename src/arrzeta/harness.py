@@ -22,7 +22,7 @@ from itertools import combinations
 from .core import AffineForm, as_int, integer_kernel, rational
 from .arrangement import ArrangementError, dense_edges
 from .zeta import (candidate_poles, local_zeta, multivariate_global_zeta,
-                   multivariate_local_zeta, poles, resolution_datum)
+                   multivariate_local_zeta, poles)
 
 
 class Verdict:
@@ -86,11 +86,11 @@ class Polytope:
 
 
 def lct(arr):
-    """Log canonical threshold: the least nu/N over the dense edges."""
+    """Log canonical threshold: the least nu/N over the dense edges, which
+    is minus the largest candidate pole."""
     if arr.r == 0:
         raise ArrangementError("lct of the empty arrangement")
-    data = [resolution_datum(arr, f) for f in dense_edges(arr)]
-    return min(Fraction(d.nu, d.N) for d in data)
+    return -candidate_poles(arr)[0]
 
 
 def log_canonical_polytope(arr):
@@ -232,8 +232,8 @@ def nd_check(arr):
     """Check that -n/d is a candidate pole, and report whether it is a pole.
 
     n is the ambient dimension, d the total degree.  The candidate property
-    is the checkable half (the origin is a dense edge here, with datum
-    (d, n)); whether the candidate survives as an actual pole of the local
+    is the checkable half (the origin is a dense edge here, with pole form
+    d s + n); whether the candidate survives as an actual pole of the local
     zeta function is reported but not judged, since it can honestly fail.
     """
     _require_verdict_input(arr, "nd_check", nd=True)
@@ -293,7 +293,7 @@ def multi_nd_check(arr):
     hyper, _ = AffineForm.canonical(degrees, arr.n)
     cands = candidate_poles(arr, multi=True)
     z = multivariate_local_zeta(arr)
-    polar = [f for f, _ in poles(z).multivariate]
+    polar = [f for f, _ in z.denominator_factors()]
     is_cand = hyper in cands
     in_polar = hyper in polar
     witnesses = ["distinguished hyperplane %s" % hyper.format_str(),
@@ -324,7 +324,7 @@ def multi_smc_verify(arr, zero_locus):
                                    "(one per factor, then the constant)"
                                    % (j + 1, len(row), width))
         allowed.add(AffineForm.canonical(row[:-1], row[-1])[0])
-    polar = [f for f, _ in poles(z).multivariate]
+    polar = [f for f, _ in z.denominator_factors()]
     offenders = [f for f in polar if f not in allowed]
     witnesses = []
     if offenders:

@@ -126,9 +126,10 @@ class WallInstance:
 def walls_from_resolution(data):
     """Wall families generated by order tuples of a resolution.
 
-    Each tuple of nonnegative integers (the ord of a ResolutionDatum, say)
-    of content c contributes its primitive normal with offsets 0, 1/c, ...,
-    (c-1)/c; families with equal normals merge.
+    Each tuple of nonnegative integers (the ord of a flat, say: each factor
+    row summed over its hyperplanes) of content c contributes its primitive
+    normal with offsets 0, 1/c, ..., (c-1)/c; families with equal normals
+    merge.
     """
     fams = {}
     for item in data:

@@ -5,14 +5,16 @@ from the maximal wonderful model of the arrangement, whose boundary strata
 are indexed by flags of proper flats.  Each flag of flats W_1 < ... < W_k
 (strictly increasing subspaces) contributes the product of the Euler
 characteristics of the projectivized complements of the interval
-arrangements along the flag divided by the product of the corresponding
-(N s + nu) factors.  The local zeta sums the flags starting at the minimal
-flat.  The global one sums all flags weighted by the Euler characteristic
-of the open stratum of the first flat, plus the empty flag; on a central
-arrangement that is the local sum (see global_zeta).  The interval Euler
-characteristics are the nonzero ones the arrangement's one intersection
-lattice, Arrangement.lattice, keeps for each flat (euler_below); no
-interval arrangement is built.
+arrangements along the flag divided by the product of the flats' pole forms
+ord_X . s + nu_X (_pole_forms); in one variable they are N_X s + nu_X, the
+forms of the one-row factorization by the multiplicities.  The dense edges'
+forms are the candidate poles.  The local zeta sums the flags starting at
+the minimal flat.  The global one sums all flags weighted by the Euler
+characteristic of the open stratum of the first flat, plus the empty flag;
+on a central arrangement that is the local sum (see global_zeta).  The
+interval Euler characteristics are the nonzero ones the arrangement's one
+intersection lattice, Arrangement.lattice, keeps for each flat
+(euler_below); no interval arrangement is built.
 
 The flag sum is taken by a recursion over the proper flats (_flag_sum)
 that keeps, for each flat, the sum over the flags from it up to the
@@ -33,52 +35,35 @@ from .core import (AffineForm, MultiPoly, _add_times_affine, as_int, div_linear,
 from .arrangement import ArrangementError, dense_edges, localize_at_point
 
 
-class ResolutionDatum:
-    """Numerical data of the boundary divisor attached to a proper flat.
-
-    N: total multiplicity sum of d_i over the flat's index set.
-    nu: discrepancy plus one, equal to the codimension of the flat.
-    ord: per-factor multiplicities (sum of factor exponents over the index
-        set), present only when the arrangement carries a factorization.
-    """
-
-    def __init__(self, flat, N, nu, ord=None):
-        self.flat = flat
-        self.N = as_int(N, "N")
-        self.nu = as_int(nu, "nu")
-        self.ord = tuple(as_int(e, "an ord entry") for e in ord) if ord is not None else None
-
-    def __repr__(self):
-        extra = ", ord=%r" % (self.ord,) if self.ord is not None else ""
-        return "ResolutionDatum(%r, N=%d, nu=%d%s)" % (self.flat, self.N, self.nu, extra)
+def _factor_rows(arr, multi):
+    """The rows summed over a flat's hyperplanes in its pole form: the
+    factorization, or the multiplicities as one row for the univariate zeta."""
+    if not multi:
+        return (arr.mults,)
+    if arr.factors is None:
+        raise ArrangementError("multivariate zeta needs a factorization")
+    return arr.factors
 
 
-def resolution_datum(arr, flat):
-    if flat.codim == 0:
-        raise ArrangementError("the ambient flat carries no resolution datum")
-    N = sum(arr.mults[i] for i in flat.indices)
-    ords = None
-    if arr.factors is not None:
-        ords = tuple(sum(row[i] for i in flat.indices) for row in arr.factors)
-    return ResolutionDatum(flat, N, flat.codim, ords)
+def _pole_forms(arr, flats, multi):
+    """{flat: (form, scale)} with scale * form = ord . s + codim, where ord
+    sums each row of _factor_rows over the flat's hyperplanes."""
+    rows = _factor_rows(arr, multi)
+    return {f: AffineForm.canonical([sum(row[i] for i in f.indices) for row in rows], f.codim)
+            for f in flats}
 
 
 def candidate_poles(arr, multi=False, lattice=None):
-    """Candidate poles read off the dense edges.
+    """Candidate poles: the pole forms of the dense edges.
 
-    Univariate: the rationals -nu/N, sorted descending.  Multivariate: the
-    canonical affine forms of (ord, nu), sorted; requires a factorization.
+    Univariate: their roots -nu/N, sorted descending.  Multivariate: the
+    forms ord . s + nu, canonical and sorted; requires a factorization.
     lattice as for dense_edges.
     """
-    dense = dense_edges(arr, lattice)
+    forms = {form for form, _ in _pole_forms(arr, dense_edges(arr, lattice), multi).values()}
     if multi:
-        if arr.factors is None:
-            raise ArrangementError("multivariate candidate poles need a factorization")
-        forms = {AffineForm.canonical(resolution_datum(arr, f).ord, f.codim)[0]
-                 for f in dense}
         return sorted(forms)
-    roots = {Fraction(-f.codim, sum(arr.mults[i] for i in f.indices)) for f in dense}
-    return sorted(roots, reverse=True)
+    return sorted((form.root() for form in forms), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +232,8 @@ def _flag_sum(arr, multi):
     (coefficient, sorted denominator tuple) pairs with a nonzero
     coefficient, sorted by denominator.  No flag is enumerated.
 
-    Each proper flat X has the canonical form and scale L_X, s_X of its
-    (N or ord, nu).  D(X), the sum over the flags from X up to the ambient
+    Each proper flat X has the canonical pole form and scale L_X, s_X of
+    _pole_forms.  D(X), the sum over the flags from X up to the ambient
     space, is 1 with no denominator at the ambient space and otherwise
 
         D(X) = (1/s_X) sum of interval_euler(Y, X) * (D(Y) with L_X added)
@@ -260,10 +245,7 @@ def _flag_sum(arr, multi):
     hashes faster than the forms and sorts the same way.
     """
     lattice = arr.lattice
-    forms = {}
-    for f in lattice.proper_flats():
-        d = resolution_datum(arr, f)
-        forms[f] = AffineForm.canonical(d.ord if multi else (d.N,), d.nu)
+    forms = _pole_forms(arr, lattice.proper_flats(), multi)
     ordered = sorted({form for form, _ in forms.values()})
     rank = {form: i for i, form in enumerate(ordered)}
     sums = {lattice.ambient: {(): Fraction(1)}}
@@ -280,14 +262,6 @@ def _flag_sum(arr, multi):
             for dens, coef in sorted(sums[lattice.minimal_flat()].items())]
 
 
-def _zeta_nvars(arr, multi):
-    if not multi:
-        return 1
-    if arr.factors is None:
-        raise ArrangementError("multivariate zeta needs a factorization")
-    return len(arr.factors)
-
-
 def _local(arr, multi, point):
     if point is not None:
         arr = localize_at_point(arr, point)
@@ -296,7 +270,7 @@ def _local(arr, multi, point):
                                "through the origin)")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
-    return ZetaFunction(_zeta_nvars(arr, multi), _flag_sum(arr, multi))
+    return ZetaFunction(len(_factor_rows(arr, multi)), _flag_sum(arr, multi))
 
 
 def local_zeta(arr, point=None):
@@ -356,17 +330,13 @@ def snc_zeta(arr, multi=False):
         raise ArrangementError("snc oracle needs at least one hyperplane")
     if len(integer_kernel(arr.normals, arr.n)[0]) != arr.n - arr.r:
         raise ArrangementError("snc oracle needs linearly independent normals")
-    nvars = _zeta_nvars(arr, multi)
+    rows = _factor_rows(arr, multi)
     forms = []
     for i in range(arr.r):
-        if multi:
-            coeffs = tuple(row[i] for row in arr.factors)
-        else:
-            coeffs = (arr.mults[i],)
-        form, scale = AffineForm.canonical(coeffs, 1)
+        form, scale = AffineForm.canonical([row[i] for row in rows], 1)
         assert scale == 1
         forms.append(form)
-    return ZetaFunction(nvars, [(Fraction(1), forms)])
+    return ZetaFunction(len(rows), [(Fraction(1), forms)])
 
 
 def rank2_zeta(arr):

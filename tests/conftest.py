@@ -19,7 +19,7 @@ from operator import mul
 from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, MultiPoly,
                      QMatrix, ZetaFunction, integer_kernel, intersection_lattice,
                      localized_walls, primitive_normal, rank, rational,
-                     resolution_datum, separating_walls)
+                     separating_walls)
 from arrzeta.arrangement import _require_central
 from arrzeta.core import dot
 from arrzeta.examples import boolean2, threelines, threelines_factored, veys
@@ -273,6 +273,7 @@ def chain_terms(arr, multi=False, use_global=False):
     first flat, plus the empty flag weighted by that of the complement,
     both from the brute-force Mobius table (stratum_euler)."""
     lattice = intersection_lattice(arr)
+    rows = arr.factors if multi else [arr.mults]
     if use_global:
         chains = enumerate_chains(lattice)
         weight = stratum_euler(arr)
@@ -286,8 +287,8 @@ def chain_terms(arr, multi=False, use_global=False):
         dens = []
         for j, flat in enumerate(chain.flats):
             coef *= lattice.interval_euler(flats[j + 1], flat)
-            datum = resolution_datum(arr, flat)
-            form, scale = AffineForm.canonical(datum.ord if multi else (datum.N,), datum.nu)
+            ords = [sum(row[i] for i in flat.indices) for row in rows]
+            form, scale = AffineForm.canonical(ords, flat.codim)
             coef /= scale
             dens.append(form)
         terms.append((coef, tuple(sorted(dens))))

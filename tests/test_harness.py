@@ -260,6 +260,16 @@ def test_multi_smc_pass_and_fail():
     assert v.data["offenders"] == [AffineForm((1, 2), 2)]
 
 
+def test_multi_checks_accept_one_factor():
+    # one factor gives a zeta in one variable, whose poles() are roots; the
+    # polar locus is still read as forms
+    one = Arrangement(2, threelines().forms, factors=[(1, 1, 1)])
+    polar = {AffineForm((3,), 2), AffineForm((1,), 1)}
+    v = multi_nd_check(one)
+    assert v.passed and v.data["in_polar"] and set(v.data["polar"]) == polar
+    assert multi_smc_verify(one, [[3, 2], [1, 1]]).passed
+
+
 def test_multi_smc_canonicalizes_input():
     tf = threelines_factored()
     scaled = [[2, 4, 4], [1, 0, 1], [0, 1, 1]]

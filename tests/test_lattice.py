@@ -167,6 +167,7 @@ def test_integer_lattice_matches_rational_oracle(arr):
     for lat in (intersection_lattice(arr), intersection_lattice(primitive)):
         assert {f.indices: (f.codim, flat_basis(f)) for f in lat.flats} == flats
         assert lat.mobius == table[frozenset()]
+        assert lat.minimal_flat().indices == frozenset(range(arr.r))
         for y in lat.flats:
             want = {}
             for x in lat.flats:

@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from arrzeta import (WallFamily, WallInstance, WallSet, chamber_path,
-                     extend_restricted_walls, intersection_lattice,
-                     localized_walls, nd_wall_set, resolution_datum,
+                     extend_restricted_walls, localized_walls, nd_wall_set,
                      separating_walls, walls_from_resolution)
 
 from conftest import (nudged_path, random_central_c3, random_lines,
-                      random_rational_point, threelines, threelines_factored,
-                      veys)
+                      random_rational_point, threelines, veys)
 
 F = Fraction
 
@@ -105,11 +103,8 @@ def test_walls_from_resolution_merges():
 
 
 def test_walls_from_resolution_data_objects():
-    arr = threelines_factored()
-    lat = intersection_lattice(arr)
-    data = [resolution_datum(arr, lat.flat([0])),
-            resolution_datum(arr, lat.flat([0, 1, 2]))]
-    ws = walls_from_resolution(d.ord for d in data)
+    # the ords of hyperplane 1 and of the origin in threelines-factored
+    ws = walls_from_resolution([(1, 0), (1, 2)])
     assert [f.normal for f in ws] == [(1, 0), (1, 2)]
     assert all(f.offsets == (F(0),) for f in ws)
     with pytest.raises(ValueError, match="zero"):

@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrzeta import (Arrangement, ArrangementError, candidate_poles,
-                     dense_edges, global_zeta,
-                     intersection_lattice, local_zeta,
+                     global_zeta, intersection_lattice, local_zeta,
                      multivariate_global_zeta, multivariate_local_zeta, poles,
-                     rank2_zeta, resolution_datum, snc_zeta)
+                     rank2_zeta, snc_zeta)
 from arrzeta.cli import run
 import arrzeta.zeta
 from arrzeta.core import AffineForm, MultiPoly, div_linear, primitive_normal
-from arrzeta.zeta import ResolutionDatum, ZetaFunction
+from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
                       enumerate_chains, long_division, merged_terms, ninefold,
@@ -35,42 +34,26 @@ def _af(coeffs, const):
 
 
 # ---------------------------------------------------------------------------
-# resolution data and candidate poles
+# resolution data of the dense edges and candidate poles
 
-def test_resolution_data_veys():
-    arr = veys()
-    lat = intersection_lattice(arr)
-    data = {tuple(sorted(i + 1 for i in f.indices)): resolution_datum(arr, f)
-            for f in dense_edges(arr, lat)}
-    assert {k: (d.N, d.nu) for k, d in data.items()} == {
+def _dense_edge_data(arr, tmp_path):
+    """{indices: entry} from the dense_edges list of analyze --json."""
+    edges = json.loads(_cli_stdout(arr, tmp_path, "analyze"))["dense_edges"]
+    return {tuple(e.pop("indices")): e for e in edges}
+
+
+def test_resolution_data_veys(tmp_path):
+    data = _dense_edge_data(veys(), tmp_path)
+    assert {k: (e["N"], e["nu"]) for k, e in data.items()} == {
         (1,): (1, 1), (2,): (1, 1), (3,): (1, 1), (4,): (2, 1), (5,): (4, 1),
         (1, 2, 3): (3, 2), (1, 4, 5): (7, 2), (1, 2, 3, 4, 5): (9, 3)}
-    assert all(d.ord is None for d in data.values())
-    with pytest.raises(ArrangementError):
-        resolution_datum(arr, lat.ambient)
+    assert all("ord" not in e for e in data.values())
 
 
-def test_resolution_data_ord():
-    arr = threelines_factored()
-    lat = intersection_lattice(arr)
-    origin = lat.flat([0, 1, 2])
-    assert resolution_datum(arr, origin).ord == (1, 2)
-    assert resolution_datum(arr, lat.flat([1])).ord == (0, 1)
-
-
-@pytest.mark.parametrize("N, nu, ord", [(1.5, 1, None), (1, True, None), (F(3, 2), 1, None),
-                                        (2, 1, (2.7,)), (2, 1, (F(1, 2), 1)), (2, 1, (False,))],
-                         ids=["float-N", "bool-nu", "fraction-N", "float-ord", "fraction-ord",
-                              "bool-ord"])
-def test_resolution_datum_rejects_non_integers(N, nu, ord):
-    with pytest.raises(ValueError, match="must be an integer"):
-        ResolutionDatum(None, N, nu, ord=ord)
-
-
-def test_resolution_datum_accepts_integral_fractions():
-    d = ResolutionDatum(None, F(4), F(2), ord=(F(1), 3))
-    assert (d.N, d.nu, d.ord) == (4, 2, (1, 3))
-    assert all(type(e) is int for e in (d.N, d.nu) + d.ord)
+def test_resolution_data_ord(tmp_path):
+    data = _dense_edge_data(threelines_factored(), tmp_path)
+    assert data[(1, 2, 3)]["ord"] == [1, 2]
+    assert data[(2,)]["ord"] == [0, 1]
 
 
 def test_candidate_poles_veys():
@@ -409,8 +392,24 @@ def _assert_matches_chain_oracle(arr):
     if arr.factors is not None:
         cases += [(multivariate_local_zeta, {"multi": True}),
                   (multivariate_global_zeta, {"multi": True, "use_global": True})]
+    zetas = {}
     for zeta, options in cases:
-        assert zeta(arr).terms == merged_terms(chain_terms(arr, **options))
+        zetas[zeta] = zeta(arr)
+        assert zetas[zeta].terms == merged_terms(chain_terms(arr, **options))
+    # the univariate zeta is the zeta of the one-row factorization
+    z = zetas[local_zeta]
+    one_row = Arrangement(arr.n, arr.forms, arr.mults, factors=[arr.mults])
+    z1 = multivariate_local_zeta(one_row)
+    assert (z1.terms, z1.numerator, z1.denominator) == (z.terms, z.numerator, z.denominator)
+    cands = candidate_poles(arr)
+    assert sorted((f.root() for f in candidate_poles(one_row, multi=True)),
+                  reverse=True) == cands
+    # every pole is a candidate, in one variable and in several (the polar
+    # forms; a one-row factorization reports its poles as roots)
+    assert poles(z).pole_set() <= set(cands)
+    if arr.factors is not None:
+        assert set(zetas[multivariate_local_zeta].denominator) <= set(
+            candidate_poles(arr, multi=True))
 
 
 @pytest.mark.parametrize("arr", ORACLE_CORPUS, ids=[
@@ -439,14 +438,14 @@ def _permuted(arr, rng):
                        mults=[arr.mults[i] for i in order], factors=factors, name=arr.name)
 
 
-def _zeta_stdout(arr, multi, tmp_path):
+def _cli_stdout(arr, tmp_path, command, *flags):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({
         "n": arr.n, "forms": [[int(e) for e in f] for f in arr.forms],
         "mults": list(arr.mults), "factors": arr.factors, "name": arr.name}))
     out = StringIO()
     with redirect_stdout(out):
-        assert run(["zeta", str(path), "--json"] + ["--multi"] * multi) == 0
+        assert run([command, str(path), "--json", *flags]) == 0
     return out.getvalue()
 
 
@@ -455,12 +454,13 @@ def _zeta_stdout(arr, multi, tmp_path):
                          ids=["veys", "ninefold", "braid-A4", "threelines-factored"])
 def test_terms_do_not_depend_on_hyperplane_order(arr, multi, tmp_path):
     zeta = multivariate_local_zeta if multi else local_zeta
-    terms, stdout = zeta(arr).terms, _zeta_stdout(arr, multi, tmp_path)
+    flags = ["--multi"] * multi
+    terms, stdout = zeta(arr).terms, _cli_stdout(arr, tmp_path, "zeta", *flags)
     rng = random.Random(1301)
     for _ in range(3):
         other = _permuted(arr, rng)
         assert zeta(other).terms == terms
-        assert _zeta_stdout(other, multi, tmp_path) == stdout
+        assert _cli_stdout(other, tmp_path, "zeta", *flags) == stdout
 
 
 @st.composite
