@@ -409,41 +409,72 @@ class AffineForm:
         return " ".join(parts)
 
 
-def _add_times_affine(out, terms, pairs, const):
-    """Add terms * (sum of c s_j over the pairs (j, c), plus const) into out
-    and return out.  terms and out are raw {exponent tuple: coefficient}
-    dicts; out may keep zero entries."""
+# ---------------------------------------------------------------------------
+# integer polynomials on packed exponents
+#
+# An integer polynomial that is being expanded or divided is a raw
+# {packed exponent: int} dict.  The exponent vector (e_1, ..., e_n) is
+# packed into the one int sum of e_j << width * j, where width is
+# packed_width of a bound on every exponent; multiplying by s_j adds
+# 1 << width * j, and the exponent of s_j is ex >> width * j & mask.
+
+def packed_width(degree):
+    """Bits per variable for exponents up to degree: its bit length plus
+    one."""
+    return degree.bit_length() + 1
+
+
+def packed_steps(form, width):
+    """The (1 << width * j, c_j) pairs of the nonzero coefficients c_j of
+    an affine form: multiplying a monomial by c_j s_j adds the step."""
+    return [(1 << width * j, c) for j, c in enumerate(form.coeffs) if c]
+
+
+def unpack(ex, nvars, width):
+    """The exponent tuple of a packed exponent."""
+    mask = (1 << width) - 1
+    return tuple(ex >> width * j & mask for j in range(nvars))
+
+
+def _add_times_form(out, terms, steps, const):
+    """Add terms * (sum of c s_j over the packed (step, c) pairs, plus
+    const) into out and return out.  terms and out are raw {packed
+    exponent: int} dicts; out may keep zero entries."""
     for ex, a in terms.items():
         if const:
             out[ex] = out.get(ex, 0) + a * const
-        for j, c in pairs:
-            up = ex[:j] + (ex[j] + 1,) + ex[j + 1:]
+        for step, c in steps:
+            up = ex + step
             out[up] = out.get(up, 0) + a * c
     return out
 
 
-def div_linear(terms, form):
-    """The quotient of an integer polynomial, a raw {exponent tuple: int}
-    dict, by the affine form c_m s_m + g (m its first pivot variable), or
-    None if the form does not divide it.  No Fraction is made.
+def div_linear(terms, form, width):
+    """The quotient of an integer polynomial, a raw {packed exponent: int}
+    dict of the given width, by the affine form c_m s_m + g (m its first
+    pivot variable), or None if the form does not divide it.  The quotient
+    is a dict of the same width.  No Fraction is made.
 
-    The polynomial is sliced as the sum of P_k s_m^k with P_k free of s_m.
-    Horner's scheme runs from the top degree d down: Q_{d-1} = P_d / c_m,
-    then Q_{k-1} = (P_k - g Q_k) / c_m, and the remainder P_0 - g Q_0 is
-    zero exactly when the form divides.  A canonical form is primitive, so
-    by Gauss's lemma a quotient over Q has integer coefficients, which the
+    The polynomial is sliced, by the exponent (ex >> width * m) & mask of
+    s_m, as the sum of P_k s_m^k with P_k free of s_m.  Horner's scheme
+    runs from the top degree d down: Q_{d-1} = P_d / c_m, then
+    Q_{k-1} = (P_k - g Q_k) / c_m, and the remainder P_0 - g Q_0 is zero
+    exactly when the form divides.  A canonical form is primitive, so by
+    Gauss's lemma a quotient over Q has integer coefficients, which the
     steps compute: a step that c_m does not divide exactly proves that the
     form does not divide either.
     """
     m = next(j for j, c in enumerate(form.coeffs) if c)
     cm = form.coeffs[m]
-    minus_g = [(j, -c) for j, c in enumerate(form.coeffs) if c and j != m]
+    unit, mask = 1 << width * m, (1 << width) - 1
+    minus_g = [(step, -c) for step, c in packed_steps(form, width) if step != unit]
     slices = {}
     for ex, c in terms.items():
-        slices.setdefault(ex[m], {})[ex[:m] + (0,) + ex[m + 1:]] = c
+        k = ex >> width * m & mask
+        slices.setdefault(k, {})[ex - k * unit] = c
     quot, q = {}, {}
     for k in range(max(slices, default=0), 0, -1):
-        low = _add_times_affine(dict(slices.get(k, {})), q, minus_g, -form.const)
+        low = _add_times_form(slices.pop(k, {}), q, minus_g, -form.const)
         q = {}
         for ex, c in low.items():
             if c:
@@ -451,6 +482,6 @@ def div_linear(terms, form):
                 if r:
                     return None
                 q[ex] = c
-                quot[ex[:m] + (k - 1,) + ex[m + 1:]] = c
-    rem = _add_times_affine(dict(slices.get(0, {})), q, minus_g, -form.const)
+                quot[ex + (k - 1) * unit] = c
+    rem = _add_times_form(slices.pop(0, {}), q, minus_g, -form.const)
     return None if any(rem.values()) else quot

@@ -22,7 +22,14 @@ ambient space with equal denominators merged; no flag is enumerated.
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a normalized numerator / denominator
 pair in which every removable linear factor has been cancelled over the
-integers (_normalize), so the reported poles are genuine.
+integers (_normalize), so the reported poles are genuine.  The numerator
+over the least common denominator is built once, by a Horner recursion over
+the denominator's factors (_lcd_numerator): the terms form a trie by which
+factors they have, and a factor multiplies one partial sum per trie node,
+not each term.  The expansion and the cancelling divisions work on one raw
+integer dict keyed by packed exponents, each exponent vector one int with
+a fixed number of bits per variable (core.packed_width), and the numerator
+is unpacked into a MultiPoly once, at the end.
 """
 
 from bisect import bisect
@@ -30,8 +37,9 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .core import (AffineForm, MultiPoly, _add_times_affine, as_int, div_linear,
-                   format_poly, integer_kernel, poly_eval, rational)
+from .core import (AffineForm, MultiPoly, _add_times_form, as_int, div_linear,
+                   format_poly, integer_kernel, packed_steps, packed_width, poly_eval,
+                   rational, unpack)
 from .arrangement import ArrangementError, dense_edges, localize_at_point
 
 
@@ -88,6 +96,9 @@ class ZetaFunction:
         for coef, dens in self.terms:
             merged[dens] = merged.get(dens, Fraction(0)) + coef
         self.numerator, self.denominator = _normalize(self.nvars, merged)
+        if (self.numerator.terms
+                and self.numerator.total_degree() >= sum(self.denominator.values())):
+            raise ValueError("zeta function is not a proper rational function")
 
     def _clean(self, terms):
         clean = []
@@ -153,45 +164,96 @@ class ZetaFunction:
 
 def _normalize(nvars, merged):
     """The reduced quotient of a sum given as {sorted denominator tuple:
-    coefficient}.  The nonzero coefficients are scaled to integers by the
-    lcm of their denominators, each term is expanded against the least
-    common denominator on one raw integer dict, every denominator factor
-    that divides it is cancelled there (div_linear), and the one MultiPoly
-    is made at the end, divided by the scale.  The reduced quotient with
-    canonical denominator forms is unique, so any grouping of the same sum
-    into merged terms gives the same numerator and denominator."""
+    coefficient}, as (numerator MultiPoly, {form: multiplicity}).
+
+    The nonzero coefficients are scaled to integers c_t by the lcm of their
+    denominators, and the numerator N = sum of c_t LCD / D_t over the
+    least common denominator is built once by _lcd_numerator, a Horner
+    recursion over the LCD's factors with multiplicity, so a factor
+    multiplies one partial sum shared by the terms that lack it.  The
+    factors go in descending form order: on the multivariate zeta of
+    ninefold and the braid arrangements A3 and A4 with 3 to 5 factors that
+    multiplies 28-47% fewer monomials than ascending order, and in one
+    variable the two orders are close.  N is a raw integer dict on packed
+    exponents (core.packed_width of the LCD degree, which bounds every
+    exponent).  Every denominator factor that divides it is cancelled
+    there (div_linear, on the same packed dict), and the one MultiPoly is
+    made at the end, unpacked and divided by the scale.  The reduced quotient
+    with canonical denominator forms is unique, so any grouping of the same
+    sum into merged terms gives the same numerator and denominator.  The
+    quotient need not be proper; ZetaFunction checks that.
+    """
     merged = {dens: coef for dens, coef in merged.items() if coef}
     lcd = {}
     for dens in merged:
         for f, k in Counter(dens).items():
             lcd[f] = max(lcd.get(f, 0), k)
+    width = packed_width(sum(lcd.values()))
     scale = lcm(*(coef.denominator for coef in merged.values()))
-    pairs = {f: [(j, c) for j, c in enumerate(f.coeffs) if c] for f in lcd}
-    total = {}
+    factors, first = [], {}
+    for f in sorted(lcd, reverse=True):
+        first[f] = len(factors)
+        factors += [(packed_steps(f, width), f.const)] * lcd[f]
+    terms = []
     for dens, coef in merged.items():
-        part = {(0,) * nvars: coef.numerator * (scale // coef.denominator)}
-        counts = Counter(dens)
-        for f, k in lcd.items():
-            for _ in range(k - counts.get(f, 0)):
-                part = _add_times_affine({}, part, pairs[f], f.const)
-        for ex, c in part.items():
-            total[ex] = total.get(ex, 0) + c
-    if not any(total.values()):
+        has = 0
+        for f, k in Counter(dens).items():
+            has |= ((1 << k) - 1) << first[f]
+        terms.append((has, coef.numerator * (scale // coef.denominator)))
+    total = {ex: c for ex, c in _lcd_numerator(terms, factors, 0).items() if c}
+    if not total:
         return MultiPoly(nvars), {}
     den = dict(lcd)
     for f in sorted(den):
         while den[f] > 0:
-            quot = div_linear(total, f)
+            quot = div_linear(total, f, width)
             if quot is None:
                 break
             total = quot
             den[f] -= 1
         if den[f] == 0:
             del den[f]
-    num = MultiPoly(nvars, {ex: Fraction(c, scale) for ex, c in total.items()})
-    if num.total_degree() >= sum(den.values()):
-        raise ValueError("zeta function is not a proper rational function")
-    return num, den
+    return MultiPoly(nvars, {unpack(ex, nvars, width): Fraction(c, scale)
+                             for ex, c in total.items()}), den
+
+
+def _lcd_numerator(terms, factors, i):
+    """Sum of c times the product of the factors[j], j >= i, that the term
+    lacks, over the (has, c) terms, as a raw {packed exponent: int} dict
+    that may keep zero entries.  factors are (packed steps, const) pairs
+    and bit j of has is set when the term's denominator has factors[j].
+
+    The terms form a trie by the factors they have.  A factor that every
+    term has is skipped, and one that every term lacks multiplies the whole
+    sum once.  At a factor that splits the terms, the sum is that of the
+    terms that have it plus the factor times that of the terms that lack
+    it, each summed from the next factor on: the smaller side is summed by
+    a recursive call and the larger one by the same loop, so the recursion
+    is at most log2(len(terms)) deep.  pending keeps what is left to do as
+    (addend, factor) pairs, the sum being addend + factor * (the rest).
+    The recursion is a module-level function, so a call leaves no
+    reference cycle behind (a nested function that calls itself would).
+    """
+    one = ([], 1)
+    pending = []
+    while i < len(factors):
+        have = [t for t in terms if t[0] >> i & 1]
+        if not have:
+            pending.append(({}, factors[i]))
+        elif len(have) < len(terms):
+            lack = [t for t in terms if not t[0] >> i & 1]
+            if len(have) <= len(lack):
+                pending.append((_lcd_numerator(have, factors, i + 1), factors[i]))
+                terms = lack
+            else:
+                part = _lcd_numerator(lack, factors, i + 1)
+                pending.append((_add_times_form({}, part, *factors[i]), one))
+                terms = have
+        i += 1
+    out = {0: sum(c for _, c in terms)}
+    for addend, (steps, const) in reversed(pending):
+        out = _add_times_form(addend, out, steps, const)
+    return out
 
 
 class PoleReport:

@@ -218,17 +218,22 @@ def test_affine_form_behaviour():
 
 
 def divided(p, form):
-    """div_linear of an integer MultiPoly against long division over Q:
-    None exactly when the remainder is nonzero, and otherwise the quotient,
-    with nonzero int entries.  Returns that quotient, or None."""
+    """div_linear of an integer MultiPoly, packed at the width of its total
+    degree, against long division over Q: None exactly when the remainder
+    is nonzero, and otherwise the quotient, with nonzero int entries, which
+    unpacks at the same width.  Returns that quotient, or None."""
     assert all(c.denominator == 1 for c in p.terms.values())
-    got = div_linear({ex: int(c) for ex, c in p.terms.items()}, form)
+    width = p.total_degree().bit_length() + 1
+    packed = {sum(e << width * j for j, e in enumerate(ex)): int(c) for ex, c in p.terms.items()}
+    got = div_linear(packed, form, width)
     quot, rem = long_division(p, form)
     if not rem.is_zero():
         assert got is None
         return None
     assert all(type(c) is int and c for c in got.values())
-    assert MultiPoly(p.nvars, got) == quot
+    mask = (1 << width) - 1
+    assert MultiPoly(p.nvars, {tuple(ex >> width * j & mask for j in range(p.nvars)): c
+                               for ex, c in got.items()}) == quot
     return quot
 
 

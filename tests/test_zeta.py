@@ -1,5 +1,6 @@
 """Zeta functions: flag formula, normalization, poles, closed-form oracles."""
 
+import gc
 import json
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      rank2_zeta, snc_zeta)
 from arrzeta.cli import run
 import arrzeta.zeta
-from arrzeta.core import AffineForm, MultiPoly, div_linear, primitive_normal
+from arrzeta.core import AffineForm, MultiPoly, div_linear, packed_width, primitive_normal
 from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
@@ -204,7 +205,7 @@ def _oracle_normalize(nvars, terms):
 
 @st.composite
 def _term_lists(draw):
-    nvars = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 4))
     coeffs = st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars).filter(any)
     pool = [AffineForm.canonical(c, k)[0] for c, k in
             draw(st.lists(st.tuples(coeffs, st.integers(0, 4)), min_size=1, max_size=4))]
@@ -212,8 +213,13 @@ def _term_lists(draw):
     pool.append(AffineForm((2,) + (3,) * (nvars - 1), 1))
     coef = st.fractions(min_value=-4, max_value=4, max_denominator=7)
     terms = draw(st.lists(st.tuples(coef, st.lists(st.sampled_from(pool), min_size=1,
-                                                   max_size=3)), min_size=1, max_size=6))
-    # repeated forms give the LCD powers; a term and its negative merge to zero
+                                                   max_size=5)), min_size=1, max_size=10))
+    # forms repeated up to 3 times give the LCD powers
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from(pool))
+        rest = draw(st.lists(st.sampled_from(pool), max_size=2))
+        terms.append((draw(coef), [f] * draw(st.integers(2, 3)) + rest))
+    # a term and its negative merge to zero
     if draw(st.booleans()):
         f = draw(st.sampled_from(pool))
         c = draw(coef)
@@ -229,6 +235,21 @@ def test_normalize_matches_per_term_expansion(case):
     num, den = _oracle_normalize(nvars, terms)
     assert z.numerator == num
     assert z.denominator == den
+
+
+@pytest.mark.parametrize("degree", [7, 8])
+def test_normalize_at_the_packing_width_boundary(degree):
+    # the packed width grows from 4 to 5 bits per variable between LCD
+    # degree 7 and 8; the term with no denominator makes the exponent of s1
+    # reach the LCD degree, the largest value its slot must hold
+    assert packed_width(degree) == (4 if degree == 7 else 5)
+    forms = [_af((1, 0), k) for k in range(1, degree)] + [_af((1, 1), 1)]
+    terms = [(F(1), ()), (F(-2, 3), forms), (F(5, 7), forms[:2])]
+    num, den = arrzeta.zeta._normalize(2, {tuple(sorted(dens)): coef for coef, dens in terms})
+    assert (num, den) == _oracle_normalize(2, terms)
+    assert num.degree_in(0) == degree
+    with pytest.raises(ValueError, match="proper"):
+        ZetaFunction(2, terms)
 
 
 @pytest.fixture
@@ -265,10 +286,10 @@ def test_cancellation_makes_no_fraction(monkeypatch):
             made.append(args)
         return original(cls, *args, **kwargs)
 
-    def traced(terms, form):
+    def traced(terms, form, width):
         inside.append(form)
         try:
-            quot = div_linear(terms, form)
+            quot = div_linear(terms, form, width)
         finally:
             inside.pop()
         divided.append(quot is not None)
@@ -279,6 +300,34 @@ def test_cancellation_makes_no_fraction(monkeypatch):
     assert multivariate_local_zeta(_ninefold_factored()).denominator
     assert True in divided and False in divided
     assert made == []
+
+
+def test_normalize_leaves_no_cyclic_garbage():
+    """The normalisation creates no reference cycles: every object it makes
+    is freed by reference counting alone."""
+    arrs = [(local_zeta, veys()), (local_zeta, braid(5)),
+            (multivariate_local_zeta, _ninefold_factored())]
+    for _, arr in arrs:
+        arr.lattice
+    gc.collect()
+    gc.disable()
+    try:
+        zetas = [zeta(arr) for zeta, arr in arrs]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(z.denominator for z in zetas)
+
+
+def test_multivariate_zeta_at_the_frontier():
+    # ninefold with hyperplane i in factor i mod 5
+    arr = Arrangement(3, ninefold().forms,
+                      factors=[[int(i % 5 == j) for i in range(9)] for j in range(5)])
+    z = multivariate_local_zeta(arr)
+    assert len(z.numerator.terms) == 3967
+    for point in ((F(1, 3), F(2), F(-5, 7), F(3, 2), F(1, 11)),
+                  (F(-1, 5), F(7, 4), F(2, 9), F(-3), F(5, 6))):
+        assert z.evaluate(point) == z.evaluate_terms(point)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +522,7 @@ def _central_arrangements(draw):
     nonessential = draw(st.booleans())
     m = n - 1 if nonessential else n
     vectors = st.lists(st.integers(-2, 2), min_size=m, max_size=m).filter(any)
-    rows = draw(st.lists(vectors, min_size=m, max_size=min(n + 2, 5),
+    rows = draw(st.lists(vectors, min_size=m, max_size=min(n + 2, 6),
                          unique_by=primitive_normal))
     if nonessential:
         u = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
