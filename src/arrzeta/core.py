@@ -387,6 +387,8 @@ class AffineForm:
         return hash(self._key())
 
     def __lt__(self, other):
+        if not isinstance(other, AffineForm):
+            return NotImplemented
         return self._key() < other._key()
 
     def __repr__(self):

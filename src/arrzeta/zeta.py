@@ -18,24 +18,29 @@ intersection lattice, Arrangement.lattice, keeps for each flat
 
 The flag sum is taken by a recursion over the proper flats (_flag_sum)
 that keeps, for each flat, the sum over the flags from it up to the
-ambient space with equal denominators merged; no flag is enumerated.
+ambient space with equal denominators merged; no flag is enumerated.  It
+runs on integers alone: each such sum is integer coefficients over one
+common denominator, and a denominator is a sorted tuple of ranks into the
+sorted distinct pole forms, one AffineForm made per distinct form.
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a normalized numerator / denominator
 pair in which every removable linear factor has been cancelled over the
-integers (_normalize), so the reported poles are genuine.  The numerator
-over the least common denominator is built once, by a Horner recursion over
-the denominator's factors (_lcd_numerator): the terms form a trie by which
-factors they have, and a factor multiplies one partial sum per trie node,
-not each term.  The expansion and the cancelling divisions work on one raw
-integer dict keyed by packed exponents, each exponent vector one int with
-a fixed number of bits per variable (core.packed_width), and the numerator
-is unpacked into a MultiPoly once, at the end.
+integers (_normalize), so the reported poles are genuine.  _normalize
+takes the flag sum's integer shape directly; ZetaFunction(nvars, terms)
+converts given terms to it once.  The numerator over the least common
+denominator is built once, by a Horner recursion over the denominator's
+factors (_lcd_numerator): the terms form a trie by which factors they
+have, and a factor multiplies one partial sum per trie node, not each term.
+The expansion and the cancelling divisions work on one raw integer dict
+keyed by packed exponents, each exponent vector one int with a fixed
+number of bits per variable (core.packed_width), and the numerator is
+unpacked into a MultiPoly once, at the end; Fractions are made only there
+and for the coefficients of terms.
 """
 
 from bisect import bisect
-from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_form, as_int, div_linear,
                    format_poly, integer_kernel, packed_steps, packed_width, poly_eval,
@@ -54,11 +59,23 @@ def _factor_rows(arr, multi):
 
 
 def _pole_forms(arr, flats, multi):
-    """{flat: (form, scale)} with scale * form = ord . s + codim, where ord
-    sums each row of _factor_rows over the flat's hyperplanes."""
+    """{flat: (row, scale)}: row is the canonical integer row (ord, codim)
+    / scale of the flat's pole form ord . s + codim, where ord sums each row
+    of _factor_rows over the flat's hyperplanes and scale is the gcd of the
+    row.  The entries are nonnegative and codim is positive, so the divided
+    row is already canonical, and rows sort as their AffineForms do; the
+    callers make one AffineForm per distinct row (_form)."""
     rows = _factor_rows(arr, multi)
-    return {f: AffineForm.canonical([sum(row[i] for i in f.indices) for row in rows], f.codim)
-            for f in flats}
+    out = {}
+    for f in flats:
+        row = [sum(r[i] for i in f.indices) for r in rows] + [f.codim]
+        g = gcd(*row)
+        out[f] = (tuple(c // g for c in row), g)
+    return out
+
+
+def _form(row):
+    return AffineForm(row[:-1], row[-1])
 
 
 def candidate_poles(arr, multi=False, lattice=None):
@@ -68,9 +85,10 @@ def candidate_poles(arr, multi=False, lattice=None):
     forms ord . s + nu, canonical and sorted; requires a factorization.
     lattice as for dense_edges.
     """
-    forms = {form for form, _ in _pole_forms(arr, dense_edges(arr, lattice), multi).values()}
+    rows = {row for row, _ in _pole_forms(arr, dense_edges(arr, lattice), multi).values()}
+    forms = [_form(row) for row in sorted(rows)]
     if multi:
-        return sorted(forms)
+        return forms
     return sorted((form.root() for form in forms), reverse=True)
 
 
@@ -92,10 +110,29 @@ class ZetaFunction:
     def __init__(self, nvars, terms):
         self.nvars = as_int(nvars, "the number of variables")
         self.terms = self._clean(terms)
-        merged = {}
+        forms = sorted({f for _, dens in self.terms for f in dens})
+        rank = {f: i for i, f in enumerate(forms)}
+        q = lcm(*(coef.denominator for coef, _ in self.terms))
+        ranked = {}
         for coef, dens in self.terms:
-            merged[dens] = merged.get(dens, Fraction(0)) + coef
-        self.numerator, self.denominator = _normalize(self.nvars, merged)
+            key = tuple(rank[f] for f in dens)
+            ranked[key] = ranked.get(key, 0) + coef.numerator * (q // coef.denominator)
+        self._quotient(forms, ranked, q)
+
+    @classmethod
+    def _merged(cls, nvars, forms, ranked, q):
+        """The zeta function of a sum already in _normalize's shape, such as
+        the flag sum; terms are its nonzero entries as Fractions, sorted by
+        denominator."""
+        z = cls.__new__(cls)
+        z.nvars = nvars
+        z.terms = tuple((Fraction(c, q), tuple(forms[i] for i in dens))
+                        for dens, c in sorted(ranked.items()) if c)
+        z._quotient(forms, ranked, q)
+        return z
+
+    def _quotient(self, forms, ranked, q):
+        self.numerator, self.denominator = _normalize(self.nvars, forms, ranked, q)
         if (self.numerator.terms
                 and self.numerator.total_degree() >= sum(self.denominator.values())):
             raise ValueError("zeta function is not a proper rational function")
@@ -104,13 +141,13 @@ class ZetaFunction:
         clean = []
         for coef, dens in terms:
             coef = rational(coef)
-            dens = tuple(sorted(dens))
+            dens = tuple(dens)
             for f in dens:
                 if not isinstance(f, AffineForm) or f.nvars != self.nvars:
                     raise ValueError("denominator factor %r does not match %d variables"
                                      % (f, self.nvars))
             if coef != 0:
-                clean.append((coef, dens))
+                clean.append((coef, tuple(sorted(dens))))
         return tuple(clean)
 
     def is_zero(self):
@@ -162,58 +199,64 @@ class ZetaFunction:
         return "ZetaFunction(%s)" % self.format_str()
 
 
-def _normalize(nvars, merged):
-    """The reduced quotient of a sum given as {sorted denominator tuple:
-    coefficient}, as (numerator MultiPoly, {form: multiplicity}).
+def _normalize(nvars, forms, ranked, q):
+    """The reduced quotient of the sum of c / (q prod forms[i]) over the
+    {sorted rank tuple: int c} entries of ranked, as (numerator MultiPoly,
+    {form: multiplicity}).  forms are distinct canonical forms in sorted
+    order, and a denominator is a sorted tuple of indices into them.
 
-    The nonzero coefficients are scaled to integers c_t by the lcm of their
-    denominators, and the numerator N = sum of c_t LCD / D_t over the
-    least common denominator is built once by _lcd_numerator, a Horner
-    recursion over the LCD's factors with multiplicity, so a factor
-    multiplies one partial sum shared by the terms that lack it.  The
-    factors go in descending form order: on the multivariate zeta of
-    ninefold and the braid arrangements A3 and A4 with 3 to 5 factors that
-    multiplies 28-47% fewer monomials than ascending order, and in one
-    variable the two orders are close.  N is a raw integer dict on packed
-    exponents (core.packed_width of the LCD degree, which bounds every
-    exponent).  Every denominator factor that divides it is cancelled
-    there (div_linear, on the same packed dict), and the one MultiPoly is
-    made at the end, unpacked and divided by the scale.  The reduced quotient
-    with canonical denominator forms is unique, so any grouping of the same
-    sum into merged terms gives the same numerator and denominator.  The
-    quotient need not be proper; ZetaFunction checks that.
+    The numerator N = sum of c LCD / D over the least common denominator is
+    built once by _lcd_numerator, a Horner recursion over the LCD's factors
+    with multiplicity, so a factor multiplies one partial sum shared by the
+    terms that lack it.  The factors go in descending form order: on the
+    multivariate zeta of ninefold and the braid arrangements A3 and A4 with
+    3 to 5 factors that multiplies 28-47% fewer monomials than ascending
+    order, and in one variable the two orders are close.  N is a raw
+    integer dict on packed exponents (core.packed_width of the LCD degree,
+    which bounds every exponent).  Every denominator factor that divides it
+    is cancelled there (div_linear, on the same packed dict), and the one
+    MultiPoly is made at the end, unpacked and divided by q.  The reduced
+    quotient with canonical denominator forms is unique, so any grouping of
+    the same sum into merged terms gives the same numerator and
+    denominator.  The quotient need not be proper; ZetaFunction checks that.
     """
-    merged = {dens: coef for dens, coef in merged.items() if coef}
+    ranked = {dens: c for dens, c in ranked.items() if c}
     lcd = {}
-    for dens in merged:
-        for f, k in Counter(dens).items():
-            lcd[f] = max(lcd.get(f, 0), k)
+    for dens in ranked:
+        k, prev = 0, None
+        for i in dens:
+            k = k + 1 if i == prev else 1
+            prev = i
+            if k > lcd.get(i, 0):
+                lcd[i] = k
     width = packed_width(sum(lcd.values()))
-    scale = lcm(*(coef.denominator for coef in merged.values()))
     factors, first = [], {}
-    for f in sorted(lcd, reverse=True):
-        first[f] = len(factors)
-        factors += [(packed_steps(f, width), f.const)] * lcd[f]
+    for i in sorted(lcd, reverse=True):
+        first[i] = len(factors)
+        factors += [(packed_steps(forms[i], width), forms[i].const)] * lcd[i]
     terms = []
-    for dens, coef in merged.items():
-        has = 0
-        for f, k in Counter(dens).items():
-            has |= ((1 << k) - 1) << first[f]
-        terms.append((has, coef.numerator * (scale // coef.denominator)))
+    for dens, c in ranked.items():
+        has, k, prev = 0, 0, None
+        for i in dens:
+            k = k + 1 if i == prev else 0
+            prev = i
+            has |= 1 << (first[i] + k)
+        terms.append((has, c))
     total = {ex: c for ex, c in _lcd_numerator(terms, factors, 0).items() if c}
     if not total:
         return MultiPoly(nvars), {}
-    den = dict(lcd)
-    for f in sorted(den):
-        while den[f] > 0:
+    den = {}
+    for i in sorted(lcd):
+        f, k = forms[i], lcd[i]
+        while k:
             quot = div_linear(total, f, width)
             if quot is None:
                 break
             total = quot
-            den[f] -= 1
-        if den[f] == 0:
-            del den[f]
-    return MultiPoly(nvars, {unpack(ex, nvars, width): Fraction(c, scale)
+            k -= 1
+        if k:
+            den[f] = k
+    return MultiPoly(nvars, {unpack(ex, nvars, width): Fraction(c, q)
                              for ex, c in total.items()}), den
 
 
@@ -290,9 +333,10 @@ def poles(z):
 # the flag formula
 
 def _flag_sum(arr, multi):
-    """The flag formula summed with equal denominators merged: the
-    (coefficient, sorted denominator tuple) pairs with a nonzero
-    coefficient, sorted by denominator.  No flag is enumerated.
+    """The flag formula summed with equal denominators merged, in
+    _normalize's shape: (forms, {sorted rank tuple: int}, q), the sum of
+    c / (q prod forms[i]) over the entries.  No flag is enumerated and no
+    Fraction is made.
 
     Each proper flat X has the canonical pole form and scale L_X, s_X of
     _pole_forms.  D(X), the sum over the flags from X up to the ambient
@@ -302,26 +346,38 @@ def _flag_sum(arr, multi):
 
     over the flats Y < X with a nonzero interval_euler (euler_below).  The
     answer is D(minimal flat).  The flats are visited in lattice order, so
-    every such D(Y) is ready when X needs it.  Inside the loop a
-    denominator is a sorted tuple of the forms' ranks in sorted order, which
-    hashes faster than the forms and sorts the same way.
+    every such D(Y) is ready when X needs it.  D(X) is kept as integer
+    coefficients N_X over one denominator q_X: q_X is s_X times the lcm of
+    the q_Y, each N_Y is scaled by e q / q_Y, and the gcd of q_X and the
+    coefficients is divided out.  A denominator is a sorted tuple of the
+    ranks of the forms in sorted order, which hashes faster than the forms
+    and sorts the same way, and one AffineForm is made per distinct form.
     """
     lattice = arr.lattice
-    forms = _pole_forms(arr, lattice.proper_flats(), multi)
-    ordered = sorted({form for form, _ in forms.values()})
-    rank = {form: i for i, form in enumerate(ordered)}
-    sums = {lattice.ambient: {(): Fraction(1)}}
-    for x, (form, scale) in forms.items():
-        i = rank[form]
+    pole_rows = _pole_forms(arr, lattice.proper_flats(), multi)
+    rows = sorted({row for row, _ in pole_rows.values()})
+    rank = {row: i for i, row in enumerate(rows)}
+    sums = {lattice.ambient: (1, {(): 1})}
+    for x, (row, scale) in pole_rows.items():
+        i = rank[row]
+        below = [(sums[y], e) for y, e in lattice.euler_below(x)]
+        # pairwise: lcm(*...) over argument tuples of every length kept
+        # about 0.3 MB more resident over repeated calls
+        q = 1
+        for (qy, _), _ in below:
+            q = lcm(q, qy)
         out = {}
-        for y, e in lattice.euler_below(x):
-            for dens, coef in sums[y].items():
+        for (qy, dy), e in below:
+            e *= q // qy
+            for dens, c in dy.items():
                 at = bisect(dens, i)
                 key = dens[:at] + (i,) + dens[at:]
-                out[key] = out.get(key, 0) + e * coef
-        sums[x] = {dens: coef / scale for dens, coef in out.items() if coef}
-    return [(coef, tuple(ordered[i] for i in dens))
-            for dens, coef in sorted(sums[lattice.minimal_flat()].items())]
+                out[key] = out.get(key, 0) + e * c
+        q *= scale
+        g = gcd(q, *out.values())
+        sums[x] = (q // g, {dens: c // g for dens, c in out.items() if c})
+    q, ranked = sums[lattice.minimal_flat()]
+    return [_form(row) for row in rows], ranked, q
 
 
 def _local(arr, multi, point):
@@ -332,7 +388,7 @@ def _local(arr, multi, point):
                                "through the origin)")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
-    return ZetaFunction(len(_factor_rows(arr, multi)), _flag_sum(arr, multi))
+    return ZetaFunction._merged(len(_factor_rows(arr, multi)), *_flag_sum(arr, multi))
 
 
 def local_zeta(arr, point=None):

@@ -6,9 +6,9 @@ routes it does: row reduction over Q (fraction_kernel), the rational basis
 of a flat (flat_basis), the closure of an index set, the brute-force
 lattice with its Mobius table by definition and the open-stratum Euler
 characteristics read off it, long division by an affine form over Q, the
-chain-sum flag formula, the geometric interval and restriction
-arrangements, the specialization of a multivariate zeta, polytope
-membership and the concrete-nudge chamber path.
+chain-sum flag formula, the flag-sum recursion in Fractions, the geometric
+interval and restriction arrangements, the specialization of a
+multivariate zeta, polytope membership and the concrete-nudge chamber path.
 """
 
 import random
@@ -26,12 +26,12 @@ from arrzeta.examples import boolean2, threelines, threelines_factored, veys
 
 __all__ = [
     "boolean2", "boolean2_factored", "threelines", "threelines_factored",
-    "veys", "braid", "xy_ab", "xyz", "xy_in_c3", "ninefold", "random_lines",
-    "random_central_c3", "random_rational_point", "fraction_kernel",
-    "flat_basis", "closure", "brute_force_lattice", "stratum_euler",
-    "long_division", "Chain", "enumerate_chains", "chain_terms", "merged_terms",
-    "interval_arrangement", "restriction_arrangement", "specialize",
-    "polytope_member", "nudged_path",
+    "veys", "braid", "type_b", "xy_ab", "xyz", "xy_in_c3", "ninefold",
+    "random_lines", "random_central_c3", "random_rational_point",
+    "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
+    "stratum_euler", "long_division", "Chain", "enumerate_chains",
+    "chain_terms", "fraction_flag_sum", "merged_terms", "interval_arrangement",
+    "restriction_arrangement", "specialize", "polytope_member", "nudged_path",
 ]
 
 
@@ -146,6 +146,17 @@ def braid(n):
         v = [0] * n
         v[i], v[j] = 1, -1
         forms.append(v)
+    return Arrangement(n, forms)
+
+
+def type_b(n):
+    """x_i and x_i +- x_j, i < j, in C^n: the root-system arrangement B_n."""
+    forms = [[int(k == i) for k in range(n)] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        for sign in (1, -1):
+            v = [0] * n
+            v[i], v[j] = 1, sign
+            forms.append(v)
     return Arrangement(n, forms)
 
 
@@ -293,6 +304,32 @@ def chain_terms(arr, multi=False, use_global=False):
             dens.append(form)
         terms.append((coef, tuple(sorted(dens))))
     return tuple((coef, dens) for coef, dens in terms if coef)
+
+
+def fraction_flag_sum(arr, multi=False):
+    """The flag sum by the recursion over flats with every D(X), the sum
+    over the flags from X up to the ambient space, kept in Fractions and
+    its denominators as sorted tuples of AffineForms:
+
+        D(X) = (1/s_X) sum of interval_euler(Y, X) * (D(Y) with L_X added)
+
+    over euler_below(X), L_X, s_X the canonical pole form and scale of X.
+    Returns D(minimal flat) as the (coefficient, sorted denominator) pairs
+    with a nonzero coefficient, sorted by denominator: the shape of
+    ZetaFunction.terms for the local zeta."""
+    lattice = arr.lattice
+    rows = arr.factors if multi else [arr.mults]
+    sums = {lattice.ambient: {(): Fraction(1)}}
+    for x in lattice.proper_flats():
+        form, scale = AffineForm.canonical([sum(row[i] for i in x.indices) for row in rows],
+                                           x.codim)
+        out = {}
+        for y, e in lattice.euler_below(x):
+            for dens, coef in sums[y].items():
+                key = tuple(sorted(dens + (form,)))
+                out[key] = out.get(key, 0) + e * coef
+        sums[x] = {dens: coef / scale for dens, coef in out.items() if coef}
+    return tuple((coef, dens) for dens, coef in sorted(sums[lattice.minimal_flat()].items()))
 
 
 def merged_terms(terms):

@@ -213,6 +213,11 @@ def test_affine_form_behaviour():
         g.root()
     assert sorted([g, AffineForm((0, 1), 1), AffineForm((1, 0), 1)]) == [
         AffineForm((0, 1), 1), AffineForm((1, 0), 1), g]
+    # an int is not ordered against a form, from either side
+    assert f.__lt__(3) is NotImplemented
+    for pair in ([f, 3], [3, f]):
+        with pytest.raises(TypeError):
+            sorted(pair)
     assert f.format_str() == "3*s + 1"
     assert g.format_str(["s1", "s2"]) == "s1 + 2*s2 + 2"
 

@@ -22,10 +22,11 @@ from arrzeta.core import AffineForm, MultiPoly, div_linear, packed_width, primit
 from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
-                      enumerate_chains, long_division, merged_terms, ninefold,
-                      random_central_c3, random_lines, random_rational_point,
-                      specialize, stratum_euler, threelines,
-                      threelines_factored, veys, xy_ab, xy_in_c3, xyz)
+                      enumerate_chains, fraction_flag_sum, long_division,
+                      merged_terms, ninefold, random_central_c3, random_lines,
+                      random_rational_point, specialize, stratum_euler,
+                      threelines, threelines_factored, type_b, veys, xy_ab,
+                      xy_in_c3, xyz)
 
 F = Fraction
 
@@ -148,6 +149,14 @@ def test_zeta_container_checks_nvars():
             ZetaFunction(nvars, [])
 
 
+def test_zeta_container_rejects_non_forms():
+    # each factor is checked before the denominator is sorted
+    f = _af((1,), 1)
+    for dens in ((f, 3), (3, f)):
+        with pytest.raises(ValueError, match="does not match"):
+            ZetaFunction(1, [(1, dens)])
+
+
 def test_zeta_equality():
     f1, f2 = _af((1,), 1), _af((1,), 2)
     a = ZetaFunction(1, [(1, (f1,)), (-1, (f1, f2))])
@@ -245,7 +254,9 @@ def test_normalize_at_the_packing_width_boundary(degree):
     assert packed_width(degree) == (4 if degree == 7 else 5)
     forms = [_af((1, 0), k) for k in range(1, degree)] + [_af((1, 1), 1)]
     terms = [(F(1), ()), (F(-2, 3), forms), (F(5, 7), forms[:2])]
-    num, den = arrzeta.zeta._normalize(2, {tuple(sorted(dens)): coef for coef, dens in terms})
+    ordered = sorted(forms)
+    ranked = {tuple(sorted(map(ordered.index, dens))): int(coef * 21) for coef, dens in terms}
+    num, den = arrzeta.zeta._normalize(2, ordered, ranked, 21)
     assert (num, den) == _oracle_normalize(2, terms)
     assert num.degree_in(0) == degree
     with pytest.raises(ValueError, match="proper"):
@@ -434,6 +445,15 @@ ORACLE_CORPUS = [threelines(), xyz(), veys(), ninefold(), boolean2(), xy_in_c3()
                  _ninefold_factored()]
 
 
+def _assert_matches_fraction_flag_sum(z, arr, multi):
+    # the integer recursion gives the Fraction recursion's terms, and the
+    # quotient is that of those terms through the public constructor
+    terms = fraction_flag_sum(arr, multi)
+    oracle = ZetaFunction(z.nvars, terms)
+    assert (z.terms, z.numerator, z.denominator) == (
+        terms, oracle.numerator, oracle.denominator)
+
+
 def _assert_matches_chain_oracle(arr):
     # the terms are the oracle's chain terms merged by denominator; equal
     # terms give the quotient the same normalisation input
@@ -445,6 +465,9 @@ def _assert_matches_chain_oracle(arr):
     for zeta, options in cases:
         zetas[zeta] = zeta(arr)
         assert zetas[zeta].terms == merged_terms(chain_terms(arr, **options))
+    _assert_matches_fraction_flag_sum(zetas[local_zeta], arr, False)
+    if arr.factors is not None:
+        _assert_matches_fraction_flag_sum(zetas[multivariate_local_zeta], arr, True)
     # the univariate zeta is the zeta of the one-row factorization
     z = zetas[local_zeta]
     one_row = Arrangement(arr.n, arr.forms, arr.mults, factors=[arr.mults])
@@ -466,6 +489,15 @@ def _assert_matches_chain_oracle(arr):
     "braid-A4", "boolean2-factored", "threelines-factored", "ninefold-factored"])
 def test_zeta_terms_match_chain_oracle(arr):
     _assert_matches_chain_oracle(arr)
+
+
+@pytest.mark.parametrize("arr", [braid(6), braid(7), type_b(5)], ids=["A5", "A6", "B5"])
+def test_flag_sum_matches_fraction_recursion_beyond_chains(arr):
+    # one variable, and two factors: the first hyperplane and the rest
+    _assert_matches_fraction_flag_sum(local_zeta(arr), arr, False)
+    split = Arrangement(arr.n, arr.forms, factors=[[int(i == 0) for i in range(arr.r)],
+                                                   [int(i > 0) for i in range(arr.r)]])
+    _assert_matches_fraction_flag_sum(multivariate_local_zeta(split), split, True)
 
 
 def test_flag_sum_matches_flag_route_braid_a5():
