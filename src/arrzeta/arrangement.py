@@ -15,9 +15,11 @@ element the ambient space (empty index set).
 The lattice is built over the integers: flats are spanned by integer
 kernel vectors of the primitive integer normals, and membership tests and
 traces are integer dot products.  It keeps mu(ambient, X) and the nonzero
-interval Euler characteristics chi(X, Y), all exact.  Each arrangement
-builds its lattice once, on the first read of Arrangement.lattice, and
-every reader shares it.
+interval Euler characteristics chi(X, Y), all exact; the latter are
+indexed by the flats' positions in lattice order, so the flag sum walks
+them without hashing an index set.  Each arrangement builds its lattice
+once, on the first read of Arrangement.lattice, and every reader shares
+it.
 """
 
 from fractions import Fraction
@@ -181,28 +183,31 @@ def _require_central(arr, what):
 class IntersectionLattice:
     """All flats of a central arrangement and the numbers read off them.
 
-    flats are sorted by (codim, index set).  mobius maps each flat's index
-    set to mu(ambient, flat), which gives the characteristic polynomial.
-    euler maps each flat Y's index set to {index set of X: chi(X, Y)} over
-    the X < Y with a nonzero interval_euler chi, which gives the flag sum
-    and the dense edges.
+    flats come sorted by (codim, index set), and a flat's position is its
+    index in that order, the ambient space's 0.  mobius maps each flat's
+    index set to mu(ambient, flat), which gives the characteristic
+    polynomial.  euler holds one dict per position k: it maps the position
+    j of each flat below flats[k] with a nonzero interval_euler chi to
+    chi(flats[j], flats[k]), in lattice order; it gives the flag sum and
+    the dense edges.  The public readers reach a flat's position through
+    one map from index sets.
     """
 
     def __init__(self, flats, mobius, euler):
-        self.flats = tuple(sorted(flats, key=Flat.key))
-        self._by_indices = {f.indices: f for f in self.flats}
+        self.flats = tuple(flats)
+        self._pos = {f.indices: k for k, f in enumerate(self.flats)}
         self.mobius = mobius
-        self._euler = euler
+        self.euler = euler
 
     def flat(self, indices):
         key = frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices)
-        if key not in self._by_indices:
+        if key not in self._pos:
             raise ArrangementError("index set %r is not closed" % (sorted(key),))
-        return self._by_indices[key]
+        return self.flats[self._pos[key]]
 
     @property
     def ambient(self):
-        return self._by_indices[frozenset()]
+        return self.flats[0]
 
     def proper_flats(self):
         return [f for f in self.flats if f.codim > 0]
@@ -223,12 +228,12 @@ class IntersectionLattice:
         if not X.indices < Y.indices:
             raise ArrangementError("interval needs flats X < Y (index set of X "
                                    "strictly inside that of Y)")
-        return self._euler[Y.indices].get(X.indices, 0)
+        return self.euler[self._pos[Y.indices]].get(self._pos[X.indices], 0)
 
     def euler_below(self, Y):
         """The (X, interval_euler(X, Y)) pairs over the flats X < Y whose
         value is nonzero, in lattice order."""
-        return [(self._by_indices[x], e) for x, e in self._euler[Y.indices].items()]
+        return [(self.flats[j], e) for j, e in self.euler[self._pos[Y.indices]].items()]
 
     def is_dense(self, flat):
         """A proper flat is dense iff its localized arrangement is
@@ -287,7 +292,7 @@ def intersection_lattice(arr):
             up.update(above[pos[c]])
         above[k] = sorted(up)
     mobius = {ambient.indices: 1}
-    euler = {f.indices: {} for f in ordered}
+    euler = [{} for _ in ordered]
     for k, x in enumerate(ordered):
         # mu(X, X) = 1 pushed up, by position; only those above X are read
         total = [1] * len(ordered)
@@ -296,7 +301,7 @@ def intersection_lattice(arr):
             y = ordered[j]
             e = y.codim * total[j] - weighted[j]
             if e:
-                euler[y.indices][x.indices] = e
+                euler[j][k] = e
             m = -total[j]
             if not k:
                 mobius[y.indices] = m

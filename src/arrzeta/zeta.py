@@ -13,15 +13,17 @@ the minimal flat.  The global one sums all flags weighted by the Euler
 characteristic of the open stratum of the first flat, plus the empty flag;
 on a central arrangement that is the local sum (see global_zeta).  The
 interval Euler characteristics are the nonzero ones the arrangement's one
-intersection lattice, Arrangement.lattice, keeps for each flat
-(euler_below); no interval arrangement is built.
+intersection lattice, Arrangement.lattice, keeps for each flat by lattice
+position (IntersectionLattice.euler); no interval arrangement is built.
 
 The flag sum is taken by a recursion over the proper flats (_flag_sum)
 that keeps, for each flat, the sum over the flags from it up to the
 ambient space with equal denominators merged; no flag is enumerated.  It
-runs on integers alone: each such sum is integer coefficients over one
-common denominator, and a denominator is a sorted tuple of ranks into the
-sorted distinct pole forms, one AffineForm made per distinct form.
+runs on integers alone and by lattice position: each such sum is integer
+coefficients over one common denominator, kept in a list indexed by the
+flat's position, and a denominator is a monomial in the sorted distinct
+pole forms packed into one int, unpacked into a sorted tuple of form
+ranks only at the minimal flat; one AffineForm is made per distinct form.
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a normalized numerator / denominator
 pair in which every removable linear factor has been cancelled over the
@@ -38,7 +40,6 @@ unpacked into a MultiPoly once, at the end; Fractions are made only there
 and for the coefficients of terms.
 """
 
-from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -59,18 +60,19 @@ def _factor_rows(arr, multi):
 
 
 def _pole_forms(arr, flats, multi):
-    """{flat: (row, scale)}: row is the canonical integer row (ord, codim)
-    / scale of the flat's pole form ord . s + codim, where ord sums each row
-    of _factor_rows over the flat's hyperplanes and scale is the gcd of the
-    row.  The entries are nonnegative and codim is positive, so the divided
-    row is already canonical, and rows sort as their AffineForms do; the
-    callers make one AffineForm per distinct row (_form)."""
+    """The (row, scale) pairs of the flats, in their order: row is the
+    canonical integer row (ord, codim) / scale of the flat's pole form
+    ord . s + codim, where ord sums each row of _factor_rows over the
+    flat's hyperplanes and scale is the gcd of the row.  The entries are
+    nonnegative and codim is positive, so the divided row is already
+    canonical, and rows sort as their AffineForms do; the callers make one
+    AffineForm per distinct row (_form)."""
     rows = _factor_rows(arr, multi)
-    out = {}
+    out = []
     for f in flats:
         row = [sum(r[i] for i in f.indices) for r in rows] + [f.codim]
         g = gcd(*row)
-        out[f] = (tuple(c // g for c in row), g)
+        out.append((tuple(c // g for c in row), g))
     return out
 
 
@@ -85,7 +87,7 @@ def candidate_poles(arr, multi=False, lattice=None):
     forms ord . s + nu, canonical and sorted; requires a factorization.
     lattice as for dense_edges.
     """
-    rows = {row for row, _ in _pole_forms(arr, dense_edges(arr, lattice), multi).values()}
+    rows = {row for row, _ in _pole_forms(arr, dense_edges(arr, lattice), multi)}
     forms = [_form(row) for row in sorted(rows)]
     if multi:
         return forms
@@ -344,40 +346,59 @@ def _flag_sum(arr, multi):
 
         D(X) = (1/s_X) sum of interval_euler(Y, X) * (D(Y) with L_X added)
 
-    over the flats Y < X with a nonzero interval_euler (euler_below).  The
-    answer is D(minimal flat).  The flats are visited in lattice order, so
-    every such D(Y) is ready when X needs it.  D(X) is kept as integer
-    coefficients N_X over one denominator q_X: q_X is s_X times the lcm of
-    the q_Y, each N_Y is scaled by e q / q_Y, and the gcd of q_X and the
-    coefficients is divided out.  A denominator is a sorted tuple of the
-    ranks of the forms in sorted order, which hashes faster than the forms
-    and sorts the same way, and one AffineForm is made per distinct form.
+    over the flats Y < X with a nonzero interval_euler, read by lattice
+    position from IntersectionLattice.euler.  The answer is D(minimal
+    flat).  The flats are visited in lattice order and D is a list indexed
+    by position, so every such D(Y) is ready when X needs it.  D(X) is
+    kept as integer coefficients N_X over one denominator q_X: q_X is s_X
+    times the lcm of the q_Y, each N_Y is scaled by e q / q_Y, and the gcd
+    of q_X and the coefficients is divided out.  A denominator is a
+    monomial in the sorted distinct pole forms, packed like an exponent
+    vector into one int with core.packed_width(rank) bits per form (a flag
+    has at most rank flats, so no multiplicity exceeds the rank), and
+    adding L_X adds one int.  The keys of D(minimal flat) are unpacked
+    once into sorted tuples of form ranks (_ranks), which sort as the
+    denominators do, and one AffineForm is made per distinct form.
     """
     lattice = arr.lattice
     pole_rows = _pole_forms(arr, lattice.proper_flats(), multi)
-    rows = sorted({row for row, _ in pole_rows.values()})
-    rank = {row: i for i, row in enumerate(rows)}
-    sums = {lattice.ambient: (1, {(): 1})}
-    for x, (row, scale) in pole_rows.items():
-        i = rank[row]
-        below = [(sums[y], e) for y, e in lattice.euler_below(x)]
+    rows = sorted({row for row, _ in pole_rows})
+    width = packed_width(lattice.minimal_flat().codim)
+    step = {row: 1 << width * i for i, row in enumerate(rows)}
+    sums = [(1, {0: 1})]
+    for below, (row, scale) in zip(lattice.euler[1:], pole_rows):
+        unit = step[row]
         # pairwise: lcm(*...) over argument tuples of every length kept
         # about 0.3 MB more resident over repeated calls
         q = 1
-        for (qy, _), _ in below:
-            q = lcm(q, qy)
+        for y in below:
+            q = lcm(q, sums[y][0])
         out = {}
-        for (qy, dy), e in below:
+        for y, e in below.items():
+            qy, dy = sums[y]
             e *= q // qy
-            for dens, c in dy.items():
-                at = bisect(dens, i)
-                key = dens[:at] + (i,) + dens[at:]
+            for key, c in dy.items():
+                key += unit
                 out[key] = out.get(key, 0) + e * c
         q *= scale
         g = gcd(q, *out.values())
-        sums[x] = (q // g, {dens: c // g for dens, c in out.items() if c})
-    q, ranked = sums[lattice.minimal_flat()]
+        sums.append((q // g, {key: c // g for key, c in out.items() if c}))
+    q, packed = sums[-1]
+    ranked = {_ranks(key, width): c for key, c in packed.items()}
     return [_form(row) for row in rows], ranked, q
+
+
+def _ranks(key, width):
+    """The sorted tuple of form ranks of a packed denominator, read from
+    its highest slot down: each slot costs a shift and a subtraction."""
+    out = []
+    while key:
+        i = (key.bit_length() - 1) // width
+        k = key >> width * i
+        out += [i] * k
+        key -= k << width * i
+    out.reverse()
+    return tuple(out)
 
 
 def _local(arr, multi, point):

@@ -178,9 +178,25 @@ def test_zeta_merges_equal_denominators(build):
     assert split.terms == halves
 
 
+def _times_form(poly, f):
+    """The product of a {exponent tuple: coefficient} dict and an affine
+    form, as such a dict."""
+    out = {}
+    for ex, c in poly.items():
+        if f.const:
+            out[ex] = out.get(ex, 0) + f.const * c
+        for j, a in enumerate(f.coeffs):
+            if a:
+                up = ex[:j] + (ex[j] + 1,) + ex[j + 1:]
+                out[up] = out.get(up, 0) + a * c
+    return out
+
+
 def _oracle_normalize(nvars, terms):
-    """Each merged term expanded against the LCD one MultiPoly product at a
-    time, then every LCD factor divided out while it divides."""
+    """Each merged term expanded against the LCD on its own: the product of
+    its lacked factors, one at a time on an {exponent tuple: int} dict,
+    times its coefficient; then every LCD factor divided out while it
+    divides."""
     lcd, merged = {}, {}
     for coef, dens in terms:
         if coef == 0:
@@ -189,14 +205,16 @@ def _oracle_normalize(nvars, terms):
         for f, k in Counter(dens).items():
             lcd[f] = max(lcd.get(f, 0), k)
         merged[dens] = merged.get(dens, F(0)) + coef
-    num = MultiPoly(nvars)
+    total = {}
     for dens, coef in merged.items():
-        part = MultiPoly.constant(nvars, coef)
+        part = {(0,) * nvars: 1}
         counts = Counter(dens)
         for f, k in lcd.items():
             for _ in range(k - counts.get(f, 0)):
-                part = part * f.to_poly()
-        num = num + part
+                part = _times_form(part, f)
+        for ex, c in part.items():
+            total[ex] = total.get(ex, 0) + coef * c
+    num = MultiPoly(nvars, total)
     if num.is_zero():
         return num, {}
     den = dict(lcd)
@@ -261,6 +279,21 @@ def test_normalize_at_the_packing_width_boundary(degree):
     assert num.degree_in(0) == degree
     with pytest.raises(ValueError, match="proper"):
         ZetaFunction(2, terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_flag_sum_at_the_packing_width_boundary(n):
+    # every flat of the Boolean arrangement has the pole form s + 1, so the
+    # one merged term has (s + 1)^n, a multiplicity equal to the rank, in a
+    # packed slot that grows from 3 to 4 bits between n = 3 and 4 and from
+    # 4 to 5 between n = 7 and 8; the same with one factor row of all ones
+    assert packed_width(n) == {3: 3, 4: 4, 7: 4, 8: 5}[n]
+    arr = Arrangement(n, [[int(i == j) for j in range(n)] for i in range(n)])
+    one_row = Arrangement(n, arr.forms, factors=[[1] * n])
+    for z, oracle in ((local_zeta(arr), snc_zeta(arr)),
+                      (multivariate_local_zeta(one_row), snc_zeta(one_row, multi=True))):
+        assert z == oracle
+        assert z.terms == ((1, (_af((1,), 1),) * n),)
 
 
 @pytest.fixture
@@ -491,13 +524,23 @@ def test_zeta_terms_match_chain_oracle(arr):
     _assert_matches_chain_oracle(arr)
 
 
-@pytest.mark.parametrize("arr", [braid(6), braid(7), type_b(5)], ids=["A5", "A6", "B5"])
-def test_flag_sum_matches_fraction_recursion_beyond_chains(arr):
-    # one variable, and two factors: the first hyperplane and the rest
+@pytest.mark.parametrize("arr, first", [(braid(6), {0}), (braid(7), {0}), (type_b(5), {0}),
+                                        (braid(5), {0, 7})],
+                         ids=["A5", "A6", "B5", "A4-in-C5"])
+def test_flag_sum_matches_fraction_recursion_beyond_chains(arr, first):
+    # one variable, and two factors: the hyperplanes in first and the rest
     _assert_matches_fraction_flag_sum(local_zeta(arr), arr, False)
-    split = Arrangement(arr.n, arr.forms, factors=[[int(i == 0) for i in range(arr.r)],
-                                                   [int(i > 0) for i in range(arr.r)]])
-    _assert_matches_fraction_flag_sum(multivariate_local_zeta(split), split, True)
+    split = Arrangement(arr.n, arr.forms, factors=[[int(i in first) for i in range(arr.r)],
+                                                   [int(i not in first) for i in range(arr.r)]])
+    z = multivariate_local_zeta(split)
+    _assert_matches_fraction_flag_sum(z, split, True)
+    if len(first) > 1:
+        # braid A4 as given in C^5 is not essential, so its minimal flat is
+        # not the origin; x1 - x2 and x3 - x4 (hyperplanes 1 and 8) span a
+        # flat with the same pole form s1 + 1 as x1 - x2, so that form
+        # repeats along a chain
+        assert arr.lattice.minimal_flat().codim < arr.n
+        assert any(len(set(dens)) < len(dens) for _, dens in z.terms)
 
 
 def test_flag_sum_matches_flag_route_braid_a5():
