@@ -120,17 +120,25 @@ def stratum_euler(arr):
 
 def long_division(p, form):
     """Long division of a MultiPoly by an affine form over Q in the form's
-    first pivot variable, one leading slice per step: (quotient,
-    remainder) with the remainder free of that variable."""
+    first pivot variable, one leading slice per step, on a plain
+    {exponent tuple: Fraction} dict: (quotient, remainder) as MultiPolys,
+    the remainder free of that variable."""
     m = next(j for j, c in enumerate(form.coeffs) if c)
-    fpoly = form.to_poly()
-    quot, rem = MultiPoly(p.nvars), p
-    while rem.degree_in(m) > 0:
-        d = rem.degree_in(m)
-        t = MultiPoly(p.nvars, {ex[:m] + (d - 1,) + ex[m + 1:]: c / form.coeffs[m]
-                                for ex, c in rem.terms.items() if ex[m] == d})
-        quot, rem = quot + t, rem - t * fpoly
-    return quot, rem
+    rest = [(j, c) for j, c in enumerate(form.coeffs) if c and j != m]
+    quot, rem = {}, dict(p.terms)
+    for d in range(max((ex[m] for ex in rem), default=0), 0, -1):
+        for ex in [ex for ex in rem if ex[m] == d]:
+            # the slice's term over c_m s_m, times the form, leaves rem
+            c = rem.pop(ex) / form.coeffs[m]
+            low = ex[:m] + (d - 1,) + ex[m + 1:]
+            quot[low] = c
+            if form.const:
+                rem[low] = rem.get(low, 0) - c * form.const
+            for j, a in rest:
+                up = low[:j] + (low[j] + 1,) + low[j + 1:]
+                rem[up] = rem.get(up, 0) - c * a
+        rem = {ex: c for ex, c in rem.items() if c}
+    return MultiPoly(p.nvars, quot), MultiPoly(p.nvars, rem)
 
 
 def boolean2_factored():

@@ -342,8 +342,80 @@ def test_cancellation_makes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     monkeypatch.setattr(arrzeta.zeta, "div_linear", traced)
     assert multivariate_local_zeta(_ninefold_factored()).denominator
+    # every division _normalize still tries there succeeds (_kept_whole
+    # rules out the others), so the failing branch runs on s1 + 1 against
+    # s1 + 2
+    assert arrzeta.zeta.div_linear({0: 1, 1: 1}, _af((1, 0, 0), 2), packed_width(1)) is None
     assert True in divided and False in divided
     assert made == []
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """The (form, whether it divides) pairs of the div_linear calls that
+    _normalize makes, in order."""
+    log = []
+
+    def traced(terms, form, width):
+        quot = div_linear(terms, form, width)
+        log.append((form, quot is not None))
+        return quot
+
+    monkeypatch.setattr(arrzeta.zeta, "div_linear", traced)
+    return log
+
+
+@pytest.mark.parametrize("k, calls", [(3, 2), (5, 4)])
+def test_multivariate_zeta_tries_only_dividing_forms(divisions, k, calls):
+    # ninefold with hyperplane i in factor i mod k: trial division alone
+    # tried 12 (k = 3) and 18 (k = 5) LCD factors, and most failed
+    arr = Arrangement(3, ninefold().forms,
+                      factors=[[int(i % k == j) for i in range(9)] for j in range(k)])
+    assert multivariate_local_zeta(arr).denominator
+    assert len(divisions) == calls
+    assert all(ok for _, ok in divisions)
+
+
+def _assert_normalizes_as_oracle(nvars, terms):
+    z = ZetaFunction(nvars, terms)
+    assert (z.numerator, z.denominator) == _oracle_normalize(nvars, terms)
+    return z
+
+
+def test_kept_whole_with_pivot_two_and_negative_entries(divisions):
+    # f = 2 s1 - 3 s2 + 1 divides b - 2, b = f + 2, so 1/(f a) - 2/(f a b)
+    # is 1/(a b).  On f = 0 the carriers' values read 1/a - 2/(a b) with b
+    # = 2: zero only when each term gets c_m to the power of its own number
+    # of other factors.  a and b (pivot 2) keep their powers undivided.
+    f, a, b = _af((2, -3), 1), _af((1, 1), -1), _af((2, -3), 3)
+    z = _assert_normalizes_as_oracle(2, [(F(1), [f, a]), (F(-2), [f, a, b])])
+    assert z.denominator == {a: 1, b: 1}
+    assert divisions == [(f, True)]
+
+
+def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions):
+    # h = s1 + r + 1 vanishes at the point of f = s1 + s2 + 1 = 0 with s2
+    # = r, so the check on f (and on h, at the same point) cannot decide
+    # and the divisions run; they fail.  With s1 + 2 for h nothing is tried.
+    r = arrzeta.zeta._point(2)[1]
+    f, g = _af((1, 1), 1), _af((0, 1), 1)
+    for h, tried in ((_af((1, 0), r + 1), True), (_af((1, 0), 2), False)):
+        divisions.clear()
+        z = _assert_normalizes_as_oracle(2, [(F(1), [f, h]), (F(1), [f, g])])
+        assert z.denominator == {f: 1, g: 1, h: 1}
+        assert divisions == ([(h, False), (f, False)] if tried else [])
+
+
+def test_kept_whole_leaves_a_double_cancellation_to_the_divisions(divisions):
+    # with b = a + f and c = a + 2 f, 1/(f^2 a) - 2/(f^2 b) + 1/(f^2 c) is
+    # 2/(a b c): f^2 cancels, so the check on f reads zero and f is divided
+    # out twice; the other forms keep their powers undivided
+    f, a, g = _af((1, 1, 1), 1), _af((1, 0, 0), 2), _af((0, 0, 1), 1)
+    b, c = _af((2, 1, 1), 3), _af((3, 2, 2), 4)
+    z = _assert_normalizes_as_oracle(3, [(F(1), [f, f, a]), (F(-2), [f, f, b]),
+                                         (F(1), [f, f, c]), (F(1, 3), [a, g])])
+    assert z.denominator == {a: 1, b: 1, c: 1, g: 1}
+    assert divisions == [(f, True), (f, True)]
 
 
 def test_normalize_leaves_no_cyclic_garbage():
