@@ -191,6 +191,16 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, nvars, terms):
+        """The polynomial with the given terms, taken as they are: the
+        caller guarantees exponent tuples of nvars nonnegative ints and
+        nonzero Fraction coefficients, so nothing is checked or copied."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: rational(c)})
 

@@ -24,29 +24,37 @@ coefficients over one common denominator, kept in a list indexed by the
 flat's position, and a denominator is a monomial in the sorted distinct
 pole forms packed into one int, unpacked into a sorted tuple of form
 ranks only at the minimal flat; one AffineForm is made per distinct form.
+
 Results are exact rational functions in two shapes: the merged flag sum,
-one term per distinct denominator, and a normalized numerator / denominator
-pair in which every removable linear factor has been cancelled over the
-integers (_normalize), so the reported poles are genuine.  _normalize
-takes the flag sum's integer shape directly; ZetaFunction(nvars, terms)
-converts given terms to it once.  The numerator over the least common
-denominator (LCD) is built once, as fractions are added over their lcm,
-by halves (_lcd_numerator): each half of the terms is summed over its own
-LCD and multiplied by the factors that the other half's LCD has and its
-own lacks, so a factor multiplies one partial sum per half, not each term.
-The expansion and the cancelling divisions work on one raw integer dict
-keyed by packed exponents, each exponent vector one int with a fixed
-number of bits per variable (core.packed_width), and the numerator is
-unpacked into a MultiPoly once, at the end; Fractions are made only there
-and for the coefficients of terms.  In two or more variables a factor is
-divided only when it may divide: on a form's hyperplane only the terms
-that carry it to its full LCD power survive, and if their sum is nonzero
-at one point of it, modulo a prime, the form keeps its whole power with no
-division (_kept_whole).
+one term per distinct denominator, and a reduced numerator / denominator
+pair in which every removable linear factor has been cancelled, so the
+reported poles are genuine.  Both are taken from the flag sum's integer
+shape; ZetaFunction(nvars, terms) converts given terms to it once.
+
+The poles are decided without the numerator (_denominator), one form f
+of the least common denominator (LCD) at a time, on f's hyperplane.  Its
+order is the largest j up to its LCD power e whose Laurent coefficient A_j along f is not zero.  A_e is the sum
+on f = 0 of the terms that carry f^e; read at one point modulo a prime, a
+nonzero value proves order e, which settles most forms.  Otherwise A_e,
+A_(e-1), ... are built exactly as sums in one variable fewer (_laurent)
+and tested for zero: a nonzero value at one point modulo the prime proves
+a sum nonzero, and else it is zero exactly when its constant part is zero
+and none of its forms is a pole, decided the same way one dimension lower.
+With no variables left every sum is one rational number, so one variable
+takes the same route.  The verdicts read only the poles.
+
+The numerator is built on first read (_numerator): once, over the LCD,
+as fractions are added over their lcm, by
+halves (_lcd_numerator), on one raw integer dict keyed by packed
+exponents (core.packed_width).  It is then divided by each form as often
+as the decided orders say it cancels, and a division that fails raises,
+so every numerator read cross-checks the pole decision.  The numerator is
+unpacked into a MultiPoly once, at the end.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import comb, gcd, lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_form, as_int, div_linear,
                    format_poly, integer_kernel, packed_steps, packed_width, poly_eval,
@@ -107,11 +115,14 @@ class ZetaFunction:
 
     terms: the (coefficient, sorted denominator factors) pairs as given,
         zero terms dropped.  A zeta function built from an arrangement has
-        the flag sum with equal denominators merged, sorted by denominator.
+        the flag sum with equal denominators merged, sorted by denominator,
+        made on first read.
     numerator, denominator: the normalized quotient over the least common
         denominator with all removable affine factors cancelled; the pole
-        data is read from this shape.  A zero sum has zero numerator and
-        empty denominator.
+        data is read from this shape.  The denominator is decided when the
+        function is made (_denominator) and the numerator is built on first
+        read (_numerator).  A zero sum has zero numerator and empty
+        denominator.
     """
 
     def __init__(self, nvars, terms):
@@ -128,21 +139,33 @@ class ZetaFunction:
 
     @classmethod
     def _merged(cls, nvars, forms, ranked, q):
-        """The zeta function of a sum already in _normalize's shape, such as
-        the flag sum; terms are its nonzero entries as Fractions, sorted by
-        denominator."""
+        """The zeta function of a sum already in _denominator's shape, such
+        as the flag sum."""
         z = cls.__new__(cls)
         z.nvars = nvars
-        z.terms = tuple((Fraction(c, q), tuple(forms[i] for i in dens))
-                        for dens, c in sorted(ranked.items()) if c)
         z._quotient(forms, ranked, q)
         return z
 
     def _quotient(self, forms, ranked, q):
-        self.numerator, self.denominator = _normalize(self.nvars, forms, ranked, q)
-        if (self.numerator.terms
-                and self.numerator.total_degree() >= sum(self.denominator.values())):
+        """Keep the sum and decide its poles.  A sum with a nonzero constant
+        part, the terms with no denominator, is not proper; the rest is a
+        sum of proper fractions, whose reduced numerator has lower degree
+        than its denominator."""
+        ranked = {dens: c for dens, c in ranked.items() if c}
+        if () in ranked:
             raise ValueError("zeta function is not a proper rational function")
+        self._sum = (forms, ranked, q)
+        self.denominator = _denominator(forms, ranked)
+
+    @cached_property
+    def terms(self):
+        forms, ranked, q = self._sum
+        return tuple((Fraction(c, q), tuple(forms[i] for i in dens))
+                     for dens, c in sorted(ranked.items()))
+
+    @cached_property
+    def numerator(self):
+        return _numerator(self.nvars, *self._sum, self.denominator)
 
     def _clean(self, terms):
         clean = []
@@ -158,7 +181,8 @@ class ZetaFunction:
         return tuple(clean)
 
     def is_zero(self):
-        return self.numerator.is_zero()
+        """A proper sum is zero exactly when it has no pole."""
+        return not self.denominator
 
     def denominator_factors(self):
         """Sorted (form, multiplicity) pairs of the normalized denominator."""
@@ -189,8 +213,8 @@ class ZetaFunction:
 
     def __eq__(self, other):
         return (isinstance(other, ZetaFunction) and self.nvars == other.nvars
-                and self.numerator == other.numerator
-                and self.denominator == other.denominator)
+                and self.denominator == other.denominator
+                and self.numerator == other.numerator)
 
     __hash__ = None
 
@@ -206,47 +230,252 @@ class ZetaFunction:
         return "ZetaFunction(%s)" % self.format_str()
 
 
-def _normalize(nvars, forms, ranked, q):
-    """The reduced quotient of the sum of c / (q prod forms[i]) over the
-    {sorted rank tuple: int c} entries of ranked, as (numerator MultiPoly,
-    {form: multiplicity}).  forms are distinct canonical forms in sorted
-    order, and a denominator is a sorted tuple of indices into them.
+# ---------------------------------------------------------------------------
+# poles, decided on each form's hyperplane
+
+def _by_form(terms):
+    """{form: [largest power, the terms that have it]} over (sorted
+    denominator tuple, coefficient) pairs; the largest powers make the
+    least common denominator (LCD)."""
+    out = {}
+    for term in terms:
+        dens, prev = term[0], None
+        for f in dens:
+            if f != prev:
+                prev = f
+                k = dens.count(f)
+                entry = out.setdefault(f, [k, []])
+                entry[0] = max(entry[0], k)
+                entry[1].append(term)
+    return out
+
+
+def _denominator(forms, ranked):
+    """{form: pole order} for the forms that are poles of the sum of
+    c / (q prod forms[i]) over the {sorted rank tuple: int c} entries of
+    ranked, with no zero entry; forms are distinct canonical forms in
+    sorted order.  No numerator is built.
+
+    The order of an LCD form f of power e is the largest j <= e whose
+    Laurent coefficient A_j along f is not zero, or 0 (_order).  A_e is
+    the sum of the carriers, the terms with f^e, on f = 0.  It is first
+    read at one point of f = 0 modulo _PRIME (_leading_nonzero), which
+    settles most forms: a nonzero value proves order e.  Otherwise A_e,
+    A_(e-1), ... are built exactly, in one variable fewer, and decided
+    zero or not.
+    """
+    by_form = _by_form(ranked.items())
+    if not by_form:
+        return {}
+    point = _point(forms[0].nvars)
+    rows = [f.coeffs + (f.const,) for f in forms]
+    at = [_value(row, point) for row in rows]
+    den = {}
+    for i, (e, having) in sorted(by_form.items()):
+        if not _leading_nonzero(rows, at, point, i, e, having):
+            e = _order([(tuple(rows[h] for h in dens), c) for dens, c in having], rows[i], e)
+        if e:
+            den[forms[i]] = e
+    return den
+
+
+# a Mersenne prime, the modulus of the values read at one point
+_PRIME = (1 << 61) - 1
+
+
+def _point(nvars):
+    """The fixed residues modulo _PRIME, one per variable, at which sums
+    are read: the powers of one odd 64-bit constant, so that forms with
+    small coefficients seldom vanish there."""
+    return [pow(0x2545F4914F6CDD1D, j + 1, _PRIME) for j in range(nvars)]
+
+
+def _value(row, point):
+    """The value modulo _PRIME of the form with integer row (coefficients,
+    then constant) at the residues point."""
+    return (sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME
+
+
+def _leading_nonzero(rows, at, point, i, e, having):
+    """Whether A_e, the sum on the hyperplane of f = rows[i] of the
+    carriers among the terms having f, is nonzero at one point of it
+    modulo _PRIME; at holds every form's value at point.  The arguments
+    are _denominator's.
+
+    On f = 0 each carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.  The
+    coordinates other than f's pivot m are the residues of point, and t =
+    c_m s_m solves f = 0 there.  Every form's value is scaled by c_m, w_h =
+    c_m h = h_m t + c_m (the rest of h), so a carrier's c / prod h^k_h is
+    c c_m^a / prod w_h^k_h, a its number of factors other than f: every
+    carrier is brought to the same power of c_m.  The carriers are summed
+    as one fraction, so no inverse is taken.  A nonzero sum proves that
+    A_e is not zero; a zero sum, or a w_h that vanishes, proves nothing.
+    """
+    f = rows[i]
+    m = next(j for j, c in enumerate(f) if c)
+    cm = f[m]
+    if not cm % _PRIME:
+        return False
+    t = cm * point[m] - at[i]
+    w = {}
+    num, den = 0, 1
+    for dens, c in having:
+        if dens.count(i) != e:
+            continue
+        d = 1
+        for h in dens:
+            if h != i:
+                if h not in w:
+                    hm = rows[h][m]
+                    w[h] = (hm * t + cm * (at[h] - hm * point[m])) % _PRIME
+                d = d * w[h] % _PRIME
+        if not d:
+            return False
+        num = (num * d + c * pow(cm, len(dens) - e, _PRIME) * den) % _PRIME
+        den = den * d % _PRIME
+    return num != 0
+
+
+def _order(terms, f, e):
+    """The largest j <= e whose Laurent coefficient A_j along the form with
+    row f is not zero, or 0.  terms are (sorted tuple of rows, int
+    coefficient) pairs over distinct canonical forms; the terms without f
+    do not matter."""
+    while e and _is_zero(_laurent(terms, f, e)):
+        e -= 1
+    return e
+
+
+def _is_zero(terms):
+    """Whether a {sorted tuple of rows: nonzero coefficient} sum is zero.
+
+    A nonzero value at _point modulo _PRIME proves that it is not.
+    Otherwise it is zero exactly when its constant part, the entry with no
+    denominator, is zero and none of its forms is a pole: a sum of proper
+    fractions without poles is a polynomial that vanishes at infinity.
+    Each form's Laurent coefficients are sums in one variable fewer, so
+    the recursion ends with no variables, where every sum is a constant.
+    """
+    if not terms:
+        return True
+    if () in terms:
+        return False
+    if _nonzero_at_point(terms):
+        return False
+    return not any(_order(having, f, e) for f, (e, having) in _by_form(terms.items()).items())
+
+
+def _nonzero_at_point(terms):
+    """Whether a sum of rows as for _is_zero, with no constant part, is
+    nonzero at _point modulo _PRIME; a form that vanishes there proves
+    nothing."""
+    point = _point(len(next(iter(terms))[0]) - 1)
+    at = {}
+    num, den = 0, 1
+    for dens, c in terms.items():
+        d = 1
+        for h in dens:
+            if h not in at:
+                at[h] = _value(h, point)
+            d = d * at[h] % _PRIME
+        if not d:
+            return False
+        num = (num * d + c * den) % _PRIME
+        den = den * d % _PRIME
+    return num != 0
+
+
+def _laurent(terms, f, j):
+    """The Laurent coefficient A_j of the sum of the (sorted tuple of rows,
+    int coefficient) terms along the form with row f, times a positive
+    integer scale, as a sum in one variable fewer: {sorted tuple of rows:
+    nonzero int}.  The scale changes neither whether a sum is zero nor its
+    poles, so the coefficients stay integers.
+
+    With u = f and m its pivot, every other form h is (w_h + h_m u) / c_m,
+    where w_h = c_m h - h_m f is free of s_m: the restriction of c_m h to
+    f = 0, in the coordinates other than s_m.  So
+        h^-a = c_m^a sum over n >= 0 of (-1)^n C(a+n-1, n) h_m^n u^n w_h^-(a+n),
+    and a term c / (u^k prod h^a_h) gives A_j the coefficient of u^(k-j) in
+    c prod h^-a_h.  w_h is canonicalised and its scale g_h folded into the
+    coefficient; a w_h with no variable left is a nonzero constant (h is
+    not f) and goes into the coefficient whole, as g_h.  The common scale
+    is the lcm over the terms of the largest product of the g_h powers a
+    term can divide by.
+    """
+    m = next(i for i, c in enumerate(f) if c)
+    cm = f[m]
+    restricted, found, scale = {}, [], 1
+    for dens, c in terms:
+        k = dens.count(f)
+        if k < j:
+            continue
+        top = k - j
+        # (power of u, restricted rows, numerator, denominator), one h at a time
+        series, bound, prev = [(0, (), c, 1)], 1, None
+        for h in dens:
+            if h == f or h == prev:
+                continue
+            prev = h
+            a = dens.count(h)
+            if h not in restricted:
+                restricted[h] = _restrict(h, f, m)
+            w, g = restricted[h]
+            hm = h[m]
+            bound *= g ** (a + top if hm else a)
+            series = [(d + n, rest + (w,) * (a + n) if w else rest,
+                       v * (-1) ** n * comb(a + n - 1, n) * hm ** n * cm ** a, s * g ** (a + n))
+                      for d, rest, v, s in series for n in range(top - d + 1 if hm else 1)]
+        scale = lcm(scale, bound)
+        found += [(rest, v, s) for d, rest, v, s in series if d == top]
+    out = {}
+    for rest, v, s in found:
+        key = tuple(sorted(rest))
+        out[key] = out.get(key, 0) + v * scale // s
+    return {key: v for key, v in out.items() if v}
+
+
+def _restrict(h, f, m):
+    """(canonical row of w = c_m h - h_m f without column m, its scale), or
+    (None, w) when w is a constant; rows as for _laurent."""
+    cm, hm = f[m], h[m]
+    row = [cm * x - hm * y for x, y in zip(h, f)]
+    del row[m]
+    if not any(row[:-1]):
+        return None, row[-1]
+    g = gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row), g
+
+
+# ---------------------------------------------------------------------------
+# the numerator, built on first read
+
+def _numerator(nvars, forms, ranked, q, den):
+    """The numerator MultiPoly of the reduced quotient of the sum of
+    c / (q prod forms[i]) over ranked (as for _denominator), whose reduced
+    denominator den is already decided.
 
     The numerator N = sum of c LCD / D over the least common denominator is
     built once by _lcd_numerator, which adds halves of the terms over their
     own LCDs.  The terms go in the order of their reversed rank tuples, so
-    the terms that share their highest forms fall in the same halves.
-    Forms sort by their coefficients, so in a flag sum the highest are
-    those of the deepest flats, which many flags share, and a half's LCD
-    stays small: the plain tuple order multiplied 1.5 to 2.2 times as many
-    monomials on the multivariate zeta of ninefold (hyperplane i in factor
-    i mod 5 or 7) and of braid A5 and A6 (i mod 2).  N is a raw integer
-    dict on packed exponents (core.packed_width of the LCD degree, which
-    bounds every exponent).  Every denominator factor that divides it is
-    cancelled there (div_linear, on the same packed dict), and the one
-    MultiPoly is made at the end, unpacked and divided by q.  In two or
-    more variables a form goes to div_linear only when _kept_whole, which
-    reads the terms that carry it to its full LCD power at one point of
-    its hyperplane, cannot prove that it does not divide N; div_linear
-    stays the only code that cancels a factor.  On ninefold with
-    hyperplane i in factor i mod 5 that leaves 4 of the 18 divisions, all
-    of which succeed.  One variable skips the check: there N has at most
-    deg + 1 coefficients, so a division costs about as much.  The reduced
-    quotient with canonical denominator forms is unique, so any grouping of
-    the same sum into merged terms gives the same numerator and
-    denominator.  The quotient need not be proper; ZetaFunction checks that.
+    the terms that share their highest forms fall in the same halves:
+    forms sort by their coefficients, so in a flag sum the highest are those
+    of the deepest flats, which many flags share, and a half's LCD stays
+    small.  N is a raw integer dict on packed exponents (core.packed_width
+    of the LCD degree, which bounds every exponent).  Each LCD form is
+    divided out (div_linear, on the same packed dict) as often as its LCD
+    power exceeds its power in den, and no more; a division that fails
+    raises AssertionError, so every numerator read cross-checks the pole
+    decision.  The one MultiPoly is made at the end, unpacked and divided
+    by q.  The reduced quotient with canonical denominator forms is unique,
+    so any grouping of the same sum into merged terms gives the same
+    numerator.
     """
-    ranked = {dens: c for dens, c in ranked.items() if c}
     if not ranked:
-        return MultiPoly(nvars), {}
-    lcd = {}
-    for dens in ranked:
-        k, prev = 0, None
-        for i in dens:
-            k = k + 1 if i == prev else 1
-            prev = i
-            if k > lcd.get(i, 0):
-                lcd[i] = k
+        return MultiPoly(nvars)
+    lcd = {i: k for i, (k, _) in _by_form(ranked.items()).items()}
     width = packed_width(sum(lcd.values()))
     factors, first = [], {}
     for i in sorted(lcd):
@@ -261,92 +490,15 @@ def _normalize(nvars, forms, ranked, q):
             has |= 1 << (first[i] + k)
         terms.append((has, c))
     total = {ex: c for ex, c in _lcd_numerator(terms, factors)[0].items() if c}
-    if not total:
-        return MultiPoly(nvars), {}
-    kept = _kept_whole(forms, ranked, lcd) if nvars > 1 else ()
-    den = {}
     for i in sorted(lcd):
-        f, k = forms[i], lcd[i]
-        while k and i not in kept:
-            quot = div_linear(total, f, width)
-            if quot is None:
-                break
-            total = quot
-            k -= 1
-        if k:
-            den[f] = k
-    return MultiPoly(nvars, {unpack(ex, nvars, width): Fraction(c, q)
-                             for ex, c in total.items()}), den
-
-
-# a Mersenne prime, the modulus of _kept_whole's values
-_PRIME = (1 << 61) - 1
-
-
-def _point(nvars):
-    """The fixed residues modulo _PRIME, one per variable, from which
-    _kept_whole takes its points: the powers of one odd 64-bit constant,
-    so that forms with small coefficients seldom vanish there."""
-    return [pow(0x2545F4914F6CDD1D, j + 1, _PRIME) for j in range(nvars)]
-
-
-def _kept_whole(forms, ranked, lcd):
-    """The indices i of the LCD forms f = forms[i] that provably do not
-    divide the numerator N over the LCD, in two or more variables; the
-    arguments are _normalize's.  Such an f keeps its whole LCD power e.
-
-    Only the terms whose denominator has f^e, the carriers, survive in N
-    on f = 0: there N is S times the product of the other forms h to the
-    powers lcd_h - M_h, where S is the sum of c prod h^(M_h - k_h) over
-    the carriers, k_h a carrier's power of h and M_h the largest of them.
-    Distinct canonical forms are never proportional, so no other form
-    vanishes on the whole hyperplane f = 0, and f divides N exactly when
-    it divides S.  S is read at one point of f = 0 modulo _PRIME: the
-    coordinates other than f's pivot m are the fixed residues of _point,
-    and t = c_m s_m solves f = 0 there.  Every form's value is scaled by
-    c_m, w_h = c_m h = h_m t + c_m (the rest of h), so a carrier's
-    c / prod h^k_h is c c_m^a / prod w_h^k_h, a its number of factors
-    other than f: every carrier is brought to the same power of c_m.  The
-    carriers sum to S / prod h^M_h, kept as one fraction so that no
-    inverse is taken.  If the sum is nonzero, so is S at a point of f = 0
-    modulo _PRIME; f, primitive, then does not divide S over the
-    integers (Gauss's lemma) and keeps its power.  A zero sum, or a
-    carrier's w_h that vanishes, proves nothing, and _normalize divides
-    as before.
-    """
-    point = _point(forms[0].nvars)
-    at = [(sum(a * x for a, x in zip(f.coeffs, point)) + f.const) % _PRIME for f in forms]
-    carriers = {}
-    for dens, c in ranked.items():
-        for i in set(dens):
-            if dens.count(i) == lcd[i]:
-                carriers.setdefault(i, []).append((dens, c))
-    kept = set()
-    for i, group in carriers.items():
-        f, e = forms[i], lcd[i]
-        m = next(j for j, c in enumerate(f.coeffs) if c)
-        cm = f.coeffs[m]
-        if not cm % _PRIME:
-            continue
-        t = cm * point[m] - at[i]
-        w = {}
-        num, den = 0, 1
-        for dens, c in group:
-            d = 1
-            for h in dens:
-                if h != i:
-                    if h not in w:
-                        hm = forms[h].coeffs[m]
-                        w[h] = (hm * t + cm * (at[h] - hm * point[m])) % _PRIME
-                    d = d * w[h] % _PRIME
-            if not d:
-                break
-            num = (num * d + c * pow(cm, len(dens) - e, _PRIME) * den) % _PRIME
-            den = den * d % _PRIME
-        else:
-            if num:
-                kept.add(i)
-    return kept
+        f = forms[i]
+        for _ in range(lcd[i] - den.get(f, 0)):
+            total = div_linear(total, f, width)
+            if total is None:
+                raise AssertionError("%s does not divide the numerator as often as the "
+                                     "pole orders say" % f.format_str())
+    return MultiPoly._trusted(nvars, {unpack(ex, nvars, width): Fraction(c, q)
+                                      for ex, c in total.items()})
 
 
 def _lcd_numerator(terms, factors):
@@ -416,7 +568,7 @@ def poles(z):
 
 def _flag_sum(arr, multi):
     """The flag formula summed with equal denominators merged, in
-    _normalize's shape: (forms, {sorted rank tuple: int}, q), the sum of
+    _denominator's shape: (forms, {sorted rank tuple: int}, q), the sum of
     c / (q prod forms[i]) over the entries.  No flag is enumerated and no
     Fraction is made.
 

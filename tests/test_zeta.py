@@ -4,6 +4,8 @@ import gc
 import json
 import random
 from collections import Counter
+from itertools import combinations
+from math import comb
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 
 from arrzeta import (Arrangement, ArrangementError, candidate_poles,
                      global_zeta, intersection_lattice, local_zeta,
-                     multivariate_global_zeta, multivariate_local_zeta, poles,
-                     rank2_zeta, snc_zeta)
+                     multi_nd_check, multi_smc_verify, multivariate_global_zeta,
+                     multivariate_local_zeta, nd_check, poles, rank2_zeta,
+                     smc_verify, snc_zeta)
 from arrzeta.cli import run
 import arrzeta.zeta
 from arrzeta.core import AffineForm, MultiPoly, div_linear, packed_width, primitive_normal
@@ -265,7 +268,7 @@ def test_normalize_matches_per_term_expansion(case):
 
 
 @pytest.mark.parametrize("degree", [7, 8])
-def test_normalize_at_the_packing_width_boundary(degree):
+def test_normalize_at_the_packing_width_boundary(degree, divisions):
     # the packed width grows from 4 to 5 bits per variable between LCD
     # degree 7 and 8; the term with no denominator makes the exponent of s1
     # reach the LCD degree, the largest value its slot must hold
@@ -274,9 +277,13 @@ def test_normalize_at_the_packing_width_boundary(degree):
     terms = [(F(1), ()), (F(-2, 3), forms), (F(5, 7), forms[:2])]
     ordered = sorted(forms)
     ranked = {tuple(sorted(map(ordered.index, dens))): int(coef * 21) for coef, dens in terms}
-    num, den = arrzeta.zeta._normalize(2, ordered, ranked, 21)
+    den = arrzeta.zeta._denominator(ordered, ranked)
+    assert divisions == []
+    num = arrzeta.zeta._numerator(2, ordered, ranked, 21, den)
     assert (num, den) == _oracle_normalize(2, terms)
     assert num.degree_in(0) == degree
+    # no form cancels, so the numerator read divides by none
+    assert divisions == []
     with pytest.raises(ValueError, match="proper"):
         ZetaFunction(2, terms)
 
@@ -371,12 +378,13 @@ def test_cancellation_makes_no_fraction(monkeypatch):
         divided.append(quot is not None)
         return quot
 
+    z = multivariate_local_zeta(_ninefold_factored())
+    assert z.denominator
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     monkeypatch.setattr(arrzeta.zeta, "div_linear", traced)
-    assert multivariate_local_zeta(_ninefold_factored()).denominator
-    # every division _normalize still tries there succeeds (_kept_whole
-    # rules out the others), so the failing branch runs on s1 + 1 against
-    # s1 + 2
+    assert z.numerator.terms
+    # a numerator read divides only by the decided cancellations, which all
+    # succeed, so the failing branch runs on s1 + 1 against s1 + 2
     assert arrzeta.zeta.div_linear({0: 1, 1: 1}, _af((1, 0, 0), 2), packed_width(1)) is None
     assert True in divided and False in divided
     assert made == []
@@ -384,8 +392,8 @@ def test_cancellation_makes_no_fraction(monkeypatch):
 
 @pytest.fixture
 def divisions(monkeypatch):
-    """The (form, whether it divides) pairs of the div_linear calls that
-    _normalize makes, in order."""
+    """The (form, whether it divides) pairs of the div_linear calls made,
+    in order: by a numerator read, as deciding the poles makes none."""
     log = []
 
     def traced(terms, form, width):
@@ -400,16 +408,22 @@ def divisions(monkeypatch):
 @pytest.mark.parametrize("k, calls", [(3, 2), (5, 4)])
 def test_multivariate_zeta_tries_only_dividing_forms(divisions, k, calls):
     # ninefold with hyperplane i in factor i mod k: trial division alone
-    # tried 12 (k = 3) and 18 (k = 5) LCD factors, and most failed
+    # tried 12 (k = 3) and 18 (k = 5) LCD factors, and most failed; the
+    # numerator read divides once per cancelled power and never fails
     arr = Arrangement(3, ninefold().forms,
                       factors=[[int(i % k == j) for i in range(9)] for j in range(k)])
-    assert multivariate_local_zeta(arr).denominator
+    z = multivariate_local_zeta(arr)
+    assert z.denominator and divisions == []
+    assert z.numerator.terms
     assert len(divisions) == calls
     assert all(ok for _, ok in divisions)
 
 
-def _assert_normalizes_as_oracle(nvars, terms):
+def _assert_normalizes_as_oracle(nvars, terms, divisions):
+    """The quotient equals the oracle's; deciding the poles divides by
+    nothing, so every logged division is made by the numerator read."""
     z = ZetaFunction(nvars, terms)
+    assert divisions == []
     assert (z.numerator, z.denominator) == _oracle_normalize(nvars, terms)
     return z
 
@@ -418,41 +432,154 @@ def test_kept_whole_with_pivot_two_and_negative_entries(divisions):
     # f = 2 s1 - 3 s2 + 1 divides b - 2, b = f + 2, so 1/(f a) - 2/(f a b)
     # is 1/(a b).  On f = 0 the carriers' values read 1/a - 2/(a b) with b
     # = 2: zero only when each term gets c_m to the power of its own number
-    # of other factors.  a and b (pivot 2) keep their powers undivided.
+    # of other factors.  a and b (pivot 2) keep their powers, and the
+    # numerator read divides f out once.
     f, a, b = _af((2, -3), 1), _af((1, 1), -1), _af((2, -3), 3)
-    z = _assert_normalizes_as_oracle(2, [(F(1), [f, a]), (F(-2), [f, a, b])])
+    z = _assert_normalizes_as_oracle(2, [(F(1), [f, a]), (F(-2), [f, a, b])], divisions)
     assert z.denominator == {a: 1, b: 1}
     assert divisions == [(f, True)]
 
 
-def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions):
+def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions, monkeypatch):
     # h = s1 + r + 1 vanishes at the point of f = s1 + s2 + 1 = 0 with s2
     # = r, so the check on f (and on h, at the same point) cannot decide
-    # and the divisions run; they fail.  With s1 + 2 for h nothing is tried.
+    # and the Laurent coefficients are built exactly; nothing cancels, so
+    # the numerator read divides by nothing.  With s1 + 2 for h the check
+    # decides every form.
+    built = []
+    laurent = arrzeta.zeta._laurent
+
+    def traced(terms, f, j):
+        built.append((f, j))
+        return laurent(terms, f, j)
+
+    monkeypatch.setattr(arrzeta.zeta, "_laurent", traced)
     r = arrzeta.zeta._point(2)[1]
     f, g = _af((1, 1), 1), _af((0, 1), 1)
     for h, tried in ((_af((1, 0), r + 1), True), (_af((1, 0), 2), False)):
-        divisions.clear()
-        z = _assert_normalizes_as_oracle(2, [(F(1), [f, h]), (F(1), [f, g])])
+        built.clear()
+        z = _assert_normalizes_as_oracle(2, [(F(1), [f, h]), (F(1), [f, g])], divisions)
         assert z.denominator == {f: 1, g: 1, h: 1}
-        assert divisions == ([(h, False), (f, False)] if tried else [])
+        assert divisions == []
+        if tried:
+            assert {(1, 1, 1), (1, 0, r + 1)} <= {row for row, _ in built}
+        else:
+            assert built == []
 
 
 def test_kept_whole_leaves_a_double_cancellation_to_the_divisions(divisions):
     # with b = a + f and c = a + 2 f, 1/(f^2 a) - 2/(f^2 b) + 1/(f^2 c) is
-    # 2/(a b c): f^2 cancels, so the check on f reads zero and f is divided
-    # out twice; the other forms keep their powers undivided
+    # 2/(a b c): f^2 cancels, so the check on f reads zero, A_2 and A_1 on
+    # f = 0 are zero, and the numerator read divides f out twice; the other
+    # forms keep their powers undivided
     f, a, g = _af((1, 1, 1), 1), _af((1, 0, 0), 2), _af((0, 0, 1), 1)
     b, c = _af((2, 1, 1), 3), _af((3, 2, 2), 4)
     z = _assert_normalizes_as_oracle(3, [(F(1), [f, f, a]), (F(-2), [f, f, b]),
-                                         (F(1), [f, f, c]), (F(1, 3), [a, g])])
+                                         (F(1), [f, f, c]), (F(1, 3), [a, g])], divisions)
     assert z.denominator == {a: 1, b: 1, c: 1, g: 1}
     assert divisions == [(f, True), (f, True)]
 
 
+@pytest.mark.parametrize("nvars, terms, den, cancels", [
+    # 1/f^2 - 1/(f^2 a) = 1/(f a): f^2 cancels once
+    (1, [(F(1), [_af((1,), 1)] * 2), (F(-1), [_af((1,), 1)] * 2 + [_af((1,), 2)])],
+     {_af((1,), 1): 1, _af((1,), 2): 1}, 1),
+    # 1/f - 1/f^2 + 1/(f^2 a) = 1/a: f^2 cancels twice
+    (1, [(F(1), [_af((1,), 1)]), (F(-1), [_af((1,), 1)] * 2),
+         (F(1), [_af((1,), 1)] * 2 + [_af((1,), 2)])], {_af((1,), 2): 1}, 2),
+    # with f = a + b, 1/(f^2 a) + 1/(f^2 b) = 1/(f a b): f^2 cancels once
+    (2, [(F(1), [_af((1, 1), 1)] * 2 + [_af((1, 0), 2)]),
+         (F(1), [_af((1, 1), 1)] * 2 + [_af((0, 1), -1)])],
+     {_af((1, 1), 1): 1, _af((1, 0), 2): 1, _af((0, 1), -1): 1}, 1),
+], ids=["one-variable-once", "one-variable-twice", "two-variables-once"])
+def test_double_form_cancels_by_its_laurent_coefficients(divisions, nvars, terms, den, cancels):
+    # A_2 along f, the sum on f = 0 of the terms with f^2, is zero, so the
+    # order is read from A_1; the numerator read divides f out as often
+    f = terms[0][1][0]
+    z = _assert_normalizes_as_oracle(nvars, terms, divisions)
+    assert z.denominator == den
+    assert divisions == [(f, True)] * cancels
+
+
+@pytest.fixture
+def no_numerator(monkeypatch):
+    """Make every route that builds a numerator raise."""
+    def refuse(*args):
+        raise AssertionError("a numerator was built")
+
+    monkeypatch.setattr(arrzeta.zeta, "_lcd_numerator", refuse)
+    monkeypatch.setattr(arrzeta.zeta, "div_linear", refuse)
+    return monkeypatch
+
+
+def _braid_a4_factored():
+    """Braid A4 made essential in C^4 (x_5 = 0), hyperplane i in factor i
+    mod 2."""
+    forms = []
+    for i, j in combinations(range(5), 2):
+        v = [0] * 4
+        v[i] = 1
+        if j < 4:
+            v[j] = -1
+        forms.append(v)
+    return Arrangement(4, forms, factors=[[int(i % 2 == j) for i in range(10)]
+                                          for j in range(2)])
+
+
+@pytest.mark.parametrize("build", [veys, _braid_a4_factored, threelines_factored,
+                                   lambda: _ninefold_factored()],
+                         ids=["veys", "braid-A4", "threelines-factored", "ninefold-factored"])
+def test_verdicts_build_no_numerator(no_numerator, build, tmp_path):
+    arr = build()
+    roots = candidate_poles(arr)
+    zetas = [v.data["zeta"] for v in (nd_check(arr), smc_verify(arr, roots))]
+    assert poles(zetas[0]).pole_set() <= set(roots)
+    (tmp_path / "roots.json").write_text(json.dumps({"roots": [str(x) for x in roots]}))
+    calls = [("nd",), ("smc", "--broots", str(tmp_path / "roots.json"))]
+    if arr.factors is not None:
+        locus = candidate_poles(arr, multi=True)
+        zetas += [v.data["zeta"] for v in (multi_nd_check(arr), multi_smc_verify(arr, locus))]
+        (tmp_path / "locus.json").write_text(json.dumps(
+            {"zero_locus": [list(f.coeffs) + [f.const] for f in locus]}))
+        calls += [("multi-nd",), ("multi-smc", "--zero-locus", str(tmp_path / "locus.json"))]
+    for call in calls:
+        assert json.loads(_cli_stdout(arr, tmp_path, *call))["passed"]
+    no_numerator.undo()
+    for z in zetas:
+        assert (z.numerator, z.denominator) == _oracle_normalize(z.nvars, z.terms)
+
+
+# the polar locus of the multivariate zeta of ninefold with hyperplane i
+# alone in factor i, as (coefficients, constant, order), from dividing the
+# LCD numerator (332,524 monomials) by every form while it divides
+NINEFOLD_9_POLAR = [
+    ((0, 0, 0, 0, 0, 0, 0, 0, 1), 1, 1), ((0, 0, 0, 0, 0, 0, 0, 1, 0), 1, 1),
+    ((0, 0, 0, 0, 0, 0, 1, 0, 0), 1, 1), ((0, 0, 0, 0, 0, 1, 0, 0, 0), 1, 1),
+    ((0, 0, 0, 0, 1, 0, 0, 0, 0), 1, 1), ((0, 0, 0, 1, 0, 0, 0, 0, 0), 1, 1),
+    ((0, 0, 1, 0, 0, 0, 0, 0, 0), 1, 1), ((0, 0, 1, 0, 0, 0, 1, 0, 1), 2, 1),
+    ((0, 0, 1, 0, 1, 1, 0, 0, 0), 2, 1), ((0, 0, 1, 1, 0, 0, 0, 1, 0), 2, 1),
+    ((0, 1, 0, 0, 0, 0, 0, 0, 0), 1, 1), ((0, 1, 0, 0, 1, 0, 1, 1, 0), 2, 1),
+    ((0, 1, 0, 1, 0, 1, 0, 0, 0), 2, 1), ((1, 0, 0, 0, 0, 0, 0, 0, 0), 1, 1),
+    ((1, 0, 0, 0, 0, 1, 1, 0, 0), 2, 1), ((1, 0, 0, 1, 1, 0, 0, 0, 1), 2, 1),
+    ((1, 1, 1, 0, 0, 0, 0, 0, 0), 2, 1), ((1, 1, 1, 1, 1, 1, 1, 1, 1), 3, 1)]
+
+
+def test_multivariate_verdicts_at_the_frontier(no_numerator):
+    # ninefold with hyperplane i alone in factor i: 9 variables, 56 merged
+    # terms over an LCD of 24 forms, 6 of which cancel
+    arr = Arrangement(3, ninefold().forms, factors=[[int(i == j) for i in range(9)]
+                                                    for j in range(9)])
+    polar = [(f.coeffs, f.const, k) for f, k in
+             multi_nd_check(arr).data["zeta"].denominator_factors()]
+    assert polar == NINEFOLD_9_POLAR
+    forms = [AffineForm(coeffs, const) for coeffs, const, _ in NINEFOLD_9_POLAR]
+    assert multi_smc_verify(arr, forms).passed
+    assert not multi_smc_verify(arr, forms[1:]).passed
+
+
 def test_normalize_leaves_no_cyclic_garbage():
-    """The normalisation creates no reference cycles: every object it makes
-    is freed by reference counting alone."""
+    """Deciding the poles and reading the numerator create no reference
+    cycles: every object they make is freed by reference counting alone."""
     arrs = [(local_zeta, veys()), (local_zeta, braid(5)),
             (multivariate_local_zeta, _ninefold_factored())]
     for _, arr in arrs:
@@ -461,6 +588,7 @@ def test_normalize_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         zetas = [zeta(arr) for zeta, arr in arrs]
+        assert all(z.numerator.terms for z in zetas)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -692,16 +820,17 @@ def test_terms_do_not_depend_on_hyperplane_order(arr, multi, tmp_path):
 
 
 @st.composite
-def _central_arrangements(draw):
+def _central_arrangements(draw, cap=6):
     """Central arrangements in C^2 to C^4 with multiplicities and a
-    factorization.  A non-essential one draws the first n - 1 entries of
-    each normal v and sets v_n so that v is orthogonal to a vector u with
-    last entry 1: every hyperplane contains the line through u."""
+    factorization, at most n + cap - 4 and at most cap planes.  A
+    non-essential one draws the first n - 1 entries of each normal v and
+    sets v_n so that v is orthogonal to a vector u with last entry 1: every
+    hyperplane contains the line through u."""
     n = draw(st.integers(2, 4))
     nonessential = draw(st.booleans())
     m = n - 1 if nonessential else n
     vectors = st.lists(st.integers(-2, 2), min_size=m, max_size=m).filter(any)
-    rows = draw(st.lists(vectors, min_size=m, max_size=min(n + 2, 6),
+    rows = draw(st.lists(vectors, min_size=m, max_size=min(n + cap - 4, cap),
                          unique_by=primitive_normal))
     if nonessential:
         u = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
@@ -727,6 +856,23 @@ def test_stratum_euler_is_one_only_at_the_minimal_flat(arr):
 @given(_central_arrangements())
 def test_zeta_terms_match_chain_oracle_random(arr):
     _assert_matches_chain_oracle(arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_arrangements(cap=8))
+def test_pole_orders_match_division_oracle_random(arr):
+    # the poles decided on each form's hyperplane against the LCD numerator
+    # divided by each form while it divides.  The oracle expands every term
+    # over the whole LCD on its own, so it runs where the LCD has at most
+    # 2,000 monomials: some draws in C^4 with three factors have an LCD of
+    # degree 42 (14,190 monomials), where it takes over a minute.
+    for z in (local_zeta(arr), multivariate_local_zeta(arr)):
+        lcd = {}
+        for _, dens in z.terms:
+            for f, k in Counter(dens).items():
+                lcd[f] = max(lcd.get(f, 0), k)
+        if comb(sum(lcd.values()) + z.nvars, z.nvars) <= 2000:
+            assert z.denominator == _oracle_normalize(z.nvars, z.terms)[1]
 
 
 # ---------------------------------------------------------------------------
