@@ -33,27 +33,27 @@ shape; ZetaFunction(nvars, terms) converts given terms to it once.
 
 The poles are decided without the numerator (_denominator), one form f
 of the least common denominator (LCD) at a time, on f's hyperplane.  Its
-order is the largest j up to its LCD power e whose Laurent coefficient A_j along f is not zero.  A_e is the sum
-on f = 0 of the terms that carry f^e; read at one point modulo a prime, a
-nonzero value proves order e, which settles most forms.  Otherwise A_e,
-A_(e-1), ... are built exactly as sums in one variable fewer (_laurent)
-and tested for zero: a nonzero value at one point modulo the prime proves
-a sum nonzero, and else it is zero exactly when its constant part is zero
-and none of its forms is a pole, decided the same way one dimension lower.
-With no variables left every sum is one rational number, so one variable
+order is the largest j up to its LCD power e whose Laurent coefficient
+A_j along f is not zero.  A_e is the sum on f = 0 of the terms that
+carry f^e; read at one point modulo a prime, a nonzero value proves
+order e, which settles most forms.  Otherwise A_e, A_(e-1), ... are
+built exactly as sums in one variable fewer (_laurent) and tested for
+zero: such a sum is zero exactly when its constant part is zero and none
+of its forms is a pole, decided the same way one dimension lower.  With
+no variables left every sum is one rational number, so one variable
 takes the same route.  The verdicts read only the poles.
 
 The numerator is built on first read (_numerator): once, over the LCD,
-as fractions are added over their lcm, by
-halves (_lcd_numerator), on one raw integer dict keyed by packed
-exponents (core.packed_width).  It is then divided by each form as often
-as the decided orders say it cancels, and a division that fails raises,
-so every numerator read cross-checks the pole decision.  The numerator is
-unpacked into a MultiPoly once, at the end.
+as fractions are added over their lcm, by halves (_lcd_numerator), on
+one raw integer dict keyed by packed exponents (core.packed_width).  It
+is then divided by each form as often as the decided orders say it
+cancels.  A division that fails raises, so a read catches a cancellation
+decided where there is none; a cancellation that was missed is not
+caught.  The numerator is unpacked into a MultiPoly once, at the end.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, gcd, lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_form, as_int, div_linear,
@@ -254,69 +254,76 @@ def _denominator(forms, ranked):
     """{form: pole order} for the forms that are poles of the sum of
     c / (q prod forms[i]) over the {sorted rank tuple: int c} entries of
     ranked, with no zero entry; forms are distinct canonical forms in
-    sorted order.  No numerator is built.
-
-    The order of an LCD form f of power e is the largest j <= e whose
-    Laurent coefficient A_j along f is not zero, or 0 (_order).  A_e is
-    the sum of the carriers, the terms with f^e, on f = 0.  It is first
-    read at one point of f = 0 modulo _PRIME (_leading_nonzero), which
-    settles most forms: a nonzero value proves order e.  Otherwise A_e,
-    A_(e-1), ... are built exactly, in one variable fewer, and decided
-    zero or not.
-    """
-    by_form = _by_form(ranked.items())
-    if not by_form:
-        return {}
-    point = _point(forms[0].nvars)
+    sorted order.  No numerator is built (_poles)."""
     rows = [f.coeffs + (f.const,) for f in forms]
-    at = [_value(row, point) for row in rows]
-    den = {}
-    for i, (e, having) in sorted(by_form.items()):
-        if not _leading_nonzero(rows, at, point, i, e, having):
-            e = _order([(tuple(rows[h] for h in dens), c) for dens, c in having], rows[i], e)
+    return {forms[i]: e for i, e in _poles(rows, ranked)}
+
+
+def _poles(rows, ranked):
+    """The (i, order) pairs of the poles rows[i] of a sum as for
+    _denominator, given by the integer rows (coefficients, then constant)
+    of its forms, in ascending i; lazily.
+
+    The order of a form f of the least common denominator, of power e
+    there, is the largest j <= e whose Laurent coefficient A_j along f is
+    not zero, or 0.  A_e is the sum of the carriers, the terms with f^e,
+    on f = 0.  It is first read at one point of f = 0 modulo _PRIME
+    (_leading_nonzero), which settles most forms: a nonzero value proves
+    order e.  Otherwise A_e, A_(e-1), ... are built exactly in one
+    variable fewer (_laurent) and decided zero or not (_is_zero).
+    """
+    point = _point(len(rows[0]) - 1 if rows else 0)
+    at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME for row in rows]
+    for i, (e, having) in sorted(_by_form(ranked.items()).items()):
+        if not _leading_nonzero(rows, at, i, e, having):
+            while e and _is_zero(*_laurent(rows, having, i, e)):
+                e -= 1
         if e:
-            den[forms[i]] = e
-    return den
+            yield i, e
+
+
+def _is_zero(rows, ranked):
+    """Whether a sum as for _poles is zero: exactly when its constant
+    part, the entry with no denominator, is zero and none of its forms is
+    a pole, as a sum of proper fractions without poles is a polynomial
+    that vanishes at infinity.  Each form's Laurent coefficients are sums
+    in one variable fewer, so the recursion ends with no variables, where
+    every sum is a constant."""
+    return () not in ranked and next(_poles(rows, ranked), None) is None
 
 
 # a Mersenne prime, the modulus of the values read at one point
 _PRIME = (1 << 61) - 1
 
 
+@cache
 def _point(nvars):
     """The fixed residues modulo _PRIME, one per variable, at which sums
     are read: the powers of one odd 64-bit constant, so that forms with
     small coefficients seldom vanish there."""
-    return [pow(0x2545F4914F6CDD1D, j + 1, _PRIME) for j in range(nvars)]
+    return tuple(pow(0x2545F4914F6CDD1D, j + 1, _PRIME) for j in range(nvars))
 
 
-def _value(row, point):
-    """The value modulo _PRIME of the form with integer row (coefficients,
-    then constant) at the residues point."""
-    return (sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME
-
-
-def _leading_nonzero(rows, at, point, i, e, having):
+def _leading_nonzero(rows, at, i, e, having):
     """Whether A_e, the sum on the hyperplane of f = rows[i] of the
     carriers among the terms having f, is nonzero at one point of it
-    modulo _PRIME; at holds every form's value at point.  The arguments
-    are _denominator's.
+    modulo _PRIME; at holds every form's value at _point.  The arguments
+    are _poles'.
 
-    On f = 0 each carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.  The
-    coordinates other than f's pivot m are the residues of point, and t =
-    c_m s_m solves f = 0 there.  Every form's value is scaled by c_m, w_h =
-    c_m h = h_m t + c_m (the rest of h), so a carrier's c / prod h^k_h is
-    c c_m^a / prod w_h^k_h, a its number of factors other than f: every
-    carrier is brought to the same power of c_m.  The carriers are summed
-    as one fraction, so no inverse is taken.  A nonzero sum proves that
-    A_e is not zero; a zero sum, or a w_h that vanishes, proves nothing.
+    On f = 0 each carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.
+    With m f's pivot, c_m h is there w_h = c_m h - h_m f, which is free of
+    s_m (as in _laurent), so every w_h is read at the whole of _point.  A
+    carrier's c / prod h^k_h is c c_m^a / prod w_h^k_h, a its number of
+    factors other than f: every carrier is brought to the same power of
+    c_m.  The carriers are summed as one fraction, so no inverse is taken.
+    A nonzero sum proves that A_e is not zero; a zero sum, or a w_h that
+    vanishes, proves nothing.
     """
     f = rows[i]
     m = next(j for j, c in enumerate(f) if c)
     cm = f[m]
     if not cm % _PRIME:
         return False
-    t = cm * point[m] - at[i]
     w = {}
     num, den = 0, 1
     for dens, c in having:
@@ -326,8 +333,7 @@ def _leading_nonzero(rows, at, point, i, e, having):
         for h in dens:
             if h != i:
                 if h not in w:
-                    hm = rows[h][m]
-                    w[h] = (hm * t + cm * (at[h] - hm * point[m])) % _PRIME
+                    w[h] = (cm * at[h] - rows[h][m] * at[i]) % _PRIME
                 d = d * w[h] % _PRIME
         if not d:
             return False
@@ -336,61 +342,13 @@ def _leading_nonzero(rows, at, point, i, e, having):
     return num != 0
 
 
-def _order(terms, f, e):
-    """The largest j <= e whose Laurent coefficient A_j along the form with
-    row f is not zero, or 0.  terms are (sorted tuple of rows, int
-    coefficient) pairs over distinct canonical forms; the terms without f
-    do not matter."""
-    while e and _is_zero(_laurent(terms, f, e)):
-        e -= 1
-    return e
-
-
-def _is_zero(terms):
-    """Whether a {sorted tuple of rows: nonzero coefficient} sum is zero.
-
-    A nonzero value at _point modulo _PRIME proves that it is not.
-    Otherwise it is zero exactly when its constant part, the entry with no
-    denominator, is zero and none of its forms is a pole: a sum of proper
-    fractions without poles is a polynomial that vanishes at infinity.
-    Each form's Laurent coefficients are sums in one variable fewer, so
-    the recursion ends with no variables, where every sum is a constant.
-    """
-    if not terms:
-        return True
-    if () in terms:
-        return False
-    if _nonzero_at_point(terms):
-        return False
-    return not any(_order(having, f, e) for f, (e, having) in _by_form(terms.items()).items())
-
-
-def _nonzero_at_point(terms):
-    """Whether a sum of rows as for _is_zero, with no constant part, is
-    nonzero at _point modulo _PRIME; a form that vanishes there proves
-    nothing."""
-    point = _point(len(next(iter(terms))[0]) - 1)
-    at = {}
-    num, den = 0, 1
-    for dens, c in terms.items():
-        d = 1
-        for h in dens:
-            if h not in at:
-                at[h] = _value(h, point)
-            d = d * at[h] % _PRIME
-        if not d:
-            return False
-        num = (num * d + c * den) % _PRIME
-        den = den * d % _PRIME
-    return num != 0
-
-
-def _laurent(terms, f, j):
-    """The Laurent coefficient A_j of the sum of the (sorted tuple of rows,
-    int coefficient) terms along the form with row f, times a positive
-    integer scale, as a sum in one variable fewer: {sorted tuple of rows:
-    nonzero int}.  The scale changes neither whether a sum is zero nor its
-    poles, so the coefficients stay integers.
+def _laurent(rows, terms, i, j):
+    """The Laurent coefficient A_j along f = rows[i] of the sum of the
+    (sorted tuple of indices into rows, int coefficient) terms, times a
+    positive integer scale, as a sum in one variable fewer in _poles'
+    shape: (rows, {sorted tuple of indices: nonzero int}).  The scale
+    changes neither whether a sum is zero nor its poles, so the
+    coefficients stay integers.
 
     With u = f and m its pivot, every other form h is (w_h + h_m u) / c_m,
     where w_h = c_m h - h_m f is free of s_m: the restriction of c_m h to
@@ -399,31 +357,33 @@ def _laurent(terms, f, j):
     and a term c / (u^k prod h^a_h) gives A_j the coefficient of u^(k-j) in
     c prod h^-a_h.  w_h is canonicalised and its scale g_h folded into the
     coefficient; a w_h with no variable left is a nonzero constant (h is
-    not f) and goes into the coefficient whole, as g_h.  The common scale
-    is the lcm over the terms of the largest product of the g_h powers a
-    term can divide by.
+    not f) and goes into the coefficient whole, as g_h.  Forms with equal
+    w_h share one index.  The common scale is the lcm over the terms of
+    the largest product of the g_h powers a term can divide by.
     """
-    m = next(i for i, c in enumerate(f) if c)
+    f = rows[i]
+    m = next(x for x, c in enumerate(f) if c)
     cm = f[m]
-    restricted, found, scale = {}, [], 1
+    index, restricted, found, scale = {}, {}, [], 1
     for dens, c in terms:
-        k = dens.count(f)
+        k = dens.count(i)
         if k < j:
             continue
         top = k - j
-        # (power of u, restricted rows, numerator, denominator), one h at a time
+        # (power of u, restricted indices, numerator, denominator), one h at a time
         series, bound, prev = [(0, (), c, 1)], 1, None
         for h in dens:
-            if h == f or h == prev:
+            if h == i or h == prev:
                 continue
             prev = h
             a = dens.count(h)
             if h not in restricted:
-                restricted[h] = _restrict(h, f, m)
+                w, g = _restrict(rows[h], f, m)
+                restricted[h] = (None if w is None else index.setdefault(w, len(index))), g
             w, g = restricted[h]
-            hm = h[m]
+            hm = rows[h][m]
             bound *= g ** (a + top if hm else a)
-            series = [(d + n, rest + (w,) * (a + n) if w else rest,
+            series = [(d + n, rest if w is None else rest + (w,) * (a + n),
                        v * (-1) ** n * comb(a + n - 1, n) * hm ** n * cm ** a, s * g ** (a + n))
                       for d, rest, v, s in series for n in range(top - d + 1 if hm else 1)]
         scale = lcm(scale, bound)
@@ -432,7 +392,7 @@ def _laurent(terms, f, j):
     for rest, v, s in found:
         key = tuple(sorted(rest))
         out[key] = out.get(key, 0) + v * scale // s
-    return {key: v for key, v in out.items() if v}
+    return list(index), {key: v for key, v in out.items() if v}
 
 
 def _restrict(h, f, m):
@@ -466,12 +426,12 @@ def _numerator(nvars, forms, ranked, q, den):
     small.  N is a raw integer dict on packed exponents (core.packed_width
     of the LCD degree, which bounds every exponent).  Each LCD form is
     divided out (div_linear, on the same packed dict) as often as its LCD
-    power exceeds its power in den, and no more; a division that fails
-    raises AssertionError, so every numerator read cross-checks the pole
-    decision.  The one MultiPoly is made at the end, unpacked and divided
-    by q.  The reduced quotient with canonical denominator forms is unique,
-    so any grouping of the same sum into merged terms gives the same
-    numerator.
+    power exceeds its power in den, and no more.  A division that fails
+    raises AssertionError, so a read catches a cancellation decided where
+    there is none, but not one that was missed.  The one MultiPoly is made
+    at the end, unpacked and divided by q.  The reduced quotient with
+    canonical denominator forms is unique, so any grouping of the same sum
+    into merged terms gives the same numerator.
     """
     if not ranked:
         return MultiPoly(nvars)

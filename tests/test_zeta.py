@@ -5,7 +5,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -324,6 +324,7 @@ def test_multivariate_zeta_makes_no_polynomial_products(mul_count):
                                                     (0, 0, 0, 0, 0, 0, 1, 1, 1)])
     z = multivariate_local_zeta(arr)
     assert z.denominator
+    assert z.numerator.terms
     assert mul_count == []
 
 
@@ -354,6 +355,7 @@ def test_lcd_numerator_shares_products_of_lacked_factors(form_monomials, nvars):
     else:
         terms = [(F(1), [_af((1, k), k)]) for k in range(1, 61)]
     z = ZetaFunction(nvars, terms)
+    assert z.numerator.terms
     assert form_monomials[0] <= 150_000
     point = (F(1, 3), F(2, 7))[:nvars]
     assert z.evaluate(point) == z.evaluate_terms(point)
@@ -449,9 +451,9 @@ def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions, monkeypa
     built = []
     laurent = arrzeta.zeta._laurent
 
-    def traced(terms, f, j):
-        built.append((f, j))
-        return laurent(terms, f, j)
+    def traced(rows, terms, i, j):
+        built.append((rows[i], j))
+        return laurent(rows, terms, i, j)
 
     monkeypatch.setattr(arrzeta.zeta, "_laurent", traced)
     r = arrzeta.zeta._point(2)[1]
@@ -858,15 +860,28 @@ def test_zeta_terms_match_chain_oracle_random(arr):
     _assert_matches_chain_oracle(arr)
 
 
+def _divides(form, poly):
+    """Whether the affine form divides the MultiPoly (core.div_linear on
+    an integer multiple of it)."""
+    width = packed_width(max(sum(ex) for ex in poly.terms))
+    q = lcm(*(c.denominator for c in poly.terms.values()))
+    packed = {sum(e << width * j for j, e in enumerate(ex)): int(c * q)
+              for ex, c in poly.terms.items()}
+    return div_linear(packed, form, width) is not None
+
+
 @settings(max_examples=60, deadline=None)
 @given(_central_arrangements(cap=8))
 def test_pole_orders_match_division_oracle_random(arr):
-    # the poles decided on each form's hyperplane against the LCD numerator
-    # divided by each form while it divides.  The oracle expands every term
-    # over the whole LCD on its own, so it runs where the LCD has at most
-    # 2,000 monomials: some draws in C^4 with three factors have an LCD of
-    # degree 42 (14,190 monomials), where it takes over a minute.
+    # the poles decided on each form's hyperplane, checked both ways on
+    # every draw: the numerator read divides each form out as often as it
+    # was decided to cancel, or raises, and no pole form divides what is
+    # left.  The division oracle expands every term over the whole LCD on
+    # its own, so it runs where the LCD has at most 2,000 monomials: some
+    # draws in C^4 with three factors have an LCD of degree 42 (14,190
+    # monomials), where it takes over a minute.
     for z in (local_zeta(arr), multivariate_local_zeta(arr)):
+        assert not any(_divides(f, z.numerator) for f in z.denominator)
         lcd = {}
         for _, dens in z.terms:
             for f, k in Counter(dens).items():
