@@ -33,9 +33,9 @@ from .zeta import (ZetaFunction, candidate_poles, global_zeta, local_zeta,
 
 
 def parse_point(text):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty point")
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError("empty coordinate in point %r" % text)
     return tuple(rational(p) for p in parts)
 
 
@@ -174,9 +174,9 @@ def cmd_analyze(args):
 
 def cmd_zeta(args):
     arr = load_arrangement(args)
-    if args.at and args.use_global:
+    if args.at is not None and args.use_global:
         raise ValueError("--at localizes the local zeta; it cannot be combined with --global")
-    point = parse_point(args.at) if args.at else None
+    point = parse_point(args.at) if args.at is not None else None
     if args.multi:
         if args.use_global:
             z = multivariate_global_zeta(arr)
@@ -213,7 +213,7 @@ def cmd_walls(args):
         lines.append("  normal %s  offsets %s"
                      % (list(fam.normal), ", ".join(map(str, fam.offsets))))
     queries = []
-    if args.localize:
+    if args.localize is not None:
         queries.append(("localized", "walls through %s" % args.localize,
                         localized_walls(ws, parse_point(args.localize))))
     if args.separate:

@@ -5,8 +5,8 @@ The checkable content here comes in three layers:
 * numerics of the singularity: the log canonical threshold and the log
   canonical polytope cut out by the dense edges;
 * adapted vectors: points of the polytope with non-integral partial sums at
-  every dense edge except the origin, produced from matroid basis averages
-  and certified by an independent validator;
+  every dense edge except the origin, produced from the leverage scores of
+  the normals and certified by an independent validator;
 * conjecture checks: whether -n/d is a candidate pole (and whether it is an
   actual pole), and whether every pole of the zeta function lies in a
   supplied set of Bernstein-Sato roots (resp. in a supplied zero locus for
@@ -17,7 +17,7 @@ judged, so a report can be audited without rerunning anything.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from operator import mul
 
 from .core import AffineForm, as_int, integer_kernel, rational
 from .arrangement import ArrangementError, dense_edges
@@ -163,49 +163,45 @@ def validate_adapted(arr, beta):
     return Verdict(True, ["vector is adapted"], data)
 
 
-def _matroid_bases(arr):
-    """The n-subsets of hyperplanes whose integer normals have rank n, i.e.
-    an empty kernel."""
-    return [combo for combo in combinations(range(arr.r), arr.n)
-            if not integer_kernel([arr.normals[i] for i in combo], arr.n)[0]]
+def _leverage_scores(arr):
+    """The leverage scores h_i = a_i G^-1 a_i of the primitive normals,
+    G = sum of a_i a_i^T: the marginals of the determinantal measure
+    P(B) ~ det(A_B)^2 on the bases (Lyons, Publ. IHES 2003).  G is
+    invertible for an essential arrangement, so in the integer kernel of
+    [G | the normals as columns] free column n + i gives den (-G^-1 a_i, e_i).
+    """
+    n, normals = arr.n, arr.normals
+    rows = [[sum(a[j] * a[k] for a in normals) for k in range(n)] + [a[j] for a in normals]
+            for j in range(n)]
+    vectors, den = integer_kernel(rows, n + arr.r)
+    return tuple(Fraction(-sum(map(mul, a, w[:n])), den) for a, w in zip(normals, vectors))
 
 
 def adapted_vector(arr):
-    """Produce an adapted vector from the average of basis indicators.
+    """Produce an adapted vector from the leverage scores of the normals.
 
-    The uniform average of the indicator vectors of the matroid bases sums
-    to n and satisfies the polytope strictly away from the origin edge; if
-    some partial sums land on integers, a perturbation along differences of
-    basis indicators (weights mu^k, then step eps, both halved through
-    deterministic schedules) clears them.  Every candidate is certified by
-    the check validate_adapted runs before it is returned.
+    Every basis has positive determinantal weight, so the scores are
+    positive, sum to n and satisfy the polytope strictly away from the
+    origin edge.  If some partial sums land on integers, a perturbation
+    along e_j - e_k for each such dense edge, j its smallest index and k
+    the smallest index outside it (weights mu^k, then step eps, both
+    halved through deterministic schedules), clears them.  Every candidate
+    is certified by the check validate_adapted runs before it is returned.
     """
     _require_verdict_input(arr, "adapted_vector")
     dense = dense_edges(arr)
-    bases = _matroid_bases(arr)
-    assert bases, "essential arrangement has a basis of normals"
-    count = len(bases)
-    beta = tuple(Fraction(sum(1 for b in bases if i in b), count) for i in range(arr.r))
+    beta = _leverage_scores(arr)
     bad, data = _adapted_violations(arr, dense, beta)
     if not bad:
         return beta
     full = frozenset(range(arr.r))
     violating = [f for f, (_, s) in zip(dense, data["dense_sums"])
                  if f.indices != full and s.denominator == 1]
-    assert violating, "uniform basis average failed for a reason other than integrality"
+    assert violating, "leverage scores failed for a reason other than integrality"
     directions = []
     for f in violating:
-        sizes = {b: len(f.indices.intersection(b)) for b in bases}
-        hi = max(sizes.values())
-        lo = min(sizes.values())
-        assert lo < hi, "dense edge meets every basis equally; arrangement not indecomposable"
-        b_hi = next(b for b in bases if sizes[b] == hi)
-        b_lo = next(b for b in bases if sizes[b] == lo)
         v = [0] * arr.r
-        for i in b_lo:
-            v[i] += 1
-        for i in b_hi:
-            v[i] -= 1
+        v[min(f.indices)], v[min(full - f.indices)] = 1, -1
         directions.append(v)
     mu = Fraction(1, 2)
     for _ in range(200):

@@ -8,7 +8,8 @@ lattice with its Mobius table by definition and the open-stratum Euler
 characteristics read off it, long division by an affine form over Q, the
 chain-sum flag formula, the flag-sum recursion in Fractions, the geometric
 interval and restriction arrangements, the specialization of a
-multivariate zeta, polytope membership and the concrete-nudge chamber path.
+multivariate zeta, polytope membership, the concrete-nudge chamber path
+and the leverage scores by Cauchy-Binet over every basis of the normals.
 """
 
 import random
@@ -27,11 +28,12 @@ from arrzeta.examples import boolean2, threelines, threelines_factored, veys
 __all__ = [
     "boolean2", "boolean2_factored", "threelines", "threelines_factored",
     "veys", "braid", "type_b", "xy_ab", "xyz", "xy_in_c3", "ninefold",
-    "random_lines", "random_central_c3", "random_rational_point",
+    "thirteen", "random_lines", "random_central_c3", "random_rational_point",
     "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
     "stratum_euler", "long_division", "Chain", "enumerate_chains",
     "chain_terms", "fraction_flag_sum", "merged_terms", "interval_arrangement",
     "restriction_arrangement", "specialize", "polytope_member", "nudged_path",
+    "cauchy_binet_leverage",
 ]
 
 
@@ -183,13 +185,23 @@ def xy_in_c3():
 
 
 def ninefold():
-    """Nine planes in C^3 whose uniform basis average has integral sums at
-    the dense edges {1,2,3} and {3,5,6}; exercises the adapted-vector
-    perturbation."""
+    """Nine planes in C^3 whose leverage scores are adapted as they stand."""
     return Arrangement(3, [(1, 0, 0), (0, 1, 0), (1, -1, 0),
                            (0, 0, 1), (1, 0, 1), (0, 1, 1),
                            (1, 1, 1), (1, -1, 1), (2, 0, 1)],
                        name="ninefold")
+
+
+def thirteen():
+    """The thirteen planes of B3 and (1, +-1, +-1) in C^3.  Its leverage
+    scores are 1/9, 2/9 and 1/3 by orbit and sum to exactly 1 on each of
+    its six dense lines of four planes; exercises the adapted-vector
+    perturbation."""
+    return Arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                           (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
+                           (0, 1, 1), (0, 1, -1),
+                           (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)],
+                       name="thirteen")
 
 
 def _distinct_normals(rng, n, r, lo=-3, hi=3):
@@ -495,3 +507,34 @@ def nudged_path(walls, a, b, eps=Fraction(1, 10 ** 12)):
     order = _nudged_order(walls, a, b, eps)
     assert _nudged_order(walls, a, b, eps / 1000) == order, "order not yet stable at eps"
     return order
+
+
+# ---------------------------------------------------------------------------
+# the basis enumeration that the leverage scores replace
+
+def _det(rows):
+    """Determinant over Q by row reduction."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pr = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def cauchy_binet_leverage(arr):
+    """The marginals of P(B) ~ det(N_B)^2 over the n-subsets B of the
+    primitive normals: h_i = sum over B containing i of det(N_B)^2 over
+    the sum over every B (Cauchy-Binet)."""
+    weights = {b: _det([arr.normals[i] for i in b]) ** 2
+               for b in combinations(range(arr.r), arr.n)}
+    total = sum(weights.values())
+    return tuple(sum(w for b, w in weights.items() if i in b) / total for i in range(arr.r))

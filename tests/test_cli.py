@@ -219,6 +219,13 @@ def test_zeta_global_rejects_point(capsys):
     assert "--at" in err and "--global" in err
 
 
+@pytest.mark.parametrize("point", ["0,,0,1", "0,0,1,", ",0,0,1", " ", ""])
+def test_zeta_at_rejects_empty_coordinate(capsys, point):
+    code, out, err = run_cli(capsys, ["zeta", "--example", "veys", "--at", point])
+    assert code == 2 and not out
+    assert err.startswith("error:") and "empty coordinate" in err
+
+
 def test_zeta_multi(capsys, factored_file):
     code, out, _ = run_cli(capsys, ["zeta", factored_file, "--multi"])
     assert code == 0
@@ -252,6 +259,21 @@ def test_walls_localize_and_separate(capsys):
     assert code == 0
     assert "walls through 1,0: 2" in out
     assert "walls separating 0,0 from 1,1: 2" in out
+
+
+@pytest.mark.parametrize("point", ["1/2,,1,0", "1/2,1,0,", ""])
+def test_walls_localize_rejects_empty_coordinate(capsys, point):
+    code, out, err = run_cli(capsys, ["walls", "--example", "threelines", "--localize", point])
+    assert code == 2 and not out
+    assert err.startswith("error:") and "empty coordinate" in err
+
+
+@pytest.mark.parametrize("pair", [["0,,0", "1,1,1"], ["0,0,0", "1,1,1,"]],
+                         ids=["first", "second"])
+def test_walls_separate_rejects_empty_coordinate(capsys, pair):
+    code, out, err = run_cli(capsys, ["walls", "--example", "threelines", "--separate", *pair])
+    assert code == 2 and not out
+    assert err.startswith("error:") and "empty coordinate" in err
 
 
 def test_walls_json(capsys):

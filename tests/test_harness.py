@@ -1,19 +1,23 @@
 """Thresholds, polytopes, adapted vectors, and the conjecture checks."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrzeta import (Arrangement, ArrangementError, BRootSet, Polytope,
-                     adapted_vector, lct, log_canonical_polytope,
-                     multi_nd_check, multi_smc_verify, nd_check, smc_verify,
-                     validate_adapted)
-from arrzeta.core import AffineForm, QMatrix, rank
+                     adapted_vector, is_essential, is_indecomposable, lct,
+                     log_canonical_polytope, multi_nd_check, multi_smc_verify,
+                     nd_check, smc_verify, validate_adapted)
+from arrzeta.core import AffineForm
 from arrzeta.examples import veys_broots
+from arrzeta.harness import _leverage_scores
 
-from conftest import (boolean2, ninefold, polytope_member, threelines,
-                      threelines_factored, veys, xy_ab, xy_in_c3, xyz)
+from conftest import (_distinct_normals, boolean2, cauchy_binet_leverage,
+                      ninefold, polytope_member, thirteen, threelines,
+                      threelines_factored, type_b, veys, xy_ab, xy_in_c3, xyz)
 
 F = Fraction
 
@@ -130,22 +134,25 @@ def test_validate_adapted_preconditions():
 def test_adapted_vector_golden():
     assert adapted_vector(threelines()) == (F(2, 3), F(2, 3), F(2, 3))
     assert adapted_vector(veys()) == (F(1, 2), F(5, 8), F(5, 8), F(5, 8), F(5, 8))
+    # ninefold's leverage scores are adapted as they stand
+    beta = adapted_vector(ninefold())
+    assert validate_adapted(ninefold(), beta).passed
+    assert beta == (F(29, 120), F(29, 120), F(3, 10), F(11, 30), F(7, 40),
+                    F(3, 8), F(11, 30), F(7, 15), F(7, 15))
 
 
 def test_adapted_vector_perturbation_path():
-    arr = ninefold()
-    bases = [c for c in combinations(range(arr.r), arr.n)
-             if rank(QMatrix.from_rows([arr.forms[i] for i in c], cols=arr.n)) == arr.n]
-    uniform = tuple(F(sum(1 for b in bases if i in b), len(bases))
-                    for i in range(arr.r))
-    flat = validate_adapted(arr, uniform)
-    assert not flat.passed  # the basis average lands on integral sums here
-    assert any("integral sum at dense edge" in w for w in flat.witnesses)
+    arr = thirteen()
+    scores = _leverage_scores(arr)
+    assert scores == (F(1, 9),) * 3 + (F(2, 9),) * 6 + (F(1, 3),) * 4
+    flat = validate_adapted(arr, scores)
+    assert not flat.passed  # the scores sum to 1 on the six four-plane lines
+    assert len(flat.witnesses) == 6
+    assert all("integral sum at dense edge" in w for w in flat.witnesses)
     beta = adapted_vector(arr)
     assert validate_adapted(arr, beta).passed
-    assert sum(beta) == arr.n
-    assert beta == (F(11, 140), F(57, 280), F(61, 280), F(127, 280),
-                    F(17, 40), F(17, 28), F(23, 70), F(12, 35), F(12, 35))
+    assert sum(beta) == 3
+    assert beta == (F(809, 4608), F(47, 1152), F(539, 4608)) + scores[3:]
 
 
 def test_adapted_vector_preconditions():
@@ -153,6 +160,35 @@ def test_adapted_vector_preconditions():
         adapted_vector(boolean2())
     with pytest.raises(ArrangementError, match="essential"):
         adapted_vector(xy_in_c3())
+
+
+@pytest.mark.parametrize("arr", [veys(), threelines(), ninefold(), type_b(4), thirteen()],
+                         ids=["veys", "threelines", "ninefold", "B4", "thirteen"])
+def test_leverage_scores_and_adapted_vector(arr):
+    assert _leverage_scores(arr) == cauchy_binet_leverage(arr)
+    assert validate_adapted(arr, adapted_vector(arr)).passed
+
+
+@st.composite
+def _verdict_arrangements(draw):
+    """Central arrangements in C^2..C^5 with at most 8 distinct planes,
+    drawn by conftest's seeded normal generator, that meet the verdict
+    preconditions: essential and indecomposable."""
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(n + 1, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    arr = Arrangement(n, _distinct_normals(rng, n, r))
+    assume(is_essential(arr) and is_indecomposable(arr))
+    return arr
+
+
+@settings(max_examples=100, deadline=None)
+@given(_verdict_arrangements())
+def test_leverage_scores_and_adapted_vector_random(arr):
+    scores = _leverage_scores(arr)
+    assert scores == cauchy_binet_leverage(arr)
+    assert all(h > 0 for h in scores) and sum(scores) == arr.n
+    assert validate_adapted(arr, adapted_vector(arr)).passed
 
 
 # ---------------------------------------------------------------------------
