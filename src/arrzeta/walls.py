@@ -7,14 +7,15 @@ components of the complement of all walls, with the closed-below, open-above
 convention: the wall L(alpha) = gamma separates a from b exactly when
 L(a) <= gamma < L(b) (or with a and b swapped).
 
-Everything is exact: separating walls are enumerated by integer interval
-arithmetic on Fractions, and chamber paths order them by exact keys that an
-infinitesimal nudge of the endpoints makes distinct.
+Everything is exact and runs on integers: a call scales its points by D,
+the lcm of their denominators, and a family's offsets by q, so the crossed
+levels m/q come out of floor divisions in increasing order.  Chamber paths
+sort them by crossing time, ties broken per family as a nudge decides.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import floor, gcd, lcm
 
 from .core import as_int, rational, vector
 from .arrangement import dense_edges
@@ -37,18 +38,25 @@ class WallFamily:
             raise ValueError("wall family needs at least one offset")
         if any(not 0 <= o < 1 for o in offsets):
             raise ValueError("offsets live in [0, 1)")
-        self.normal = normal
-        self.offsets = tuple(offsets)
+        self.normal, self.offsets = normal, tuple(offsets)
 
     @property
     def dim(self):
         return len(self.normal)
 
     def evaluate(self, point):
-        point = vector(point)
+        return self._dot(vector(point))
+
+    def _dot(self, point):
+        """L(point) for a coerced point, of Fractions or of scaled ints."""
         if len(point) != self.dim:
             raise ValueError("point length %d, family dimension %d" % (len(point), self.dim))
         return sum(e * x for e, x in zip(self.normal, point) if e)
+
+    def _numerators(self):
+        """q, the lcm of the offsets' denominators, and the offsets times q."""
+        q = lcm(*(o.denominator for o in self.offsets))
+        return q, [o.numerator * (q // o.denominator) for o in self.offsets]
 
     def hits(self, value):
         """True iff some wall of the family passes through this level."""
@@ -70,15 +78,11 @@ class WallSet:
 
     def __init__(self, families):
         families = sorted(families, key=lambda f: f.normal)
-        seen = set()
-        for f in families:
-            if f.normal in seen:
+        for f, g in zip(families, families[1:]):
+            if f.normal == g.normal:
                 raise ValueError("duplicate wall normal %r; merge the offsets" % (f.normal,))
-            seen.add(f.normal)
-        if families:
-            dims = {f.dim for f in families}
-            if len(dims) != 1:
-                raise ValueError("wall families of mixed dimension")
+        if len({f.dim for f in families}) > 1:
+            raise ValueError("wall families of mixed dimension")
         self.families = tuple(families)
 
     @property
@@ -123,6 +127,13 @@ class WallInstance:
         return "Wall(%s = %s)" % (self.normal, self.gamma)
 
 
+def _trusted(cls, **fields):
+    """An instance of cls with fields from already-validated families, unchecked."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def walls_from_resolution(data):
     """Wall families generated by order tuples of a resolution.
 
@@ -139,40 +150,45 @@ def walls_from_resolution(data):
         if all(e == 0 for e in raw):
             raise ValueError("zero order tuple generates no wall")
         c = gcd(*raw)
-        normal = tuple(e // c for e in raw)
-        offsets = {Fraction(k, c) for k in range(c)}
-        fams.setdefault(normal, set()).update(offsets)
+        fams.setdefault(tuple(e // c for e in raw), set()).update(Fraction(k, c) for k in range(c))
     return WallSet(WallFamily(nrm, offs) for nrm, offs in fams.items())
 
 
 def nd_wall_set(arr):
-    """The wall set cut out by the dense edges, via 0/1 indicator tuples."""
-    data = []
-    for f in dense_edges(arr):
-        data.append(tuple(1 if i in f.indices else 0 for i in range(arr.r)))
-    return walls_from_resolution(data)
+    """The walls of the dense edges: their 0/1 indicator normals, offsets {0}."""
+    return WallSet(_trusted(WallFamily, normal=tuple(int(i in f.indices) for i in range(arr.r)),
+                            offsets=(Fraction(0),)) for f in dense_edges(arr))
+
+
+def _scaled(*points):
+    """The coerced points times D, the lcm of their denominators, and D."""
+    points = [vector(p) for p in points]
+    den = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
+
+
+def _levels(walls, a, b, den):
+    """(family, L(a)D, (L(b) - L(a))D, q, ms) per family, for a and b scaled
+    by D: ms the m, increasing, with min(L(a), L(b)) <= m/q < max(L(a), L(b))."""
+    for fam in walls:
+        va, vb = fam._dot(a), fam._dot(b)
+        q, nums = fam._numerators()
+        lo, hi = min(va, vb) * q, max(va, vb) * q
+        m_lo, m_hi = -(-lo // den), -(-hi // den)
+        yield fam, va, vb - va, q, [m + p for m in range(m_lo - m_lo % q, m_hi, q)
+                                    for p in nums if m_lo <= m + p < m_hi]
 
 
 def localized_walls(walls, point):
     """The wall instances passing through a point, sorted."""
-    point = vector(point)
+    (point,), den = _scaled(point)
     out = []
     for fam in walls:
-        v = fam.evaluate(point)
-        if fam.hits(v):
-            out.append(WallInstance(fam.normal, v))
-    return sorted(out)
-
-
-def _crossed_levels(walls, a, b):
-    """(family, L(a), L(b), gamma) for every wall at a level gamma with
-    min(L(a), L(b)) <= gamma < max(L(a), L(b)), family by family."""
-    for fam in walls:
-        va, vb = fam.evaluate(a), fam.evaluate(b)
-        lo, hi = min(va, vb), max(va, vb)
-        for o in fam.offsets:
-            for k in range(ceil(lo - o), ceil(hi - o)):
-                yield fam, va, vb, o + k
+        v = fam._dot(point)
+        q, nums = fam._numerators()
+        if v * q % den == 0 and v * q // den % q in nums:
+            out.append(_trusted(WallInstance, normal=fam.normal, gamma=Fraction(v, den)))
+    return out if isinstance(walls, WallSet) else sorted(out)
 
 
 def separating_walls(walls, a, b):
@@ -181,8 +197,10 @@ def separating_walls(walls, a, b):
     The wall at level gamma separates the pair iff min(L(a), L(b)) <= gamma
     < max(L(a), L(b)).  Sorted by (normal, level); empty iff same chamber.
     """
-    return sorted(WallInstance(fam.normal, gamma)
-                  for fam, _, _, gamma in _crossed_levels(walls, vector(a), vector(b)))
+    (a, b), den = _scaled(a, b)
+    out = [_trusted(WallInstance, normal=fam.normal, gamma=Fraction(m, q))
+           for fam, _, _, q, ms in _levels(walls, a, b, den) for m in ms]
+    return out if isinstance(walls, WallSet) else sorted(out)
 
 
 def chamber_path(walls, a, b):
@@ -197,22 +215,24 @@ def chamber_path(walls, a, b):
     L = gamma at time (gamma - L(a))/dL + sum_j e^j L_j/dL, so the walls
     are sorted by the key ((gamma - L(a))/dL, L_1/dL, ..., L_d/dL).  Equal
     keys force proportional primitive normals, hence the same family and
-    then the same gamma, so no two walls are crossed at once.
+    then the same gamma, so no two walls are crossed at once.  The keys are
+    ints: times and tie-breaks (one per family) times one positive multiple.
     """
-    a = vector(a)
-    b = vector(b)
+    (a, b), den = _scaled(a, b)
     if a == b:
         raise ValueError("endpoints coincide; no path to build")
     if len(walls) == 0:
         return []
     if len(a) != walls.dim or len(b) != walls.dim:
         raise ValueError("points do not match the wall dimension")
+    crossed = [(fam, va, dl, q, ms) for fam, va, dl, q, ms in _levels(walls, a, b, den) if ms]
+    big = lcm(*(q * dl for _, _, dl, q, _ in crossed))
     crossings = []
-    for fam, va, vb, gamma in _crossed_levels(walls, a, b):
-        dl = vb - va
-        key = ((gamma - va) / dl,) + tuple(e / dl for e in fam.normal)
-        crossings.append((key, WallInstance(fam.normal, gamma)))
-    return [w for _, w in sorted(crossings)]
+    for fam, va, dl, q, ms in crossed:
+        tie = tuple(e * (big // dl) for e in fam.normal)
+        crossings.extend(((m * den - va * q) * (big // (q * dl)), tie, _trusted(
+            WallInstance, normal=fam.normal, gamma=Fraction(m, q))) for m in ms)
+    return [w for _, _, w in sorted(crossings)]
 
 
 def extend_restricted_walls(walls):
@@ -230,11 +250,6 @@ def extend_restricted_walls(walls):
             for sub in combinations(support, size):
                 masked = tuple(e if i in sub else 0 for i, e in enumerate(fam.normal))
                 c = gcd(*masked)
-                normal = tuple(e // c for e in masked)
-                offs = set()
-                for o in fam.offsets:
-                    for j in range(c):
-                        v = (o + j) / c
-                        offs.add(v - floor(v))
-                fams.setdefault(normal, set()).update(offs)
+                fams.setdefault(tuple(e // c for e in masked), set()).update(
+                    (o + j) / c % 1 for o in fam.offsets for j in range(c))
     return WallSet(WallFamily(nrm, offs) for nrm, offs in fams.items())

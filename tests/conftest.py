@@ -8,19 +8,20 @@ lattice with its Mobius table by definition and the open-stratum Euler
 characteristics read off it, long division by an affine form over Q, the
 chain-sum flag formula, the flag-sum recursion in Fractions, the geometric
 interval and restriction arrangements, the specialization of a
-multivariate zeta, polytope membership, the concrete-nudge chamber path
-and the leverage scores by Cauchy-Binet over every basis of the normals.
+multivariate zeta, polytope membership, separating and localized walls
+by their definition, the concrete-nudge chamber path and the leverage
+scores by Cauchy-Binet over every basis of the normals.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import floor
 from operator import mul
 
 from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, MultiPoly,
-                     QMatrix, ZetaFunction, integer_kernel, intersection_lattice,
-                     localized_walls, primitive_normal, rank, rational,
-                     separating_walls)
+                     QMatrix, WallInstance, ZetaFunction, integer_kernel,
+                     intersection_lattice, primitive_normal, rank, rational)
 from arrzeta.arrangement import _require_central
 from arrzeta.core import dot
 from arrzeta.examples import boolean2, threelines, threelines_factored, veys
@@ -32,7 +33,8 @@ __all__ = [
     "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
     "stratum_euler", "long_division", "Chain", "enumerate_chains",
     "chain_terms", "fraction_flag_sum", "merged_terms", "interval_arrangement",
-    "restriction_arrangement", "specialize", "polytope_member", "nudged_path",
+    "restriction_arrangement", "specialize", "polytope_member",
+    "brute_separating_walls", "brute_localized_walls", "nudged_path",
     "cauchy_binet_leverage",
 ]
 
@@ -478,18 +480,49 @@ def polytope_member(poly, beta, strict=False):
 
 
 # ---------------------------------------------------------------------------
-# the concrete-nudge oracle for chamber paths
+# walls by their definition, and the concrete-nudge oracle for chamber paths
+
+def _level(normal, point):
+    """L(point) as a plain Fraction sum."""
+    assert len(normal) == len(point)
+    return sum((e * x for e, x in zip(normal, point) if e), Fraction(0))
+
+
+def brute_separating_walls(walls, a, b):
+    """The walls o + k, o an offset and k in an explicit integer range, with
+    min(L(a), L(b)) <= o + k < max(L(a), L(b)); sorted by (normal, level)."""
+    out = []
+    for fam in walls:
+        lo, hi = sorted((_level(fam.normal, a), _level(fam.normal, b)))
+        for o in fam.offsets:
+            for k in range(floor(lo) - 1, floor(hi) + 2):
+                if lo <= o + k < hi:
+                    out.append(WallInstance(fam.normal, o + k))
+    return sorted(out)
+
+
+def brute_localized_walls(walls, point):
+    """The walls o + k with o + k = L(point), k in an explicit range; sorted."""
+    out = []
+    for fam in walls:
+        v = _level(fam.normal, point)
+        for o in fam.offsets:
+            for k in range(floor(v) - 1, floor(v) + 2):
+                if o + k == v:
+                    out.append(WallInstance(fam.normal, o + k))
+    return sorted(out)
+
 
 def _nudged_order(walls, a, b, eps):
     delta = [eps ** (j + 1) for j in range(len(a))]
     a1 = tuple(x - d for x, d in zip(a, delta))
     b1 = tuple(x - d for x, d in zip(b, delta))
     for p, p1 in ((a, a1), (b, b1)):
-        assert not separating_walls(walls, p, p1), "nudge left the chamber of %r" % (p,)
-        assert not localized_walls(walls, p1), "nudged endpoint lies on a wall"
-    levels = {f.normal: (f.evaluate(a1), f.evaluate(b1)) for f in walls}
+        assert not brute_separating_walls(walls, p, p1), "nudge left the chamber of %r" % (p,)
+        assert not brute_localized_walls(walls, p1), "nudged endpoint lies on a wall"
+    levels = {f.normal: (_level(f.normal, a1), _level(f.normal, b1)) for f in walls}
     crossings = []
-    for w in separating_walls(walls, a1, b1):
+    for w in brute_separating_walls(walls, a1, b1):
         va, vb = levels[w.normal]
         crossings.append(((w.gamma - va) / (vb - va), w))
     times = [t for t, _ in crossings]

@@ -276,6 +276,14 @@ def test_walls_separate_rejects_empty_coordinate(capsys, pair):
     assert err.startswith("error:") and "empty coordinate" in err
 
 
+@pytest.mark.parametrize("query", [["--separate", "0,0", "1,1,1"], ["--separate", "0,0,0", "1,1"],
+                                   ["--localize", "0,0"]], ids=["first", "second", "localize"])
+def test_walls_point_length_mismatch(capsys, query):
+    code, out, err = run_cli(capsys, ["walls", "--example", "threelines", *query])
+    assert code == 2 and not out
+    assert err == "error: point length 2, family dimension 3\n"
+
+
 def test_walls_json(capsys):
     code, out, _ = run_cli(capsys, ["walls", "--example", "threelines", "--json"])
     assert code == 0

@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrzeta import (WallFamily, WallInstance, WallSet, chamber_path,
                      extend_restricted_walls, localized_walls, nd_wall_set,
                      separating_walls, walls_from_resolution)
 
-from conftest import (nudged_path, random_central_c3, random_lines,
-                      random_rational_point, threelines, veys)
+from conftest import (brute_localized_walls, brute_separating_walls, nudged_path,
+                      random_central_c3, random_lines, random_rational_point,
+                      threelines, veys)
 
 F = Fraction
 
@@ -124,6 +128,16 @@ def test_nd_wall_set():
     assert (1, 0, 0, 1, 1) in {f.normal for f in wv}
 
 
+def test_nd_wall_set_equals_validated_route():
+    # nd_wall_set builds its families unchecked; they must equal the ones
+    # the validating constructors make from the same indicator tuples
+    for arr in [threelines(), veys()] + random_lines(71, 3) + random_central_c3(72, 3):
+        ws = nd_wall_set(arr)
+        indicators = [f.normal for f in ws]
+        assert ws == walls_from_resolution(indicators)
+        assert all(WallFamily(f.normal, f.offsets) == f for f in ws)
+
+
 # ---------------------------------------------------------------------------
 # localization and separation
 
@@ -177,6 +191,80 @@ def test_separation_midpoint_additivity():
         first = separating_walls(ws, a, m)
         second = separating_walls(ws, m, b)
         assert sorted(first + second) == total
+
+
+@st.composite
+def wall_cases(draw):
+    """A WallSet in dimension 1-4 with offsets of denominator up to 12, and
+    endpoints with negative coordinates of denominator up to 30.  a is often
+    an integer point, on every wall of offset 0 at once; b is drawn freely,
+    is a plus an integer vector, or is a itself."""
+    dim = draw(st.integers(1, 4))
+    normal = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    offset = st.one_of(st.just(Fraction(0)), st.integers(1, 12).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))))
+    fams = {}
+    for n in draw(st.lists(normal, min_size=1, max_size=5)):
+        g = gcd(*n)
+        offs = draw(st.lists(offset, min_size=1, max_size=3))
+        fams.setdefault(tuple(e // g for e in n), set()).update(offs)
+    coord = st.builds(Fraction, st.integers(-90, 90), st.integers(1, 30))
+    a = draw(st.one_of(st.tuples(*[st.integers(-3, 3)] * dim), st.tuples(*[coord] * dim)))
+    b = draw(st.one_of(
+        st.tuples(*[coord] * dim),
+        st.tuples(*[st.integers(-2, 2)] * dim).map(lambda k: tuple(x + y for x, y in zip(a, k))),
+        st.just(a)))
+    return WallSet([WallFamily(n, offs) for n, offs in fams.items()]), a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(wall_cases())
+def test_walls_match_definition(case):
+    ws, a, b = case
+    seps = separating_walls(ws, a, b)
+    assert seps == brute_separating_walls(ws, a, b)
+    assert separating_walls(ws, b, a) == seps
+    for p in (a, b):
+        assert localized_walls(ws, p) == brute_localized_walls(ws, p)
+    if a == b:
+        assert seps == []
+        return
+    path = chamber_path(ws, a, b)
+    assert sorted(path) == seps
+    assert path == nudged_path(ws, a, b)
+    for w in path + localized_walls(ws, a):
+        assert type(w.gamma) is Fraction
+        assert type(w.normal) is tuple and all(type(e) is int for e in w.normal)
+
+
+def test_point_length_contract():
+    ws = diag_set()
+    for a, b, length in [((0,), (1, 1), 1), ((0, 0), (1, 1, 1), 3), ((0,), (1,), 1)]:
+        with pytest.raises(ValueError, match=r"^point length %d, family dimension 2$" % length):
+            separating_walls(ws, a, b)
+        with pytest.raises(ValueError, match=r"^points do not match the wall dimension$"):
+            chamber_path(ws, a, b)
+    with pytest.raises(ValueError, match=r"^point length 3, family dimension 2$"):
+        localized_walls(ws, (0, 0, 0))
+    empty = WallSet([])
+    assert separating_walls(empty, (0,), (1, 2)) == []
+    assert chamber_path(empty, (0,), (1, 2)) == []
+    assert localized_walls(empty, (1,)) == []
+
+
+def test_plain_family_list_comes_back_sorted():
+    # a plain list in reverse normal order still gives (normal, level) order
+    ws = tl_wall_set()
+    backwards = list(reversed(ws.families))
+    assert [f.normal for f in backwards] == sorted((f.normal for f in ws), reverse=True)
+    a, b = (F(-1, 2), 0, F(3, 2)), (2, F(5, 3), -1)
+    seps = separating_walls(backwards, a, b)
+    assert len(seps) > 10
+    assert [w.key() for w in seps] == sorted(w.key() for w in seps)
+    assert seps == separating_walls(ws, a, b) == brute_separating_walls(ws, a, b)
+    at_origin = localized_walls(backwards, (0, 0, 0))
+    assert [w.key() for w in at_origin] == sorted(w.key() for w in at_origin)
+    assert at_origin == localized_walls(ws, (0, 0, 0)) and len(at_origin) == len(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +416,32 @@ def test_extend_keeps_input_families():
     by_normal = {f.normal: set(f.offsets) for f in ext}
     for fam in base:
         assert set(fam.offsets) <= by_normal[fam.normal]
+
+
+# ---------------------------------------------------------------------------
+# the scaled-integer route makes no Fraction arithmetic per wall
+
+def test_walls_make_few_fractions(monkeypatch):
+    """separating_walls and chamber_path make one Fraction per returned wall,
+    its level, plus at most one per family and one per coordinate: the
+    crossing times and tie-breaks are ints."""
+    ws = fractional_sets()[0]
+    a, b = (F(-4, 3), F(-1, 2)), (F(7, 4), F(4, 5))
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    seps = separating_walls(ws, a, b)
+    in_separating = len(made)
+    del made[:]
+    path = chamber_path(ws, a, b)
+    in_path = len(made)
+    monkeypatch.undo()
+    families, dim = len(ws), ws.dim
+    assert len(seps) == len(path) == 30
+    assert in_separating <= len(seps) + families + dim
+    assert in_path <= len(path) + families + dim
