@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .core import (MultiPoly, as_int, integer_kernel, primitive_key,
+from .core import (MultiPoly, _trusted, as_int, integer_kernel, primitive_key,
                    primitive_normal, rational, dot)
 
 
@@ -75,18 +75,19 @@ class Arrangement:
         self.forms = tuple(parsed_forms)
         self.consts = tuple(parsed_consts)
         self.r = len(self.forms)
-        self.normals = tuple(primitive_normal(normal) for normal in self.forms)
-        # pairwise proportionality check via the affine canonical key
-        seen = {}
-        for i, (normal, const, prim) in enumerate(zip(self.forms, self.consts, self.normals)):
-            j = next(k for k, e in enumerate(prim) if e)
-            scale = normal[j] / prim[j]
-            key = (prim, const / scale)
+        # two forms are proportional exactly when their whole affine rows
+        # have the same primitive integer key; a central row's key is its
+        # primitive normal with a 0 appended
+        normals, seen = [], {}
+        for i, (normal, const) in enumerate(zip(self.forms, self.consts)):
+            key = primitive_normal(normal + (const,))
             if key in seen:
                 raise ArrangementError(
                     "forms %d and %d are proportional; merge them into one "
                     "hyperplane with a multiplicity" % (seen[key] + 1, i + 1))
             seen[key] = i
+            normals.append(primitive_key(key[:-1]) if key[-1] else key[:-1])
+        self.normals = tuple(normals)
         if mults is None:
             mults = [1] * self.r
         mults = [as_int(m, "a multiplicity", ArrangementError) for m in mults]
@@ -264,7 +265,10 @@ def intersection_lattice(arr):
     and interval_euler(X, Y) is codim Y times the first minus the second.
     """
     _require_central(arr, "intersection_lattice")
-    ambient = Flat((), 0, *integer_kernel([], arr.n))
+    vectors, den = integer_kernel([], arr.n)
+    # the walk's flats are made unchecked (core._trusted): their indices
+    # are ints from range, their codims ints and their vectors int tuples
+    ambient = _trusted(Flat, indices=frozenset(), codim=0, vectors=tuple(vectors), den=den)
     flats = {ambient.indices: ambient}
     covers = {}
     queue = [ambient]
@@ -278,7 +282,8 @@ def intersection_lattice(arr):
         for indices in map(frozenset, classes.values()):
             if indices not in flats:
                 vectors, den = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)
-                flats[indices] = Flat(indices, arr.n - len(vectors), vectors, den)
+                flats[indices] = _trusted(Flat, indices=indices, codim=arr.n - len(vectors),
+                                          vectors=tuple(vectors), den=den)
                 queue.append(flats[indices])
             covers[x.indices].append(indices)
     ordered = sorted(flats.values(), key=Flat.key)
@@ -361,14 +366,18 @@ def is_indecomposable(arr):
 
 
 def dense_edges(arr, lattice=None):
-    """Proper flats whose localized arrangement is indecomposable.
+    """Proper flats whose localized arrangement is indecomposable, in
+    lattice order.
 
-    Read off the Mobius table through Crapo's beta invariant (see
-    IntersectionLattice.is_dense).  Every hyperplane is dense; the origin
-    is dense iff the arrangement is essential and indecomposable.
+    Read off the Euler table through Crapo's beta invariant (see
+    IntersectionLattice.is_dense): a proper flat is dense exactly when
+    its row of IntersectionLattice.euler has an entry at position 0, the
+    ambient space; the rows are read by position, with no index-set
+    lookup.  Every hyperplane is dense; the origin is dense iff the
+    arrangement is essential and indecomposable.
     """
     lattice = lattice or arr.lattice
-    return [f for f in lattice.proper_flats() if lattice.is_dense(f)]
+    return [f for f, below in zip(lattice.flats[1:], lattice.euler[1:]) if 0 in below]
 
 
 def localize_at_point(arr, point):

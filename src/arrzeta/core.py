@@ -19,6 +19,15 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def _trusted(cls, **fields):
+    """An instance of cls with the given fields, taken as they are: the
+    caller guarantees data that cls's constructor would accept unchanged,
+    so nothing is checked or copied."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def rational(x):
     """Coerce an int, a 'p/q' string or a Fraction to a Fraction; anything
     else, a bool or a float included, raises ValueError."""
@@ -144,24 +153,31 @@ def rank(m):
 def primitive_key(v):
     """A nonzero integer vector divided by the gcd of its entries, with the
     sign that makes the first nonzero entry positive: equal exactly for
-    proportional vectors."""
+    proportional vectors.  A vector that is already so comes back as a
+    tuple, undivided."""
     g = gcd(*v)
     if next(e for e in v if e) < 0:
         g = -g
+    if g == 1:
+        return tuple(v)
     return tuple(e // g for e in v)
 
 
 def primitive_normal(v):
     """The coprime integer vector spanning the same line, first nonzero
-    entry positive.
+    entry positive.  A vector of ints is taken as it is; any other entries
+    are coerced (rational) and scaled by the lcm of their denominators.
 
     Examples: (2, -2, 4) -> (1, -1, 2) and (0, -3/4) -> (0, 1).
     """
-    v = vector(v)
-    if all(e == 0 for e in v):
+    v = tuple(v)
+    if not all(type(e) is int for e in v):
+        v = vector(v)
+        den = lcm(*(e.denominator for e in v))
+        v = [e.numerator * (den // e.denominator) for e in v]
+    if not any(v):
         raise ValueError("zero vector has no primitive normal")
-    den = lcm(*(e.denominator for e in v))
-    return primitive_key([e.numerator * (den // e.denominator) for e in v])
+    return primitive_key(v)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ judged, so a report can be audited without rerunning anything.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .core import AffineForm, as_int, integer_kernel, rational
@@ -123,23 +124,34 @@ def _require_verdict_input(arr, what, nd=False):
 
 
 def _adapted_violations(arr, dense, beta):
-    """Witnesses of every way beta fails to be adapted, with the sums judged."""
+    """Witnesses of every way beta fails to be adapted, with the sums judged.
+
+    The sums run on integers: beta is scaled by D, the lcm of its
+    denominators, so an edge's sum is one int t, judged against codim * D
+    and for divisibility by D, and one Fraction t / D is made per edge."""
     bad = []
     for i, x in enumerate(beta):
         if x <= 0:
             bad.append("component %d is not positive (%s)" % (i + 1, x))
-    full = frozenset(range(arr.r))
+    d = lcm(*(x.denominator for x in beta))
+    scaled = [x.numerator * (d // x.denominator) for x in beta]
+    get = scaled.__getitem__
     sums = []
     for f in dense:
-        s = sum((beta[i] for i in f.indices), Fraction(0))
-        sums.append((tuple(sorted(f.indices)), s))
-        label = ("hyperplane %d" % (min(f.indices) + 1,) if len(f.indices) == 1
-                 else "edge {%s}" % ",".join(str(i + 1) for i in sorted(f.indices)))
-        if s > f.codim:
-            bad.append("polytope violated at dense %s (sum %s > %d)" % (label, s, f.codim))
-        if f.indices != full and s.denominator == 1:
-            bad.append("integral sum at dense %s (sum %s)" % (label, s))
-    total = sum(beta, Fraction(0))
+        t = sum(map(get, f.indices))
+        indices = tuple(sorted(f.indices))
+        s = Fraction(t, d)
+        sums.append((indices, s))
+        over = t > f.codim * d
+        integral = not t % d and len(indices) < arr.r
+        if over or integral:
+            label = ("hyperplane %d" % (indices[0] + 1) if len(indices) == 1
+                     else "edge {%s}" % ",".join(str(i + 1) for i in indices))
+            if over:
+                bad.append("polytope violated at dense %s (sum %s > %d)" % (label, s, f.codim))
+            if integral:
+                bad.append("integral sum at dense %s (sum %s)" % (label, s))
+    total = Fraction(sum(scaled), d)
     if total != arr.n:
         bad.append("total sum %s differs from the ambient dimension %d" % (total, arr.n))
     return bad, {"beta": beta, "total": total, "dense_sums": sums}

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
 
-from .core import as_int, rational, vector
+from .core import _trusted, as_int, rational, vector
 from .arrangement import dense_edges
 
 
@@ -125,13 +125,6 @@ class WallInstance:
 
     def __repr__(self):
         return "Wall(%s = %s)" % (self.normal, self.gamma)
-
-
-def _trusted(cls, **fields):
-    """An instance of cls with fields from already-validated families, unchecked."""
-    obj = cls.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def walls_from_resolution(data):

@@ -32,31 +32,39 @@ reported poles are genuine.  Both are taken from the flag sum's integer
 shape; ZetaFunction(nvars, terms) converts given terms to it once.
 
 The poles are decided without the numerator (_denominator), one form f
-of the least common denominator (LCD) at a time, on f's hyperplane.  Its
-order is the largest j up to its LCD power e whose Laurent coefficient
-A_j along f is not zero.  A_e is the sum on f = 0 of the terms that
-carry f^e; read at one point modulo a prime, a nonzero value proves
-order e, which settles most forms.  Otherwise A_e, A_(e-1), ... are
-built exactly as sums in one variable fewer (_laurent) and tested for
-zero: such a sum is zero exactly when its constant part is zero and none
-of its forms is a pole, decided the same way one dimension lower.  With
-no variables left every sum is one rational number, so one variable
-takes the same route.  The verdicts read only the poles.
+of the least common denominator (LCD) at a time, on f's hyperplane.  For
+a zeta function of an arrangement only the forms of the dense edges are
+decided, and the others have order 0: the minimal wonderful model (De
+Concini and Procesi, Selecta Math. 1995) blows up the dense edges alone,
+so the reduced denominator divides a product of dense-edge forms.  The
+flag sum marks those forms as it visits each flat.  Sums given as terms
+have every form decided.  A decided form's order is the largest j up to
+its LCD power e whose Laurent coefficient A_j along f is not zero.  A_e
+is the sum on f = 0 of the terms that carry f^e; read at one point
+modulo a prime, a nonzero value proves order e, which settles most
+forms.  Otherwise A_e, A_(e-1), ... are built exactly as sums in one
+variable fewer (_laurent) and tested for zero: such a sum is zero
+exactly when its constant part is zero and none of its forms is a pole,
+decided the same way one dimension lower.  With no variables left every
+sum is one rational number, so one variable takes the same route.  The
+verdicts read only the poles.
 
 The numerator is built on first read (_numerator): once, over the LCD,
 as fractions are added over their lcm, by halves (_lcd_numerator), on
 one raw integer dict keyed by packed exponents (core.packed_width).  It
 is then divided by each form as often as the decided orders say it
-cancels.  A division that fails raises, so a read catches a cancellation
-decided where there is none; a cancellation that was missed is not
-caught.  The numerator is unpacked into a MultiPoly once, at the end.
+cancels; a form skipped as off the dense edges is divided out as often
+as the LCD has it.  A division that fails raises, so a read catches a
+cancellation decided where there is none, a skipped form that is a
+pole included; a cancellation that was missed is not caught.  The
+numerator is unpacked into a MultiPoly once, at the end.
 """
 
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, gcd, lcm
 
-from .core import (AffineForm, MultiPoly, _add_times_form, as_int, div_linear,
+from .core import (AffineForm, MultiPoly, _add_times_form, _trusted, as_int, div_linear,
                    format_poly, integer_kernel, packed_steps, packed_width, poly_eval,
                    rational, unpack)
 from .arrangement import ArrangementError, dense_edges, localize_at_point
@@ -80,17 +88,19 @@ def _pole_forms(arr, flats, multi):
     nonnegative and codim is positive, so the divided row is already
     canonical, and rows sort as their AffineForms do; the callers make one
     AffineForm per distinct row (_form)."""
-    rows = _factor_rows(arr, multi)
+    getters = [r.__getitem__ for r in _factor_rows(arr, multi)]
     out = []
     for f in flats:
-        row = [sum(r[i] for i in f.indices) for r in rows] + [f.codim]
+        row = [sum(map(get, f.indices)) for get in getters] + [f.codim]
         g = gcd(*row)
-        out.append((tuple(c // g for c in row), g))
+        out.append((tuple(row) if g == 1 else tuple(c // g for c in row), g))
     return out
 
 
 def _form(row):
-    return AffineForm(row[:-1], row[-1])
+    """The AffineForm of a canonical integer row from _pole_forms, made
+    unchecked (core._trusted)."""
+    return _trusted(AffineForm, coeffs=row[:-1], const=row[-1])
 
 
 def candidate_poles(arr, multi=False, lattice=None):
@@ -138,16 +148,17 @@ class ZetaFunction:
         self._quotient(forms, ranked, q)
 
     @classmethod
-    def _merged(cls, nvars, forms, ranked, q):
+    def _merged(cls, nvars, forms, ranked, q, dense):
         """The zeta function of a sum already in _denominator's shape, such
-        as the flag sum."""
+        as the flag sum, whose poles lie among the forms of rank in dense."""
         z = cls.__new__(cls)
         z.nvars = nvars
-        z._quotient(forms, ranked, q)
+        z._quotient(forms, ranked, q, dense)
         return z
 
-    def _quotient(self, forms, ranked, q):
-        """Keep the sum and decide its poles.  A sum with a nonzero constant
+    def _quotient(self, forms, ranked, q, dense=None):
+        """Keep the sum and decide its poles, among the forms of rank in
+        dense if given (_denominator).  A sum with a nonzero constant
         part, the terms with no denominator, is not proper; the rest is a
         sum of proper fractions, whose reduced numerator has lower degree
         than its denominator."""
@@ -155,7 +166,7 @@ class ZetaFunction:
         if () in ranked:
             raise ValueError("zeta function is not a proper rational function")
         self._sum = (forms, ranked, q)
-        self.denominator = _denominator(forms, ranked)
+        self.denominator = _denominator(forms, ranked, dense)
 
     @cached_property
     def terms(self):
@@ -250,19 +261,33 @@ def _by_form(terms):
     return out
 
 
-def _denominator(forms, ranked):
+def _denominator(forms, ranked, dense=None):
     """{form: pole order} for the forms that are poles of the sum of
     c / (q prod forms[i]) over the {sorted rank tuple: int c} entries of
     ranked, with no zero entry; forms are distinct canonical forms in
-    sorted order.  No numerator is built (_poles)."""
+    sorted order.  No numerator is built (_poles).
+
+    dense, if given, is the set of ranks of the forms that can be poles;
+    only they are decided and every other form is taken as order 0.  For
+    a flag sum they are the forms of the dense edges: the minimal
+    wonderful model (De Concini and Procesi, Selecta Math. 1995) blows up
+    the dense edges alone, and its exceptional and strict-transform
+    divisors are the only denominators of the zeta function computed on
+    it, so the reduced denominator divides a product of dense-edge forms.
+    A form skipped wrongly would still be caught: the numerator read
+    divides every skipped LCD form out as often as the LCD has it
+    (_numerator), which fails for a form that is a pole.
+    """
     rows = [f.coeffs + (f.const,) for f in forms]
-    return {forms[i]: e for i, e in _poles(rows, ranked)}
+    return {forms[i]: e for i, e in _poles(rows, ranked, dense)}
 
 
-def _poles(rows, ranked):
+def _poles(rows, ranked, dense=None):
     """The (i, order) pairs of the poles rows[i] of a sum as for
     _denominator, given by the integer rows (coefficients, then constant)
-    of its forms, in ascending i; lazily.
+    of its forms, in ascending i; lazily.  With dense, only the i in
+    dense are decided (see _denominator); the recursion on restricted
+    sums (_is_zero) decides every form, having no such theorem.
 
     The order of a form f of the least common denominator, of power e
     there, is the largest j <= e whose Laurent coefficient A_j along f is
@@ -275,6 +300,8 @@ def _poles(rows, ranked):
     point = _point(len(rows[0]) - 1 if rows else 0)
     at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME for row in rows]
     for i, (e, having) in sorted(_by_form(ranked.items()).items()):
+        if dense is not None and i not in dense:
+            continue
         if not _leading_nonzero(rows, at, i, e, having):
             while e and _is_zero(*_laurent(rows, having, i, e)):
                 e -= 1
@@ -528,9 +555,11 @@ def poles(z):
 
 def _flag_sum(arr, multi):
     """The flag formula summed with equal denominators merged, in
-    _denominator's shape: (forms, {sorted rank tuple: int}, q), the sum of
-    c / (q prod forms[i]) over the entries.  No flag is enumerated and no
-    Fraction is made.
+    _denominator's shape: (forms, {sorted rank tuple: int}, q, dense), the
+    sum of c / (q prod forms[i]) over the entries, and the set of ranks of
+    the forms of the dense edges, the flats whose row of the Euler table
+    has an entry at the ambient space (Crapo's beta; dense_edges).  No
+    flag is enumerated and no Fraction is made.
 
     Each proper flat X has the canonical pole form and scale L_X, s_X of
     _pole_forms.  D(X), the sum over the flags from X up to the ambient
@@ -550,7 +579,8 @@ def _flag_sum(arr, multi):
     has at most rank flats, so no multiplicity exceeds the rank), and
     adding L_X adds one int.  The keys of D(minimal flat) are unpacked
     once into sorted tuples of form ranks (_ranks), which sort as the
-    denominators do, and one AffineForm is made per distinct form.
+    denominators do, and one AffineForm is made per distinct form
+    (_form).
     """
     lattice = arr.lattice
     pole_rows = _pole_forms(arr, lattice.proper_flats(), multi)
@@ -558,7 +588,10 @@ def _flag_sum(arr, multi):
     width = packed_width(lattice.minimal_flat().codim)
     step = {row: 1 << width * i for i, row in enumerate(rows)}
     sums = [(1, {0: 1})]
+    dense = set()
     for below, (row, scale) in zip(lattice.euler[1:], pole_rows):
+        if 0 in below:
+            dense.add(row)
         unit = step[row]
         # pairwise: lcm(*...) over argument tuples of every length kept
         # about 0.3 MB more resident over repeated calls
@@ -577,7 +610,8 @@ def _flag_sum(arr, multi):
         sums.append((q // g, {key: c // g for key, c in out.items() if c}))
     q, packed = sums[-1]
     ranked = {_ranks(key, width): c for key, c in packed.items()}
-    return [_form(row) for row in rows], ranked, q
+    return ([_form(row) for row in rows], ranked, q,
+            {i for i, row in enumerate(rows) if row in dense})
 
 
 def _ranks(key, width):

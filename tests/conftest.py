@@ -8,9 +8,11 @@ lattice with its Mobius table by definition and the open-stratum Euler
 characteristics read off it, long division by an affine form over Q, the
 chain-sum flag formula, the flag-sum recursion in Fractions, the geometric
 interval and restriction arrangements, the specialization of a
-multivariate zeta, polytope membership, separating and localized walls
-by their definition, the concrete-nudge chamber path and the leverage
-scores by Cauchy-Binet over every basis of the normals.
+multivariate zeta, the pole decision over every form of the flag sum's
+least common denominator, polytope membership, the adapted-vector
+violations summed in Fractions, separating and localized walls by their
+definition, the concrete-nudge chamber path and the leverage scores by
+Cauchy-Binet over every basis of the normals.
 """
 
 import random
@@ -24,6 +26,7 @@ from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, MultiPoly,
                      intersection_lattice, primitive_normal, rank, rational)
 from arrzeta.arrangement import _require_central
 from arrzeta.core import dot
+from arrzeta.zeta import _denominator, _flag_sum
 from arrzeta.examples import boolean2, threelines, threelines_factored, veys
 
 __all__ = [
@@ -33,7 +36,8 @@ __all__ = [
     "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
     "stratum_euler", "long_division", "Chain", "enumerate_chains",
     "chain_terms", "fraction_flag_sum", "merged_terms", "interval_arrangement",
-    "restriction_arrangement", "specialize", "polytope_member",
+    "restriction_arrangement", "specialize", "all_forms_denominator",
+    "polytope_member", "fraction_adapted_violations",
     "brute_separating_walls", "brute_localized_walls", "nudged_path",
     "cauchy_binet_leverage",
 ]
@@ -465,6 +469,14 @@ def specialize(z, weights):
     return ZetaFunction(1, terms)
 
 
+def all_forms_denominator(arr, multi=False):
+    """The reduced denominator {form: order} of the local zeta with every
+    form of the flag sum's least common denominator decided, not only the
+    forms of the dense edges that the library decides."""
+    forms, ranked, _, _ = _flag_sum(arr, multi)
+    return _denominator(forms, ranked)
+
+
 def polytope_member(poly, beta, strict=False):
     """Membership of a positive vector; strict checks the open inequalities."""
     beta = tuple(rational(x) for x in beta)
@@ -477,6 +489,28 @@ def polytope_member(poly, beta, strict=False):
         if s > bound or (strict and s == bound):
             return False
     return True
+
+
+def fraction_adapted_violations(arr, dense, beta):
+    """The witnesses and data of harness._adapted_violations, every sum
+    taken in Fractions."""
+    bad = ["component %d is not positive (%s)" % (i + 1, x)
+           for i, x in enumerate(beta) if x <= 0]
+    sums = []
+    for f in dense:
+        indices = tuple(sorted(f.indices))
+        s = sum((Fraction(beta[i]) for i in indices), Fraction(0))
+        sums.append((indices, s))
+        label = ("hyperplane %d" % (indices[0] + 1) if len(indices) == 1
+                 else "edge {%s}" % ",".join(str(i + 1) for i in indices))
+        if s > f.codim:
+            bad.append("polytope violated at dense %s (sum %s > %d)" % (label, s, f.codim))
+        if len(indices) < arr.r and s.denominator == 1:
+            bad.append("integral sum at dense %s (sum %s)" % (label, s))
+    total = sum(beta, Fraction(0))
+    if total != arr.n:
+        bad.append("total sum %s differs from the ambient dimension %d" % (total, arr.n))
+    return bad, {"beta": beta, "total": total, "dense_sums": sums}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from arrzeta import (Arrangement, ArrangementError, Flat, char_poly,
                      complement_euler, dense_edges, intersection_lattice,
                      is_essential, is_indecomposable, localize_at_point,
                      proj_complement_euler)
-from arrzeta.core import MultiPoly
+from arrzeta.core import MultiPoly, primitive_normal
 
 from conftest import (boolean2, closure, interval_arrangement, ninefold,
                       random_central_c3, restriction_arrangement, threelines,
@@ -32,10 +32,36 @@ def test_rejects_proportional_forms():
         Arrangement(2, [(1, -1), (-3, 3)])
 
 
+@pytest.mark.parametrize("n, forms, pair", [
+    (2, [(F(1, 2), 1), (1, 2)], (1, 2)),
+    (2, [(1, -1), (-2, 2)], (1, 2)),
+    (2, [(F(-1, 3), F(2, 3)), (0, 1), (1, -2)], (1, 3)),
+    (1, [(1, 1), (2, 2)], (1, 2)),
+    (2, [(0, 1), (1, 0, F(1, 2)), (-2, 0, -1)], (2, 3)),
+], ids=["rational", "negative-scale", "rational-negative", "affine", "affine-rational"])
+def test_proportional_key_on_whole_rows(n, forms, pair):
+    # the primitive key of the whole affine row: the error names the
+    # earlier and the later form of the pair, 1-based
+    with pytest.raises(ArrangementError) as err:
+        Arrangement(n, forms)
+    assert str(err.value) == ("forms %d and %d are proportional; merge them into one "
+                              "hyperplane with a multiplicity" % pair)
+
+
+def test_normals_from_the_whole_row_key():
+    # an affine row's key may have a content that the normal alone lacks
+    arr = Arrangement(2, [(2, 4, 3), (2, 4, 6), (F(1, 2), F(-3, 4)), (0, -5, 1)])
+    assert arr.normals == ((1, 2), (1, 2), (2, -3), (0, 1))
+    assert arr.normals == tuple(primitive_normal(f) for f in arr.forms)
+    assert all(type(e) is int for v in arr.normals for e in v)
+
+
 def test_affine_forms_not_proportional_to_translates():
     # x and x - 1 are parallel but distinct hyperplanes
     arr = Arrangement(1, [(1, 0), (1, -1)])
     assert arr.r == 2 and not arr.central
+    # x + 1 and x + 2 as well
+    assert Arrangement(1, [(1, 1), (1, 2)]).r == 2
 
 
 def test_rejects_bad_data():

@@ -13,11 +13,13 @@ from arrzeta import (Arrangement, ArrangementError, BRootSet, Polytope,
                      nd_check, smc_verify, validate_adapted)
 from arrzeta.core import AffineForm
 from arrzeta.examples import veys_broots
-from arrzeta.harness import _leverage_scores
+from arrzeta.harness import _adapted_violations, _leverage_scores
+from arrzeta.arrangement import dense_edges
 
-from conftest import (_distinct_normals, boolean2, cauchy_binet_leverage,
-                      ninefold, polytope_member, thirteen, threelines,
-                      threelines_factored, type_b, veys, xy_ab, xy_in_c3, xyz)
+from conftest import (_distinct_normals, boolean2, braid, cauchy_binet_leverage,
+                      fraction_adapted_violations, ninefold, polytope_member,
+                      thirteen, threelines, threelines_factored, type_b, veys,
+                      xy_ab, xy_in_c3, xyz)
 
 F = Fraction
 
@@ -189,6 +191,51 @@ def test_leverage_scores_and_adapted_vector_random(arr):
     assert scores == cauchy_binet_leverage(arr)
     assert all(h > 0 for h in scores) and sum(scores) == arr.n
     assert validate_adapted(arr, adapted_vector(arr)).passed
+
+
+_VIOLATION_CORPUS = [threelines(), veys(), ninefold(), thirteen(), braid(4), type_b(3)]
+
+
+@st.composite
+def _arrangement_and_beta(draw):
+    """A corpus arrangement and a vector of its length whose components
+    may be zero or negative, with denominators up to 50 or small ones
+    that make integral sums likely."""
+    arr = draw(st.sampled_from(_VIOLATION_CORPUS))
+    component = st.one_of(st.fractions(-3, 3, max_denominator=50),
+                          st.integers(-1, 3).map(F),
+                          st.sampled_from([F(1, 2), F(-1, 2), F(1, 3), F(2, 3), F(3, 4)]))
+    return arr, tuple(draw(st.lists(component, min_size=arr.r, max_size=arr.r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrangement_and_beta())
+def test_adapted_violations_match_fraction_sums(case):
+    # the sums on beta scaled by the lcm of its denominators give the
+    # witnesses, dense sums and total of the sums in Fractions, as the
+    # same types
+    arr, beta = case
+    dense = dense_edges(arr)
+    bad, data = _adapted_violations(arr, dense, beta)
+    want_bad, want = fraction_adapted_violations(arr, dense, beta)
+    assert bad == want_bad
+    assert data == want
+    assert type(data["total"]) is Fraction
+    assert all(type(s) is Fraction for _, s in data["dense_sums"])
+
+
+def test_adapted_violations_show_every_witness():
+    # one vector of threelines with every kind of witness
+    arr = threelines()
+    beta = (F(-1, 2), F(3, 2), F(2))
+    bad, data = _adapted_violations(arr, dense_edges(arr), beta)
+    assert (bad, data) == fraction_adapted_violations(arr, dense_edges(arr), beta)
+    assert bad == ["component 1 is not positive (-1/2)",
+                   "polytope violated at dense hyperplane 2 (sum 3/2 > 1)",
+                   "polytope violated at dense hyperplane 3 (sum 2 > 1)",
+                   "integral sum at dense hyperplane 3 (sum 2)",
+                   "polytope violated at dense edge {1,2,3} (sum 3 > 2)",
+                   "total sum 3 differs from the ambient dimension 2"]
 
 
 # ---------------------------------------------------------------------------

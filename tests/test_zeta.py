@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrzeta import (Arrangement, ArrangementError, candidate_poles,
+from arrzeta import (Arrangement, ArrangementError, Flat, candidate_poles,
                      global_zeta, intersection_lattice, local_zeta,
                      multi_nd_check, multi_smc_verify, multivariate_global_zeta,
                      multivariate_local_zeta, nd_check, poles, rank2_zeta,
@@ -24,12 +24,12 @@ import arrzeta.zeta
 from arrzeta.core import AffineForm, MultiPoly, div_linear, packed_width, primitive_normal
 from arrzeta.zeta import ZetaFunction
 
-from conftest import (Chain, boolean2, boolean2_factored, braid, chain_terms,
-                      enumerate_chains, fraction_flag_sum, long_division,
-                      merged_terms, ninefold, random_central_c3, random_lines,
-                      random_rational_point, specialize, stratum_euler,
-                      threelines, threelines_factored, type_b, veys, xy_ab,
-                      xy_in_c3, xyz)
+from conftest import (Chain, all_forms_denominator, boolean2, boolean2_factored,
+                      braid, chain_terms, enumerate_chains, fraction_flag_sum,
+                      long_division, merged_terms, ninefold, random_central_c3,
+                      random_lines, random_rational_point, specialize,
+                      stratum_euler, thirteen, threelines, threelines_factored,
+                      type_b, veys, xy_ab, xy_in_c3, xyz)
 
 F = Fraction
 
@@ -888,6 +888,107 @@ def test_pole_orders_match_division_oracle_random(arr):
                 lcd[f] = max(lcd.get(f, 0), k)
         if comb(sum(lcd.values()) + z.nvars, z.nvars) <= 2000:
             assert z.denominator == _oracle_normalize(z.nvars, z.terms)[1]
+
+
+# ---------------------------------------------------------------------------
+# poles decided on the dense-edge forms alone
+
+def _mod_factors(arr, k):
+    """arr with hyperplane i, its whole multiplicity, in factor i mod k."""
+    return Arrangement(arr.n, arr.forms, arr.mults,
+                       factors=[[m * (i % k == j) for i, m in enumerate(arr.mults)]
+                                for j in range(k)])
+
+
+DENSE_CORPUS = [veys(), threelines(), ninefold(), thirteen(), braid(4), braid(5), braid(6),
+                type_b(3), type_b(4)]
+DENSE_IDS = ["veys", "threelines", "ninefold", "thirteen", "A3", "A4", "A5", "B3", "B4"]
+
+
+def _assert_dense_decision_matches_every_form(arr):
+    # the denominator decided on the dense-edge forms alone is the one
+    # decided on every LCD form, and each of its forms is a candidate
+    cases = [(arr, False)]
+    if arr.factors is not None:
+        cases.append((arr, True))
+    for case, multi in cases:
+        z = (multivariate_local_zeta if multi else local_zeta)(case)
+        assert z.denominator == all_forms_denominator(case, multi)
+        if multi:
+            assert set(z.denominator) <= set(candidate_poles(case, multi=True))
+        else:
+            assert {f.root() for f in z.denominator} <= set(candidate_poles(case))
+
+
+@pytest.mark.parametrize("arr", DENSE_CORPUS, ids=DENSE_IDS)
+def test_dense_decision_matches_every_form(arr):
+    _assert_dense_decision_matches_every_form(arr)
+    for k in (2, 3):
+        _assert_dense_decision_matches_every_form(_mod_factors(arr, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_arrangements())
+def test_dense_decision_matches_every_form_random(arr):
+    _assert_dense_decision_matches_every_form(arr)
+
+
+@pytest.mark.parametrize("arr, skipped", [(braid(6), 2), (_mod_factors(braid(6), 2), 14),
+                                          (_mod_factors(type_b(4), 3), 21)],
+                         ids=["A5", "A5-mod-2", "B4-mod-3"])
+def test_flag_sum_decides_exactly_the_candidate_forms(monkeypatch, arr, skipped):
+    # the forms handed to the pole decision are the candidate poles, and
+    # the others are skipped; the counts pin that the skip happens
+    seen = []
+
+    def traced(forms, ranked, dense=None):
+        seen.append({forms[i] for i in dense})
+        return original(forms, ranked, dense)
+
+    original = arrzeta.zeta._denominator
+    monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
+    multi = arr.factors is not None
+    z = (multivariate_local_zeta if multi else local_zeta)(arr)
+    forms = {f for _, dens in z.terms for f in dens}
+    [decided] = seen
+    if multi:
+        assert decided == set(candidate_poles(arr, multi=True))
+    else:
+        assert sorted((f.root() for f in decided), reverse=True) == candidate_poles(arr)
+    assert len(forms - decided) == skipped
+
+
+@pytest.mark.parametrize("arr", [braid(5), _mod_factors(thirteen(), 3), veys()],
+                         ids=["A4", "thirteen-mod-3", "veys"])
+def test_unchecked_constructors_see_canonical_data(monkeypatch, arr):
+    multi = arr.factors is not None
+    forms, _, _, _ = arrzeta.zeta._flag_sum(arr, multi)
+    made = forms + candidate_poles(arr, multi=True) if multi else forms
+    for f in made:
+        assert type(f.coeffs) is tuple and all(type(c) is int for c in f.coeffs)
+        assert type(f.const) is int
+        assert AffineForm(f.coeffs, f.const)._key() == f._key()
+    for f in arr.lattice.flats:
+        checked = Flat(f.indices, f.codim, f.vectors, f.den)
+        assert (checked.indices, checked.codim, checked.vectors, checked.den) == (
+            f.indices, f.codim, f.vectors, f.den)
+        assert type(f.indices) is frozenset and all(type(i) is int for i in f.indices)
+        assert type(f.codim) is int and type(f.den) is int
+        assert type(f.vectors) is tuple
+        assert all(type(w) is tuple and all(type(e) is int for e in w) for w in f.vectors)
+
+    # with the lattice built, the zeta and candidate routes make every
+    # form and flat unchecked
+    def refuse(self, *args):
+        raise AssertionError("checked constructor called")
+
+    monkeypatch.setattr(AffineForm, "__init__", refuse)
+    monkeypatch.setattr(Flat, "__init__", refuse)
+    local_zeta(arr)
+    candidate_poles(arr)
+    if multi:
+        multivariate_local_zeta(arr)
+        candidate_poles(arr, multi=True)
 
 
 # ---------------------------------------------------------------------------
