@@ -1,9 +1,11 @@
 """Exact rational linear algebra and polynomial utilities.
 
 Everything in this package computes over Q with arbitrary precision: ranks
-and kernels of coefficient matrices, sparse multivariate polynomials for
-zeta numerators, and integer affine forms for zeta denominators and wall
-levels.  No floating point is used anywhere.
+and kernels of coefficient matrices, polynomials for zeta numerators, and
+integer affine forms for zeta denominators and wall levels.  No floating
+point is used anywhere.  Polynomial arithmetic runs on packed integer
+dicts (_add_times_form, div_linear); MultiPoly is only the exact result
+type a finished numerator or characteristic polynomial is returned in.
 
 Rational numbers are stdlib fractions (already canonical: reduced, positive
 denominator); integer data is an int that is not a bool, or a Fraction with
@@ -184,10 +186,12 @@ def primitive_normal(v):
 # sparse polynomials over Q
 
 class MultiPoly:
-    """Sparse polynomial over Q in a fixed number of variables.
+    """Sparse polynomial over Q in a fixed number of variables, the exact
+    result type of zeta numerators and characteristic polynomials.
 
-    terms maps exponent tuples to nonzero rational coefficients.  All
-    arithmetic stays exact; instances are treated as immutable.
+    terms maps exponent tuples to nonzero rational coefficients; instances
+    are treated as immutable.  The one arithmetic kept is the product,
+    which the benchmark's tracer (perfbench/tracer.py) wraps.
     """
 
     def __init__(self, nvars, terms=None):
@@ -206,58 +210,17 @@ class MultiPoly:
             clean[ex] = c
         self.terms = clean
 
-    @classmethod
-    def _trusted(cls, nvars, terms):
-        """The polynomial with the given terms, taken as they are: the
-        caller guarantees exponent tuples of nvars nonnegative ints and
-        nonzero Fraction coefficients, so nothing is checked or copied."""
-        p = cls.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: rational(c)})
-
-    @classmethod
-    def variable(cls, nvars, i):
-        ex = [0] * nvars
-        ex[i] = 1
-        return cls(nvars, {tuple(ex): Fraction(1)})
-
     def is_zero(self):
         return not self.terms
-
-    def total_degree(self):
-        """Total degree, with the convention 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(ex) for ex in self.terms)
-
-    def degree_in(self, i):
-        if not self.terms:
-            return 0
-        return max(ex[i] for ex in self.terms)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for ex, c in other.terms.items():
-            out[ex] = out.get(ex, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {ex: -c for ex, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
             c = rational(other)
             return MultiPoly(self.nvars, {ex: a * c for ex, a in self.terms.items()})
-        other = self._coerce(other)
+        if not isinstance(other, MultiPoly):
+            raise TypeError("cannot combine MultiPoly with %r" % (other,))
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch: %d vs %d" % (self.nvars, other.nvars))
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -266,23 +229,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction, str)):
-            return MultiPoly.constant(self.nvars, other)
-        if not isinstance(other, MultiPoly):
-            raise TypeError("cannot combine MultiPoly with %r" % (other,))
-        if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch: %d vs %d" % (self.nvars, other.nvars))
-        return other
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
@@ -374,7 +320,8 @@ class AffineForm:
         g = gcd(*coeffs, const)
         if next(c for c in coeffs if c) < 0:
             g = -g
-        return cls([c // g for c in coeffs], const // g), g
+        # the quotient is canonical by construction: not checked again
+        return _trusted(cls, coeffs=tuple(c // g for c in coeffs), const=const // g), g
 
     @property
     def nvars(self):
@@ -391,17 +338,6 @@ class AffineForm:
         if self.nvars != 1:
             raise ValueError("root is only defined for univariate forms")
         return Fraction(-self.const, self.coeffs[0])
-
-    def to_poly(self):
-        terms = {}
-        for j, c in enumerate(self.coeffs):
-            if c:
-                ex = [0] * self.nvars
-                ex[j] = 1
-                terms[tuple(ex)] = Fraction(c)
-        if self.const:
-            terms[(0,) * self.nvars] = Fraction(self.const)
-        return MultiPoly(self.nvars, terms)
 
     def _key(self):
         return (self.coeffs, self.const)

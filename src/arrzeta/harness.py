@@ -194,11 +194,14 @@ def adapted_vector(arr):
 
     Every basis has positive determinantal weight, so the scores are
     positive, sum to n and satisfy the polytope strictly away from the
-    origin edge.  If some partial sums land on integers, a perturbation
-    along e_j - e_k for each such dense edge, j its smallest index and k
-    the smallest index outside it (weights mu^k, then step eps, both
-    halved through deterministic schedules), clears them.  Every candidate
-    is certified by the check validate_adapted runs before it is returned.
+    origin edge.  If some partial sums land on integers, the k-th such
+    dense edge X_k gives the direction d_k = e_j - e_m, j its smallest
+    index and m the smallest index outside it, and the scores move along
+    v = sum of 2^-(k+1) d_k by a step eps halved on a deterministic
+    schedule.  The sum of d_k over a violating edge is -1, 0 or 1, and 1
+    for its own direction, so its first nonzero weight outweighs the rest
+    and v has a nonzero sum over every violating edge.  Every candidate is
+    certified by the check validate_adapted runs before it is returned.
     """
     _require_verdict_input(arr, "adapted_vector")
     dense = dense_edges(arr)
@@ -210,20 +213,11 @@ def adapted_vector(arr):
     violating = [f for f, (_, s) in zip(dense, data["dense_sums"])
                  if f.indices != full and s.denominator == 1]
     assert violating, "leverage scores failed for a reason other than integrality"
-    directions = []
-    for f in violating:
-        v = [0] * arr.r
-        v[min(f.indices)], v[min(full - f.indices)] = 1, -1
-        directions.append(v)
-    mu = Fraction(1, 2)
-    for _ in range(200):
-        v = [sum(mu ** (k + 1) * d[i] for k, d in enumerate(directions))
-             for i in range(arr.r)]
-        if all(sum(v[i] for i in f.indices) != 0 for f in violating):
-            break
-        mu /= 2
-    else:
-        raise AssertionError("no perturbation direction found")
+    v = [Fraction(0)] * arr.r
+    for k, f in enumerate(violating):
+        w = Fraction(1, 2 << k)
+        v[min(f.indices)] += w
+        v[min(full - f.indices)] -= w
     eps = Fraction(1, 2)
     for _ in range(200):
         cand = tuple(b + eps * x for b, x in zip(beta, v))

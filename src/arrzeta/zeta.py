@@ -484,8 +484,8 @@ def _numerator(nvars, forms, ranked, q, den):
             if total is None:
                 raise AssertionError("%s does not divide the numerator as often as the "
                                      "pole orders say" % f.format_str())
-    return MultiPoly._trusted(nvars, {unpack(ex, nvars, width): Fraction(c, q)
-                                      for ex, c in total.items()})
+    return _trusted(MultiPoly, nvars=nvars, terms={unpack(ex, nvars, width): Fraction(c, q)
+                                                   for ex, c in total.items()})
 
 
 def _lcd_numerator(terms, factors):

@@ -13,6 +13,9 @@ least common denominator, polytope membership, the adapted-vector
 violations summed in Fractions, separating and localized walls by their
 definition, the concrete-nudge chamber path and the leverage scores by
 Cauchy-Binet over every basis of the normals.
+
+The library's MultiPoly is a result type with products only, so tests
+write their polynomials with poly (dict literals and sums) and form_poly.
 """
 
 import random
@@ -34,7 +37,7 @@ __all__ = [
     "veys", "braid", "type_b", "xy_ab", "xyz", "xy_in_c3", "ninefold",
     "thirteen", "random_lines", "random_central_c3", "random_rational_point",
     "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
-    "stratum_euler", "long_division", "Chain", "enumerate_chains",
+    "stratum_euler", "long_division", "poly", "form_poly", "Chain", "enumerate_chains",
     "chain_terms", "fraction_flag_sum", "merged_terms", "interval_arrangement",
     "restriction_arrangement", "specialize", "all_forms_denominator",
     "polytope_member", "fraction_adapted_violations",
@@ -147,6 +150,26 @@ def long_division(p, form):
                 rem[up] = rem.get(up, 0) - c * a
         rem = {ex: c for ex, c in rem.items() if c}
     return MultiPoly(p.nvars, quot), MultiPoly(p.nvars, rem)
+
+
+def poly(terms, nvars=None):
+    """A MultiPoly from a dict literal {exponent: coefficient}, or from
+    (exponent, coefficient) pairs with the coefficients of a repeated
+    exponent added, which is how a test writes a sum.  An int exponent is
+    that of a one-variable polynomial; nvars is read off the first
+    exponent unless given."""
+    out = {}
+    for ex, c in (terms.items() if isinstance(terms, dict) else terms):
+        ex = (ex,) if isinstance(ex, int) else tuple(ex)
+        out[ex] = out.get(ex, 0) + c
+    return MultiPoly(len(next(iter(out))) if nvars is None else nvars, out)
+
+
+def form_poly(form):
+    """An affine form c . s + k as a MultiPoly."""
+    n = form.nvars
+    return poly([((0,) * n, form.const)]
+                + [(tuple(int(i == j) for i in range(n)), c) for j, c in enumerate(form.coeffs)], n)
 
 
 def boolean2_factored():

@@ -9,10 +9,10 @@ from arrzeta import (Arrangement, ArrangementError, Flat, char_poly,
                      complement_euler, dense_edges, intersection_lattice,
                      is_essential, is_indecomposable, localize_at_point,
                      proj_complement_euler)
-from arrzeta.core import MultiPoly, primitive_normal
+from arrzeta.core import AffineForm, primitive_normal
 
-from conftest import (boolean2, closure, interval_arrangement, ninefold,
-                      random_central_c3, restriction_arrangement, threelines,
+from conftest import (boolean2, closure, form_poly, interval_arrangement, ninefold,
+                      poly, random_central_c3, restriction_arrangement, threelines,
                       threelines_factored, veys, xy_in_c3, xyz)
 
 F = Fraction
@@ -208,12 +208,12 @@ def test_lattice_sizes_and_mobius():
 
 
 def test_char_poly_frozen():
-    t = MultiPoly.variable(1, 0)
-    assert char_poly(boolean2()) == t * t - 2 * t + 1
-    assert char_poly(threelines()) == t * t - 3 * t + 2
-    assert char_poly(xyz()) == (t - 1) ** 3
-    assert char_poly(veys()) == (t - 1) * (t - 2) ** 2
-    assert char_poly(Arrangement(3, [])) == t ** 3
+    t1, t2 = form_poly(AffineForm((1,), -1)), form_poly(AffineForm((1,), -2))
+    assert char_poly(boolean2()) == poly({2: 1, 1: -2, 0: 1})
+    assert char_poly(threelines()) == poly({2: 1, 1: -3, 0: 2})
+    assert char_poly(xyz()) == t1 * t1 * t1 == poly({3: 1, 2: -3, 1: 3, 0: -1})
+    assert char_poly(veys()) == t1 * t2 * t2 == poly({3: 1, 2: -5, 1: 8, 0: -4})
+    assert char_poly(Arrangement(3, [])) == poly({3: 1})
 
 
 def test_euler_characteristics():

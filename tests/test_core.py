@@ -11,16 +11,9 @@ from arrzeta.core import (AffineForm, MultiPoly, QMatrix, div_linear,
                           integer_kernel, poly_eval, primitive_normal, rank,
                           rational)
 
-from conftest import fraction_kernel, long_division
+from conftest import form_poly, fraction_kernel, long_division, poly
 
 F = Fraction
-
-
-def s_poly(names=1):
-    # small univariate helper: dict of degree -> coef
-    def build(d):
-        return MultiPoly(1, {(k,): v for k, v in d.items()})
-    return build
 
 
 def test_rational_coercion():
@@ -124,19 +117,17 @@ def test_primitive_normal_scale_invariant(v, scale, flip):
     assert primitive_normal(p) == p
 
 
-def test_multipoly_arithmetic():
-    x = MultiPoly.variable(2, 0)
-    y = MultiPoly.variable(2, 1)
-    p = (x + y) * (x - y)
-    assert p == x * x - y * y
-    assert p.total_degree() == 2
-    assert poly_eval(p, (F(3), F(2))) == 5
-    q = (x + 1) ** 3
-    assert q.terms[(0, 0)] == 1 and q.terms[(3, 0)] == 1 and q.terms[(2, 0)] == 3
-    assert (p - p).is_zero()
-    assert MultiPoly(2).is_zero()
-    with pytest.raises(ValueError):
-        x + MultiPoly.variable(1, 0)
+def test_multipoly_product_checks_its_operand():
+    x, y = poly({(1, 0): 1}), poly({(0, 1): 1})
+    p = poly({(1, 0): 1, (0, 1): 1}) * poly({(1, 0): 1, (0, 1): -1})
+    assert p == poly({(2, 0): 1, (0, 2): -1})
+    assert 2 * x == x * F(2) == x * "2" == poly({(1, 0): 2})
+    assert (x * y) * 0 == MultiPoly(2)
+    assert MultiPoly(2).is_zero() and not x.is_zero()
+    with pytest.raises(ValueError, match="variable count mismatch: 2 vs 1"):
+        x * poly({1: 1})
+    with pytest.raises(TypeError, match="cannot combine MultiPoly"):
+        x * 0.5
     with pytest.raises(ValueError):
         poly_eval(p, (1,))
 
@@ -158,18 +149,30 @@ def test_multipoly_accepts_integral_fraction_exponents():
                           st.integers(-4, 4)), max_size=4),
        st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 def test_multipoly_eval_is_ring_hom(ts1, ts2, point):
-    def build(ts):
-        p = MultiPoly(2)
-        for a, b, c in ts:
-            p = p + MultiPoly(2, {(a, b): c})
-        return p
-    p, q = build(ts1), build(ts2)
+    p, q = (poly((((a, b), c) for a, b, c in ts), 2) for ts in (ts1, ts2))
     pt = tuple(F(c) for c in point)
-    assert poly_eval(p + q, pt) == poly_eval(p, pt) + poly_eval(q, pt)
+    total = poly(list(p.terms.items()) + list(q.terms.items()), 2)
+    assert poly_eval(total, pt) == poly_eval(p, pt) + poly_eval(q, pt)
     assert poly_eval(p * q, pt) == poly_eval(p, pt) * poly_eval(q, pt)
 
 
-def test_affine_form_canonical():
+affine_rows = st.lists(st.integers(-12, 12) | st.integers(-6, 6).map(F), min_size=2, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_rows)
+def test_affine_form_canonical(row):
+    # any integer row: the unchecked result is what the checked
+    # constructor builds and accepts, with int entries, and scale times it
+    # is the row
+    if not any(row[:-1]):
+        with pytest.raises(ValueError, match="nonzero coefficient vector"):
+            AffineForm.canonical(row[:-1], row[-1])
+    else:
+        f, scale = AffineForm.canonical(row[:-1], row[-1])
+        assert f == AffineForm(f.coeffs, f.const)
+        assert type(f.coeffs) is tuple and all(type(e) is int for e in f.coeffs + (f.const,))
+        assert [scale * e for e in f.coeffs + (f.const,)] == row
     f, scale = AffineForm.canonical((9,), 3)
     assert (f.coeffs, f.const, scale) == ((3,), 1, 3)
     f, scale = AffineForm.canonical((-2, 0, -4), -6)
@@ -208,7 +211,6 @@ def test_affine_form_behaviour():
     assert f.evaluate((F(-1, 3),)) == 0
     assert f.evaluate((1,)) == 4
     g = AffineForm((1, 2), 2)
-    assert g.to_poly() == MultiPoly(2, {(1, 0): 1, (0, 1): 2, (0, 0): 2})
     with pytest.raises(ValueError):
         g.root()
     assert sorted([g, AffineForm((0, 1), 1), AffineForm((1, 0), 1)]) == [
@@ -228,7 +230,7 @@ def divided(p, form):
     is nonzero, and otherwise the quotient, with nonzero int entries, which
     unpacks at the same width.  Returns that quotient, or None."""
     assert all(c.denominator == 1 for c in p.terms.values())
-    width = p.total_degree().bit_length() + 1
+    width = max((sum(ex) for ex in p.terms), default=0).bit_length() + 1
     packed = {sum(e << width * j for j, e in enumerate(ex)): int(c) for ex, c in p.terms.items()}
     got = div_linear(packed, form, width)
     quot, rem = long_division(p, form)
@@ -245,37 +247,36 @@ def divided(p, form):
 def test_divides_linear_examples():
     l = AffineForm((1, 1), 2)
     other = AffineForm((1, 0), 1)
-    p = l.to_poly() * other.to_poly()
-    assert divided(p, l) == other.to_poly()
-    assert divided(p, other) == l.to_poly()
-    assert divided(l.to_poly(), other) is None
+    p = form_poly(l) * form_poly(other)
+    assert divided(p, l) == form_poly(other)
+    assert divided(p, other) == form_poly(l)
+    assert divided(form_poly(l), other) is None
     assert divided(MultiPoly(2), l) == MultiPoly(2)  # everything divides zero
 
 
 def test_div_linear_exact():
-    t = MultiPoly.variable(1, 0)
-    char3 = t * t - 3 * t + 2
-    assert divided(char3, AffineForm((1,), -1)) == t - 2
-    assert divided(t * t + 1, AffineForm((1,), -1)) is None  # every step exact
+    char3 = poly({2: 1, 1: -3, 0: 2})
+    assert divided(char3, AffineForm((1,), -1)) == poly({1: 1, 0: -2})
+    assert divided(poly({2: 1, 0: 1}), AffineForm((1,), -1)) is None  # every step exact
     # multivariate: quotient recovers the cofactor
     a = AffineForm((1, 2), 2)
     b = AffineForm((1, 1), 1)
-    prod = a.to_poly() * b.to_poly()
-    assert divided(prod, a) == b.to_poly()
-    assert divided(prod, b) == a.to_poly()
+    prod = form_poly(a) * form_poly(b)
+    assert divided(prod, a) == form_poly(b)
+    assert divided(prod, b) == form_poly(a)
     # pivot coefficient 2: an integer quotient, content kept
     two = AffineForm((2,), 1)
-    assert divided((t + 3) * two.to_poly(), two) == t + 3
-    assert divided(6 * t + 3, two) == MultiPoly.constant(1, 3)
-    assert divided(t * t + t, two) is None  # first step 1 / 2 inexact
-    assert divided(2 * t * t + 2 * t + 1, two) is None  # second step 1 / 2 inexact
+    assert divided(poly({1: 1, 0: 3}) * form_poly(two), two) == poly({1: 1, 0: 3})
+    assert divided(poly({1: 6, 0: 3}), two) == poly({0: 3})
+    assert divided(poly({2: 1, 1: 1}), two) is None  # first step 1 / 2 inexact
+    assert divided(poly({2: 2, 1: 2, 0: 1}), two) is None  # second step 1 / 2 inexact
     # pivot coefficient 3 in two variables: 3 s1 + s2 + 1
     three = AffineForm((3, 1), 1)
-    s1, s2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    cofactor = s1 * s2 - 2 * s2 + 5
-    assert divided(cofactor * three.to_poly(), three) == cofactor
-    assert divided(s1 * s1 + s2, three) is None  # first step inexact
-    assert divided(3 * s1 + 2 * s2 + 1, three) is None  # exact step, remainder s2
+    cofactor = poly({(1, 1): 1, (0, 1): -2, (0, 0): 5})
+    assert divided(cofactor * form_poly(three), three) == cofactor
+    assert divided(poly({(2, 0): 1, (0, 1): 1}), three) is None  # first step inexact
+    # exact step, remainder s2
+    assert divided(poly({(1, 0): 3, (0, 1): 2, (0, 0): 1}), three) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,13 +287,11 @@ def test_division_roundtrip(c1, c2, k, ts):
     if c1 == 0 and c2 == 0:
         return
     form, _ = AffineForm.canonical((c1, c2), k)
-    p = MultiPoly(2)
-    for a, b, c in ts:
-        p = p + MultiPoly(2, {(a, b): c})
-    prod = p * form.to_poly()
+    p = poly((((a, b), c) for a, b, c in ts), 2)
+    prod = p * form_poly(form)
     assert divided(prod, form) == p
     if not p.is_zero():
-        assert divided(prod + 1, form) is None
+        assert divided(poly(list(prod.terms.items()) + [((0, 0), 1)], 2), form) is None
     divided(p, form)  # any p: against long division
 
 
@@ -306,8 +305,6 @@ def test_division_by_a_later_pivot(c2, c3, k, ts):
     if c2 == 0 and c3 == 0:
         return
     form, _ = AffineForm.canonical((0, c2, c3), k)
-    p = MultiPoly(3)
-    for ex, c in ts:
-        p = p + MultiPoly(3, {ex: c})
+    p = poly(ts, 3)
     divided(p, form)
-    assert divided(p * form.to_poly(), form) == p
+    assert divided(p * form_poly(form), form) == p
