@@ -210,9 +210,6 @@ class IntersectionLattice:
     def ambient(self):
         return self.flats[0]
 
-    def proper_flats(self):
-        return [f for f in self.flats if f.codim > 0]
-
     def minimal_flat(self):
         """The intersection of all hyperplanes (bottom subspace, top flat).
         Its codimension is the rank of the arrangement and no other flat

@@ -1,29 +1,33 @@
 """Topological zeta functions of hyperplane arrangements.
 
-The local and global (multivariate) topological zeta functions are computed
-from the maximal wonderful model of the arrangement, whose boundary strata
-are indexed by flags of proper flats.  Each flag of flats W_1 < ... < W_k
-(strictly increasing subspaces) contributes the product of the Euler
-characteristics of the projectivized complements of the interval
-arrangements along the flag divided by the product of the flats' pole forms
-ord_X . s + nu_X (_pole_forms); in one variable they are N_X s + nu_X, the
-forms of the one-row factorization by the multiplicities.  The dense edges'
-forms are the candidate poles.  The local zeta sums the flags starting at
-the minimal flat.  The global one sums all flags weighted by the Euler
-characteristic of the open stratum of the first flat, plus the empty flag;
-on a central arrangement that is the local sum (see global_zeta).  The
-interval Euler characteristics are the nonzero ones the arrangement's one
-intersection lattice, Arrangement.lattice, keeps for each flat by lattice
-position (IntersectionLattice.euler); no interval arrangement is built.
+The local and global (multivariate) topological zeta functions are read
+off the maximal wonderful model of the arrangement, whose boundary strata
+are indexed by flags of proper flats.  Each flag W_1 < ... < W_k (strictly
+increasing subspaces) contributes the product of the Euler characteristics
+of the projectivized complements of the interval arrangements along the
+flag divided by the product of the flats' pole forms ord_X . s + nu_X
+(_pole_forms); in one variable they are N_X s + nu_X, the forms of the
+one-row factorization by the multiplicities.  The local zeta sums the
+flags starting at the minimal flat.  The global one sums all flags
+weighted by the Euler characteristic of the open stratum of the first
+flat, plus the empty flag; on a central arrangement that is the local sum
+(see global_zeta).  The interval Euler characteristics are the nonzero ones
+the arrangement's one intersection lattice, Arrangement.lattice, keeps for
+each flat by lattice position (IntersectionLattice.euler); no interval
+arrangement is built.
 
-The flag sum is taken by a recursion over the proper flats (_flag_sum)
-that keeps, for each flat, the sum over the flags from it up to the
-ambient space with equal denominators merged; no flag is enumerated.  It
-runs on integers alone and by lattice position: each such sum is integer
-coefficients over one common denominator, kept in a list indexed by the
-flat's position, and a denominator is a monomial in the sorted distinct
-pole forms packed into one int, unpacked into a sorted tuple of form
-ranks only at the minimal flat; one AffineForm is made per distinct form.
+Only the dense edges, the building set of the minimal wonderful model (De
+Concini and Procesi, Selecta Math. 1995), give denominators, so every
+form of the sum is a candidate pole.  A recursion over the proper flats
+(_flag_sum) keeps, for each flat, the sum over the flags from it up to the
+ambient space, the local zeta at a generic point of the flat: by the flag
+recursion at a dense flat, and as the product of its components' sums at
+any other.  No flag is enumerated.  It runs on integers alone and by
+lattice position: each such sum is integer coefficients over one common
+denominator, kept in a list indexed by the flat's position, and a
+denominator is a monomial in the sorted distinct pole forms packed into
+one int, unpacked into a sorted tuple of form ranks only at the minimal
+flat; one AffineForm is made per distinct form.
 
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a reduced numerator / denominator
@@ -31,37 +35,29 @@ pair in which every removable linear factor has been cancelled, so the
 reported poles are genuine.  Both are taken from the flag sum's integer
 shape; ZetaFunction(nvars, terms) converts given terms to it once.
 
-The poles are decided without the numerator (_denominator), one form f
-of the least common denominator (LCD) at a time, on f's hyperplane.  For
-a zeta function of an arrangement only the forms of the dense edges are
-decided, and the others have order 0: the minimal wonderful model (De
-Concini and Procesi, Selecta Math. 1995) blows up the dense edges alone,
-so the reduced denominator divides a product of dense-edge forms.  The
-flag sum marks those forms as it visits each flat.  Sums given as terms
-have every form decided.  A decided form's order is the largest j up to
-its LCD power e whose Laurent coefficient A_j along f is not zero.  A_e
-is the sum on f = 0 of the terms that carry f^e; read at one point
-modulo a prime, a nonzero value proves order e, which settles most
-forms.  Otherwise A_e, A_(e-1), ... are built exactly as sums in one
-variable fewer (_laurent) and tested for zero: such a sum is zero
-exactly when its constant part is zero and none of its forms is a pole,
-decided the same way one dimension lower.  With no variables left every
-sum is one rational number, so one variable takes the same route.  The
-verdicts read only the poles.
+The poles are decided without the numerator (_denominator), one form f of
+the least common denominator (LCD) at a time, on f's hyperplane; every
+form of the sum is decided.  A form's order is the largest j up to its LCD
+power e whose Laurent coefficient A_j along f is not zero.  A_e is the sum
+on f = 0 of the terms that carry f^e; read at one point modulo a prime, a
+nonzero value proves order e, which settles most forms.  Otherwise A_e,
+A_(e-1), ... are built exactly as sums in one variable fewer (_laurent)
+and tested for zero: such a sum is zero exactly when its constant part is
+zero and none of its forms is a pole, decided the same way one dimension
+lower.  With no variables left every sum is one rational number, so one
+variable takes the same route.  The verdicts read only the poles.
 
 The numerator is built on first read (_numerator): once, over the LCD,
 as fractions are added over their lcm, by halves (_lcd_numerator), on
 one raw integer dict keyed by packed exponents (core.packed_width).  It
 is then divided by each form as often as the decided orders say it
-cancels; a form skipped as off the dense edges is divided out as often
-as the LCD has it.  A division that fails raises, so a read catches a
-cancellation decided where there is none, a skipped form that is a
-pole included; a cancellation that was missed is not caught.  The
-numerator is unpacked into a MultiPoly once, at the end.
+cancels.  A division that fails raises, so a read catches a cancellation
+decided where there is none; a cancellation that was missed is not
+caught.  The numerator is unpacked into a MultiPoly once, at the end.
 """
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import comb, gcd, lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_form, _trusted, as_int, div_linear,
@@ -81,19 +77,19 @@ def _factor_rows(arr, multi):
 
 
 def _pole_forms(arr, flats, multi):
-    """The (row, scale) pairs of the flats, in their order: row is the
-    canonical integer row (ord, codim) / scale of the flat's pole form
-    ord . s + codim, where ord sums each row of _factor_rows over the
-    flat's hyperplanes and scale is the gcd of the row.  The entries are
-    nonnegative and codim is positive, so the divided row is already
-    canonical, and rows sort as their AffineForms do; the callers make one
-    AffineForm per distinct row (_form)."""
+    """{flat: (row, scale)} over the flats: row is the canonical integer
+    row (ord, codim) / scale of the flat's pole form ord . s + codim,
+    where ord sums each row of _factor_rows over the flat's hyperplanes
+    and scale is the gcd of the row.  The entries are nonnegative and
+    codim is positive, so the divided row is already canonical, and rows
+    sort as their AffineForms do; the callers make one AffineForm per
+    distinct row (_form)."""
     getters = [r.__getitem__ for r in _factor_rows(arr, multi)]
-    out = []
+    out = {}
     for f in flats:
         row = [sum(map(get, f.indices)) for get in getters] + [f.codim]
         g = gcd(*row)
-        out.append((tuple(row) if g == 1 else tuple(c // g for c in row), g))
+        out[f] = (tuple(row) if g == 1 else tuple(c // g for c in row), g)
     return out
 
 
@@ -110,7 +106,7 @@ def candidate_poles(arr, multi=False, lattice=None):
     forms ord . s + nu, canonical and sorted; requires a factorization.
     lattice as for dense_edges.
     """
-    rows = {row for row, _ in _pole_forms(arr, dense_edges(arr, lattice), multi)}
+    rows = {row for row, _ in _pole_forms(arr, dense_edges(arr, lattice), multi).values()}
     forms = [_form(row) for row in sorted(rows)]
     if multi:
         return forms
@@ -148,25 +144,24 @@ class ZetaFunction:
         self._quotient(forms, ranked, q)
 
     @classmethod
-    def _merged(cls, nvars, forms, ranked, q, dense):
+    def _merged(cls, nvars, forms, ranked, q):
         """The zeta function of a sum already in _denominator's shape, such
-        as the flag sum, whose poles lie among the forms of rank in dense."""
+        as the flag sum."""
         z = cls.__new__(cls)
         z.nvars = nvars
-        z._quotient(forms, ranked, q, dense)
+        z._quotient(forms, ranked, q)
         return z
 
-    def _quotient(self, forms, ranked, q, dense=None):
-        """Keep the sum and decide its poles, among the forms of rank in
-        dense if given (_denominator).  A sum with a nonzero constant
-        part, the terms with no denominator, is not proper; the rest is a
-        sum of proper fractions, whose reduced numerator has lower degree
-        than its denominator."""
+    def _quotient(self, forms, ranked, q):
+        """Keep the sum and decide its poles (_denominator).  A sum with a
+        nonzero constant part, the terms with no denominator, is not
+        proper; the rest is a sum of proper fractions, whose reduced
+        numerator has lower degree than its denominator."""
         ranked = {dens: c for dens, c in ranked.items() if c}
         if () in ranked:
             raise ValueError("zeta function is not a proper rational function")
         self._sum = (forms, ranked, q)
-        self.denominator = _denominator(forms, ranked, dense)
+        self.denominator = _denominator(forms, ranked)
 
     @cached_property
     def terms(self):
@@ -261,33 +256,21 @@ def _by_form(terms):
     return out
 
 
-def _denominator(forms, ranked, dense=None):
+def _denominator(forms, ranked):
     """{form: pole order} for the forms that are poles of the sum of
     c / (q prod forms[i]) over the {sorted rank tuple: int c} entries of
     ranked, with no zero entry; forms are distinct canonical forms in
-    sorted order.  No numerator is built (_poles).
-
-    dense, if given, is the set of ranks of the forms that can be poles;
-    only they are decided and every other form is taken as order 0.  For
-    a flag sum they are the forms of the dense edges: the minimal
-    wonderful model (De Concini and Procesi, Selecta Math. 1995) blows up
-    the dense edges alone, and its exceptional and strict-transform
-    divisors are the only denominators of the zeta function computed on
-    it, so the reduced denominator divides a product of dense-edge forms.
-    A form skipped wrongly would still be caught: the numerator read
-    divides every skipped LCD form out as often as the LCD has it
-    (_numerator), which fails for a form that is a pole.
+    sorted order.  Every form is decided and no numerator is built
+    (_poles).
     """
     rows = [f.coeffs + (f.const,) for f in forms]
-    return {forms[i]: e for i, e in _poles(rows, ranked, dense)}
+    return {forms[i]: e for i, e in _poles(rows, ranked)}
 
 
-def _poles(rows, ranked, dense=None):
+def _poles(rows, ranked):
     """The (i, order) pairs of the poles rows[i] of a sum as for
     _denominator, given by the integer rows (coefficients, then constant)
-    of its forms, in ascending i; lazily.  With dense, only the i in
-    dense are decided (see _denominator); the recursion on restricted
-    sums (_is_zero) decides every form, having no such theorem.
+    of its forms, in ascending i; lazily.
 
     The order of a form f of the least common denominator, of power e
     there, is the largest j <= e whose Laurent coefficient A_j along f is
@@ -300,8 +283,6 @@ def _poles(rows, ranked, dense=None):
     point = _point(len(rows[0]) - 1 if rows else 0)
     at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME for row in rows]
     for i, (e, having) in sorted(_by_form(ranked.items()).items()):
-        if dense is not None and i not in dense:
-            continue
         if not _leading_nonzero(rows, at, i, e, having):
             while e and _is_zero(*_laurent(rows, having, i, e)):
                 e -= 1
@@ -449,11 +430,11 @@ def _numerator(nvars, forms, ranked, q, den):
     own LCDs.  The terms go in the order of their reversed rank tuples, so
     the terms that share their highest forms fall in the same halves:
     forms sort by their coefficients, so in a flag sum the highest are those
-    of the deepest flats, which many flags share, and a half's LCD stays
-    small.  N is a raw integer dict on packed exponents (core.packed_width
+    of the deepest dense edges, which many flags share, and a half's LCD
+    stays small.  N is a raw integer dict on packed exponents (core.packed_width
     of the LCD degree, which bounds every exponent).  Each LCD form is
-    divided out (div_linear, on the same packed dict) as often as its LCD
-    power exceeds its power in den, and no more.  A division that fails
+    divided out (div_linear, on the same packed dict) as often as the
+    decided orders say it cancels: its LCD power less its power in den.  A division that fails
     raises AssertionError, so a read catches a cancellation decided where
     there is none, but not one that was missed.  The one MultiPoly is made
     at the end, unpacked and divided by q.  The reduced quotient with
@@ -554,64 +535,82 @@ def poles(z):
 # the flag formula
 
 def _flag_sum(arr, multi):
-    """The flag formula summed with equal denominators merged, in
-    _denominator's shape: (forms, {sorted rank tuple: int}, q, dense), the
-    sum of c / (q prod forms[i]) over the entries, and the set of ranks of
-    the forms of the dense edges, the flats whose row of the Euler table
-    has an entry at the ambient space (Crapo's beta; dense_edges).  No
-    flag is enumerated and no Fraction is made.
+    """The flag formula over the dense edges summed with equal denominators
+    merged, in _denominator's shape: (forms, {sorted rank tuple: int}, q),
+    the sum of c / (q prod forms[i]) over the entries.  forms are the pole
+    forms of the dense edges, the flats whose row of the Euler table has an
+    entry at the ambient space (Crapo's beta; dense_edges).  No flag is
+    enumerated and no Fraction is made.
 
-    Each proper flat X has the canonical pole form and scale L_X, s_X of
-    _pole_forms.  D(X), the sum over the flags from X up to the ambient
-    space, is 1 with no denominator at the ambient space and otherwise
+    D(X), the sum over the flags from X up to the ambient space, is the
+    local zeta at a generic point of X, and 1 with no denominator at the
+    ambient space.  A dense X has the canonical pole form and scale L_X,
+    s_X of _pole_forms, and
 
         D(X) = (1/s_X) sum of interval_euler(Y, X) * (D(Y) with L_X added)
 
     over the flats Y < X with a nonzero interval_euler, read by lattice
-    position from IntersectionLattice.euler.  The answer is D(minimal
-    flat).  The flats are visited in lattice order and D is a list indexed
-    by position, so every such D(Y) is ready when X needs it.  D(X) is
-    kept as integer coefficients N_X over one denominator q_X: q_X is s_X
-    times the lcm of the q_Y, each N_Y is scaled by e q / q_Y, and the gcd
-    of q_X and the coefficients is divided out.  A denominator is a
-    monomial in the sorted distinct pole forms, packed like an exponent
-    vector into one int with core.packed_width(rank) bits per form (a flag
-    has at most rank flats, so no multiplicity exceeds the rank), and
-    adding L_X adds one int.  The keys of D(minimal flat) are unpacked
-    once into sorted tuples of form ranks (_ranks), which sort as the
-    denominators do, and one AffineForm is made per distinct form
-    (_form).
+    position from IntersectionLattice.euler.  Any other proper X is the
+    direct sum of its components G_1, ..., G_k (k >= 2), the maximal dense
+    flats below it, and the zeta of a direct sum is the product of the
+    zetas: D(X) = D(G_1) ... D(G_k).  It is taken as D(Y) D(G), Y the
+    first flat of X's Euler row and G the flat on X's index set minus Y's.
+    Each flat Y < X is the join of flats Y_i <= G_i, and [Y, X] is the
+    product of the [Y_i, G_i]; Crapo's beta of a product of two lattices
+    of rank at least 1 is 0, so interval_euler(Y, X) is nonzero only when
+    all Y_i but one equal their G_i.  The row is filled in lattice order,
+    so its first Y has the least codimension: the one other Y_i is the
+    ambient space, where interval_euler is nonzero as G_i is dense, and
+    G_i has the largest codimension.  So Y is the join of every component
+    but one, G, and the answer is D(minimal flat).
+
+    The flats are visited in lattice order and D is a list indexed by
+    position, so every D(Y) and D(G) is ready when X needs it.  D(X) is
+    kept as integer coefficients N_X over one denominator q_X: at a dense X
+    q_X is s_X times the lcm of the q_Y and each N_Y is scaled by
+    e q / q_Y; in a product q_X = q_Y q_G; then the gcd of q_X and the
+    coefficients is divided out.  A denominator is a monomial in the sorted
+    distinct pole forms, packed like an exponent vector into one int with
+    core.packed_width(rank) bits per form (a term of D(X) has at most
+    codim X factors, so no multiplicity exceeds the rank): adding L_X adds
+    one int, and a product of monomials is a sum.  The keys of D(minimal
+    flat) are unpacked once into sorted tuples of form ranks (_ranks),
+    which sort as the denominators do, and one AffineForm is made per
+    distinct form (_form).
     """
     lattice = arr.lattice
-    pole_rows = _pole_forms(arr, lattice.proper_flats(), multi)
-    rows = sorted({row for row, _ in pole_rows})
+    dense = _pole_forms(arr, dense_edges(arr), multi)
+    rows = sorted({row for row, _ in dense.values()})
     width = packed_width(lattice.minimal_flat().codim)
     step = {row: 1 << width * i for i, row in enumerate(rows)}
     sums = [(1, {0: 1})]
-    dense = set()
-    for below, (row, scale) in zip(lattice.euler[1:], pole_rows):
-        if 0 in below:
-            dense.add(row)
-        unit = step[row]
-        # pairwise: lcm(*...) over argument tuples of every length kept
-        # about 0.3 MB more resident over repeated calls
-        q = 1
-        for y in below:
-            q = lcm(q, sums[y][0])
+    for x, below in zip(lattice.flats[1:], lattice.euler[1:]):
         out = {}
-        for y, e in below.items():
-            qy, dy = sums[y]
-            e *= q // qy
-            for key, c in dy.items():
-                key += unit
-                out[key] = out.get(key, 0) + e * c
-        q *= scale
+        if x in dense:
+            row, scale = dense[x]
+            unit = step[row]
+            # pairwise: lcm(*...) over argument tuples of every length kept
+            # about 0.3 MB more resident over repeated calls
+            q = reduce(lcm, (sums[y][0] for y in below), 1)
+            for y, e in below.items():
+                qy, dy = sums[y]
+                e *= q // qy
+                for key, c in dy.items():
+                    key += unit
+                    out[key] = out.get(key, 0) + e * c
+            q *= scale
+        else:
+            y = next(iter(below))
+            (qy, dy), (qg, dg) = sums[y], sums[lattice._pos[x.indices - lattice.flats[y].indices]]
+            for ky, cy in dy.items():
+                for kg, cg in dg.items():
+                    out[ky + kg] = out.get(ky + kg, 0) + cy * cg
+            q = qy * qg
         g = gcd(q, *out.values())
         sums.append((q // g, {key: c // g for key, c in out.items() if c}))
     q, packed = sums[-1]
     ranked = {_ranks(key, width): c for key, c in packed.items()}
-    return ([_form(row) for row in rows], ranked, q,
-            {i for i, row in enumerate(rows) if row in dense})
+    return [_form(row) for row in rows], ranked, q
 
 
 def _ranks(key, width):

@@ -29,7 +29,6 @@ from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, MultiPoly,
                      intersection_lattice, primitive_normal, rank, rational)
 from arrzeta.arrangement import _require_central
 from arrzeta.core import dot
-from arrzeta.zeta import _denominator, _flag_sum
 from arrzeta.examples import boolean2, threelines, threelines_factored, veys
 
 __all__ = [
@@ -313,7 +312,7 @@ def enumerate_chains(lattice, start=None):
 
     With start, only the chains whose smallest flat is that one.
     """
-    proper = lattice.proper_flats()
+    proper = lattice.flats[1:]
     seeds = proper if start is None else [lattice.flat(start.indices)]
     chains = []
     stack = [[f] for f in seeds]
@@ -369,7 +368,7 @@ def fraction_flag_sum(arr, multi=False):
     lattice = arr.lattice
     rows = arr.factors if multi else [arr.mults]
     sums = {lattice.ambient: {(): Fraction(1)}}
-    for x in lattice.proper_flats():
+    for x in lattice.flats[1:]:
         form, scale = AffineForm.canonical([sum(row[i] for i in x.indices) for row in rows],
                                            x.codim)
         out = {}
@@ -494,10 +493,10 @@ def specialize(z, weights):
 
 def all_forms_denominator(arr, multi=False):
     """The reduced denominator {form: order} of the local zeta with every
-    form of the flag sum's least common denominator decided, not only the
-    forms of the dense edges that the library decides."""
-    forms, ranked, _, _ = _flag_sum(arr, multi)
-    return _denominator(forms, ranked)
+    form of the maximal-model flag sum (fraction_flag_sum) decided, the
+    forms of flats that are not dense included."""
+    return ZetaFunction(len(arr.factors) if multi else 1,
+                        fraction_flag_sum(arr, multi)).denominator
 
 
 def polytope_member(poly, beta, strict=False):

@@ -104,7 +104,7 @@ def test_stratum_euler_matches_restriction(arr):
 @over_corpus
 def test_dense_edges_match_bipartition_oracle(arr):
     lat = intersection_lattice(arr)
-    want = [f for f in lat.proper_flats()
+    want = [f for f in lat.flats[1:]
             if matroid_connected([arr.forms[i] for i in sorted(f.indices)], arr.n)]
     assert dense_edges(arr, lat) == want
     assert is_indecomposable(arr) == matroid_connected(list(arr.forms), arr.n)

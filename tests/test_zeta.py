@@ -19,7 +19,7 @@ from arrzeta import (Arrangement, ArrangementError, Flat, candidate_poles,
                      multi_nd_check, multi_smc_verify, multivariate_global_zeta,
                      multivariate_local_zeta, nd_check, poles, rank2_zeta,
                      smc_verify, snc_zeta)
-from arrzeta.cli import run
+from arrzeta.cli import json_form, run, zeta_from_json, zeta_json
 import arrzeta.zeta
 from arrzeta.core import AffineForm, MultiPoly, div_linear, packed_width, primitive_normal
 from arrzeta.zeta import ZetaFunction
@@ -380,7 +380,8 @@ def test_cancellation_makes_no_fraction(monkeypatch):
         divided.append(quot is not None)
         return quot
 
-    z = multivariate_local_zeta(_ninefold_factored())
+    # veys with hyperplane i in factor i mod 2, whose 2 s1 + s2 + 1 cancels
+    z = multivariate_local_zeta(_mod_factors(veys(), 2))
     assert z.denominator
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     monkeypatch.setattr(arrzeta.zeta, "div_linear", traced)
@@ -407,18 +408,16 @@ def divisions(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("k, calls", [(3, 2), (5, 4)])
-def test_multivariate_zeta_tries_only_dividing_forms(divisions, k, calls):
-    # ninefold with hyperplane i in factor i mod k: trial division alone
-    # tried 12 (k = 3) and 18 (k = 5) LCD factors, and most failed; the
+@pytest.mark.parametrize("k, form", [(1, _af((3,), 1)), (2, _af((2, 1), 1))],
+                         ids=["veys-one-row", "veys-mod-2"])
+def test_multivariate_zeta_tries_only_dividing_forms(divisions, k, form):
+    # veys with hyperplane i in factor i mod k: of the 6 (k = 1) and 7
+    # (k = 2) LCD forms, one cancels once, the form of veys's -1/3; the
     # numerator read divides once per cancelled power and never fails
-    arr = Arrangement(3, ninefold().forms,
-                      factors=[[int(i % k == j) for i in range(9)] for j in range(k)])
-    z = multivariate_local_zeta(arr)
+    z = multivariate_local_zeta(_mod_factors(veys(), k))
     assert z.denominator and divisions == []
     assert z.numerator.terms
-    assert len(divisions) == calls
-    assert all(ok for _, ok in divisions)
+    assert divisions == [(form, True)]
 
 
 def _assert_normalizes_as_oracle(nvars, terms, divisions):
@@ -712,18 +711,41 @@ ORACLE_CORPUS = [threelines(), xyz(), veys(), ninefold(), boolean2(), xy_in_c3()
                  _ninefold_factored()]
 
 
-def _assert_matches_fraction_flag_sum(z, arr, multi):
-    # the integer recursion gives the Fraction recursion's terms, and the
-    # quotient is that of those terms through the public constructor
-    terms = fraction_flag_sum(arr, multi)
+def _assert_same_function(z, terms):
+    # z is the function of the oracle's terms: the same reduced quotient
+    # through the public constructor, and the same value summed term by
+    # term and read off the quotient at rational points off the poles
     oracle = ZetaFunction(z.nvars, terms)
-    assert (z.terms, z.numerator, z.denominator) == (
-        terms, oracle.numerator, oracle.denominator)
+    assert z == oracle
+    rng = random.Random(len(terms))
+    hits = 0
+    while hits < 3:
+        pt = random_rational_point(rng, z.nvars, den=16)
+        try:
+            assert z.evaluate_terms(pt) == oracle.evaluate_terms(pt) == z.evaluate(pt)
+        except ZeroDivisionError:
+            continue
+        hits += 1
+
+
+def _assert_terms_are_candidates(z, arr, multi):
+    # every form of the sum is the pole form of a dense edge
+    forms = {f for _, dens in z.terms for f in dens}
+    if multi:
+        assert forms <= set(candidate_poles(arr, multi=True))
+    else:
+        assert {f.root() for f in forms} <= set(candidate_poles(arr))
+
+
+def _assert_matches_fraction_flag_sum(z, arr, multi):
+    # the integer sum over the dense edges is the function of the Fraction
+    # recursion over every flat
+    _assert_same_function(z, fraction_flag_sum(arr, multi))
+    _assert_terms_are_candidates(z, arr, multi)
 
 
 def _assert_matches_chain_oracle(arr):
-    # the terms are the oracle's chain terms merged by denominator; equal
-    # terms give the quotient the same normalisation input
+    # the merged terms sum to the function of the oracle's chain terms
     cases = [(local_zeta, {}), (global_zeta, {"use_global": True})]
     if arr.factors is not None:
         cases += [(multivariate_local_zeta, {"multi": True}),
@@ -731,7 +753,7 @@ def _assert_matches_chain_oracle(arr):
     zetas = {}
     for zeta, options in cases:
         zetas[zeta] = zeta(arr)
-        assert zetas[zeta].terms == merged_terms(chain_terms(arr, **options))
+        _assert_same_function(zetas[zeta], chain_terms(arr, **options))
     _assert_matches_fraction_flag_sum(zetas[local_zeta], arr, False)
     if arr.factors is not None:
         _assert_matches_fraction_flag_sum(zetas[multivariate_local_zeta], arr, True)
@@ -771,19 +793,21 @@ def test_flag_sum_matches_fraction_recursion_beyond_chains(arr, first):
     if len(first) > 1:
         # braid A4 as given in C^5 is not essential, so its minimal flat is
         # not the origin; x1 - x2 and x3 - x4 (hyperplanes 1 and 8) span a
-        # flat with the same pole form s1 + 1 as x1 - x2, so that form
-        # repeats along a chain
+        # flat that is not dense, whose sum is the product of theirs, so
+        # their shared pole form s1 + 1 repeats in a term
         assert arr.lattice.minimal_flat().codim < arr.n
         assert any(len(set(dens)) < len(dens) for _, dens in z.terms)
 
 
 def test_flag_sum_matches_flag_route_braid_a5():
-    # braid A5: 5,687 flags merge into 46 distinct denominators
+    # braid A5: the 5,687 flags of the maximal model merge into 46
+    # distinct denominators, and the sum over the dense edges has 28
     oracle = chain_terms(braid(6))
     assert len(oracle) == 5687
+    assert len(merged_terms(oracle)) == 46
     z = local_zeta(braid(6))
-    assert len(z.terms) == 46
-    assert z.terms == merged_terms(oracle)
+    assert len(z.terms) == 28
+    _assert_same_function(z, oracle)
 
 
 def _permuted(arr, rng):
@@ -891,7 +915,7 @@ def test_pole_orders_match_division_oracle_random(arr):
 
 
 # ---------------------------------------------------------------------------
-# poles decided on the dense-edge forms alone
+# a sum over the dense edges alone
 
 def _mod_factors(arr, k):
     """arr with hyperplane i, its whole multiplicity, in factor i mod k."""
@@ -906,14 +930,16 @@ DENSE_IDS = ["veys", "threelines", "ninefold", "thirteen", "A3", "A4", "A5", "B3
 
 
 def _assert_dense_decision_matches_every_form(arr):
-    # the denominator decided on the dense-edge forms alone is the one
-    # decided on every LCD form, and each of its forms is a candidate
+    # the denominator of the sum over the dense edges is the one decided
+    # on every form of the sum over all flats, and each form of the sum
+    # and of its denominator is a candidate
     cases = [(arr, False)]
     if arr.factors is not None:
         cases.append((arr, True))
     for case, multi in cases:
         z = (multivariate_local_zeta if multi else local_zeta)(case)
         assert z.denominator == all_forms_denominator(case, multi)
+        _assert_terms_are_candidates(z, case, multi)
         if multi:
             assert set(z.denominator) <= set(candidate_poles(case, multi=True))
         else:
@@ -933,36 +959,56 @@ def test_dense_decision_matches_every_form_random(arr):
     _assert_dense_decision_matches_every_form(arr)
 
 
-@pytest.mark.parametrize("arr, skipped", [(braid(6), 2), (_mod_factors(braid(6), 2), 14),
-                                          (_mod_factors(type_b(4), 3), 21)],
+@pytest.mark.parametrize("arr", [braid(6), _mod_factors(braid(6), 2), _mod_factors(type_b(4), 3)],
                          ids=["A5", "A5-mod-2", "B4-mod-3"])
-def test_flag_sum_decides_exactly_the_candidate_forms(monkeypatch, arr, skipped):
-    # the forms handed to the pole decision are the candidate poles, and
-    # the others are skipped; the counts pin that the skip happens
+def test_flag_sum_decides_exactly_the_candidate_forms(monkeypatch, arr):
+    # _denominator decides every form of the sum it is handed, and the
+    # flag sum hands it the candidate poles and no other form
     seen = []
 
-    def traced(forms, ranked, dense=None):
-        seen.append({forms[i] for i in dense})
-        return original(forms, ranked, dense)
+    def traced(forms, ranked):
+        seen.append((forms, {forms[i] for dens in ranked for i in dens}))
+        return original(forms, ranked)
 
     original = arrzeta.zeta._denominator
     monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
     multi = arr.factors is not None
     z = (multivariate_local_zeta if multi else local_zeta)(arr)
-    forms = {f for _, dens in z.terms for f in dens}
-    [decided] = seen
+    [(forms, used)] = seen
+    assert used == set(forms) == {f for _, dens in z.terms for f in dens}
     if multi:
-        assert decided == set(candidate_poles(arr, multi=True))
+        assert forms == candidate_poles(arr, multi=True)
     else:
-        assert sorted((f.root() for f in decided), reverse=True) == candidate_poles(arr)
-    assert len(forms - decided) == skipped
+        assert sorted((f.root() for f in forms), reverse=True) == candidate_poles(arr)
+
+
+@pytest.mark.parametrize("arr", [_mod_factors(braid(5), 2), _mod_factors(braid(6), 3)],
+                         ids=["A4-mod-2", "A5-mod-3"])
+def test_terms_read_back_decide_only_candidate_forms(monkeypatch, arr):
+    # zeta_from_json has no lattice and decides every form of the terms it
+    # reads, and those are candidate forms only: 9 and 25 here, where the
+    # sum over every flat has 14 and 60
+    z = multivariate_local_zeta(arr)
+    data = json.loads(json.dumps(zeta_json(z), default=json_form))
+    seen = []
+
+    def traced(forms, ranked):
+        seen.append(forms)
+        return original(forms, ranked)
+
+    original = arrzeta.zeta._denominator
+    monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
+    again = zeta_from_json(data)
+    [forms] = seen
+    assert forms == candidate_poles(arr, multi=True)
+    assert again.denominator == z.denominator
 
 
 @pytest.mark.parametrize("arr", [braid(5), _mod_factors(thirteen(), 3), veys()],
                          ids=["A4", "thirteen-mod-3", "veys"])
 def test_unchecked_constructors_see_canonical_data(monkeypatch, arr):
     multi = arr.factors is not None
-    forms, _, _, _ = arrzeta.zeta._flag_sum(arr, multi)
+    forms, _, _ = arrzeta.zeta._flag_sum(arr, multi)
     made = forms + candidate_poles(arr, multi=True) if multi else forms
     for f in made:
         assert type(f.coeffs) is tuple and all(type(c) is int for c in f.coeffs)
@@ -1004,9 +1050,13 @@ def test_multivariate_threelines_frozen():
 
 def test_multivariate_boolean2_cancellation():
     z = multivariate_local_zeta(boolean2_factored())
-    # the origin factor s1 + s2 + 2 appears in the terms and cancels
-    raw = {f for _, dens in z.terms for f in dens}
-    assert _af((1, 1), 2) in raw
+    # the origin is not dense, so its sum is the product of the lines':
+    # the origin's form s1 + s2 + 2, which the sum over every flat has and
+    # cancels, never enters the terms, and the function is unchanged
+    every_flat = fraction_flag_sum(boolean2_factored(), True)
+    assert _af((1, 1), 2) in {f for _, dens in every_flat for f in dens}
+    assert _af((1, 1), 2) not in {f for _, dens in z.terms for f in dens}
+    assert z == ZetaFunction(2, every_flat)
     assert z.numerator.terms == {(0, 0): F(1)}
     assert z.denominator_factors() == [(_af((0, 1), 1), 1), (_af((1, 0), 1), 1)]
     assert poles(z).multivariate == [(_af((0, 1), 1), 1), (_af((1, 0), 1), 1)]
