@@ -16,10 +16,11 @@ The lattice is built over the integers: flats are spanned by integer
 kernel vectors of the primitive integer normals, and membership tests and
 traces are integer dot products.  It keeps mu(ambient, X) and the nonzero
 interval Euler characteristics chi(X, Y), all exact; the latter are
-indexed by the flats' positions in lattice order, so the flag sum walks
-them without hashing an index set.  Each arrangement builds its lattice
-once, on the first read of Arrangement.lattice, and every reader shares
-it.
+indexed by the flats' positions in lattice order.  Read off them once, it
+also keeps the dense edges' positions and every other proper flat's split
+into two flats, so dense_edges and the flag sum work on positions alone
+and hash no index set.  Each arrangement builds its lattice once, on the
+first read of Arrangement.lattice, and every reader shares it.
 """
 
 from fractions import Fraction
@@ -190,8 +191,13 @@ class IntersectionLattice:
     polynomial.  euler holds one dict per position k: it maps the position
     j of each flat below flats[k] with a nonzero interval_euler chi to
     chi(flats[j], flats[k]), in lattice order; it gives the flag sum and
-    the dense edges.  The public readers reach a flat's position through
-    one map from index sets.
+    the dense edges.  Two things are read off it once, by position: dense
+    holds the positions of the dense proper flats, those whose row has an
+    entry at 0, in lattice order, and splits maps every other proper
+    flat's position k to (y, g), y the first key of row k and g the
+    position of flats[k].indices - flats[y].indices (see zeta._flag_sum).
+    The public readers reach a flat's position through one map from index
+    sets.
     """
 
     def __init__(self, flats, mobius, euler):
@@ -199,6 +205,10 @@ class IntersectionLattice:
         self._pos = {f.indices: k for k, f in enumerate(self.flats)}
         self.mobius = mobius
         self.euler = euler
+        self.dense = tuple(k for k, below in enumerate(euler[1:], 1) if 0 in below)
+        self.splits = {k: (y, self._pos[self.flats[k].indices - self.flats[y].indices])
+                       for k, below in enumerate(euler[1:], 1) if 0 not in below
+                       for y in [next(iter(below))]}
 
     def flat(self, indices):
         key = frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices)
@@ -369,12 +379,12 @@ def dense_edges(arr, lattice=None):
     Read off the Euler table through Crapo's beta invariant (see
     IntersectionLattice.is_dense): a proper flat is dense exactly when
     its row of IntersectionLattice.euler has an entry at position 0, the
-    ambient space; the rows are read by position, with no index-set
-    lookup.  Every hyperplane is dense; the origin is dense iff the
-    arrangement is essential and indecomposable.
+    ambient space; the lattice records their positions once
+    (IntersectionLattice.dense).  Every hyperplane is dense; the origin is
+    dense iff the arrangement is essential and indecomposable.
     """
     lattice = lattice or arr.lattice
-    return [f for f, below in zip(lattice.flats[1:], lattice.euler[1:]) if 0 in below]
+    return [lattice.flats[k] for k in lattice.dense]
 
 
 def localize_at_point(arr, point):

@@ -186,20 +186,20 @@ def cmd_zeta(args):
         z = global_zeta(arr)
     else:
         z = local_zeta(arr, point)
-    data = zeta_json(z)
     which = "%s %s zeta" % ("multivariate" if args.multi else "univariate",
                             "global" if args.use_global else "local")
     lines = ["%s of %s:" % (which, arr.name or "arrangement"),
              "  %s" % z.format_str(),
              "terms in the flag sum: %d" % len(z.terms)]
+    rep = poles(z)
     if z.nvars == 1:
-        lines.append("poles: %s" % (", ".join("%s (order %d)" % pk for pk in data["poles"])
+        lines.append("poles: %s" % (", ".join("%s (order %d)" % pk for pk in rep.univariate)
                                     or "none"))
     else:
         lines.append("polar locus: %s" % ("; ".join("%s (order %d)" % (f.format_str(), k)
-                                                    for f, k in data["poles"]) or "empty"))
-    data["lines"] = lines
-    emit(data, args.json)
+                                                    for f, k in rep.multivariate) or "empty"))
+    # the text route prints the lines alone, so only --json builds the data
+    emit(dict(zeta_json(z), lines=lines) if args.json else {"lines": lines}, args.json)
     return 0
 
 

@@ -23,11 +23,13 @@ form of the sum is a candidate pole.  A recursion over the proper flats
 ambient space, the local zeta at a generic point of the flat: by the flag
 recursion at a dense flat, and as the product of its components' sums at
 any other.  No flag is enumerated.  It runs on integers alone and by
-lattice position: each such sum is integer coefficients over one common
-denominator, kept in a list indexed by the flat's position, and a
-denominator is a monomial in the sorted distinct pole forms packed into
-one int, unpacked into a sorted tuple of form ranks only at the minimal
-flat; one AffineForm is made per distinct form.
+lattice position: the lattice records the dense edges' positions and each
+other flat's split into two once, and each such sum is integer
+coefficients over one common denominator, kept in a list indexed by the
+flat's position; no flat is hashed.  A denominator is a monomial in the
+sorted distinct pole forms packed into one int, unpacked into a sorted
+tuple of form ranks only at the minimal flat; one AffineForm is made per
+distinct form, and the pole decision gets the forms' integer rows.
 
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a reduced numerator / denominator
@@ -63,7 +65,7 @@ from math import comb, gcd, lcm
 from .core import (AffineForm, MultiPoly, _add_times_form, _trusted, as_int, div_linear,
                    format_poly, integer_kernel, packed_steps, packed_width, poly_eval,
                    rational, unpack)
-from .arrangement import ArrangementError, dense_edges, localize_at_point
+from .arrangement import ArrangementError, localize_at_point
 
 
 def _factor_rows(arr, multi):
@@ -76,20 +78,21 @@ def _factor_rows(arr, multi):
     return arr.factors
 
 
-def _pole_forms(arr, flats, multi):
-    """{flat: (row, scale)} over the flats: row is the canonical integer
-    row (ord, codim) / scale of the flat's pole form ord . s + codim,
-    where ord sums each row of _factor_rows over the flat's hyperplanes
-    and scale is the gcd of the row.  The entries are nonnegative and
-    codim is positive, so the divided row is already canonical, and rows
-    sort as their AffineForms do; the callers make one AffineForm per
-    distinct row (_form)."""
+def _pole_forms(arr, lattice, multi):
+    """[(row, scale)] parallel to lattice.dense, the dense edges' positions:
+    row is the canonical integer row (ord, codim) / scale of the flat's
+    pole form ord . s + codim, where ord sums each row of _factor_rows over
+    the flat's hyperplanes and scale is the gcd of the row.  The entries
+    are nonnegative and codim is positive, so the divided row is already
+    canonical, and rows sort as their AffineForms do; the callers make one
+    AffineForm per distinct row (_form)."""
     getters = [r.__getitem__ for r in _factor_rows(arr, multi)]
-    out = {}
-    for f in flats:
+    out = []
+    for k in lattice.dense:
+        f = lattice.flats[k]
         row = [sum(map(get, f.indices)) for get in getters] + [f.codim]
         g = gcd(*row)
-        out[f] = (tuple(row) if g == 1 else tuple(c // g for c in row), g)
+        out.append((tuple(row) if g == 1 else tuple(c // g for c in row), g))
     return out
 
 
@@ -106,7 +109,7 @@ def candidate_poles(arr, multi=False, lattice=None):
     forms ord . s + nu, canonical and sorted; requires a factorization.
     lattice as for dense_edges.
     """
-    rows = {row for row, _ in _pole_forms(arr, dense_edges(arr, lattice), multi).values()}
+    rows = {row for row, _ in _pole_forms(arr, lattice or arr.lattice, multi)}
     forms = [_form(row) for row in sorted(rows)]
     if multi:
         return forms
@@ -141,18 +144,18 @@ class ZetaFunction:
         for coef, dens in self.terms:
             key = tuple(rank[f] for f in dens)
             ranked[key] = ranked.get(key, 0) + coef.numerator * (q // coef.denominator)
-        self._quotient(forms, ranked, q)
+        self._quotient(forms, ranked, q, [f.coeffs + (f.const,) for f in forms])
 
     @classmethod
-    def _merged(cls, nvars, forms, ranked, q):
+    def _merged(cls, nvars, forms, ranked, q, rows):
         """The zeta function of a sum already in _denominator's shape, such
         as the flag sum."""
         z = cls.__new__(cls)
         z.nvars = nvars
-        z._quotient(forms, ranked, q)
+        z._quotient(forms, ranked, q, rows)
         return z
 
-    def _quotient(self, forms, ranked, q):
+    def _quotient(self, forms, ranked, q, rows):
         """Keep the sum and decide its poles (_denominator).  A sum with a
         nonzero constant part, the terms with no denominator, is not
         proper; the rest is a sum of proper fractions, whose reduced
@@ -161,7 +164,7 @@ class ZetaFunction:
         if () in ranked:
             raise ValueError("zeta function is not a proper rational function")
         self._sum = (forms, ranked, q)
-        self.denominator = _denominator(forms, ranked)
+        self.denominator = _denominator(forms, ranked, rows)
 
     @cached_property
     def terms(self):
@@ -256,14 +259,13 @@ def _by_form(terms):
     return out
 
 
-def _denominator(forms, ranked):
+def _denominator(forms, ranked, rows):
     """{form: pole order} for the forms that are poles of the sum of
     c / (q prod forms[i]) over the {sorted rank tuple: int c} entries of
     ranked, with no zero entry; forms are distinct canonical forms in
-    sorted order.  Every form is decided and no numerator is built
-    (_poles).
+    sorted order and rows their integer rows (coefficients, then
+    constant).  Every form is decided and no numerator is built (_poles).
     """
-    rows = [f.coeffs + (f.const,) for f in forms]
     return {forms[i]: e for i, e in _poles(rows, ranked)}
 
 
@@ -536,11 +538,11 @@ def poles(z):
 
 def _flag_sum(arr, multi):
     """The flag formula over the dense edges summed with equal denominators
-    merged, in _denominator's shape: (forms, {sorted rank tuple: int}, q),
-    the sum of c / (q prod forms[i]) over the entries.  forms are the pole
-    forms of the dense edges, the flats whose row of the Euler table has an
-    entry at the ambient space (Crapo's beta; dense_edges).  No flag is
-    enumerated and no Fraction is made.
+    merged, in _denominator's shape: (forms, {sorted rank tuple: int}, q,
+    rows), the sum of c / (q prod forms[i]) over the entries.  forms are
+    the pole forms of the dense edges (IntersectionLattice.dense) and rows
+    their integer rows.  No flag is enumerated, no Fraction is made and no
+    flat is hashed: every flat is read by its position.
 
     D(X), the sum over the flags from X up to the ambient space, is the
     local zeta at a generic point of X, and 1 with no denominator at the
@@ -554,7 +556,8 @@ def _flag_sum(arr, multi):
     direct sum of its components G_1, ..., G_k (k >= 2), the maximal dense
     flats below it, and the zeta of a direct sum is the product of the
     zetas: D(X) = D(G_1) ... D(G_k).  It is taken as D(Y) D(G), Y the
-    first flat of X's Euler row and G the flat on X's index set minus Y's.
+    first flat of X's Euler row and G the flat on X's index set minus Y's,
+    which the lattice records once (IntersectionLattice.splits).
     Each flat Y < X is the join of flats Y_i <= G_i, and [Y, X] is the
     product of the [Y_i, G_i]; Crapo's beta of a product of two lattices
     of rank at least 1 is 0, so interval_euler(Y, X) is nonzero only when
@@ -569,7 +572,8 @@ def _flag_sum(arr, multi):
     kept as integer coefficients N_X over one denominator q_X: at a dense X
     q_X is s_X times the lcm of the q_Y and each N_Y is scaled by
     e q / q_Y; in a product q_X = q_Y q_G; then the gcd of q_X and the
-    coefficients is divided out.  A denominator is a monomial in the sorted
+    coefficients is divided out.  Where the q are 1 no lcm, scaling or gcd
+    is computed.  A denominator is a monomial in the sorted
     distinct pole forms, packed like an exponent vector into one int with
     core.packed_width(rank) bits per form (a term of D(X) has at most
     codim X factors, so no multiplicity exceeds the rank): adding L_X adds
@@ -579,38 +583,44 @@ def _flag_sum(arr, multi):
     distinct form (_form).
     """
     lattice = arr.lattice
-    dense = _pole_forms(arr, dense_edges(arr), multi)
-    rows = sorted({row for row, _ in dense.values()})
+    found = _pole_forms(arr, lattice, multi)
+    rows = sorted({row for row, _ in found})
     width = packed_width(lattice.minimal_flat().codim)
     step = {row: 1 << width * i for i, row in enumerate(rows)}
+    dense = {k: (step[row], scale) for k, (row, scale) in zip(lattice.dense, found)}
     sums = [(1, {0: 1})]
-    for x, below in zip(lattice.flats[1:], lattice.euler[1:]):
+    for k, below in enumerate(lattice.euler[1:], 1):
         out = {}
-        if x in dense:
-            row, scale = dense[x]
-            unit = step[row]
+        if k in dense:
+            unit, scale = dense[k]
             # pairwise: lcm(*...) over argument tuples of every length kept
             # about 0.3 MB more resident over repeated calls
-            q = reduce(lcm, (sums[y][0] for y in below), 1)
+            top = reduce(lcm, {sums[y][0] for y in below})
             for y, e in below.items():
                 qy, dy = sums[y]
-                e *= q // qy
+                if qy != top:
+                    e *= top // qy
                 for key, c in dy.items():
                     key += unit
                     out[key] = out.get(key, 0) + e * c
-            q *= scale
+            q = scale * top
         else:
-            y = next(iter(below))
-            (qy, dy), (qg, dg) = sums[y], sums[lattice._pos[x.indices - lattice.flats[y].indices]]
+            y, g = lattice.splits[k]
+            (qy, dy), (qg, dg) = sums[y], sums[g]
             for ky, cy in dy.items():
                 for kg, cg in dg.items():
                     out[ky + kg] = out.get(ky + kg, 0) + cy * cg
             q = qy * qg
-        g = gcd(q, *out.values())
-        sums.append((q // g, {key: c // g for key, c in out.items() if c}))
+        if q != 1:
+            g = gcd(q, *out.values())
+            q //= g
+            out = {key: c // g for key, c in out.items() if c}
+        elif 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
+        sums.append((q, out))
     q, packed = sums[-1]
     ranked = {_ranks(key, width): c for key, c in packed.items()}
-    return [_form(row) for row in rows], ranked, q
+    return [_form(row) for row in rows], ranked, q, rows
 
 
 def _ranks(key, width):

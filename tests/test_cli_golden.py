@@ -94,5 +94,21 @@ def test_cli_output_matches_golden(golden, argv):
         assert out == want["stdout"] and err == ""
 
 
+ZETA_CASES = [argv for argv in CASES if argv[0] == "zeta"]
+
+
+@pytest.mark.parametrize("argv", ZETA_CASES, ids=[" ".join(a) for a in ZETA_CASES])
+def test_zeta_text_prints_the_golden_lines(golden, argv):
+    # the text route builds no --json data, and prints exactly the lines
+    # stored in the golden --json output of the same command
+    want = golden[" ".join(argv)]
+    code, out, err = call(argv[:-1])
+    assert code == want["code"]
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert out.splitlines() == json.loads(want["stdout"])["lines"] and err == ""
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrzeta import (Arrangement, ArrangementError, Flat, candidate_poles,
-                     global_zeta, intersection_lattice, local_zeta,
+                     dense_edges, global_zeta, intersection_lattice, local_zeta,
                      multi_nd_check, multi_smc_verify, multivariate_global_zeta,
                      multivariate_local_zeta, nd_check, poles, rank2_zeta,
                      smc_verify, snc_zeta)
 from arrzeta.cli import json_form, run, zeta_from_json, zeta_json
 import arrzeta.zeta
-from arrzeta.core import AffineForm, MultiPoly, div_linear, packed_width, primitive_normal
+from arrzeta.core import (AffineForm, MultiPoly, div_linear, integer_kernel, packed_width,
+                          primitive_normal)
 from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, all_forms_denominator, boolean2, boolean2_factored,
@@ -277,7 +278,7 @@ def test_normalize_at_the_packing_width_boundary(degree, divisions):
     terms = [(F(1), ()), (F(-2, 3), forms), (F(5, 7), forms[:2])]
     ordered = sorted(forms)
     ranked = {tuple(sorted(map(ordered.index, dens))): int(coef * 21) for coef, dens in terms}
-    den = arrzeta.zeta._denominator(ordered, ranked)
+    den = arrzeta.zeta._denominator(ordered, ranked, [f.coeffs + (f.const,) for f in ordered])
     assert divisions == []
     num = arrzeta.zeta._numerator(2, ordered, ranked, 21, den)
     assert (num, den) == _oracle_normalize(2, terms)
@@ -963,12 +964,14 @@ def test_dense_decision_matches_every_form_random(arr):
                          ids=["A5", "A5-mod-2", "B4-mod-3"])
 def test_flag_sum_decides_exactly_the_candidate_forms(monkeypatch, arr):
     # _denominator decides every form of the sum it is handed, and the
-    # flag sum hands it the candidate poles and no other form
+    # flag sum hands it the candidate poles and no other form, with the
+    # integer rows of those forms
     seen = []
 
-    def traced(forms, ranked):
+    def traced(forms, ranked, rows):
+        assert rows == [f.coeffs + (f.const,) for f in forms]
         seen.append((forms, {forms[i] for dens in ranked for i in dens}))
-        return original(forms, ranked)
+        return original(forms, ranked, rows)
 
     original = arrzeta.zeta._denominator
     monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
@@ -992,9 +995,9 @@ def test_terms_read_back_decide_only_candidate_forms(monkeypatch, arr):
     data = json.loads(json.dumps(zeta_json(z), default=json_form))
     seen = []
 
-    def traced(forms, ranked):
+    def traced(forms, ranked, rows):
         seen.append(forms)
-        return original(forms, ranked)
+        return original(forms, ranked, rows)
 
     original = arrzeta.zeta._denominator
     monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
@@ -1008,7 +1011,7 @@ def test_terms_read_back_decide_only_candidate_forms(monkeypatch, arr):
                          ids=["A4", "thirteen-mod-3", "veys"])
 def test_unchecked_constructors_see_canonical_data(monkeypatch, arr):
     multi = arr.factors is not None
-    forms, _, _ = arrzeta.zeta._flag_sum(arr, multi)
+    forms = arrzeta.zeta._flag_sum(arr, multi)[0]
     made = forms + candidate_poles(arr, multi=True) if multi else forms
     for f in made:
         assert type(f.coeffs) is tuple and all(type(c) is int for c in f.coeffs)
@@ -1035,6 +1038,91 @@ def test_unchecked_constructors_see_canonical_data(monkeypatch, arr):
     if multi:
         multivariate_local_zeta(arr)
         candidate_poles(arr, multi=True)
+
+
+@pytest.mark.parametrize("arr", [veys(), braid(5), _mod_factors(thirteen(), 3),
+                                 _mod_factors(type_b(4), 3)],
+                         ids=["veys", "A4", "thirteen-mod-3", "B4-mod-3"])
+def test_zeta_routes_hash_no_flat(monkeypatch, arr):
+    # with the lattice built, the flag sum, the pole decision, the
+    # candidates and the dense edges read every flat by lattice position
+    arr.lattice
+
+    def refuse(self):
+        raise AssertionError("a flat was hashed")
+
+    monkeypatch.setattr(Flat, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(arr.lattice.ambient)
+    local_zeta(arr)
+    global_zeta(arr)
+    candidate_poles(arr)
+    dense_edges(arr)
+    if arr.factors is not None:
+        multivariate_local_zeta(arr)
+        candidate_poles(arr, multi=True)
+
+
+def _connected_by_ranks(normals, n):
+    """Whether the matroid of the normals is connected, from integer_kernel
+    ranks alone.  With B a basis, each other element e is joined to the b
+    in B whose swap for e leaves a basis, the rest of e's fundamental
+    circuit.  A circuit lies in one component, so a split of the matroid
+    splits this graph; and if a union E_1 of the graph's components misses
+    some element, every e in E_1 lies in the span of E_1's part of B, so
+    the ranks of E_1 and of the rest add up to the rank of all."""
+    def rank(rows):
+        return n - len(integer_kernel(rows, n)[0])
+
+    basis = []
+    for i, v in enumerate(normals):
+        if rank([normals[j] for j in basis] + [v]) > len(basis):
+            basis.append(i)
+    edges = [(e, b) for e in range(len(normals)) if e not in basis for b in basis
+             if rank([normals[j] for j in basis if j != b] + [normals[e]]) == len(basis)]
+    seen = {0}
+    while True:
+        grown = seen | {x for edge in edges if seen & set(edge) for x in edge}
+        if grown == seen:
+            return len(seen) == len(normals)
+        seen = grown
+
+
+def _assert_lattice_records_dense_and_splits(arr):
+    lat, n = intersection_lattice(arr), arr.n
+    flats = lat.flats
+
+    def normals(indices):
+        return [arr.normals[i] for i in sorted(indices)]
+
+    def rank(indices):
+        return n - len(integer_kernel(normals(indices), n)[0])
+
+    assert lat.dense == tuple(k for k in range(1, len(flats)) if lat.is_dense(flats[k]))
+    assert sorted(lat.splits) == [k for k in range(1, len(flats)) if k not in lat.dense]
+    for k in lat.dense:
+        assert _connected_by_ranks(normals(flats[k].indices), n)
+    for k, (y, g) in lat.splits.items():
+        x, head, rest = flats[k], flats[y], flats[g]
+        assert y == next(iter(lat.euler[k]))
+        assert head.indices and rest.indices and not head.indices & rest.indices
+        assert head.indices | rest.indices == x.indices
+        assert head.codim + rest.codim == x.codim
+        # additive ranks split x's localization, so x is not dense
+        assert rank(head.indices) + rank(rest.indices) == rank(x.indices) == x.codim
+        assert g in lat.dense and _connected_by_ranks(normals(rest.indices), n)
+
+
+@pytest.mark.parametrize("arr", DENSE_CORPUS + [Arrangement(3, [(1, k, k * k) for k in range(1, 9)])],
+                         ids=DENSE_IDS + ["vandermonde-8"])
+def test_lattice_records_dense_and_splits(arr):
+    _assert_lattice_records_dense_and_splits(arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_arrangements())
+def test_lattice_records_dense_and_splits_random(arr):
+    _assert_lattice_records_dense_and_splits(arr)
 
 
 # ---------------------------------------------------------------------------
