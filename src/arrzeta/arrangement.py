@@ -12,15 +12,15 @@ contains every hyperplane through W.  The partial order used everywhere is
 reverse inclusion of subspaces, i.e. inclusion of index sets, with bottom
 element the ambient space (empty index set).
 
-The lattice is built over the integers: flats are spanned by integer
-kernel vectors of the primitive integer normals, and membership tests and
-traces are integer dot products.  It keeps mu(ambient, X) and the nonzero
-interval Euler characteristics chi(X, Y), all exact; the latter are
-indexed by the flats' positions in lattice order.  Read off them once, it
-also keeps the dense edges' positions and every other proper flat's split
-into two flats, so dense_edges and the flag sum work on positions alone
-and hash no index set.  Each arrangement builds its lattice once, on the
-first read of Arrangement.lattice, and every reader shares it.
+The lattice is built over the integers: the walk spans each flat by
+integer kernel vectors of the primitive integer normals, and membership
+tests and traces are integer dot products; a flat keeps only its index
+set and codimension.  Every table is by the flats' positions in lattice
+order: mu(ambient, X), the nonzero interval Euler characteristics
+chi(X, Y), all exact, and, read off them once, the dense edges' positions
+and every other proper flat's split into two flats, so dense_edges and
+the flag sum hash no index set.  Each arrangement builds its lattice once,
+on the first read of Arrangement.lattice, and every reader shares it.
 """
 
 from fractions import Fraction
@@ -149,22 +149,15 @@ class Flat:
     """A flat of a central arrangement, identified by its closed index set.
 
     codim, like each index an integer, is the codimension of the subspace
-    W.  vectors are integer vectors spanning W and den their common scale
-    (core.integer_kernel of the normals in the index set): vectors / den is
-    the basis of W read off the reduced row echelon form of those normals.
+    W.  Only the lattice walk keeps vectors spanning W, while it runs.
     """
 
-    def __init__(self, indices, codim, vectors, den):
+    def __init__(self, indices, codim):
         self.indices = frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices)
         self.codim = as_int(codim, "a codimension", ArrangementError)
-        self.vectors = tuple(vectors)
-        self.den = den
 
     def key(self):
         return (self.codim, tuple(sorted(self.indices)))
-
-    def dim(self, n):
-        return n - self.codim
 
     def __eq__(self, other):
         return isinstance(other, Flat) and self.indices == other.indices
@@ -186,24 +179,24 @@ class IntersectionLattice:
     """All flats of a central arrangement and the numbers read off them.
 
     flats come sorted by (codim, index set), and a flat's position is its
-    index in that order, the ambient space's 0.  mobius maps each flat's
-    index set to mu(ambient, flat), which gives the characteristic
-    polynomial.  euler holds one dict per position k: it maps the position
-    j of each flat below flats[k] with a nonzero interval_euler chi to
-    chi(flats[j], flats[k]), in lattice order; it gives the flag sum and
-    the dense edges.  Two things are read off it once, by position: dense
-    holds the positions of the dense proper flats, those whose row has an
-    entry at 0, in lattice order, and splits maps every other proper
-    flat's position k to (y, g), y the first key of row k and g the
-    position of flats[k].indices - flats[y].indices (see zeta._flag_sum).
-    The public readers reach a flat's position through one map from index
-    sets.
+    index in that order, the ambient space's 0; pos maps each flat's index
+    set to its position, and every table is by position.  mobius is a
+    tuple parallel to flats: mobius[k] is mu(ambient, flats[k]), which
+    gives the characteristic polynomial.  euler holds one dict per
+    position k: it maps the position j of each flat below flats[k] with a
+    nonzero interval_euler chi to chi(flats[j], flats[k]), in lattice
+    order; it gives the flag sum and the dense edges.  Two things are read
+    off it once: dense holds the positions of the dense proper flats,
+    those whose row has an entry at 0, in lattice order, and splits maps
+    every other proper flat's position k to (y, g), y the first key of row
+    k and g the position of flats[k].indices - flats[y].indices (see
+    zeta._flag_sum).
     """
 
-    def __init__(self, flats, mobius, euler):
+    def __init__(self, flats, pos, mobius, euler):
         self.flats = tuple(flats)
-        self._pos = {f.indices: k for k, f in enumerate(self.flats)}
-        self.mobius = mobius
+        self._pos = pos
+        self.mobius = tuple(mobius)
         self.euler = euler
         self.dense = tuple(k for k, below in enumerate(euler[1:], 1) if 0 in below)
         self.splits = {k: (y, self._pos[self.flats[k].indices - self.flats[y].indices])
@@ -227,7 +220,7 @@ class IntersectionLattice:
         return self.flats[-1]
 
     def mu(self, flat):
-        return self.mobius[flat.indices]
+        return self.mobius[self._pos[flat.indices]]
 
     def interval_euler(self, X, Y):
         """Euler characteristic of the projectivized complement of the
@@ -262,9 +255,9 @@ def intersection_lattice(arr):
     Hyperplanes, 1992): the hyperplanes outside X whose traces on X are
     proportional cut out the same cover, whose index set, X's plus that
     class, is already closed.  So there is one integer kernel per flat.
-    Traces are taken on X's integer vectors, which scale every trace by
-    the same diagonal matrix and so keep proportional traces
-    proportional; no Fraction is made.
+    Traces are taken on integer vectors spanning X, kept in the walk's
+    queue only, which scale every trace by the same diagonal matrix and so
+    keep proportional traces proportional; no Fraction is made.
 
     The Mobius row mu(X, .) is summed over the upper interval of X only:
     walking it upwards, mu(X, W) and mu(X, W) codim W are pushed onto every
@@ -272,27 +265,24 @@ def intersection_lattice(arr):
     and interval_euler(X, Y) is codim Y times the first minus the second.
     """
     _require_central(arr, "intersection_lattice")
-    vectors, den = integer_kernel([], arr.n)
     # the walk's flats are made unchecked (core._trusted): their indices
-    # are ints from range, their codims ints and their vectors int tuples
-    ambient = _trusted(Flat, indices=frozenset(), codim=0, vectors=tuple(vectors), den=den)
+    # are ints from range and their codims ints
+    ambient = _trusted(Flat, indices=frozenset(), codim=0)
     flats = {ambient.indices: ambient}
     covers = {}
-    queue = [ambient]
-    for x in queue:
+    queue = [(ambient, integer_kernel([], arr.n)[0])]
+    for x, span in queue:
         classes = {}
         for i in range(arr.r):
             if i not in x.indices:
-                trace = [sum(map(mul, arr.normals[i], w)) for w in x.vectors]
+                trace = [sum(map(mul, arr.normals[i], w)) for w in span]
                 classes.setdefault(primitive_key(trace), set(x.indices)).add(i)
-        covers[x.indices] = []
-        for indices in map(frozenset, classes.values()):
+        covers[x.indices] = [frozenset(c) for c in classes.values()]
+        for indices in covers[x.indices]:
             if indices not in flats:
-                vectors, den = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)
-                flats[indices] = _trusted(Flat, indices=indices, codim=arr.n - len(vectors),
-                                          vectors=tuple(vectors), den=den)
-                queue.append(flats[indices])
-            covers[x.indices].append(indices)
+                vectors = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)[0]
+                flats[indices] = _trusted(Flat, indices=indices, codim=arr.n - len(vectors))
+                queue.append((flats[indices], vectors))
     ordered = sorted(flats.values(), key=Flat.key)
     pos = {f.indices: k for k, f in enumerate(ordered)}
     # above[k]: positions of the flats strictly above ordered[k], in order
@@ -303,7 +293,7 @@ def intersection_lattice(arr):
             up.add(pos[c])
             up.update(above[pos[c]])
         above[k] = sorted(up)
-    mobius = {ambient.indices: 1}
+    mobius = [1] * len(ordered)
     euler = [{} for _ in ordered]
     for k, x in enumerate(ordered):
         # mu(X, X) = 1 pushed up, by position; only those above X are read
@@ -316,12 +306,12 @@ def intersection_lattice(arr):
                 euler[j][k] = e
             m = -total[j]
             if not k:
-                mobius[y.indices] = m
+                mobius[j] = m
             mc = m * y.codim
             for z in above[j]:
                 total[z] += m
                 weighted[z] += mc
-    return IntersectionLattice(ordered, mobius, euler)
+    return IntersectionLattice(ordered, pos, mobius, euler)
 
 
 def char_poly(arr, lattice=None):
@@ -334,16 +324,16 @@ def char_poly(arr, lattice=None):
     """
     lattice = lattice or arr.lattice
     terms = {}
-    for f in lattice.flats:
+    for f, m in zip(lattice.flats, lattice.mobius):
         ex = (arr.n - f.codim,)
-        terms[ex] = terms.get(ex, Fraction(0)) + lattice.mu(f)
+        terms[ex] = terms.get(ex, Fraction(0)) + m
     return MultiPoly(1, terms)
 
 
 def complement_euler(arr, lattice=None):
     """Euler characteristic of the complement, chi_A(1) = sum of mu(X)."""
     lattice = lattice or arr.lattice
-    return Fraction(sum(lattice.mu(f) for f in lattice.flats))
+    return Fraction(sum(lattice.mobius))
 
 
 def proj_complement_euler(arr):
@@ -353,7 +343,8 @@ def proj_complement_euler(arr):
     chi_A(1) = 0, so the value is chi_A'(1) = sum of mu(X) dim X; for the
     empty arrangement the same sum gives n, the value for P^{n-1}.
     """
-    return Fraction(sum(arr.lattice.mu(f) * f.dim(arr.n) for f in arr.lattice.flats))
+    lattice = arr.lattice
+    return Fraction(sum(m * (arr.n - f.codim) for f, m in zip(lattice.flats, lattice.mobius)))
 
 
 def is_essential(arr):

@@ -356,9 +356,8 @@ class AffineForm:
     def __repr__(self):
         return "AffineForm(%s)" % self.format_str()
 
-    def format_str(self, names=None):
-        if names is None:
-            names = ["s"] if self.nvars == 1 else ["s%d" % (j + 1) for j in range(self.nvars)]
+    def format_str(self):
+        names = ["s"] if self.nvars == 1 else ["s%d" % (j + 1) for j in range(self.nvars)]
         parts = []
         for j, c in enumerate(self.coeffs):
             if c == 0:

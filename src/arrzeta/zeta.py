@@ -28,14 +28,16 @@ other flat's split into two once, and each such sum is integer
 coefficients over one common denominator, kept in a list indexed by the
 flat's position; no flat is hashed.  A denominator is a monomial in the
 sorted distinct pole forms packed into one int, unpacked into a sorted
-tuple of form ranks only at the minimal flat; one AffineForm is made per
-distinct form, and the pole decision gets the forms' integer rows.
+tuple of form ranks only at the minimal flat.
 
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a reduced numerator / denominator
 pair in which every removable linear factor has been cancelled, so the
-reported poles are genuine.  Both are taken from the flag sum's integer
-shape; ZetaFunction(nvars, terms) converts given terms to it once.
+reported poles are genuine.  Both are read off one integer shape of the
+sum, (rows, ranked, q): the sorted distinct forms' integer rows and the
+merged integer coefficients over q, keyed by sorted rank tuples.  The
+flag sum is built in it, and ZetaFunction(nvars, terms) converts given
+terms to it once.  AffineForms are made only for reported results.
 
 The poles are decided without the numerator (_denominator), one form f of
 the least common denominator (LCD) at a time, on f's hyperplane; every
@@ -84,8 +86,7 @@ def _pole_forms(arr, lattice, multi):
     pole form ord . s + codim, where ord sums each row of _factor_rows over
     the flat's hyperplanes and scale is the gcd of the row.  The entries
     are nonnegative and codim is positive, so the divided row is already
-    canonical, and rows sort as their AffineForms do; the callers make one
-    AffineForm per distinct row (_form)."""
+    canonical, and rows sort as their AffineForms do."""
     getters = [r.__getitem__ for r in _factor_rows(arr, multi)]
     out = []
     for k in lattice.dense:
@@ -97,8 +98,8 @@ def _pole_forms(arr, lattice, multi):
 
 
 def _form(row):
-    """The AffineForm of a canonical integer row from _pole_forms, made
-    unchecked (core._trusted)."""
+    """The AffineForm of a canonical integer row (coefficients, then
+    constant), made unchecked (core._trusted)."""
     return _trusted(AffineForm, coeffs=row[:-1], const=row[-1])
 
 
@@ -122,10 +123,9 @@ def candidate_poles(arr, multi=False, lattice=None):
 class ZetaFunction:
     """Sum of constant/product-of-affine-forms terms, kept in two shapes.
 
-    terms: the (coefficient, sorted denominator factors) pairs as given,
-        zero terms dropped.  A zeta function built from an arrangement has
-        the flag sum with equal denominators merged, sorted by denominator,
-        made on first read.
+    terms: the (coefficient, sorted denominator factors) pairs of the sum,
+        given or built, with equal denominators merged and zero terms
+        dropped, sorted by denominator, made on first read.
     numerator, denominator: the normalized quotient over the least common
         denominator with all removable affine factors cancelled; the pole
         data is read from this shape.  The denominator is decided when the
@@ -136,26 +136,34 @@ class ZetaFunction:
 
     def __init__(self, nvars, terms):
         self.nvars = as_int(nvars, "the number of variables")
-        self.terms = self._clean(terms)
-        forms = sorted({f for _, dens in self.terms for f in dens})
-        rank = {f: i for i, f in enumerate(forms)}
-        q = lcm(*(coef.denominator for coef, _ in self.terms))
+        given = []
+        for coef, dens in terms:
+            key = []
+            for f in dens:
+                if not isinstance(f, AffineForm) or f.nvars != self.nvars:
+                    raise ValueError("denominator factor %r does not match %d variables"
+                                     % (f, self.nvars))
+                key.append(f.coeffs + (f.const,))
+            given.append((rational(coef), key))
+        rows = sorted({row for _, key in given for row in key})
+        rank = {row: i for i, row in enumerate(rows)}
+        q = lcm(*(coef.denominator for coef, _ in given))
         ranked = {}
-        for coef, dens in self.terms:
-            key = tuple(rank[f] for f in dens)
+        for coef, key in given:
+            key = tuple(sorted(rank[row] for row in key))
             ranked[key] = ranked.get(key, 0) + coef.numerator * (q // coef.denominator)
-        self._quotient(forms, ranked, q, [f.coeffs + (f.const,) for f in forms])
+        self._quotient(rows, ranked, q)
 
     @classmethod
-    def _merged(cls, nvars, forms, ranked, q, rows):
+    def _merged(cls, nvars, rows, ranked, q):
         """The zeta function of a sum already in _denominator's shape, such
         as the flag sum."""
         z = cls.__new__(cls)
         z.nvars = nvars
-        z._quotient(forms, ranked, q, rows)
+        z._quotient(rows, ranked, q)
         return z
 
-    def _quotient(self, forms, ranked, q, rows):
+    def _quotient(self, rows, ranked, q):
         """Keep the sum and decide its poles (_denominator).  A sum with a
         nonzero constant part, the terms with no denominator, is not
         proper; the rest is a sum of proper fractions, whose reduced
@@ -163,31 +171,19 @@ class ZetaFunction:
         ranked = {dens: c for dens, c in ranked.items() if c}
         if () in ranked:
             raise ValueError("zeta function is not a proper rational function")
-        self._sum = (forms, ranked, q)
-        self.denominator = _denominator(forms, ranked, rows)
+        self._sum = (rows, ranked, q)
+        self.denominator = _denominator(rows, ranked)
 
     @cached_property
     def terms(self):
-        forms, ranked, q = self._sum
+        rows, ranked, q = self._sum
+        forms = [_form(row) for row in rows]
         return tuple((Fraction(c, q), tuple(forms[i] for i in dens))
                      for dens, c in sorted(ranked.items()))
 
     @cached_property
     def numerator(self):
         return _numerator(self.nvars, *self._sum, self.denominator)
-
-    def _clean(self, terms):
-        clean = []
-        for coef, dens in terms:
-            coef = rational(coef)
-            dens = tuple(dens)
-            for f in dens:
-                if not isinstance(f, AffineForm) or f.nvars != self.nvars:
-                    raise ValueError("denominator factor %r does not match %d variables"
-                                     % (f, self.nvars))
-            if coef != 0:
-                clean.append((coef, tuple(sorted(dens))))
-        return tuple(clean)
 
     def is_zero(self):
         """A proper sum is zero exactly when it has no pole."""
@@ -259,14 +255,14 @@ def _by_form(terms):
     return out
 
 
-def _denominator(forms, ranked, rows):
-    """{form: pole order} for the forms that are poles of the sum of
-    c / (q prod forms[i]) over the {sorted rank tuple: int c} entries of
-    ranked, with no zero entry; forms are distinct canonical forms in
-    sorted order and rows their integer rows (coefficients, then
-    constant).  Every form is decided and no numerator is built (_poles).
+def _denominator(rows, ranked):
+    """{AffineForm: pole order} for the forms that are poles of the sum of
+    c / (q prod rows[i]) over the {sorted rank tuple: int c} entries of
+    ranked, with no zero entry; rows are the integer rows (coefficients,
+    then constant) of distinct canonical forms, in sorted order.  Every
+    form is decided and no numerator is built (_poles).
     """
-    return {forms[i]: e for i, e in _poles(rows, ranked)}
+    return {_form(rows[i]): e for i, e in _poles(rows, ranked)}
 
 
 def _poles(rows, ranked):
@@ -422,21 +418,22 @@ def _restrict(h, f, m):
 # ---------------------------------------------------------------------------
 # the numerator, built on first read
 
-def _numerator(nvars, forms, ranked, q, den):
+def _numerator(nvars, rows, ranked, q, den):
     """The numerator MultiPoly of the reduced quotient of the sum of
-    c / (q prod forms[i]) over ranked (as for _denominator), whose reduced
+    c / (q prod rows[i]) over ranked (as for _denominator), whose reduced
     denominator den is already decided.
 
     The numerator N = sum of c LCD / D over the least common denominator is
     built once by _lcd_numerator, which adds halves of the terms over their
     own LCDs.  The terms go in the order of their reversed rank tuples, so
     the terms that share their highest forms fall in the same halves:
-    forms sort by their coefficients, so in a flag sum the highest are those
+    rows sort by their coefficients, so in a flag sum the highest are those
     of the deepest dense edges, which many flags share, and a half's LCD
     stays small.  N is a raw integer dict on packed exponents (core.packed_width
-    of the LCD degree, which bounds every exponent).  Each LCD form is
-    divided out (div_linear, on the same packed dict) as often as the
-    decided orders say it cancels: its LCD power less its power in den.  A division that fails
+    of the LCD degree, which bounds every exponent).  Each LCD form, made
+    from its row (_form), is divided out (div_linear, on the same packed
+    dict) as often as the decided orders say it cancels: its LCD power
+    less its power in den.  A division that fails
     raises AssertionError, so a read catches a cancellation decided where
     there is none, but not one that was missed.  The one MultiPoly is made
     at the end, unpacked and divided by q.  The reduced quotient with
@@ -446,11 +443,12 @@ def _numerator(nvars, forms, ranked, q, den):
     if not ranked:
         return MultiPoly(nvars)
     lcd = {i: k for i, (k, _) in _by_form(ranked.items()).items()}
+    forms = {i: _form(rows[i]) for i in sorted(lcd)}
     width = packed_width(sum(lcd.values()))
     factors, first = [], {}
-    for i in sorted(lcd):
+    for i, f in forms.items():
         first[i] = len(factors)
-        factors += [(packed_steps(forms[i], width), forms[i].const)] * lcd[i]
+        factors += [(packed_steps(f, width), f.const)] * lcd[i]
     terms = []
     for dens, c in sorted(ranked.items(), key=lambda t: t[0][::-1]):
         has, k, prev = 0, 0, None
@@ -460,8 +458,7 @@ def _numerator(nvars, forms, ranked, q, den):
             has |= 1 << (first[i] + k)
         terms.append((has, c))
     total = {ex: c for ex, c in _lcd_numerator(terms, factors)[0].items() if c}
-    for i in sorted(lcd):
-        f = forms[i]
+    for i, f in forms.items():
         for _ in range(lcd[i] - den.get(f, 0)):
             total = div_linear(total, f, width)
             if total is None:
@@ -538,11 +535,12 @@ def poles(z):
 
 def _flag_sum(arr, multi):
     """The flag formula over the dense edges summed with equal denominators
-    merged, in _denominator's shape: (forms, {sorted rank tuple: int}, q,
-    rows), the sum of c / (q prod forms[i]) over the entries.  forms are
-    the pole forms of the dense edges (IntersectionLattice.dense) and rows
-    their integer rows.  No flag is enumerated, no Fraction is made and no
-    flat is hashed: every flat is read by its position.
+    merged, in _denominator's shape: (rows, {sorted rank tuple: int}, q),
+    the sum of c / (q prod rows[i]) over the entries.  rows are the sorted
+    distinct integer rows of the dense edges' pole forms
+    (IntersectionLattice.dense).  No flag is enumerated, no Fraction or
+    AffineForm is made and no flat is hashed: every flat is read by its
+    position.
 
     D(X), the sum over the flags from X up to the ambient space, is the
     local zeta at a generic point of X, and 1 with no denominator at the
@@ -579,8 +577,7 @@ def _flag_sum(arr, multi):
     codim X factors, so no multiplicity exceeds the rank): adding L_X adds
     one int, and a product of monomials is a sum.  The keys of D(minimal
     flat) are unpacked once into sorted tuples of form ranks (_ranks),
-    which sort as the denominators do, and one AffineForm is made per
-    distinct form (_form).
+    which sort as the denominators do.
     """
     lattice = arr.lattice
     found = _pole_forms(arr, lattice, multi)
@@ -620,7 +617,7 @@ def _flag_sum(arr, multi):
         sums.append((q, out))
     q, packed = sums[-1]
     ranked = {_ranks(key, width): c for key, c in packed.items()}
-    return [_form(row) for row in rows], ranked, q, rows
+    return rows, ranked, q
 
 
 def _ranks(key, width):

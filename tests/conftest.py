@@ -75,9 +75,12 @@ def fraction_kernel(rows, cols):
     return len(pivots), basis
 
 
-def flat_basis(flat):
-    """The rational basis vectors / den of a flat's subspace."""
-    return tuple(tuple(Fraction(e, flat.den) for e in w) for w in flat.vectors)
+def flat_basis(arr, flat):
+    """The rational basis of a flat's subspace read off the reduced row
+    echelon form of the normals in its index set: their integer kernel
+    vectors over its scale (integer_kernel)."""
+    vectors, den = integer_kernel([arr.normals[i] for i in sorted(flat.indices)], arr.n)
+    return tuple(tuple(Fraction(e, den) for e in w) for w in vectors)
 
 
 def closure(arr, indices):
@@ -85,32 +88,31 @@ def closure(arr, indices):
 
     One integer kernel of the given normals spans the underlying subspace
     W; the closed index set is every hyperplane whose normal vanishes on
-    it.  The kernel basis depends only on the row space of the normals, so
-    it is the same deterministic basis as that of the closed set.
+    it.
     """
     _require_central(arr, "closure")
     indices = set(int(i) for i in indices)
     for i in indices:
         if not 0 <= i < arr.r:
             raise ArrangementError("hyperplane index %d out of range" % i)
-    vectors, den = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)
+    vectors = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)[0]
     closed = [i for i in range(arr.r)
               if i in indices or not any(sum(map(mul, arr.normals[i], w)) for w in vectors)]
-    return Flat(closed, arr.n - len(vectors), vectors, den)
+    return Flat(closed, arr.n - len(vectors))
 
 
 def brute_force_lattice(arr):
     """Every flat as the closure of an index subset and the Mobius table by
-    its definition, over Q on the forms as given: {indices: (codim, basis)}
-    and {indices of X: {indices of Z: mu(X, Z)}}."""
+    its definition, over Q on the forms as given: {indices: codim} and
+    {indices of X: {indices of Z: mu(X, Z)}}."""
     flats = {}
     for k in range(arr.r + 1):
         for subset in combinations(range(arr.r), k):
             _, basis = fraction_kernel([arr.forms[i] for i in subset], arr.n)
             closed = frozenset(i for i in range(arr.r) if all(
                 sum(a * b for a, b in zip(arr.forms[i], v)) == 0 for v in basis))
-            flats[closed] = (arr.n - len(basis), tuple(basis))
-    order = sorted(flats, key=lambda x: (flats[x][0], sorted(x)))
+            flats[closed] = arr.n - len(basis)
+    order = sorted(flats, key=lambda x: (flats[x], sorted(x)))
     table = {}
     for x in order:
         row = table[x] = {}
@@ -433,7 +435,8 @@ def interval_arrangement(arr, lower, upper):
     if not upper.indices < lower.indices:
         raise ArrangementError("interval needs strictly nested flats "
                                "(lower strictly inside upper)")
-    ext = _extend_basis([list(v) for v in flat_basis(lower)], flat_basis(upper), arr.n)
+    ext = _extend_basis([list(v) for v in flat_basis(arr, lower)], flat_basis(arr, upper),
+                        arr.n)
     m = lower.codim - upper.codim
     assert len(ext) == m, "basis extension does not match codimension step"
     rows = []
@@ -456,11 +459,12 @@ def restriction_arrangement(arr, flat):
     d = arr.n - flat.codim
     if d == 0:
         raise ArrangementError("cannot restrict to the origin")
+    basis = flat_basis(arr, flat)
     rows = []
     for i in range(arr.r):
         if i in flat.indices:
             continue
-        row = tuple(dot(arr.forms[i], v) for v in flat_basis(flat))
+        row = tuple(dot(arr.forms[i], v) for v in basis)
         assert any(e != 0 for e in row), "trace vanished off the flat's index set"
         rows.append(row)
     return Arrangement(d, _dedupe_forms(rows))

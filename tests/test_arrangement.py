@@ -113,19 +113,19 @@ def test_lattice_flat_rejects_non_integer_indices(indices):
     with pytest.raises(ArrangementError, match="must be an integer"):
         veys().lattice.flat(indices)
     with pytest.raises(ArrangementError, match="hyperplane index must be an integer"):
-        Flat(indices, 1, (), 1)
+        Flat(indices, 1)
 
 
 @pytest.mark.parametrize("codim", [1.7, 1.0, True, F(3, 2)],
                          ids=["float", "float-integral", "bool", "fraction"])
 def test_flat_rejects_non_integer_codim(codim):
-    # Flat([1.5, True], 1.7, (), 1) used to read as indices {1}, codim 1
+    # Flat([1.5, True], 1.7) used to read as indices {1}, codim 1
     with pytest.raises(ArrangementError, match="codimension must be an integer"):
-        Flat([0], codim, (), 1)
+        Flat([0], codim)
 
 
 def test_flat_accepts_integral_fractions():
-    flat = Flat([F(2), 0], F(4, 2), (), 1)
+    flat = Flat([F(2), 0], F(4, 2))
     assert (flat.indices, flat.codim) == ({0, 2}, 2)
     assert all(type(e) is int for e in (*flat.indices, flat.codim))
 

@@ -221,7 +221,7 @@ def test_affine_form_behaviour():
         with pytest.raises(TypeError):
             sorted(pair)
     assert f.format_str() == "3*s + 1"
-    assert g.format_str(["s1", "s2"]) == "s1 + 2*s2 + 2"
+    assert g.format_str() == "s1 + 2*s2 + 2"
 
 
 def divided(p, form):

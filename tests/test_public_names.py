@@ -2,16 +2,18 @@
 
 A public name is a module-level function or class of a library module
 (not __init__.py) whose name has no leading underscore, or such a method
-or property of one of those classes.  It counts as used when an ast.Name
-or ast.Attribute with its identifier appears in another library module,
-in its own module outside its own definition, or in a perfbench/*.py
-file (read only), where a name imported from arrzeta counts too (the
-benchmark imports snc_zeta and rank2_zeta under other names).  The
-package's re-exports in __init__.py are not uses.  The scan goes by
-identifier, not by type, so a method shares its uses with every name
-spelled the same.  Every unused name must be in ALLOWED with a reason,
-and every name in ALLOWED must exist and be unused, so the list stays
-exact.
+or property of one of those classes.  It counts as used when its
+identifier appears in another library module, in its own module outside
+its own definition, or in a perfbench/*.py file (read only): a
+module-level name as an ast.Name or ast.Attribute, or as a name imported
+from arrzeta in perfbench (the benchmark imports snc_zeta and rank2_zeta
+under other names); a method or property only as an ast.Attribute, so a
+local variable spelled the same does not count.  The package's re-exports
+in __init__.py are not uses.  The scan goes by identifier, not by type,
+so a method still shares its uses with every attribute spelled the same:
+WallFamily.evaluate shares .evaluate with AffineForm and ZetaFunction.
+Every unused name must be in ALLOWED with a reason, and every name in
+ALLOWED must exist and be unused, so the list stays exact.
 """
 
 import ast
@@ -28,6 +30,10 @@ ALLOWED = {
                                    "in test_walls.py",
     "arrangement.IntersectionLattice.euler_below":
         "the flag-sum oracle conftest.fraction_flag_sum and test_lattice.py read it",
+    "arrangement.IntersectionLattice.flat":
+        "the public lookup of a flat by its index set; the tests read it",
+    "walls.WallFamily.hits":
+        "the public membership test of a wall family; test_walls.py reads it",
 }
 
 
@@ -46,39 +52,48 @@ def _definitions(tree, module):
 
 
 def _identifiers(tree, skip=None):
-    """The identifiers of every Name and Attribute in a tree, leaving out
-    the subtree of skip."""
-    out, stack = set(), [tree]
+    """(the identifiers of every Name, those of every Attribute) in a tree,
+    leaving out the subtree of skip."""
+    names, attrs, stack = set(), set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names, attrs
 
 
 def _unused():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(LIBRARY.glob("*.py"))}
-    bench = set()
+    bench_names, bench_attrs = set(), set()
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text())
-        bench |= _identifiers(tree)
-        bench |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                  and (node.module or "").split(".")[0] == "arrzeta" for alias in node.names}
+        names, attrs = _identifiers(tree)
+        bench_names |= names | {alias.name for node in ast.walk(tree)
+                                if isinstance(node, ast.ImportFrom)
+                                and (node.module or "").split(".")[0] == "arrzeta"
+                                for alias in node.names}
+        bench_attrs |= attrs
     unused = []
     for module, tree in trees.items():
         if module == "__init__":
             continue
-        others = set(bench)
+        names, attrs = set(bench_names), set(bench_attrs)
         for other, t in trees.items():
             if other != module:
-                others |= _identifiers(t)
+                other_names, other_attrs = _identifiers(t)
+                names |= other_names
+                attrs |= other_attrs
         for dotted, node in _definitions(tree, module):
-            if node.name not in others and node.name not in _identifiers(tree, skip=node):
+            own_names, own_attrs = _identifiers(tree, skip=node)
+            used = attrs | own_attrs
+            if dotted.count(".") == 1:  # a module-level name, not a method
+                used |= names | own_names
+            if node.name not in used:
                 unused.append(dotted)
     return unused
 

@@ -173,13 +173,18 @@ def test_zeta_equality():
                                    lambda: multivariate_global_zeta(boolean2_factored())],
                          ids=["veys", "boolean2-factored"])
 def test_zeta_merges_equal_denominators(build):
-    # halving every term leaves pairs with equal denominators; the
-    # normalised quotient is unchanged and the given terms are all kept
-    z = build()
-    halves = tuple((coef / 2, dens) for coef, dens in z.terms for _ in range(2))
-    split = ZetaFunction(z.nvars, halves)
-    assert split == z
-    assert split.terms == halves
+    _assert_terms_merge_to_themselves(build())
+
+
+def _assert_terms_merge_to_themselves(z):
+    # terms is the merged sum sorted by denominator, also through the public
+    # constructor: halved terms merge back, and reversed ones sort back
+    halves = [(coef / 2, dens) for coef, dens in z.terms for _ in range(2)]
+    reversed_terms = [(coef, dens[::-1]) for coef, dens in reversed(z.terms)]
+    for terms in (halves, reversed_terms):
+        again = ZetaFunction(z.nvars, terms)
+        assert again.terms == z.terms
+        assert again == z
 
 
 def _times_form(poly, f):
@@ -277,10 +282,11 @@ def test_normalize_at_the_packing_width_boundary(degree, divisions):
     forms = [_af((1, 0), k) for k in range(1, degree)] + [_af((1, 1), 1)]
     terms = [(F(1), ()), (F(-2, 3), forms), (F(5, 7), forms[:2])]
     ordered = sorted(forms)
+    rows = [f.coeffs + (f.const,) for f in ordered]
     ranked = {tuple(sorted(map(ordered.index, dens))): int(coef * 21) for coef, dens in terms}
-    den = arrzeta.zeta._denominator(ordered, ranked, [f.coeffs + (f.const,) for f in ordered])
+    den = arrzeta.zeta._denominator(rows, ranked)
     assert divisions == []
-    num = arrzeta.zeta._numerator(2, ordered, ranked, 21, den)
+    num = arrzeta.zeta._numerator(2, rows, ranked, 21, den)
     assert (num, den) == _oracle_normalize(2, terms)
     assert max(ex[0] for ex in num.terms) == degree
     # no form cancels, so the numerator read divides by none
@@ -941,6 +947,7 @@ def _assert_dense_decision_matches_every_form(arr):
         z = (multivariate_local_zeta if multi else local_zeta)(case)
         assert z.denominator == all_forms_denominator(case, multi)
         _assert_terms_are_candidates(z, case, multi)
+        _assert_terms_merge_to_themselves(z)
         if multi:
             assert set(z.denominator) <= set(candidate_poles(case, multi=True))
         else:
@@ -964,21 +971,22 @@ def test_dense_decision_matches_every_form_random(arr):
                          ids=["A5", "A5-mod-2", "B4-mod-3"])
 def test_flag_sum_decides_exactly_the_candidate_forms(monkeypatch, arr):
     # _denominator decides every form of the sum it is handed, and the
-    # flag sum hands it the candidate poles and no other form, with the
-    # integer rows of those forms
+    # flag sum hands it the integer rows of the candidate poles and of no
+    # other form
     seen = []
 
-    def traced(forms, ranked, rows):
-        assert rows == [f.coeffs + (f.const,) for f in forms]
-        seen.append((forms, {forms[i] for dens in ranked for i in dens}))
-        return original(forms, ranked, rows)
+    def traced(rows, ranked):
+        seen.append((rows, {rows[i] for dens in ranked for i in dens}))
+        return original(rows, ranked)
 
     original = arrzeta.zeta._denominator
     monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
     multi = arr.factors is not None
     z = (multivariate_local_zeta if multi else local_zeta)(arr)
-    [(forms, used)] = seen
-    assert used == set(forms) == {f for _, dens in z.terms for f in dens}
+    [(rows, used)] = seen
+    assert used == set(rows)
+    forms = [_af(row[:-1], row[-1]) for row in rows]
+    assert set(forms) == {f for _, dens in z.terms for f in dens}
     if multi:
         assert forms == candidate_poles(arr, multi=True)
     else:
@@ -995,15 +1003,15 @@ def test_terms_read_back_decide_only_candidate_forms(monkeypatch, arr):
     data = json.loads(json.dumps(zeta_json(z), default=json_form))
     seen = []
 
-    def traced(forms, ranked, rows):
-        seen.append(forms)
-        return original(forms, ranked, rows)
+    def traced(rows, ranked):
+        seen.append(rows)
+        return original(rows, ranked)
 
     original = arrzeta.zeta._denominator
     monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
     again = zeta_from_json(data)
-    [forms] = seen
-    assert forms == candidate_poles(arr, multi=True)
+    [rows] = seen
+    assert rows == [f.coeffs + (f.const,) for f in candidate_poles(arr, multi=True)]
     assert again.denominator == z.denominator
 
 
@@ -1011,20 +1019,19 @@ def test_terms_read_back_decide_only_candidate_forms(monkeypatch, arr):
                          ids=["A4", "thirteen-mod-3", "veys"])
 def test_unchecked_constructors_see_canonical_data(monkeypatch, arr):
     multi = arr.factors is not None
-    forms = arrzeta.zeta._flag_sum(arr, multi)[0]
-    made = forms + candidate_poles(arr, multi=True) if multi else forms
+    z = (multivariate_local_zeta if multi else local_zeta)(arr)
+    made = [f for _, dens in z.terms for f in dens] + list(z.denominator)
+    made += candidate_poles(arr, multi=True) if multi else []
     for f in made:
         assert type(f.coeffs) is tuple and all(type(c) is int for c in f.coeffs)
         assert type(f.const) is int
         assert AffineForm(f.coeffs, f.const)._key() == f._key()
     for f in arr.lattice.flats:
-        checked = Flat(f.indices, f.codim, f.vectors, f.den)
-        assert (checked.indices, checked.codim, checked.vectors, checked.den) == (
-            f.indices, f.codim, f.vectors, f.den)
+        assert vars(f).keys() == {"indices", "codim"}
+        checked = Flat(f.indices, f.codim)
+        assert (checked.indices, checked.codim) == (f.indices, f.codim)
         assert type(f.indices) is frozenset and all(type(i) is int for i in f.indices)
-        assert type(f.codim) is int and type(f.den) is int
-        assert type(f.vectors) is tuple
-        assert all(type(w) is tuple and all(type(e) is int for e in w) for w in f.vectors)
+        assert type(f.codim) is int
 
     # with the lattice built, the zeta and candidate routes make every
     # form and flat unchecked
@@ -1033,10 +1040,10 @@ def test_unchecked_constructors_see_canonical_data(monkeypatch, arr):
 
     monkeypatch.setattr(AffineForm, "__init__", refuse)
     monkeypatch.setattr(Flat, "__init__", refuse)
-    local_zeta(arr)
+    local_zeta(arr).terms
     candidate_poles(arr)
     if multi:
-        multivariate_local_zeta(arr)
+        multivariate_local_zeta(arr).terms
         candidate_poles(arr, multi=True)
 
 
