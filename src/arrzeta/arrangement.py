@@ -15,12 +15,13 @@ element the ambient space (empty index set).
 The lattice is built over the integers: the walk spans each flat by
 integer kernel vectors of the primitive integer normals, and membership
 tests and traces are integer dot products; a flat keeps only its index
-set and codimension.  Every table is by the flats' positions in lattice
-order: mu(ambient, X), the nonzero interval Euler characteristics
-chi(X, Y), all exact, and, read off them once, the dense edges' positions
-and every other proper flat's split into two flats, so dense_edges and
-the flag sum hash no index set.  Each arrangement builds its lattice once,
-on the first read of Arrangement.lattice, and every reader shares it.
+set and codimension.  One recursion over each flat's lower interval fills
+every table, by the flats' positions in lattice order: mu(ambient, X), the
+nonzero interval Euler characteristics chi(X, Y), all exact, and, read off
+them once, the dense edges' positions and every other proper flat's split
+into two flats, so dense_edges and the flag sum hash no index set.  Each
+arrangement builds its lattice once, on the first read of
+Arrangement.lattice, and every reader shares it.
 """
 
 from fractions import Fraction
@@ -185,12 +186,12 @@ class IntersectionLattice:
     gives the characteristic polynomial.  euler holds one dict per
     position k: it maps the position j of each flat below flats[k] with a
     nonzero interval_euler chi to chi(flats[j], flats[k]), in lattice
-    order; it gives the flag sum and the dense edges.  Two things are read
-    off it once: dense holds the positions of the dense proper flats,
-    those whose row has an entry at 0, in lattice order, and splits maps
-    every other proper flat's position k to (y, g), y the first key of row
-    k and g the position of flats[k].indices - flats[y].indices (see
-    zeta._flag_sum).
+    order; it gives the flag sum and the dense edges.  Both are filled
+    from lower intervals (see intersection_lattice).  Read off euler once,
+    dense holds the positions of the dense proper flats, those whose row
+    has an entry at 0, in lattice order, and splits maps every other
+    proper flat's position k to (y, g), y the first key of row k and g the
+    position of flats[k].indices - flats[y].indices (see zeta._flag_sum).
     """
 
     def __init__(self, flats, pos, mobius, euler):
@@ -203,11 +204,14 @@ class IntersectionLattice:
                        for k, below in enumerate(euler[1:], 1) if 0 not in below
                        for y in [next(iter(below))]}
 
+    def _position(self, indices):
+        if indices not in self._pos:
+            raise ArrangementError("index set %r is not closed" % (sorted(indices),))
+        return self._pos[indices]
+
     def flat(self, indices):
-        key = frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices)
-        if key not in self._pos:
-            raise ArrangementError("index set %r is not closed" % (sorted(key),))
-        return self.flats[self._pos[key]]
+        return self.flats[self._position(
+            frozenset(as_int(i, "a hyperplane index", ArrangementError) for i in indices))]
 
     @property
     def ambient(self):
@@ -220,7 +224,7 @@ class IntersectionLattice:
         return self.flats[-1]
 
     def mu(self, flat):
-        return self.mobius[self._pos[flat.indices]]
+        return self.mobius[self._position(flat.indices)]
 
     def interval_euler(self, X, Y):
         """Euler characteristic of the projectivized complement of the
@@ -229,12 +233,12 @@ class IntersectionLattice:
         if not X.indices < Y.indices:
             raise ArrangementError("interval needs flats X < Y (index set of X "
                                    "strictly inside that of Y)")
-        return self.euler[self._pos[Y.indices]].get(self._pos[X.indices], 0)
+        return self.euler[self._position(Y.indices)].get(self._position(X.indices), 0)
 
     def euler_below(self, Y):
         """The (X, interval_euler(X, Y)) pairs over the flats X < Y whose
         value is nonzero, in lattice order."""
-        return [(self.flats[j], e) for j, e in self.euler[self._pos[Y.indices]].items()]
+        return [(self.flats[j], e) for j, e in self.euler[self._position(Y.indices)].items()]
 
     def is_dense(self, flat):
         """A proper flat is dense iff its localized arrangement is
@@ -259,17 +263,20 @@ def intersection_lattice(arr):
     queue only, which scale every trace by the same diagonal matrix and so
     keep proportional traces proportional; no Fraction is made.
 
-    The Mobius row mu(X, .) is summed over the upper interval of X only:
-    walking it upwards, mu(X, W) and mu(X, W) codim W are pushed onto every
-    flat above W.  Of the two sums Y collects, mu(X, Y) is minus the first,
-    and interval_euler(X, Y) is codim Y times the first minus the second.
+    P(X/Y) is the disjoint union of the projectivized complements of the
+    intervals [Z, Y], X <= Z < Y, so chi(X, Y) = codim Y - codim X - (sum
+    of chi(Z, Y) over X < Z < Y): summed over those Z, interval_euler's
+    formula keeps mu(X, X) (codim Y - codim X) alone, as the mu(Z, W)
+    cancel at every other W < Y.  So each Y, in lattice order, takes the
+    flats below it from its lower covers, then chi(X, Y) for X from the
+    top down, and mu(ambient, Y) = -(sum of mu(ambient, X) over X < Y).
     """
     _require_central(arr, "intersection_lattice")
     # the walk's flats are made unchecked (core._trusted): their indices
     # are ints from range and their codims ints
     ambient = _trusted(Flat, indices=frozenset(), codim=0)
     flats = {ambient.indices: ambient}
-    covers = {}
+    lower = {}
     queue = [(ambient, integer_kernel([], arr.n)[0])]
     for x, span in queue:
         classes = {}
@@ -277,40 +284,32 @@ def intersection_lattice(arr):
             if i not in x.indices:
                 trace = [sum(map(mul, arr.normals[i], w)) for w in span]
                 classes.setdefault(primitive_key(trace), set(x.indices)).add(i)
-        covers[x.indices] = [frozenset(c) for c in classes.values()]
-        for indices in covers[x.indices]:
+        for indices in map(frozenset, classes.values()):
+            lower.setdefault(indices, []).append(x.indices)
             if indices not in flats:
                 vectors = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)[0]
                 flats[indices] = _trusted(Flat, indices=indices, codim=arr.n - len(vectors))
                 queue.append((flats[indices], vectors))
+    del queue
     ordered = sorted(flats.values(), key=Flat.key)
     pos = {f.indices: k for k, f in enumerate(ordered)}
-    # above[k]: positions of the flats strictly above ordered[k], in order
-    above = [None] * len(ordered)
-    for k in range(len(ordered) - 1, -1, -1):
-        up = set()
-        for c in covers[ordered[k].indices]:
-            up.add(pos[c])
-            up.update(above[pos[c]])
-        above[k] = sorted(up)
-    mobius = [1] * len(ordered)
-    euler = [{} for _ in ordered]
-    for k, x in enumerate(ordered):
-        # mu(X, X) = 1 pushed up, by position; only those above X are read
-        total = [1] * len(ordered)
-        weighted = [x.codim] * len(ordered)
-        for j in above[k]:
-            y = ordered[j]
-            e = y.codim * total[j] - weighted[j]
+    codim = [f.codim for f in ordered]
+    # below[k]: the positions of the X <= ordered[k], descending; acc[j]:
+    # the sum of chi(Z, Y) over the ordered[j] < Z < Y, reset once read
+    below, mobius, euler, acc = [[0]], [1], [{}], [0] * len(ordered)
+    for k, y in enumerate(ordered[1:], 1):
+        down = sorted({j for x in lower[y.indices] for j in below[pos[x]]}, reverse=True)
+        below.append([k] + down)
+        mobius.append(-sum(map(mobius.__getitem__, down)))
+        row = []
+        for j in down:
+            e = y.codim - codim[j] - acc[j]
             if e:
-                euler[j][k] = e
-            m = -total[j]
-            if not k:
-                mobius[j] = m
-            mc = m * y.codim
-            for z in above[j]:
-                total[z] += m
-                weighted[z] += mc
+                row.append((j, e))
+                for z in below[j]:
+                    acc[z] += e
+            acc[j] = 0
+        euler.append(dict(reversed(row)))
     return IntersectionLattice(ordered, pos, mobius, euler)
 
 

@@ -14,7 +14,7 @@ import arrzeta
 import arrzeta.arrangement
 import arrzeta.cli
 from arrzeta.core import integer_kernel, poly_eval, primitive_normal
-from arrzeta import (AffineForm, Arrangement, ArrangementError, QMatrix,
+from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, QMatrix,
                      adapted_vector, candidate_poles, char_poly,
                      complement_euler, dense_edges, global_zeta,
                      intersection_lattice, is_essential, is_indecomposable,
@@ -27,7 +27,7 @@ from conftest import (boolean2, braid, brute_force_lattice, closure, flat_basis,
                       fraction_kernel, interval_arrangement, long_division,
                       ninefold, random_central_c3, random_lines,
                       restriction_arrangement, stratum_euler, threelines,
-                      threelines_factored, veys, xy_in_c3, xyz)
+                      threelines_factored, type_b, veys, xy_in_c3, xyz)
 
 
 def matroid_connected(normals, n):
@@ -58,7 +58,10 @@ over_corpus = pytest.mark.parametrize("arr", [a for _, a in CORPUS],
                                       ids=[name for name, _ in CORPUS])
 
 
-@over_corpus
+# braid A4 and B4 (306 and 813 pairs X < Y) check rank-4 lattices larger
+# than any hypothesis draw of test_integer_lattice_matches_rational_oracle
+@pytest.mark.parametrize("arr", [a for _, a in CORPUS] + [braid(5), type_b(4)],
+                         ids=[name for name, _ in CORPUS] + ["braid-A4", "B4"])
 def test_interval_euler_matches_interval_arrangement(arr):
     lat = intersection_lattice(arr)
     for x in lat.flats:
@@ -207,6 +210,16 @@ def test_interval_euler_needs_nested_flats():
         lat.interval_euler(origin, line)
     with pytest.raises(ArrangementError, match="strictly inside"):
         lat.interval_euler(line, line)
+
+
+def test_lattice_lookups_reject_a_flat_not_in_the_lattice():
+    lat = veys().lattice
+    stray = Flat({0, 1, 2, 3}, 3)  # the origin, whose closed set also holds 4
+    for read in (lat.mu, lat.is_dense, lat.euler_below,
+                 lambda f: lat.interval_euler(lat.ambient, f),
+                 lambda f: lat.interval_euler(f, lat.minimal_flat())):
+        with pytest.raises(ArrangementError, match=r"\[0, 1, 2, 3\] is not closed"):
+            read(stray)
 
 
 # ---------------------------------------------------------------------------
