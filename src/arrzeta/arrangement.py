@@ -12,9 +12,10 @@ contains every hyperplane through W.  The partial order used everywhere is
 reverse inclusion of subspaces, i.e. inclusion of index sets, with bottom
 element the ambient space (empty index set).
 
-The lattice is built over the integers: the walk spans each flat by
-integer kernel vectors of the primitive integer normals, and membership
-tests and traces are integer dot products; a flat keeps only its index
+The lattice is built over the integers: the walk carries, for each flat,
+one primitive integer trace per class of hyperplanes outside it whose
+traces are proportional, and takes a cover's traces from its parent's by
+2x2 determinants, so no flat needs a kernel; a flat keeps only its index
 set and codimension.  One recursion over each flat's lower interval fills
 every table, by the flats' positions in lattice order: mu(ambient, X), the
 nonzero interval Euler characteristics chi(X, Y), all exact, and, read off
@@ -24,9 +25,9 @@ arrangement builds its lattice once, on the first read of
 Arrangement.lattice, and every reader shares it.
 """
 
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .core import (MultiPoly, _trusted, as_int, integer_kernel, primitive_key,
                    primitive_normal, rational, dot)
@@ -150,7 +151,8 @@ class Flat:
     """A flat of a central arrangement, identified by its closed index set.
 
     codim, like each index an integer, is the codimension of the subspace
-    W.  Only the lattice walk keeps vectors spanning W, while it runs.
+    W.  Only the lattice walk keeps the traces of hyperplanes on W, while
+    it runs.
     """
 
     def __init__(self, indices, codim):
@@ -251,6 +253,32 @@ class IntersectionLattice:
         return len(self.flats)
 
 
+def _restrict(classes, p):
+    """The classes of the cover ker p, from the (trace, members) classes
+    of its parent, p the trace of one of them: every other trace t becomes
+    the primitive key of [p_m t_j - p_j t_m for j != m], m the index of
+    p's first nonzero entry, and classes with equal keys merge into one
+    new members list."""
+    if len(p) == 2:
+        # ker p is a line, on which all nonzero traces are proportional
+        others = [i for t, members in classes if t is not p for i in members]
+        return [((1,), others)] if others else []
+    m = next(j for j, e in enumerate(p) if e)
+    pm = p[m]
+    out = {}
+    for t, members in classes:
+        if t is not p:
+            tm = t[m]
+            trace = [pm * a - tm * b for a, b in zip(t, p)]
+            del trace[m]  # p_m t_m - p_m t_m
+            key = primitive_key(trace)
+            if key in out:
+                out[key] += members
+            else:
+                out[key] = list(members)
+    return list(out.items())
+
+
 def intersection_lattice(arr):
     """All flats, found by walking up the covers from the ambient space.
 
@@ -258,10 +286,20 @@ def intersection_lattice(arr):
     restriction of the arrangement to X (Orlik-Terao, Arrangements of
     Hyperplanes, 1992): the hyperplanes outside X whose traces on X are
     proportional cut out the same cover, whose index set, X's plus that
-    class, is already closed.  So there is one integer kernel per flat.
-    Traces are taken on integer vectors spanning X, kept in the walk's
-    queue only, which scale every trace by the same diagonal matrix and so
-    keep proportional traces proportional; no Fraction is made.
+    class, is already closed, since a hyperplane through the cover Y
+    meets X in Y and so has a trace on X proportional to the class's.
+    The walk keeps one primitive integer trace per class, in coordinates
+    of some integer basis of X; the ambient space's traces are the
+    normals.  If Y is reached through the class with trace p, and m is
+    the index of p's first nonzero entry, the vectors p_m e_j - p_j e_m
+    (j != m) are a basis of ker p, which is Y; on it a trace t on X
+    becomes [p_m t_j - p_j t_m for j != m], one 2x2 determinant per
+    entry, and codim Y = codim X + 1.  Traces proportional on X are
+    restrictions of proportional forms and stay proportional on every
+    cover, so classes only merge and one trace per class is enough.  A
+    cover's traces are worked out when the walk reaches it, from its
+    parent's classes and p: no kernel, no dot product in the ambient
+    space and no Fraction is made.
 
     P(X/Y) is the disjoint union of the projectivized complements of the
     intervals [Z, Y], X <= Z < Y, so chi(X, Y) = codim Y - codim X - (sum
@@ -277,20 +315,22 @@ def intersection_lattice(arr):
     ambient = _trusted(Flat, indices=frozenset(), codim=0)
     flats = {ambient.indices: ambient}
     lower = {}
-    queue = [(ambient, integer_kernel([], arr.n)[0])]
-    for x, span in queue:
-        classes = {}
-        for i in range(arr.r):
-            if i not in x.indices:
-                trace = [sum(map(mul, arr.normals[i], w)) for w in span]
-                classes.setdefault(primitive_key(trace), set(x.indices)).add(i)
-        for indices in map(frozenset, classes.values()):
+    # a queued flat comes with its parent's classes and the trace p of the
+    # class it was reached by; its own classes are worked out when popped
+    queue = deque([(ambient, [(v, [i]) for i, v in enumerate(arr.normals)], None)])
+    while queue:
+        x, parent, p = queue.popleft()
+        classes = parent if p is None else _restrict(parent, p)
+        for trace, members in classes:
+            # X's set grown in ascending order, which fixes the frozenset's
+            # iteration order
+            indices = set(x.indices)
+            indices.update(sorted(members))
+            indices = frozenset(indices)
             lower.setdefault(indices, []).append(x.indices)
             if indices not in flats:
-                vectors = integer_kernel([arr.normals[i] for i in sorted(indices)], arr.n)[0]
-                flats[indices] = _trusted(Flat, indices=indices, codim=arr.n - len(vectors))
-                queue.append((flats[indices], vectors))
-    del queue
+                flats[indices] = _trusted(Flat, indices=indices, codim=x.codim + 1)
+                queue.append((flats[indices], classes, trace))
     ordered = sorted(flats.values(), key=Flat.key)
     pos = {f.indices: k for k, f in enumerate(ordered)}
     codim = [f.codim for f in ordered]

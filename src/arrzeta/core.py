@@ -13,8 +13,10 @@ denominator 1, and nothing is truncated to fit.  Matrices are immutable and
 row major.  Ranks and kernels are computed over the integers by
 fraction-free elimination (integer_kernel), which picks the first nonzero
 entry in column order as pivot, so ranks, kernels and everything derived
-from them are deterministic.  The intersection lattice is built on these
-integer kernels without making a Fraction.
+from them are deterministic.  The intersection lattice needs no kernel:
+its walk takes each flat's integer traces from its parent's by 2x2
+determinants (arrangement.intersection_lattice), without making a
+Fraction.
 """
 
 from fractions import Fraction
@@ -158,11 +160,14 @@ def primitive_key(v):
     proportional vectors.  A vector that is already so comes back as a
     tuple, undivided."""
     g = gcd(*v)
-    if next(e for e in v if e) < 0:
+    for e in v:
+        if e:
+            break
+    if e < 0:
         g = -g
     if g == 1:
         return tuple(v)
-    return tuple(e // g for e in v)
+    return tuple([e // g for e in v])
 
 
 def primitive_normal(v):

@@ -2,6 +2,7 @@
 and the number of intersection lattices each top-level call builds."""
 
 import ast
+import random
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import arrzeta
 import arrzeta.arrangement
 import arrzeta.cli
-from arrzeta.core import integer_kernel, poly_eval, primitive_normal
+from arrzeta.core import poly_eval, primitive_normal
 from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, QMatrix,
                      adapted_vector, candidate_poles, char_poly,
                      complement_euler, dense_edges, global_zeta,
@@ -25,7 +26,7 @@ from arrzeta.examples import veys_broots
 
 from conftest import (boolean2, braid, brute_force_lattice, closure, flat_basis,
                       fraction_kernel, interval_arrangement, long_division,
-                      ninefold, random_central_c3, random_lines,
+                      ninefold, poly, random_central_c3, random_lines,
                       restriction_arrangement, stratum_euler, threelines,
                       threelines_factored, type_b, veys, xy_in_c3, xyz)
 
@@ -60,8 +61,12 @@ over_corpus = pytest.mark.parametrize("arr", [a for _, a in CORPUS],
 
 # braid A4 and B4 (306 and 813 pairs X < Y) check rank-4 lattices larger
 # than any hypothesis draw of test_integer_lattice_matches_rational_oracle
-@pytest.mark.parametrize("arr", [a for _, a in CORPUS] + [braid(5), type_b(4)],
-                         ids=[name for name, _ in CORPUS] + ["braid-A4", "B4"])
+over_corpus_and_rank_4 = pytest.mark.parametrize(
+    "arr", [a for _, a in CORPUS] + [braid(5), type_b(4)],
+    ids=[name for name, _ in CORPUS] + ["braid-A4", "B4"])
+
+
+@over_corpus_and_rank_4
 def test_interval_euler_matches_interval_arrangement(arr):
     lat = intersection_lattice(arr)
     for x in lat.flats:
@@ -132,17 +137,76 @@ def test_lattice_is_the_closure_of_every_subset(arr):
     assert {f.indices: f.codim for f in lat.flats} == oracle
 
 
-@over_corpus
-def test_one_kernel_basis_per_flat(monkeypatch, arr):
-    calls = []
+@over_corpus_and_rank_4
+def test_lattice_computes_no_kernel(monkeypatch, arr):
+    # every cover's traces come from its parent's: no flat takes a kernel
+    def refused(rows, cols):
+        raise AssertionError("integer_kernel called by the lattice walk")
 
-    def counted(rows, cols):
-        calls.append(rows)
-        return integer_kernel(rows, cols)
+    monkeypatch.setattr(arrzeta.arrangement, "integer_kernel", refused)
+    assert intersection_lattice(arr).minimal_flat().indices == frozenset(range(arr.r))
 
-    monkeypatch.setattr(arrzeta.arrangement, "integer_kernel", counted)
+
+@pytest.mark.parametrize("n, size", [(3, 5), (4, 15), (5, 52), (6, 203), (7, 877)])
+def test_braid_char_poly_closed_form(n, size):
+    # the braid arrangement in C^n: prod over k < n of (t - k), and the
+    # Bell number of flats (set partitions of n)
+    want = poly({1: 1})
+    for k in range(1, n):
+        want = want * poly({1: 1, 0: -k})
+    arr = braid(n)
+    assert char_poly(arr) == want
+    assert len(arr.lattice) == size
+
+
+@pytest.mark.parametrize("n, size", [(2, 6), (3, 24), (4, 116), (5, 648)])
+def test_type_b_char_poly_closed_form(n, size):
+    # B_n: prod over k = 1..n of (t - 2k + 1), the exponents 1, 3, ..., 2n - 1
+    want = poly({0: 1})
+    for k in range(1, n + 1):
+        want = want * poly({1: 1, 0: 1 - 2 * k})
+    arr = type_b(n)
+    assert char_poly(arr) == want
+    assert len(arr.lattice) == size
+
+
+def growth_arrangement(seed):
+    """8 or 9 hyperplanes in C^4 or C^5 with integer entries in [-40, 40],
+    some of them the sum or difference of two earlier ones, so that traces
+    merge on the walk's flats while each rank step's 2x2 determinants
+    grow their entries."""
+    rng = random.Random(seed)
+    n, r = 4 + seed % 2, rng.randint(8, 9)
+    forms = {}
+    while len(forms) < r:
+        if len(forms) >= n and rng.random() < 0.4:
+            u, v = rng.sample(list(forms.values()), 2)
+            sign = rng.choice((1, -1))
+            w = tuple(a + sign * b for a, b in zip(u, v))
+        else:
+            w = tuple(rng.randint(-40, 40) for _ in range(n))
+        if any(w) and max(map(abs, w)) <= 40:
+            forms.setdefault(primitive_normal(w), w)
+    return Arrangement(n, list(forms.values()))
+
+
+GROWTH = [growth_arrangement(seed) for seed in range(3000, 3012)]
+
+
+@pytest.mark.parametrize("arr", GROWTH, ids=["growth-%d" % k for k in range(len(GROWTH))])
+def test_lattice_with_large_entries_matches_brute_force(arr):
+    flats, table = brute_force_lattice(arr)
     lat = intersection_lattice(arr)
-    assert len(calls) == len(lat)
+    assert {f.indices: f.codim for f in lat.flats} == flats
+    assert lat.mobius == tuple(table[frozenset()][f.indices] for f in lat.flats)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_growth_cases_merge_classes(n):
+    # a proper flat with more hyperplanes than its codimension is reached
+    # through a class of two or more proportional traces
+    assert any(len(f.indices) > f.codim
+               for arr in GROWTH if arr.n == n for f in intersection_lattice(arr).flats[:-1])
 
 
 @st.composite
