@@ -29,8 +29,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 
-from .core import (MultiPoly, _trusted, as_int, integer_kernel, primitive_key,
-                   primitive_normal, rational, dot)
+from .core import MultiPoly, _trusted, as_int, primitive_key, primitive_normal, rational, dot
 
 
 class ArrangementError(ValueError):
@@ -122,7 +121,7 @@ class Arrangement:
         self.factors = factors
         self.name = name
 
-    @property
+    @cached_property
     def central(self):
         return all(c == 0 for c in self.consts)
 
@@ -387,9 +386,10 @@ def proj_complement_euler(arr):
 
 
 def is_essential(arr):
-    """The normals span the dual space: their integer kernel is zero."""
+    """The normals span the dual space: the minimal flat, whose
+    codimension is the rank, is the origin."""
     _require_central(arr, "is_essential")
-    return not integer_kernel(arr.normals, arr.n)[0]
+    return arr.lattice.minimal_flat().codim == arr.n
 
 
 def is_indecomposable(arr):

@@ -21,7 +21,7 @@ from math import lcm
 from operator import mul
 
 from .core import AffineForm, as_int, integer_kernel, rational
-from .arrangement import ArrangementError, dense_edges
+from .arrangement import ArrangementError, dense_edges, is_essential, is_indecomposable
 from .zeta import (candidate_poles, local_zeta, multivariate_global_zeta,
                    multivariate_local_zeta, poles)
 
@@ -114,10 +114,9 @@ def _require_verdict_input(arr, what, nd=False):
         raise ArrangementError("%s needs a central arrangement" % what)
     if arr.r == 0:
         raise ArrangementError("%s needs at least one hyperplane" % what)
-    vmin = arr.lattice.minimal_flat()
-    if vmin.codim != arr.n:
+    if not is_essential(arr):
         raise ArrangementError("%s needs an essential arrangement" % what)
-    if not arr.lattice.is_dense(vmin):
+    if not is_indecomposable(arr):
         raise ArrangementError("%s needs an indecomposable arrangement" % what)
     if nd and arr.n < 2 and arr.r <= arr.n:
         raise ArrangementError("%s needs n >= 2 or more hyperplanes than n" % what)

@@ -24,11 +24,12 @@ ambient space, the local zeta at a generic point of the flat: by the flag
 recursion at a dense flat, and as the product of its components' sums at
 any other.  No flag is enumerated.  It runs on integers alone and by
 lattice position: the lattice records the dense edges' positions and each
-other flat's split into two once, and each such sum is integer
-coefficients over one common denominator, kept in a list indexed by the
-flat's position; no flat is hashed.  A denominator is a monomial in the
-sorted distinct pole forms packed into one int, unpacked into a sorted
-tuple of form ranks only at the minimal flat.
+other flat's split into two once, and each such sum, kept in a list
+indexed by the flat's position, has integer coefficients over monomials
+in the dense edges' unscaled pole forms, each packed into one int; no
+flat is hashed and none keeps a denominator.  Only at the minimal flat is
+each monomial unpacked into a sorted tuple of canonical form ranks and
+the forms' scales divided out, over one least common q.
 
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a reduced numerator / denominator
@@ -61,7 +62,7 @@ caught.  The numerator is unpacked into a MultiPoly once, at the end.
 """
 
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from math import comb, gcd, lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_form, _trusted, as_int, div_linear,
@@ -547,7 +548,7 @@ def _flag_sum(arr, multi):
     ambient space.  A dense X has the canonical pole form and scale L_X,
     s_X of _pole_forms, and
 
-        D(X) = (1/s_X) sum of interval_euler(Y, X) * (D(Y) with L_X added)
+        D(X) = sum of interval_euler(Y, X) * D(Y) / (s_X L_X)
 
     over the flats Y < X with a nonzero interval_euler, read by lattice
     position from IntersectionLattice.euler.  Any other proper X is the
@@ -566,71 +567,67 @@ def _flag_sum(arr, multi):
     but one, G, and the answer is D(minimal flat).
 
     The flats are visited in lattice order and D is a list indexed by
-    position, so every D(Y) and D(G) is ready when X needs it.  D(X) is
-    kept as integer coefficients N_X over one denominator q_X: at a dense X
-    q_X is s_X times the lcm of the q_Y and each N_Y is scaled by
-    e q / q_Y; in a product q_X = q_Y q_G; then the gcd of q_X and the
-    coefficients is divided out.  Where the q are 1 no lcm, scaling or gcd
-    is computed.  A denominator is a monomial in the sorted
-    distinct pole forms, packed like an exponent vector into one int with
-    core.packed_width(rank) bits per form (a term of D(X) has at most
-    codim X factors, so no multiplicity exceeds the rank): adding L_X adds
-    one int, and a product of monomials is a sum.  The keys of D(minimal
-    flat) are unpacked once into sorted tuples of form ranks (_ranks),
-    which sort as the denominators do.
+    position, so every D(Y) and D(G) is ready when X needs it.  D(X) has
+    integer coefficients over monomials in the unscaled forms s_X L_X,
+    one slot per distinct (row, scale) pair in sorted order, packed like
+    an exponent vector into one int with core.packed_width(rank) bits per
+    slot (a term of D(X) has at most codim X factors): adding s_X L_X adds
+    one int and a product of monomials is a sum, so no flat keeps a
+    denominator.  At the minimal flat each key is read from its highest
+    slot down into the sorted tuple of its form ranks and the product p of
+    its scales, and c / p is added to that tuple's entry over q, the lcm
+    of the p so far, the entries made being multiplied up as q grows.
+    Dividing out the gcd of q and the coefficients leaves the one integer
+    shape of these rational entries with the least q, however the terms
+    were grouped.  Zero entries are left to ZetaFunction._quotient.
     """
     lattice = arr.lattice
     found = _pole_forms(arr, lattice, multi)
     rows = sorted({row for row, _ in found})
+    slots = sorted(set(found))
     width = packed_width(lattice.minimal_flat().codim)
-    step = {row: 1 << width * i for i, row in enumerate(rows)}
-    dense = {k: (step[row], scale) for k, (row, scale) in zip(lattice.dense, found)}
-    sums = [(1, {0: 1})]
+    step = {slot: 1 << width * i for i, slot in enumerate(slots)}
+    unit = {k: step[slot] for k, slot in zip(lattice.dense, found)}
+    sums = [{0: 1}]
     for k, below in enumerate(lattice.euler[1:], 1):
         out = {}
-        if k in dense:
-            unit, scale = dense[k]
-            # pairwise: lcm(*...) over argument tuples of every length kept
-            # about 0.3 MB more resident over repeated calls
-            top = reduce(lcm, {sums[y][0] for y in below})
+        if k in unit:
+            u = unit[k]
             for y, e in below.items():
-                qy, dy = sums[y]
-                if qy != top:
-                    e *= top // qy
-                for key, c in dy.items():
-                    key += unit
+                for key, c in sums[y].items():
+                    key += u
                     out[key] = out.get(key, 0) + e * c
-            q = scale * top
         else:
             y, g = lattice.splits[k]
-            (qy, dy), (qg, dg) = sums[y], sums[g]
-            for ky, cy in dy.items():
+            dg = sums[g]
+            for ky, cy in sums[y].items():
                 for kg, cg in dg.items():
                     out[ky + kg] = out.get(ky + kg, 0) + cy * cg
-            q = qy * qg
-        if q != 1:
-            g = gcd(q, *out.values())
-            q //= g
-            out = {key: c // g for key, c in out.items() if c}
-        elif 0 in out.values():
-            out = {key: c for key, c in out.items() if c}
-        sums.append((q, out))
-    q, packed = sums[-1]
-    ranked = {_ranks(key, width): c for key, c in packed.items()}
-    return rows, ranked, q
-
-
-def _ranks(key, width):
-    """The sorted tuple of form ranks of a packed denominator, read from
-    its highest slot down: each slot costs a shift and a subtraction."""
-    out = []
-    while key:
-        i = (key.bit_length() - 1) // width
-        k = key >> width * i
-        out += [i] * k
-        key -= k << width * i
-    out.reverse()
-    return tuple(out)
+        sums.append(out)
+    rank = {row: i for i, row in enumerate(rows)}
+    # (rank,) * 1 is the tuple itself, so a slot of multiplicity 1 makes no object
+    slots = [((rank[row],), scale) for row, scale in slots]
+    ranked, q = {}, 1
+    for key, c in sums[-1].items():
+        dens, p = [], 1
+        while key:
+            i = (key.bit_length() - 1) // width
+            n = key >> width * i
+            key -= n << width * i
+            r, scale = slots[i]
+            dens += r * n
+            p *= scale ** n
+        dens = tuple(reversed(dens))
+        if q % p:
+            m = p // gcd(q, p)
+            q *= m
+            for d in ranked:
+                ranked[d] *= m
+        ranked[dens] = ranked.get(dens, 0) + c * (q // p)
+    g = gcd(q, *ranked.values())
+    for dens in ranked:
+        ranked[dens] //= g
+    return rows, ranked, q // g
 
 
 def _local(arr, multi, point):

@@ -6,7 +6,8 @@ routes it does: row reduction over Q (fraction_kernel), the rational basis
 of a flat (flat_basis), the closure of an index set, the brute-force
 lattice with its Mobius table by definition and the open-stratum Euler
 characteristics read off it, long division by an affine form over Q, the
-chain-sum flag formula, the flag-sum recursion in Fractions, the geometric
+chain-sum flag formula, the flag-sum recursion in Fractions, the braid
+local zeta by a recursion over set partitions with no lattice, the geometric
 interval and restriction arrangements, the specialization of a
 multivariate zeta, the pole decision over every form of the flag sum's
 least common denominator, polytope membership, the adapted-vector
@@ -19,9 +20,10 @@ write their polynomials with poly (dict literals and sums) and form_poly.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import floor
+from math import comb, factorial, floor
 from operator import mul
 
 from arrzeta import (AffineForm, Arrangement, ArrangementError, Flat, MultiPoly,
@@ -37,7 +39,7 @@ __all__ = [
     "thirteen", "random_lines", "random_central_c3", "random_rational_point",
     "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
     "stratum_euler", "long_division", "poly", "form_poly", "Chain", "enumerate_chains",
-    "chain_terms", "fraction_flag_sum", "merged_terms", "interval_arrangement",
+    "chain_terms", "fraction_flag_sum", "braid_local_zeta", "merged_terms", "interval_arrangement",
     "restriction_arrangement", "specialize", "all_forms_denominator",
     "polytope_member", "fraction_adapted_violations",
     "brute_separating_walls", "brute_localized_walls", "nudged_path",
@@ -380,6 +382,53 @@ def fraction_flag_sum(arr, multi=False):
                 out[key] = out.get(key, 0) + e * coef
         sums[x] = {dens: coef / scale for dens, coef in out.items() if coef}
     return tuple((coef, dens) for dens, coef in sorted(sums[lattice.minimal_flat()].items()))
+
+
+def _integer_partitions(m, largest=None):
+    """The partitions of m as nonincreasing tuples of parts."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in _integer_partitions(m - part, part):
+            yield (part,) + rest
+
+
+def braid_local_zeta(m, s):
+    """The local zeta of the braid arrangement in C^m (A_(m-1), braid(m))
+    at the rational s, read off the partition lattice with no lattice
+    walk, Euler table or dense test.
+
+    The flats are the set partitions of [m]; the one with b blocks has the
+    interval above it isomorphic to the partition lattice of [b], so its
+    interval_euler up to the top is (-1)^b (b - 2)!, and its local zeta is
+    the product of its blocks' (a direct sum of smaller braids).  The top
+    is dense, with pole form C(m, 2) s + m - 1, so D(1) = 1 and
+
+        D(m) = sum over the set partitions pi != top of [m] of
+               (-1)^b (b - 2)! prod over the blocks B of D(|B|),
+               divided by C(m, 2) s + m - 1,
+
+    the set partitions grouped by their block sizes, each size pattern
+    counted by its multinomial."""
+    d = [None, Fraction(1)]
+    for k in range(2, m + 1):
+        total = 0
+        for parts in _integer_partitions(k):
+            b = len(parts)
+            if b < 2:
+                continue
+            count = factorial(k)
+            for n in parts:
+                count //= factorial(n)
+            for n in Counter(parts).values():
+                count //= factorial(n)
+            term = (-1) ** b * factorial(b - 2) * count
+            for part in parts:
+                term *= d[part]
+            total += term
+        d.append(total / (comb(k, 2) * s + k - 1))
+    return d[m]
 
 
 def merged_terms(terms):

@@ -151,6 +151,10 @@ def test_factor_validation():
                     factors=[(2, 1), (-1, 0)])
     with pytest.raises(ArrangementError):
         Arrangement(2, [(1, 0)], factors=[])
+    with pytest.raises(ArrangementError, match="factor row 2 has length 3, expected 2"):
+        Arrangement(2, [(1, 0), (0, 1)], factors=[(1, 0), (0, 1, 0)])
+    with pytest.raises(ArrangementError, match="no factorization"):
+        threelines().factor_degrees()
 
 
 def test_central_flag_and_degree():
@@ -357,6 +361,8 @@ def test_localize_central():
     assert loc.r == 1 and loc.forms == ((1, 0),)
     full = localize_at_point(tl, (0, 0))
     assert full.r == 3
+    with pytest.raises(ArrangementError, match="point length 3, ambient dimension 2"):
+        localize_at_point(tl, (0, 0, 0))
 
 
 def test_localize_keeps_factor_rows():

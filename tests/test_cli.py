@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, output text, stable JSON."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -46,6 +47,9 @@ def test_help_exits_zero(capsys):
 def test_unknown_example_rejected(capsys):
     code, _, err = run_cli(capsys, ["analyze", "--example", "nope"])
     assert code == 2
+    # argparse stops it above; the loader names the examples itself
+    with pytest.raises(ValueError, match="unknown example 'nope'; choose from boolean2"):
+        arrzeta.cli.load_arrangement(argparse.Namespace(example="nope"))
 
 
 def test_missing_input(capsys):

@@ -68,6 +68,8 @@ def test_polytope_structure():
     assert (frozenset({0, 1, 2}), 2) in pv.inequalities
     assert (frozenset({0, 3, 4}), 2) in pv.inequalities
     assert (frozenset(range(5)), 3) in pv.inequalities
+    with pytest.raises(ArrangementError, match="empty arrangement"):
+        log_canonical_polytope(Arrangement(2, []))
 
 
 def test_polytope_member_semantics():
@@ -131,6 +133,8 @@ def test_validate_adapted_preconditions():
         validate_adapted(xy_in_c3(), (F(1, 2), F(1, 2)))
     with pytest.raises(ArrangementError, match="components"):
         validate_adapted(threelines(), (F(1, 2),))
+    with pytest.raises(ArrangementError, match="at least one hyperplane"):
+        validate_adapted(Arrangement(2, []), ())
 
 
 def test_adapted_vector_golden():
@@ -357,6 +361,8 @@ def test_smc_verify_accepts_plain_lists():
     assert smc_verify(threelines(), ["-1", "-2/3"]).passed
     with pytest.raises(ValueError):
         BRootSet([])
+    with pytest.raises(ValueError, match="integers or"):
+        BRootSet.from_json({"roots": [1.5]})
 
 
 @pytest.mark.parametrize("root", [0.5, -1.0, True, False], ids=["float", "float-int",

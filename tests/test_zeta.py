@@ -26,7 +26,7 @@ from arrzeta.core import (AffineForm, MultiPoly, div_linear, integer_kernel, pac
 from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, all_forms_denominator, boolean2, boolean2_factored,
-                      braid, chain_terms, enumerate_chains, fraction_flag_sum,
+                      braid, braid_local_zeta, chain_terms, enumerate_chains, fraction_flag_sum,
                       long_division, merged_terms, ninefold, random_central_c3,
                       random_lines, random_rational_point, specialize,
                       stratum_euler, thirteen, threelines, threelines_factored,
@@ -1207,6 +1207,27 @@ def test_rank2_oracle():
         rank2_zeta(xyz())
 
 
+def test_oracles_reject_affine_and_empty_input():
+    affine = Arrangement(2, [(1, 0, 1), (0, 1, 0), (1, 1, 0)])
+    with pytest.raises(ArrangementError, match="snc oracle needs a central"):
+        snc_zeta(affine)
+    with pytest.raises(ArrangementError, match="at least one hyperplane"):
+        snc_zeta(Arrangement(2, []))
+    with pytest.raises(ArrangementError, match="rank-2 oracle needs a central"):
+        rank2_zeta(affine)
+
+
+@pytest.mark.parametrize("m", range(2, 9), ids=["A%d" % (m - 1) for m in range(2, 9)])
+def test_braid_matches_partition_lattice_oracle(m):
+    # the oracle walks no lattice; from A3 on some pole forms have a scale
+    # above 1, so the flag sum divides them out (A7 ends with q = 315)
+    z = local_zeta(braid(m))
+    for s in (F(1, 3), F(-11, 97), F(5)):
+        assert z.evaluate((s,)) == braid_local_zeta(m, s)
+    if m == 8:
+        assert lcm(*(c.denominator for c, _ in z.terms)) == 315
+
+
 # ---------------------------------------------------------------------------
 # pole confinement and evaluation cross-checks
 
@@ -1249,6 +1270,11 @@ def test_evaluate_routes_agree_multivariate():
             continue
         assert direct == summed
         hits += 1
+
+
+def test_zero_function_formats_as_zero():
+    z = ZetaFunction(1, [])
+    assert z.is_zero() and z.format_str() == "0"
 
 
 def test_evaluate_on_polar_locus_raises():

@@ -1,0 +1,133 @@
+"""Frontier digest: the flag sum's larger cases, each in a fresh process.
+
+    python3 tools/frontier.py                      # every case, library from src/
+    python3 tools/frontier.py --case A8 --case B7
+    python3 tools/frontier.py --src OTHER/src      # another checkout's library
+
+For each case a child process imports the library, builds the
+arrangement, then its lattice (Arrangement.lattice), then the flag sum
+(zeta._flag_sum) and the pole decision (zeta.ZetaFunction._merged), and
+prints one JSON line: the seconds of those three steps, the peak resident
+set size, the numbers of flats, dense edges and merged terms, and the
+sha256 of the pickled (rows, ranked, q) that the flag sum returns.  Two
+checkouts give the same digest exactly when their flag sums agree byte for
+byte.  The times are wall-clock seconds on the host that runs the script,
+so compare only runs made side by side, the two sides alternating.
+
+Case names: A_k is the braid arrangement x_i - x_j in C^(k+1) and B_n the
+root-system arrangement of type B in C^n.  "i mod k" puts hyperplane i,
+its whole multiplicity, into factor i mod k and takes the multivariate
+zeta; "/r" is one factor per hyperplane.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import pickle
+import resource
+import subprocess
+import sys
+from itertools import combinations
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def braid(k):
+    n = k + 1
+    return n, [[(m == i) - (m == j) for m in range(n)] for i, j in combinations(range(n), 2)], None
+
+
+def type_b(n):
+    forms = [[int(m == i) for m in range(n)] for i in range(n)]
+    forms += [[(m == i) + sign * (m == j) for m in range(n)]
+              for i, j in combinations(range(n), 2) for sign in (1, -1)]
+    return n, forms, None
+
+
+# (ambient dimension, forms, multiplicities or None)
+VEYS = (3, [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, -1)], [1, 1, 1, 2, 4])
+NINEFOLD = (3, [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1),
+                (1, 1, 1), (1, -1, 1), (2, 0, 1)], None)
+THIRTEEN = (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1),
+                (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, 1, 1), (1, 1, -1), (1, -1, 1),
+                (1, -1, -1)], None)
+VANDERMONDE_8 = (3, [(1, k, k * k) for k in range(1, 9)], None)
+
+# name: (arrangement as above, number of factors or None for the univariate zeta)
+CASES = {"veys": (VEYS, None)}
+CASES.update(("A%d" % k, (braid(k), None)) for k in range(3, 9))
+CASES.update(("B%d" % n, (type_b(n), None)) for n in range(3, 8))
+CASES.update({
+    "ninefold": (NINEFOLD, None),
+    "thirteen": (THIRTEEN, None),
+    "vandermonde-8": (VANDERMONDE_8, None),
+    "A5 i mod 3": (braid(5), 3),
+    "A6 i mod 2": (braid(6), 2),
+    "A7 i mod 2": (braid(7), 2),
+    "B5 i mod 2": (type_b(5), 2),
+    "B6 i mod 3": (type_b(6), 3),
+    "B3 /9": (type_b(3), 9),
+    "ninefold /9": (NINEFOLD, 9),
+    "ninefold i mod 5": (NINEFOLD, 5),
+    "thirteen i mod 3": (THIRTEEN, 3),
+})
+
+
+def arrangement(name):
+    """(the case's Arrangement, whether its zeta is multivariate)."""
+    from arrzeta.arrangement import Arrangement
+    (n, forms, mults), k = CASES[name]
+    mults = mults or [1] * len(forms)
+    factors = None if k is None else [[m * (i % k == j) for i, m in enumerate(mults)]
+                                      for j in range(k)]
+    return Arrangement(n, forms, mults, factors=factors), k is not None
+
+
+def child(name):
+    """Run one case in this process and print its JSON line."""
+    from arrzeta.zeta import ZetaFunction, _factor_rows, _flag_sum
+    arr, multi = arrangement(name)
+    t0 = perf_counter()
+    lattice = arr.lattice
+    t1 = perf_counter()
+    rows, ranked, q = _flag_sum(arr, multi)
+    t2 = perf_counter()
+    ZetaFunction._merged(len(_factor_rows(arr, multi)), rows, ranked, q)
+    t3 = perf_counter()
+    print(json.dumps({
+        "case": name,
+        "lattice_s": round(t1 - t0, 4),
+        "sum_s": round(t2 - t1, 4),
+        "poles_s": round(t3 - t2, 4),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "flats": len(lattice),
+        "dense": len(lattice.dense),
+        "terms": len(ranked),
+        "sha256": hashlib.sha256(pickle.dumps((rows, ranked, q), protocol=4)).hexdigest(),
+    }))
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--case", action="append", choices=sorted(CASES),
+                   help="a case to run (repeatable; default: every case)")
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="the directory the arrzeta package is imported from")
+    p.add_argument("--child", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.child:
+        sys.path.insert(0, args.src)
+        child(args.child)
+        return 0
+    failed = 0
+    for name in args.case or list(CASES):
+        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name,
+                               "--src", os.path.abspath(args.src)])
+        failed += done.returncode != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
