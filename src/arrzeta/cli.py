@@ -6,6 +6,12 @@ vmono-demo.  Arrangements come from a JSON file or from a built-in example
 p/q strings, hyperplane indices are 1-based, and --json output is
 byte-stable across runs.
 
+The --json bytes are those of json.dumps(data, indent=2, sort_keys=True,
+default=json_form), written by one writer (_json_text) in place of the
+stdlib's pure-Python indenting encoder;
+tests/test_cli.py::test_json_text_matches_json_dumps holds the two to the
+same bytes, and tests/test_cli_golden.py pins every command's output.
+
 Exit codes: 0 for success (and verification PASS), 1 for a verification
 FAIL, 2 for bad input.
 """
@@ -93,16 +99,81 @@ def json_form(value):
     raise TypeError("no JSON form for %r" % (value,))
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj):
+    """json.dumps(obj, indent=2, sort_keys=True, default=json_form), byte
+    for byte, built in one recursion into one list of pieces.  A str, int,
+    bool, None, list, tuple or dict is taken by its exact type, anything
+    else goes to json_form; a dict key that is not a str, or a float,
+    raises TypeError."""
+    out = []
+    _json_pieces(obj, "\n", out)
+    return "".join(out)
+
+
+def _json_pieces(value, indent, out):
+    """Append the JSON text of value to out; indent is a newline followed
+    by the indentation of the line value starts on."""
+    t = type(value)
+    if t is str:
+        out.append(_escape(value))
+    elif t is int:
+        out.append(str(value))
+    elif t is list or t is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + indent + "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _json_pieces(x, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif t is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, x in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError("JSON object keys must be str, not %r" % (key,))
+            out.append(sep + _escape(key) + ": ")
+            _json_pieces(x, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        _json_pieces(json_form(value), indent, out)
+
+
 def emit(obj, as_json):
+    """Print obj as JSON, the bytes of json.dumps(obj, indent=2,
+    sort_keys=True, default=json_form) (test_json_text_matches_json_dumps),
+    or else its text lines."""
     if as_json:
-        print(json.dumps(obj, indent=2, sort_keys=True, default=json_form))
+        print(_json_text(obj))
     else:
         for line in obj["lines"]:
             print(line)
 
 
-def zeta_json(z):
-    rep = poles(z)
+def zeta_json(z, rep=None):
+    """The --json fields of a zeta function; rep is its PoleReport, if the
+    caller has it already."""
+    if rep is None:
+        rep = poles(z)
     return {
         "variables": z.nvars,
         "terms": [{"coef": c, "denominator": dens} for c, dens in z.terms],
@@ -113,9 +184,18 @@ def zeta_json(z):
 
 
 def zeta_from_json(obj):
-    """Rebuild a ZetaFunction from its serialized terms."""
-    terms = [(rational(t["coef"]), [AffineForm(f["coeffs"], f["const"])
-                                    for f in t["denominator"]])
+    """Rebuild a ZetaFunction from its serialized terms.  Each distinct
+    denominator entry is checked as an AffineForm once; entries are told
+    apart by their repr, since 1, 1.0 and True are one dict key."""
+    forms = {}
+
+    def form(f):
+        key = repr((f["coeffs"], f["const"]))
+        if key not in forms:
+            forms[key] = AffineForm(f["coeffs"], f["const"])
+        return forms[key]
+
+    terms = [(rational(t["coef"]), [form(f) for f in t["denominator"]])
              for t in obj["terms"]]
     return ZetaFunction(obj["variables"], terms)
 
@@ -199,7 +279,7 @@ def cmd_zeta(args):
         lines.append("polar locus: %s" % ("; ".join("%s (order %d)" % (f.format_str(), k)
                                                     for f, k in rep.multivariate) or "empty"))
     # the text route prints the lines alone, so only --json builds the data
-    emit(dict(zeta_json(z), lines=lines) if args.json else {"lines": lines}, args.json)
+    emit(dict(zeta_json(z, rep), lines=lines) if args.json else {"lines": lines}, args.json)
     return 0
 
 

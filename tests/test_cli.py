@@ -5,12 +5,17 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arrzeta.cli
-from arrzeta import local_zeta, multivariate_local_zeta
-from arrzeta.cli import build_parser, json_form, run, zeta_from_json, zeta_json
+from arrzeta import (AffineForm, WallFamily, WallInstance, local_zeta,
+                     multivariate_local_zeta)
+from arrzeta.cli import _json_text, build_parser, json_form, run, zeta_from_json, zeta_json
 
 from conftest import threelines, threelines_factored, veys
 
@@ -143,6 +148,45 @@ def test_analyze_json_stable(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the --json writer against json.dumps
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028😀'),
+                          st.characters()), max_size=8)
+_NONZERO = st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any)
+_FORMS = st.builds(lambda v, c: AffineForm.canonical(v, c)[0], _NONZERO, st.integers(-9, 9))
+_WALLS = st.builds(WallInstance, st.lists(st.integers(-9, 9), max_size=4), st.fractions())
+_FAMILIES = st.builds(
+    lambda v, offsets: WallFamily([abs(e) // gcd(*v) for e in v], offsets),
+    _NONZERO, st.lists(st.fractions(0, Fraction(99, 100)), min_size=1, max_size=3))
+_LEAVES = st.one_of(
+    _TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200), st.booleans(), st.none(),
+    st.fractions(), _FORMS, _WALLS, _FAMILIES,
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=4),
+    st.lists(st.integers(), max_size=4).map(tuple))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_json_text_matches_json_dumps(value):
+    # the --json byte contract: the writer gives exactly what json.dumps
+    # gives with the options emit had before
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=json_form)
+
+
+@pytest.mark.parametrize("value", [1.5, [0, 2.0], {"a": (Fraction(1, 2), -0.0)}, {1: "a"},
+                                   {"a": {None: 1}}, {(1, 2): 3}, {True: 0}],
+                         ids=["float", "float-in-list", "float-in-dict", "int-key",
+                              "none-key", "tuple-key", "bool-key"])
+def test_json_text_rejects_floats_and_non_str_keys(value):
+    # no command emits either: no floating point touches a reported value
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+# ---------------------------------------------------------------------------
 # zeta
 
 def test_zeta_text(capsys):
@@ -169,6 +213,50 @@ def test_zeta_from_json_rejects_non_integer_forms(coeffs, const):
         {"coeffs": coeffs, "const": const}]}]}
     with pytest.raises(ValueError, match="must be an integer"):
         zeta_from_json(data)
+
+
+@pytest.mark.parametrize("coeffs, const", [([1.0], 1), ([True], 1), ([1], 1.0), ([1], True)],
+                         ids=["float", "bool", "float-const", "bool-const"])
+def test_zeta_from_json_checks_entries_equal_to_a_checked_one(coeffs, const):
+    # [1.0] and [True] equal [1] as dict keys, yet are not integer forms
+    data = {"variables": 1, "terms": [
+        {"coef": "1", "denominator": [{"coeffs": [1], "const": 1}]},
+        {"coef": "1", "denominator": [{"coeffs": [1], "const": 1},
+                                      {"coeffs": coeffs, "const": const}]}]}
+    with pytest.raises(ValueError, match="must be an integer"):
+        zeta_from_json(data)
+
+
+def test_zeta_from_json_checks_each_distinct_entry_once(monkeypatch, capsys):
+    code, out, _ = run_cli(capsys, ["zeta", "--example", "veys", "--json"])
+    data = json.loads(out)
+    entries = [(tuple(f["coeffs"]), f["const"]) for t in data["terms"] for f in t["denominator"]]
+    made = []
+
+    class Counted(AffineForm):
+        def __init__(self, coeffs, const):
+            made.append((tuple(coeffs), const))
+            super().__init__(coeffs, const)
+
+    monkeypatch.setattr(arrzeta.cli, "AffineForm", Counted)
+    assert zeta_from_json(data) == local_zeta(veys())
+    assert sorted(made) == sorted(set(entries)) and len(entries) > len(made)
+
+
+@pytest.mark.parametrize("source, flags", [(["--example", "veys"], []), (None, ["--multi"])],
+                         ids=["univariate", "multivariate"])
+def test_zeta_json_decides_poles_once(monkeypatch, capsys, factored_file, source, flags):
+    argv = ["zeta", *(source or [factored_file]), *flags, "--json"]
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return original(z)
+
+    original = arrzeta.cli.poles
+    monkeypatch.setattr(arrzeta.cli, "poles", counted)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0 and len(calls) == 1
 
 
 def test_zeta_global_matches_local(capsys):

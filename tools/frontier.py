@@ -14,6 +14,13 @@ checkouts give the same digest exactly when their flag sums agree byte for
 byte.  The times are wall-clock seconds on the host that runs the script,
 so compare only runs made side by side, the two sides alternating.
 
+A CLI case, "zeta --multi --json" and an arrangement case's name, writes
+that arrangement to a JSON file and runs `arrzeta zeta FILE --multi --json`
+through cli.run in a child process.  Its line holds the exit code, the
+seconds of the call, the child's peak resident set size, and the number
+of bytes and the sha256 of what the call printed, which is all that is
+kept of it.
+
 Case names: A_k is the braid arrangement x_i - x_j in C^(k+1) and B_n the
 root-system arrangement of type B in C^n.  "i mod k" puts hyperplane i,
 its whole multiplicity, into factor i mod k and takes the multivariate
@@ -28,6 +35,8 @@ import pickle
 import resource
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from itertools import combinations
 from time import perf_counter
 
@@ -75,14 +84,65 @@ CASES.update({
 })
 
 
-def arrangement(name):
-    """(the case's Arrangement, whether its zeta is multivariate)."""
-    from arrzeta.arrangement import Arrangement
+# name: the case whose arrangement `zeta FILE --multi --json` reads
+CLI_CASES = {"zeta --multi --json " + case: case for case in ("B3 /9", "ninefold /9")}
+
+
+def arrangement_json(name):
+    """The case's arrangement in the CLI's file format."""
     (n, forms, mults), k = CASES[name]
     mults = mults or [1] * len(forms)
     factors = None if k is None else [[m * (i % k == j) for i, m in enumerate(mults)]
                                       for j in range(k)]
-    return Arrangement(n, forms, mults, factors=factors), k is not None
+    return {"n": n, "forms": [list(f) for f in forms], "mults": mults, "factors": factors}
+
+
+def arrangement(name):
+    """(the case's Arrangement, whether its zeta is multivariate)."""
+    from arrzeta.arrangement import Arrangement
+    spec = arrangement_json(name)
+    return (Arrangement(spec["n"], spec["forms"], spec["mults"], factors=spec["factors"]),
+            spec["factors"] is not None)
+
+
+class Digest:
+    """A text stream that keeps only the byte count and sha256 of what is
+    written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.bytes = 0
+
+    def write(self, text):
+        data = text.encode()
+        self.sha256.update(data)
+        self.bytes += len(data)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def cli_child(name):
+    """Run one CLI case in this process and print its JSON line."""
+    from arrzeta.cli import run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "arrangement.json")
+        with open(path, "w") as fh:
+            json.dump(arrangement_json(CLI_CASES[name]), fh)
+        out = Digest()
+        t0 = perf_counter()
+        with redirect_stdout(out):
+            code = run(["zeta", path, "--multi", "--json"])
+        t1 = perf_counter()
+    print(json.dumps({
+        "case": name,
+        "exit": code,
+        "seconds": round(t1 - t0, 4),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "stdout_bytes": out.bytes,
+        "sha256": out.sha256.hexdigest(),
+    }))
 
 
 def child(name):
@@ -111,7 +171,7 @@ def child(name):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--case", action="append", choices=sorted(CASES),
+    p.add_argument("--case", action="append", choices=sorted(CASES) + sorted(CLI_CASES),
                    help="a case to run (repeatable; default: every case)")
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="the directory the arrzeta package is imported from")
@@ -119,10 +179,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.child:
         sys.path.insert(0, args.src)
-        child(args.child)
+        (cli_child if args.child in CLI_CASES else child)(args.child)
         return 0
     failed = 0
-    for name in args.case or list(CASES):
+    for name in args.case or [*CASES, *CLI_CASES]:
         done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name,
                                "--src", os.path.abspath(args.src)])
         failed += done.returncode != 0
