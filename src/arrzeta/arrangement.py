@@ -193,6 +193,10 @@ class IntersectionLattice:
     has an entry at 0, in lattice order, and splits maps every other
     proper flat's position k to (y, g), y the first key of row k and g the
     position of flats[k].indices - flats[y].indices (see zeta._flag_sum).
+    pole_tables starts empty; zeta fills it on first use with one
+    zeta._PoleTable per tuple of factor rows, the dense edges' pole forms
+    under that factorization, so the flag sums and candidate poles of the
+    lattice's arrangement make them once.
     """
 
     def __init__(self, flats, pos, mobius, euler):
@@ -204,6 +208,7 @@ class IntersectionLattice:
         self.splits = {k: (y, self._pos[self.flats[k].indices - self.flats[y].indices])
                        for k, below in enumerate(euler[1:], 1) if 0 not in below
                        for y in [next(iter(below))]}
+        self.pole_tables = {}
 
     def _position(self, indices):
         if indices not in self._pos:

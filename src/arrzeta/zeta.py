@@ -5,13 +5,13 @@ off the maximal wonderful model of the arrangement, whose boundary strata
 are indexed by flags of proper flats.  Each flag W_1 < ... < W_k (strictly
 increasing subspaces) contributes the product of the Euler characteristics
 of the projectivized complements of the interval arrangements along the
-flag divided by the product of the flats' pole forms ord_X . s + nu_X
-(_pole_forms); in one variable they are N_X s + nu_X, the forms of the
-one-row factorization by the multiplicities.  The local zeta sums the
-flags starting at the minimal flat.  The global one sums all flags
-weighted by the Euler characteristic of the open stratum of the first
-flat, plus the empty flag; on a central arrangement that is the local sum
-(see global_zeta).  The interval Euler characteristics are the nonzero ones
+flag divided by the product of the flats' pole forms ord_X . s + nu_X;
+in one variable they are N_X s + nu_X, the forms of the one-row
+factorization by the multiplicities.  The local zeta sums the flags
+starting at the minimal flat.  The global one sums all flags weighted by
+the Euler characteristic of the open stratum of the first flat, plus the
+empty flag; on a central arrangement that is the local sum (see
+global_zeta).  The interval Euler characteristics are the nonzero ones
 the arrangement's one intersection lattice, Arrangement.lattice, keeps for
 each flat by lattice position (IntersectionLattice.euler); no interval
 arrangement is built.
@@ -30,6 +30,13 @@ in the dense edges' unscaled pole forms, each packed into one int; no
 flat is hashed and none keeps a denominator.  Only at the minimal flat is
 each monomial unpacked into a sorted tuple of canonical form ranks and
 the forms' scales divided out, over one least common q.
+
+The dense edges' pole forms depend on the lattice and the factor rows
+alone.  They are worked out once per lattice and factor rows, as integer
+rows and packed slots (_PoleTable), and kept with the lattice
+(IntersectionLattice.pole_tables); the flag sums and candidate poles of an
+arrangement read that one table.  Nothing else is kept: every call sums
+the flags, decides the poles and builds its ZetaFunction afresh.
 
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a reduced numerator / denominator
@@ -81,21 +88,63 @@ def _factor_rows(arr, multi):
     return arr.factors
 
 
-def _pole_forms(arr, lattice, multi):
-    """[(row, scale)] parallel to lattice.dense, the dense edges' positions:
-    row is the canonical integer row (ord, codim) / scale of the flat's
-    pole form ord . s + codim, where ord sums each row of _factor_rows over
-    the flat's hyperplanes and scale is the gcd of the row.  The entries
-    are nonnegative and codim is positive, so the divided row is already
-    canonical, and rows sort as their AffineForms do."""
-    getters = [r.__getitem__ for r in _factor_rows(arr, multi)]
-    out = []
-    for k in lattice.dense:
-        f = lattice.flats[k]
-        row = [sum(map(get, f.indices)) for get in getters] + [f.codim]
-        g = gcd(*row)
-        out.append((tuple(row) if g == 1 else tuple(c // g for c in row), g))
-    return out
+class _PoleTable:
+    """The dense edges' pole forms ord . s + codim under one list of factor
+    rows, as the flag sum and the candidate poles read them, ord summing
+    each factor row over the flat's hyperplanes.  It holds lattice-derived
+    data only, so one table serves every zeta function and candidate list
+    of a lattice and those rows (_pole_table); no sum is kept.
+
+    Each dense edge's integer row (ord, codim) is scale times a canonical
+    row, scale its gcd: the entries are nonnegative and codim is positive,
+    so the divided row is already canonical, and rows sort as their
+    AffineForms do.
+
+    rows: the sorted distinct canonical rows, the forms of every flag sum.
+    width: the bits of one packed slot, core.packed_width of the rank.
+    unit: {position of a dense edge: 1 << width * i}, i the edge's slot,
+        one slot per distinct (row, scale) pair in sorted order.
+    slots: ((rank of the slot's row in rows,), scale) by slot.
+    forms, roots: the candidate poles' forms and, in one variable, their
+        roots sorted descending, made on first read (candidate_poles).
+    """
+
+    def __init__(self, lattice, factor_rows):
+        getters = [r.__getitem__ for r in factor_rows]
+        found = []
+        for k in lattice.dense:
+            f = lattice.flats[k]
+            row = [sum(map(get, f.indices)) for get in getters] + [f.codim]
+            g = gcd(*row)
+            found.append((tuple(row) if g == 1 else tuple(c // g for c in row), g))
+        self.rows = tuple(sorted({row for row, _ in found}))
+        slots = sorted(set(found))
+        self.width = packed_width(lattice.minimal_flat().codim)
+        step = {slot: 1 << self.width * i for i, slot in enumerate(slots)}
+        self.unit = {k: step[slot] for k, slot in zip(lattice.dense, found)}
+        rank = {row: i for i, row in enumerate(self.rows)}
+        # (rank,) * 1 is the tuple itself, so a slot of multiplicity 1 makes no object
+        self.slots = [((rank[row],), scale) for row, scale in slots]
+
+    @cached_property
+    def forms(self):
+        return [_form(row) for row in self.rows]
+
+    @cached_property
+    def roots(self):
+        return sorted((form.root() for form in self.forms), reverse=True)
+
+
+def _pole_table(arr, lattice, multi):
+    """The _PoleTable of lattice, arr's, under _factor_rows(arr, multi):
+    made on first use and kept in lattice.pole_tables, keyed by those rows,
+    so a one-row factorization by the multiplicities shares the univariate
+    table."""
+    factor_rows = _factor_rows(arr, multi)
+    table = lattice.pole_tables.get(factor_rows)
+    if table is None:
+        table = lattice.pole_tables[factor_rows] = _PoleTable(lattice, factor_rows)
+    return table
 
 
 def _form(row):
@@ -109,13 +158,12 @@ def candidate_poles(arr, multi=False, lattice=None):
 
     Univariate: their roots -nu/N, sorted descending.  Multivariate: the
     forms ord . s + nu, canonical and sorted; requires a factorization.
-    lattice as for dense_edges.
+    lattice as for dense_edges.  Both are read off the lattice's pole
+    table (_pole_table), made once per lattice and factor rows; each call
+    returns a new list.
     """
-    rows = {row for row, _ in _pole_forms(arr, lattice or arr.lattice, multi)}
-    forms = [_form(row) for row in sorted(rows)]
-    if multi:
-        return forms
-    return sorted((form.root() for form in forms), reverse=True)
+    table = _pole_table(arr, lattice or arr.lattice, multi)
+    return list(table.forms if multi else table.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +185,28 @@ class ZetaFunction:
 
     def __init__(self, nvars, terms):
         self.nvars = as_int(nvars, "the number of variables")
-        given = []
+        # each distinct factor object is checked once and numbered by its id;
+        # seen keeps the objects alive, so no id is reused while this runs
+        number, seen, given = {}, [], []
         for coef, dens in terms:
             key = []
             for f in dens:
-                if not isinstance(f, AffineForm) or f.nvars != self.nvars:
-                    raise ValueError("denominator factor %r does not match %d variables"
-                                     % (f, self.nvars))
-                key.append(f.coeffs + (f.const,))
+                i = number.get(id(f))
+                if i is None:
+                    if not isinstance(f, AffineForm) or f.nvars != self.nvars:
+                        raise ValueError("denominator factor %r does not match %d variables"
+                                         % (f, self.nvars))
+                    i = number[id(f)] = len(seen)
+                    seen.append((f.coeffs + (f.const,), f))
+                key.append(i)
             given.append((rational(coef), key))
-        rows = sorted({row for _, key in given for row in key})
+        rows = sorted({row for row, _ in seen})
         rank = {row: i for i, row in enumerate(rows)}
+        rank_of = [rank[row] for row, _ in seen]
         q = lcm(*(coef.denominator for coef, _ in given))
         ranked = {}
         for coef, key in given:
-            key = tuple(sorted(rank[row] for row in key))
+            key = tuple(sorted(map(rank_of.__getitem__, key)))
             ranked[key] = ranked.get(key, 0) + coef.numerator * (q // coef.denominator)
         self._quotient(rows, ranked, q)
 
@@ -546,7 +601,7 @@ def _flag_sum(arr, multi):
     D(X), the sum over the flags from X up to the ambient space, is the
     local zeta at a generic point of X, and 1 with no denominator at the
     ambient space.  A dense X has the canonical pole form and scale L_X,
-    s_X of _pole_forms, and
+    s_X of its row in the lattice's _PoleTable (_pole_table), and
 
         D(X) = sum of interval_euler(Y, X) * D(Y) / (s_X L_X)
 
@@ -572,8 +627,10 @@ def _flag_sum(arr, multi):
     one slot per distinct (row, scale) pair in sorted order, packed like
     an exponent vector into one int with core.packed_width(rank) bits per
     slot (a term of D(X) has at most codim X factors): adding s_X L_X adds
-    one int and a product of monomials is a sum, so no flat keeps a
-    denominator.  At the minimal flat each key is read from its highest
+    one int, the table's unit of X, and a product of monomials is a sum,
+    so no flat keeps a denominator.  The slots, units and rows come from
+    the table, made on the lattice's first sum under these factor rows;
+    the sums themselves are made on every call.  At the minimal flat each key is read from its highest
     slot down into the sorted tuple of its form ranks and the product p of
     its scales, and c / p is added to that tuple's entry over q, the lcm
     of the p so far, the entries made being multiplied up as q grows.
@@ -582,12 +639,8 @@ def _flag_sum(arr, multi):
     were grouped.  Zero entries are left to ZetaFunction._quotient.
     """
     lattice = arr.lattice
-    found = _pole_forms(arr, lattice, multi)
-    rows = sorted({row for row, _ in found})
-    slots = sorted(set(found))
-    width = packed_width(lattice.minimal_flat().codim)
-    step = {slot: 1 << width * i for i, slot in enumerate(slots)}
-    unit = {k: step[slot] for k, slot in zip(lattice.dense, found)}
+    table = _pole_table(arr, lattice, multi)
+    unit, width = table.unit, table.width
     sums = [{0: 1}]
     for k, below in enumerate(lattice.euler[1:], 1):
         out = {}
@@ -604,9 +657,7 @@ def _flag_sum(arr, multi):
                 for kg, cg in dg.items():
                     out[ky + kg] = out.get(ky + kg, 0) + cy * cg
         sums.append(out)
-    rank = {row: i for i, row in enumerate(rows)}
-    # (rank,) * 1 is the tuple itself, so a slot of multiplicity 1 makes no object
-    slots = [((rank[row],), scale) for row, scale in slots]
+    slots = table.slots
     ranked, q = {}, 1
     for key, c in sums[-1].items():
         dens, p = [], 1
@@ -627,7 +678,7 @@ def _flag_sum(arr, multi):
     g = gcd(q, *ranked.values())
     for dens in ranked:
         ranked[dens] //= g
-    return rows, ranked, q // g
+    return list(table.rows), ranked, q // g
 
 
 def _local(arr, multi, point):

@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrzeta import (Arrangement, ArrangementError, Flat, candidate_poles,
-                     dense_edges, global_zeta, intersection_lattice, local_zeta,
+                     dense_edges, global_zeta, intersection_lattice, lct, local_zeta,
                      multi_nd_check, multi_smc_verify, multivariate_global_zeta,
                      multivariate_local_zeta, nd_check, poles, rank2_zeta,
                      smc_verify, snc_zeta)
 from arrzeta.cli import json_form, run, zeta_from_json, zeta_json
 import arrzeta.zeta
+from arrzeta.examples import veys_broots
 from arrzeta.core import (AffineForm, MultiPoly, div_linear, integer_kernel, packed_width,
                           primitive_normal)
 from arrzeta.zeta import ZetaFunction
@@ -159,6 +160,28 @@ def test_zeta_container_rejects_non_forms():
     for dens in ((f, 3), (3, f)):
         with pytest.raises(ValueError, match="does not match"):
             ZetaFunction(1, [(1, dens)])
+
+
+@pytest.mark.parametrize("bad", [3, "s+1", _af((1, 1), 1)], ids=["int", "str", "two-variables"])
+def test_zeta_container_checks_factors_of_later_terms(bad):
+    # each distinct factor is checked once, the first time it is met, so a
+    # bad one after many good repeats still raises
+    f = _af((1,), 1)
+    terms = [(1, (f, f))] * 50 + [(1, (f, bad))]
+    with pytest.raises(ValueError, match="does not match"):
+        ZetaFunction(1, terms)
+
+
+def test_zeta_container_reads_fresh_factor_objects():
+    # factors are told apart by object, and a generator that makes a new
+    # form for every term, each free to die after its term, still gives
+    # each its own row
+    forms = [_af((1,), k) for k in range(1, 40)] + [_af((2,), 2 * k + 1) for k in range(40)]
+    expected = ZetaFunction(1, [(k + 1, (f, f)) for k, f in enumerate(forms)])
+    fresh = ZetaFunction(1, ((k + 1, (_af(f.coeffs, f.const),) * 2)
+                             for k, f in enumerate(forms)))
+    assert fresh.terms == expected.terms
+    assert fresh == expected
 
 
 def test_zeta_equality():
@@ -985,12 +1008,89 @@ def test_flag_sum_decides_exactly_the_candidate_forms(monkeypatch, arr):
     z = (multivariate_local_zeta if multi else local_zeta)(arr)
     [(rows, used)] = seen
     assert used == set(rows)
+    # the pole table is kept with the lattice, but each zeta call still sums
+    # and decides: one _denominator call per call, none memoized
+    again = (multivariate_local_zeta if multi else local_zeta)(arr)
+    assert again is not z and again == z
+    assert seen == [(rows, used), (rows, used)]
     forms = [_af(row[:-1], row[-1]) for row in rows]
     assert set(forms) == {f for _, dens in z.terms for f in dens}
     if multi:
         assert forms == candidate_poles(arr, multi=True)
     else:
         assert sorted((f.root() for f in forms), reverse=True) == candidate_poles(arr)
+
+
+def _count_pole_tables(monkeypatch):
+    """The factor rows of every zeta._PoleTable built from now on."""
+    built = []
+    real = arrzeta.zeta._PoleTable
+
+    def counting(lattice, factor_rows):
+        built.append(factor_rows)
+        return real(lattice, factor_rows)
+
+    monkeypatch.setattr(arrzeta.zeta, "_PoleTable", counting)
+    return built
+
+
+def test_pole_table_built_once_per_lattice_and_factor_rows(monkeypatch):
+    built = _count_pole_tables(monkeypatch)
+    arr = veys()
+    z = local_zeta(arr)
+    global_zeta(arr)
+    cands = candidate_poles(arr)
+    lct(arr)
+    nd_check(arr)
+    smc_verify(arr, veys_broots())
+    assert built == [(arr.mults,)]
+    assert local_zeta(arr) == z and candidate_poles(arr) == cands
+    # the multivariate routes of a factored arrangement build its one table
+    factored = _mod_factors(ninefold(), 3)
+    mz = multivariate_local_zeta(factored)
+    multivariate_global_zeta(factored)
+    forms = candidate_poles(factored, multi=True)
+    multi_nd_check(factored)
+    multi_smc_verify(factored, forms)
+    assert built == [(arr.mults,), factored.factors]
+    assert list(factored.lattice.pole_tables) == [factored.factors]
+    assert multivariate_local_zeta(factored) == mz
+    # a lattice passed in gets a table of its own, with the same candidates
+    lattice = intersection_lattice(arr)
+    assert candidate_poles(arr, lattice=lattice) == cands
+    assert built == [(arr.mults,), factored.factors, (arr.mults,)]
+    assert list(lattice.pole_tables) == [(arr.mults,)]
+
+
+def test_one_row_factorization_shares_the_univariate_table(monkeypatch):
+    built = _count_pole_tables(monkeypatch)
+    arr = _mod_factors(veys(), 1)
+    assert arr.factors == (arr.mults,)
+    z = local_zeta(arr)
+    mz = multivariate_local_zeta(arr)
+    assert built == [(arr.mults,)]
+    assert [(f.root(), k) for f, k in mz.denominator_factors()] == \
+        [(f.root(), k) for f, k in z.denominator_factors()]
+    assert sorted((form.root() for form in candidate_poles(arr, multi=True)),
+                  reverse=True) == candidate_poles(arr)
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["univariate", "multivariate"])
+def test_candidate_poles_returns_a_new_list(multi):
+    # a caller that changes a result changes neither the lattice's pole
+    # table nor any later candidate list, lct, flag sum or zeta
+    arr = _mod_factors(veys(), 2)
+    zeta = multivariate_local_zeta if multi else local_zeta
+    expected, threshold, terms = candidate_poles(arr, multi=multi), lct(arr), zeta(arr).terms
+    got = candidate_poles(arr, multi=multi)
+    assert got == expected and got is not expected
+    got.append(got[0])
+    got.sort()
+    got.clear()
+    arrzeta.zeta._flag_sum(arr, multi)[0].clear()
+    assert candidate_poles(arr, multi=multi) == expected
+    assert lct(arr) == threshold
+    assert zeta(arr).terms == terms
 
 
 @pytest.mark.parametrize("arr", [_mod_factors(braid(5), 2), _mod_factors(braid(6), 3)],

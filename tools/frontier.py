@@ -11,8 +11,7 @@ prints one JSON line: the seconds of those three steps, the peak resident
 set size, the numbers of flats, dense edges and merged terms, and the
 sha256 of the pickled (rows, ranked, q) that the flag sum returns.  Two
 checkouts give the same digest exactly when their flag sums agree byte for
-byte.  The times are wall-clock seconds on the host that runs the script,
-so compare only runs made side by side, the two sides alternating.
+byte.
 
 A CLI case, "zeta --multi --json" and an arrangement case's name, writes
 that arrangement to a JSON file and runs `arrzeta zeta FILE --multi --json`
@@ -20,6 +19,16 @@ through cli.run in a child process.  Its line holds the exit code, the
 seconds of the call, the child's peak resident set size, and the number
 of bytes and the sha256 of what the call printed, which is all that is
 kept of it.
+
+Every time comes twice: plain wall-clock seconds ("lattice_s",
+"seconds") and seconds at the benchmark's reference speed ("lattice_ref_s",
+"ref_seconds").  Around its timed steps the child runs the SpeedSampler of
+perfbench/speed.py, imported from this script's checkout and not changed:
+every 25 ms it times a fixed calibration loop.  Those loops are left out of
+both figures, and their speed during a step scales the step to the time it
+would take on a core that runs the loop in speed.REF_S seconds.  The cores
+of a shared host change speed, which the reference seconds take out; still
+compare runs made side by side, the two sides alternating.
 
 Case names: A_k is the braid arrangement x_i - x_j in C^(k+1) and B_n the
 root-system arrangement of type B in C^n.  "i mod k" puts hyperplane i,
@@ -123,6 +132,22 @@ class Digest:
         pass
 
 
+def start_sampler():
+    """A started SpeedSampler of perfbench/speed.py, imported from this
+    script's checkout as perfbench/run.py imports it."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from speed import SpeedSampler
+    sampler = SpeedSampler()
+    sampler.start()
+    return sampler
+
+
+def scaled(sampler, start, end):
+    """(plain seconds, seconds at reference speed) of the span [start, end),
+    both without the calibration loops run inside it."""
+    return tuple(round(x, 4) for x in sampler.scale(start, end))
+
+
 def cli_child(name):
     """Run one CLI case in this process and print its JSON line."""
     from arrzeta.cli import run
@@ -131,14 +156,18 @@ def cli_child(name):
         with open(path, "w") as fh:
             json.dump(arrangement_json(CLI_CASES[name]), fh)
         out = Digest()
+        sampler = start_sampler()
         t0 = perf_counter()
         with redirect_stdout(out):
             code = run(["zeta", path, "--multi", "--json"])
         t1 = perf_counter()
+        sampler.stop()
+    plain, ref = scaled(sampler, t0, t1)
     print(json.dumps({
         "case": name,
         "exit": code,
-        "seconds": round(t1 - t0, 4),
+        "seconds": plain,
+        "ref_seconds": ref,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "stdout_bytes": out.bytes,
         "sha256": out.sha256.hexdigest(),
@@ -149,6 +178,7 @@ def child(name):
     """Run one case in this process and print its JSON line."""
     from arrzeta.zeta import ZetaFunction, _factor_rows, _flag_sum
     arr, multi = arrangement(name)
+    sampler = start_sampler()
     t0 = perf_counter()
     lattice = arr.lattice
     t1 = perf_counter()
@@ -156,11 +186,13 @@ def child(name):
     t2 = perf_counter()
     ZetaFunction._merged(len(_factor_rows(arr, multi)), rows, ranked, q)
     t3 = perf_counter()
+    sampler.stop()
+    times = {}
+    for step, start, end in (("lattice", t0, t1), ("sum", t1, t2), ("poles", t2, t3)):
+        times[step + "_s"], times[step + "_ref_s"] = scaled(sampler, start, end)
     print(json.dumps({
         "case": name,
-        "lattice_s": round(t1 - t0, 4),
-        "sum_s": round(t2 - t1, 4),
-        "poles_s": round(t3 - t2, 4),
+        **times,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "flats": len(lattice),
         "dense": len(lattice.dense),
