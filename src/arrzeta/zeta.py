@@ -51,13 +51,18 @@ The poles are decided without the numerator (_denominator), one form f of
 the least common denominator (LCD) at a time, on f's hyperplane; every
 form of the sum is decided.  A form's order is the largest j up to its LCD
 power e whose Laurent coefficient A_j along f is not zero.  A_e is the sum
-on f = 0 of the terms that carry f^e; read at one point modulo a prime, a
-nonzero value proves order e, which settles most forms.  Otherwise A_e,
-A_(e-1), ... are built exactly as sums in one variable fewer (_laurent)
-and tested for zero: such a sum is zero exactly when its constant part is
-zero and none of its forms is a pole, decided the same way one dimension
-lower.  With no variables left every sum is one rational number, so one
-variable takes the same route.  The verdicts read only the poles.
+on f = 0 of the terms that carry f^e.  In one variable f = 0 is one point,
+f's root, where every other form is a nonzero rational, so A_e is summed
+there exactly, on integers: a nonzero sum proves order e, and a zero one
+proves order below e, so a simple form that cancels, such as veys's -1/3,
+is ruled out at once.  In two or more variables A_e is read at one point
+modulo a prime, where only a nonzero value proves order e; that settles
+most forms.  What is left, A_e, A_(e-1), ... in two or more variables and
+A_(e-1), ... in one, is built exactly as sums in one variable fewer
+(_laurent) and tested for zero: such a sum is zero exactly when its
+constant part is zero and none of its forms is a pole, decided the same
+way one dimension lower, and with no variables left every sum is one
+rational number.  The verdicts read only the poles.
 
 The numerator is built on first read (_numerator): once, over the LCD,
 as fractions are added over their lcm, by halves (_lcd_numerator), on
@@ -329,15 +334,24 @@ def _poles(rows, ranked):
     The order of a form f of the least common denominator, of power e
     there, is the largest j <= e whose Laurent coefficient A_j along f is
     not zero, or 0.  A_e is the sum of the carriers, the terms with f^e,
-    on f = 0.  It is first read at one point of f = 0 modulo _PRIME
-    (_leading_nonzero), which settles most forms: a nonzero value proves
-    order e.  Otherwise A_e, A_(e-1), ... are built exactly in one
-    variable fewer (_laurent) and decided zero or not (_is_zero).
+    on f = 0 (_leading_nonzero).  In one variable f = 0 is one point and
+    the sum is exact: a nonzero sum proves order e, and a zero one order
+    below e, so a form of power 1 is then no pole.  In more variables it is
+    read at one point modulo _PRIME, where only a nonzero value proves
+    order e; that settles most forms.  What is left, A_e, A_(e-1), ... or
+    from A_(e-1) in one variable, is built exactly in one variable fewer
+    (_laurent) and decided zero or not (_is_zero).
     """
-    point = _point(len(rows[0]) - 1 if rows else 0)
-    at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME for row in rows]
+    nvars = len(rows[0]) - 1 if rows else 0
+    if nvars == 1:
+        prime, at = 0, [row[-1] for row in rows]
+    else:
+        prime, point = _PRIME, _point(nvars)
+        at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % prime for row in rows]
     for i, (e, having) in sorted(_by_form(ranked.items()).items()):
-        if not _leading_nonzero(rows, at, i, e, having):
+        if not _leading_nonzero(rows, at, i, e, having, prime):
+            if not prime:
+                e -= 1
             while e and _is_zero(*_laurent(rows, having, i, e)):
                 e -= 1
         if e:
@@ -354,37 +368,43 @@ def _is_zero(rows, ranked):
     return () not in ranked and next(_poles(rows, ranked), None) is None
 
 
-# a Mersenne prime, the modulus of the values read at one point
+# a Mersenne prime, the modulus of the values read at one point in two or
+# more variables; one variable is read exactly
 _PRIME = (1 << 61) - 1
 
 
 @cache
 def _point(nvars):
     """The fixed residues modulo _PRIME, one per variable, at which sums
-    are read: the powers of one odd 64-bit constant, so that forms with
-    small coefficients seldom vanish there."""
+    in two or more variables are read: the powers of one odd 64-bit
+    constant, so that forms with small coefficients seldom vanish there."""
     return tuple(pow(0x2545F4914F6CDD1D, j + 1, _PRIME) for j in range(nvars))
 
 
-def _leading_nonzero(rows, at, i, e, having):
+def _leading_nonzero(rows, at, i, e, having, prime):
     """Whether A_e, the sum on the hyperplane of f = rows[i] of the
-    carriers among the terms having f, is nonzero at one point of it
-    modulo _PRIME; at holds every form's value at _point.  The arguments
-    are _poles'.
+    carriers among the terms having f, is nonzero at one point of it: at
+    holds every form's value at a point, reduced modulo prime, or exact
+    when prime is 0.  The other arguments are _poles'.
 
     On f = 0 each carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.
     With m f's pivot, c_m h is there w_h = c_m h - h_m f, which is free of
-    s_m (as in _laurent), so every w_h is read at the whole of _point.  A
+    s_m (as in _laurent), so every w_h is read at the whole point.  A
     carrier's c / prod h^k_h is c c_m^a / prod w_h^k_h, a its number of
     factors other than f: every carrier is brought to the same power of
     c_m.  The carriers are summed as one fraction, so no inverse is taken.
-    A nonzero sum proves that A_e is not zero; a zero sum, or a w_h that
-    vanishes, proves nothing.
+
+    In one variable _poles passes the point 0 and prime 0: each w_h is the
+    integer c_m nu_h - h_m nu_f, nonzero as distinct canonical rows have
+    distinct roots, and the sum is A_e times the sum's positive scale, so
+    the answer is exact both ways.  Modulo a prime a nonzero sum proves
+    that A_e is not zero; a zero sum, or a w_h that vanishes there, proves
+    nothing.
     """
     f = rows[i]
     m = next(j for j, c in enumerate(f) if c)
     cm = f[m]
-    if not cm % _PRIME:
+    if prime and not cm % prime:
         return False
     w = {}
     num, den = 0, 1
@@ -395,12 +415,14 @@ def _leading_nonzero(rows, at, i, e, having):
         for h in dens:
             if h != i:
                 if h not in w:
-                    w[h] = (cm * at[h] - rows[h][m] * at[i]) % _PRIME
-                d = d * w[h] % _PRIME
-        if not d:
-            return False
-        num = (num * d + c * pow(cm, len(dens) - e, _PRIME) * den) % _PRIME
-        den = den * d % _PRIME
+                    w[h] = cm * at[h] - rows[h][m] * at[i]
+                d *= w[h]
+        num = num * d + c * cm ** (len(dens) - e) * den
+        den *= d
+        if prime:
+            num, den = num % prime, den % prime
+            if not den:
+                return False
     return num != 0
 
 

@@ -296,6 +296,41 @@ def test_normalize_matches_per_term_expansion(case):
     assert z.denominator == den
 
 
+@st.composite
+def _one_variable_sums(draw):
+    """The terms of a random sum in one variable with planted exact
+    cancellations.  For distinct forms f = N_f s + nu_f and g,
+    delta / (f g) = N_g / g - N_f / f with delta = N_g nu_f - N_f nu_g, so
+    delta / (f g P) - N_g / (g P) + N_f / (f P) is zero for every product
+    P of forms; P repeating f carries f to the power 2 or 3 in the LCD."""
+    forms = st.builds(lambda n, nu: AffineForm.canonical((n,), nu)[0],
+                      st.integers(-6, 6).filter(bool), st.integers(-6, 6))
+    pool = draw(st.lists(forms, min_size=2, max_size=5, unique=True))
+    coef = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    terms = draw(st.lists(st.tuples(coef, st.lists(st.sampled_from(pool), min_size=1,
+                                                   max_size=3)), max_size=5))
+    for _ in range(draw(st.integers(1, 3))):
+        f, g = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+        rest = [f] * draw(st.integers(0, 2)) + draw(st.lists(st.sampled_from(pool), max_size=2))
+        c = draw(coef.filter(bool))
+        delta = g.coeffs[0] * f.const - f.coeffs[0] * g.const
+        terms += [(c * delta, [f, g] + rest), (-c * g.coeffs[0], [g] + rest),
+                  (c * f.coeffs[0], [f] + rest)]
+    return terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(_one_variable_sums())
+def test_one_variable_poles_match_the_oracle(terms):
+    # every one-variable form is decided exactly at its root: a simple
+    # form that cancels is ruled out there, and a double or triple one is
+    # read from its lower Laurent coefficients
+    z = ZetaFunction(1, terms)
+    num, den = _oracle_normalize(1, terms)
+    assert z.denominator == den
+    assert z.numerator == num
+
+
 @pytest.mark.parametrize("degree", [7, 8])
 def test_normalize_at_the_packing_width_boundary(degree, divisions):
     # the packed width grows from 4 to 5 bits per variable between LCD
@@ -471,31 +506,48 @@ def test_kept_whole_with_pivot_two_and_negative_entries(divisions):
     assert divisions == [(f, True)]
 
 
-def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions, monkeypatch):
+@pytest.fixture
+def laurents(monkeypatch):
+    """The (row of f, j) pairs of the _laurent calls made, in order: each
+    Laurent coefficient A_j along f that was built exactly."""
+    log = []
+    laurent = arrzeta.zeta._laurent
+
+    def traced(rows, terms, i, j):
+        log.append((rows[i], j))
+        return laurent(rows, terms, i, j)
+
+    monkeypatch.setattr(arrzeta.zeta, "_laurent", traced)
+    return log
+
+
+def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions, laurents):
     # h = s1 + r + 1 vanishes at the point of f = s1 + s2 + 1 = 0 with s2
     # = r, so the check on f (and on h, at the same point) cannot decide
     # and the Laurent coefficients are built exactly; nothing cancels, so
     # the numerator read divides by nothing.  With s1 + 2 for h the check
     # decides every form.
-    built = []
-    laurent = arrzeta.zeta._laurent
-
-    def traced(rows, terms, i, j):
-        built.append((rows[i], j))
-        return laurent(rows, terms, i, j)
-
-    monkeypatch.setattr(arrzeta.zeta, "_laurent", traced)
     r = arrzeta.zeta._point(2)[1]
     f, g = _af((1, 1), 1), _af((0, 1), 1)
     for h, tried in ((_af((1, 0), r + 1), True), (_af((1, 0), 2), False)):
-        built.clear()
+        laurents.clear()
         z = _assert_normalizes_as_oracle(2, [(F(1), [f, h]), (F(1), [f, g])], divisions)
         assert z.denominator == {f: 1, g: 1, h: 1}
         assert divisions == []
         if tried:
-            assert {(1, 1, 1), (1, 0, r + 1)} <= {row for row, _ in built}
+            assert {(1, 1, 1), (1, 0, r + 1)} <= {row for row, _ in laurents}
         else:
-            assert built == []
+            assert laurents == []
+
+
+@pytest.mark.parametrize("arr", [veys(), braid(5)], ids=["veys", "A4"])
+def test_one_variable_poles_build_no_laurent_coefficient(laurents, arr):
+    # in one variable the carriers' sum on f = 0 is read exactly: veys's
+    # -1/3 and A4's cancelled candidate are simple in the LCD, so reading
+    # their sums zero rules them out, and no Laurent coefficient is built
+    z = local_zeta(arr)
+    assert laurents == []
+    assert {f.root() for f in z.denominator} < set(candidate_poles(arr))
 
 
 def test_kept_whole_leaves_a_double_cancellation_to_the_divisions(divisions):
@@ -523,13 +575,19 @@ def test_kept_whole_leaves_a_double_cancellation_to_the_divisions(divisions):
          (F(1), [_af((1, 1), 1)] * 2 + [_af((0, 1), -1)])],
      {_af((1, 1), 1): 1, _af((1, 0), 2): 1, _af((0, 1), -1): 1}, 1),
 ], ids=["one-variable-once", "one-variable-twice", "two-variables-once"])
-def test_double_form_cancels_by_its_laurent_coefficients(divisions, nvars, terms, den, cancels):
+def test_double_form_cancels_by_its_laurent_coefficients(divisions, laurents, nvars, terms,
+                                                         den, cancels):
     # A_2 along f, the sum on f = 0 of the terms with f^2, is zero, so the
-    # order is read from A_1; the numerator read divides f out as often
+    # order is read from A_1; the numerator read divides f out as often.
+    # In one variable A_2 is read exactly zero at the root of f, so only
+    # A_1 is built; in two its value at one point proves nothing, and A_2
+    # is built as well.
     f = terms[0][1][0]
     z = _assert_normalizes_as_oracle(nvars, terms, divisions)
     assert z.denominator == den
     assert divisions == [(f, True)] * cancels
+    row = f.coeffs + (f.const,)
+    assert [j for r, j in laurents if r == row] == ([1] if nvars == 1 else [2, 1])
 
 
 @pytest.fixture
@@ -1324,6 +1382,9 @@ def test_braid_matches_partition_lattice_oracle(m):
     z = local_zeta(braid(m))
     for s in (F(1, 3), F(-11, 97), F(5)):
         assert z.evaluate((s,)) == braid_local_zeta(m, s)
+    # the numerator read raises on a cancellation decided where there is
+    # none, and no pole form divides what is left: none was missed
+    assert not any(_divides(f, z.numerator) for f in z.denominator)
     if m == 8:
         assert lcm(*(c.denominator for c, _ in z.terms)) == 315
 

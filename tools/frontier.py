@@ -8,10 +8,14 @@ For each case a child process imports the library, builds the
 arrangement, then its lattice (Arrangement.lattice), then the flag sum
 (zeta._flag_sum) and the pole decision (zeta.ZetaFunction._merged), and
 prints one JSON line: the seconds of those three steps, the peak resident
-set size, the numbers of flats, dense edges and merged terms, and the
-sha256 of the pickled (rows, ranked, q) that the flag sum returns.  Two
-checkouts give the same digest exactly when their flag sums agree byte for
-byte.
+set size, the numbers of flats, dense edges and merged terms, the sha256
+of the pickled (rows, ranked, q) that the flag sum returns, the sha256 of
+the pickled sorted (row, order) pairs of the decided denominator
+("poles_sha256", each form as its integer row: coefficients, then
+constant), and the number of Laurent coefficients built exactly while
+deciding the poles ("laurent", the calls of zeta._laurent, counted by a
+wrapper set in the child).  Two checkouts give the same digests exactly
+when their flag sums and decided poles agree byte for byte.
 
 A CLI case, "zeta --multi --json" and an arrangement case's name, writes
 that arrangement to a JSON file and runs `arrzeta zeta FILE --multi --json`
@@ -176,17 +180,25 @@ def cli_child(name):
 
 def child(name):
     """Run one case in this process and print its JSON line."""
-    from arrzeta.zeta import ZetaFunction, _factor_rows, _flag_sum
+    from arrzeta import zeta
+    laurent, built = zeta._laurent, [0]
+
+    def counted(*args):
+        built[0] += 1
+        return laurent(*args)
+
+    zeta._laurent = counted
     arr, multi = arrangement(name)
     sampler = start_sampler()
     t0 = perf_counter()
     lattice = arr.lattice
     t1 = perf_counter()
-    rows, ranked, q = _flag_sum(arr, multi)
+    rows, ranked, q = zeta._flag_sum(arr, multi)
     t2 = perf_counter()
-    ZetaFunction._merged(len(_factor_rows(arr, multi)), rows, ranked, q)
+    z = zeta.ZetaFunction._merged(len(zeta._factor_rows(arr, multi)), rows, ranked, q)
     t3 = perf_counter()
     sampler.stop()
+    poles = sorted((f.coeffs + (f.const,), k) for f, k in z.denominator.items())
     times = {}
     for step, start, end in (("lattice", t0, t1), ("sum", t1, t2), ("poles", t2, t3)):
         times[step + "_s"], times[step + "_ref_s"] = scaled(sampler, start, end)
@@ -198,6 +210,8 @@ def child(name):
         "dense": len(lattice.dense),
         "terms": len(ranked),
         "sha256": hashlib.sha256(pickle.dumps((rows, ranked, q), protocol=4)).hexdigest(),
+        "poles_sha256": hashlib.sha256(pickle.dumps(poles, protocol=4)).hexdigest(),
+        "laurent": built[0],
     }))
 
 
