@@ -47,35 +47,35 @@ merged integer coefficients over q, keyed by sorted rank tuples.  The
 flag sum is built in it, and ZetaFunction(nvars, terms) converts given
 terms to it once.  AffineForms are made only for reported results.
 
-The poles are decided without the numerator (_denominator), one form f of
-the least common denominator (LCD) at a time, on f's hyperplane; every
-form of the sum is decided.  A form's order is the largest j up to its LCD
-power e whose Laurent coefficient A_j along f is not zero.  A_e is the sum
-on f = 0 of the terms that carry f^e.  In one variable f = 0 is one point,
-f's root, where every other form is a nonzero rational, so A_e is summed
-there exactly, on integers: a nonzero sum proves order e, and a zero one
-proves order below e, so a simple form that cancels, such as veys's -1/3,
-is ruled out at once.  In two or more variables A_e is read at one point
-modulo a prime, where only a nonzero value proves order e; that settles
-most forms.  What is left, A_e, A_(e-1), ... in two or more variables and
-A_(e-1), ... in one, is built exactly as sums in one variable fewer
-(_laurent) and tested for zero: such a sum is zero exactly when its
-constant part is zero and none of its forms is a pole, decided the same
-way one dimension lower, and with no variables left every sum is one
-rational number.  The verdicts read only the poles.
+The poles are decided one form f of the least common denominator (LCD)
+at a time (_denominator); every form of the sum is decided.  The terms
+that carry f, those with f in their denominators, hold all of the sum's
+pole along f, so f's order is its LCD power e less the number of times f
+divides their numerator over their own LCD.  Most forms are settled
+without that numerator, by the leading Laurent coefficient A_e along f:
+the sum on f = 0 of the terms that carry f^e.  In one variable f = 0 is
+one point, f's root, where every other form is a nonzero rational, so A_e
+is summed there exactly, on integers: a nonzero sum proves order e, and a
+zero one proves order below e, so a simple form that cancels, such as
+veys's -1/3, is ruled out at once.  In two or more variables A_e is read
+at one point modulo a prime, where only a nonzero value proves order e.
+A form that read leaves open, such as the multivariate -1/3 of veys with
+hyperplane i in factor i mod 2, is settled by dividing its carriers'
+numerator by f, at most e times.  The verdicts read only the poles.
 
-The numerator is built on first read (_numerator): once, over the LCD,
-as fractions are added over their lcm, by halves (_lcd_numerator), on
-one raw integer dict keyed by packed exponents (core.packed_width).  It
-is then divided by each form as often as the decided orders say it
-cancels.  A division that fails raises, so a read catches a cancellation
-decided where there is none; a cancellation that was missed is not
-caught.  The numerator is unpacked into a MultiPoly once, at the end.
+The numerator is built on first read (_numerator), by the routine that
+builds a carriers' numerator (_lcd_numerator): once, over the LCD, as
+fractions are added over their lcm, by halves, on one raw integer dict
+keyed by packed exponents (core.packed_width).  It is then divided by
+each form as often as the decided orders say it cancels.  A division that
+fails raises, so a read catches a cancellation decided where there is
+none; a cancellation that was missed is not caught.  The numerator is
+unpacked into a MultiPoly once, at the end.
 """
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .core import (AffineForm, MultiPoly, _add_times_form, _trusted, as_int, div_linear,
                    format_poly, integer_kernel, packed_steps, packed_width, poly_eval,
@@ -321,7 +321,8 @@ def _denominator(rows, ranked):
     c / (q prod rows[i]) over the {sorted rank tuple: int c} entries of
     ranked, with no zero entry; rows are the integer rows (coefficients,
     then constant) of distinct canonical forms, in sorted order.  Every
-    form is decided and no numerator is built (_poles).
+    form is decided (_poles); a numerator is built only of the terms that
+    carry a form the leading read leaves open.
     """
     return {_form(rows[i]): e for i, e in _poles(rows, ranked)}
 
@@ -331,16 +332,20 @@ def _poles(rows, ranked):
     _denominator, given by the integer rows (coefficients, then constant)
     of its forms, in ascending i; lazily.
 
-    The order of a form f of the least common denominator, of power e
-    there, is the largest j <= e whose Laurent coefficient A_j along f is
-    not zero, or 0.  A_e is the sum of the carriers, the terms with f^e,
-    on f = 0 (_leading_nonzero).  In one variable f = 0 is one point and
-    the sum is exact: a nonzero sum proves order e, and a zero one order
-    below e, so a form of power 1 is then no pole.  In more variables it is
-    read at one point modulo _PRIME, where only a nonzero value proves
-    order e; that settles most forms.  What is left, A_e, A_(e-1), ... or
-    from A_(e-1) in one variable, is built exactly in one variable fewer
-    (_laurent) and decided zero or not (_is_zero).
+    The carriers of a form f of the least common denominator, of power e
+    there, are the terms with f in their denominators; the other terms
+    have no pole along f.  So f's order is e less the number of times f
+    divides the carriers' numerator over their own LCD (_lcd_numerator),
+    found by at most e divisions (div_linear); a zero numerator divides
+    every time.  Most forms are settled without that numerator, by A_e,
+    the leading Laurent coefficient along f: the sum on f = 0 of the
+    carriers with f^e (_leading_nonzero).  In one variable f = 0 is one
+    point and the sum is exact: a nonzero sum proves order e, and a zero
+    one order below e, so a form of power 1 is then no pole.  In more
+    variables it is read at one point modulo _PRIME, where only a nonzero
+    value proves order e.  Only a form that the read leaves open, a zero
+    read in two or more variables or in one of power 2 or more, is
+    divided.
     """
     nvars = len(rows[0]) - 1 if rows else 0
     if nvars == 1:
@@ -350,22 +355,15 @@ def _poles(rows, ranked):
         at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % prime for row in rows]
     for i, (e, having) in sorted(_by_form(ranked.items()).items()):
         if not _leading_nonzero(rows, at, i, e, having, prime):
-            if not prime:
-                e -= 1
-            while e and _is_zero(*_laurent(rows, having, i, e)):
-                e -= 1
+            if prime or e > 1:
+                num, _, width = _lcd_numerator(rows, dict(having))
+                f = _form(rows[i])
+                while e and (num := div_linear(num, f, width)) is not None:
+                    e -= 1
+            else:
+                e = 0
         if e:
             yield i, e
-
-
-def _is_zero(rows, ranked):
-    """Whether a sum as for _poles is zero: exactly when its constant
-    part, the entry with no denominator, is zero and none of its forms is
-    a pole, as a sum of proper fractions without poles is a polynomial
-    that vanishes at infinity.  Each form's Laurent coefficients are sums
-    in one variable fewer, so the recursion ends with no variables, where
-    every sum is a constant."""
-    return () not in ranked and next(_poles(rows, ranked), None) is None
 
 
 # a Mersenne prime, the modulus of the values read at one point in two or
@@ -389,17 +387,17 @@ def _leading_nonzero(rows, at, i, e, having, prime):
 
     On f = 0 each carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.
     With m f's pivot, c_m h is there w_h = c_m h - h_m f, which is free of
-    s_m (as in _laurent), so every w_h is read at the whole point.  A
-    carrier's c / prod h^k_h is c c_m^a / prod w_h^k_h, a its number of
-    factors other than f: every carrier is brought to the same power of
-    c_m.  The carriers are summed as one fraction, so no inverse is taken.
+    s_m, so every w_h is read at the whole point.  A carrier's
+    c / prod h^k_h is c c_m^a / prod w_h^k_h, a its number of factors
+    other than f: every carrier is brought to the same power of c_m.  The
+    carriers are summed as one fraction, so no inverse is taken.
 
     In one variable _poles passes the point 0 and prime 0: each w_h is the
     integer c_m nu_h - h_m nu_f, nonzero as distinct canonical rows have
     distinct roots, and the sum is A_e times the sum's positive scale, so
     the answer is exact both ways.  Modulo a prime a nonzero sum proves
-    that A_e is not zero; a zero sum, or a w_h that vanishes there, proves
-    nothing.
+    that A_e is not zero; a zero sum, a w_h that vanishes there or a pivot
+    c_m that the prime divides proves nothing.
     """
     f = rows[i]
     m = next(j for j, c in enumerate(f) if c)
@@ -426,118 +424,30 @@ def _leading_nonzero(rows, at, i, e, having, prime):
     return num != 0
 
 
-def _laurent(rows, terms, i, j):
-    """The Laurent coefficient A_j along f = rows[i] of the sum of the
-    (sorted tuple of indices into rows, int coefficient) terms, times a
-    positive integer scale, as a sum in one variable fewer in _poles'
-    shape: (rows, {sorted tuple of indices: nonzero int}).  The scale
-    changes neither whether a sum is zero nor its poles, so the
-    coefficients stay integers.
-
-    With u = f and m its pivot, every other form h is (w_h + h_m u) / c_m,
-    where w_h = c_m h - h_m f is free of s_m: the restriction of c_m h to
-    f = 0, in the coordinates other than s_m.  So
-        h^-a = c_m^a sum over n >= 0 of (-1)^n C(a+n-1, n) h_m^n u^n w_h^-(a+n),
-    and a term c / (u^k prod h^a_h) gives A_j the coefficient of u^(k-j) in
-    c prod h^-a_h.  w_h is canonicalised and its scale g_h folded into the
-    coefficient; a w_h with no variable left is a nonzero constant (h is
-    not f) and goes into the coefficient whole, as g_h.  Forms with equal
-    w_h share one index.  The common scale is the lcm over the terms of
-    the largest product of the g_h powers a term can divide by.
-    """
-    f = rows[i]
-    m = next(x for x, c in enumerate(f) if c)
-    cm = f[m]
-    index, restricted, found, scale = {}, {}, [], 1
-    for dens, c in terms:
-        k = dens.count(i)
-        if k < j:
-            continue
-        top = k - j
-        # (power of u, restricted indices, numerator, denominator), one h at a time
-        series, bound, prev = [(0, (), c, 1)], 1, None
-        for h in dens:
-            if h == i or h == prev:
-                continue
-            prev = h
-            a = dens.count(h)
-            if h not in restricted:
-                w, g = _restrict(rows[h], f, m)
-                restricted[h] = (None if w is None else index.setdefault(w, len(index))), g
-            w, g = restricted[h]
-            hm = rows[h][m]
-            bound *= g ** (a + top if hm else a)
-            series = [(d + n, rest if w is None else rest + (w,) * (a + n),
-                       v * (-1) ** n * comb(a + n - 1, n) * hm ** n * cm ** a, s * g ** (a + n))
-                      for d, rest, v, s in series for n in range(top - d + 1 if hm else 1)]
-        scale = lcm(scale, bound)
-        found += [(rest, v, s) for d, rest, v, s in series if d == top]
-    out = {}
-    for rest, v, s in found:
-        key = tuple(sorted(rest))
-        out[key] = out.get(key, 0) + v * scale // s
-    return list(index), {key: v for key, v in out.items() if v}
-
-
-def _restrict(h, f, m):
-    """(canonical row of w = c_m h - h_m f without column m, its scale), or
-    (None, w) when w is a constant; rows as for _laurent."""
-    cm, hm = f[m], h[m]
-    row = [cm * x - hm * y for x, y in zip(h, f)]
-    del row[m]
-    if not any(row[:-1]):
-        return None, row[-1]
-    g = gcd(*row)
-    if next(x for x in row if x) < 0:
-        g = -g
-    return tuple(x // g for x in row), g
-
-
 # ---------------------------------------------------------------------------
-# the numerator, built on first read
+# numerators over the least common denominator
 
 def _numerator(nvars, rows, ranked, q, den):
     """The numerator MultiPoly of the reduced quotient of the sum of
     c / (q prod rows[i]) over ranked (as for _denominator), whose reduced
     denominator den is already decided.
 
-    The numerator N = sum of c LCD / D over the least common denominator is
-    built once by _lcd_numerator, which adds halves of the terms over their
-    own LCDs.  The terms go in the order of their reversed rank tuples, so
-    the terms that share their highest forms fall in the same halves:
-    rows sort by their coefficients, so in a flag sum the highest are those
-    of the deepest dense edges, which many flags share, and a half's LCD
-    stays small.  N is a raw integer dict on packed exponents (core.packed_width
-    of the LCD degree, which bounds every exponent).  Each LCD form, made
-    from its row (_form), is divided out (div_linear, on the same packed
-    dict) as often as the decided orders say it cancels: its LCD power
-    less its power in den.  A division that fails
-    raises AssertionError, so a read catches a cancellation decided where
-    there is none, but not one that was missed.  The one MultiPoly is made
-    at the end, unpacked and divided by q.  The reduced quotient with
-    canonical denominator forms is unique, so any grouping of the same sum
-    into merged terms gives the same numerator.
+    The numerator over the least common denominator is built once
+    (_lcd_numerator), and each LCD form, made from its row (_form), is
+    divided out (div_linear, on the same packed dict) as often as the
+    decided orders say it cancels: its LCD power less its power in den.
+    A division that fails raises AssertionError, so a read catches a
+    cancellation decided where there is none, but not one that was missed.
+    The one MultiPoly is made at the end, unpacked and divided by q.  The
+    reduced quotient with canonical denominator forms is unique, so any
+    grouping of the same sum into merged terms gives the same numerator.
     """
     if not ranked:
         return MultiPoly(nvars)
-    lcd = {i: k for i, (k, _) in _by_form(ranked.items()).items()}
-    forms = {i: _form(rows[i]) for i in sorted(lcd)}
-    width = packed_width(sum(lcd.values()))
-    factors, first = [], {}
-    for i, f in forms.items():
-        first[i] = len(factors)
-        factors += [(packed_steps(f, width), f.const)] * lcd[i]
-    terms = []
-    for dens, c in sorted(ranked.items(), key=lambda t: t[0][::-1]):
-        has, k, prev = 0, 0, None
-        for i in dens:
-            k = k + 1 if i == prev else 0
-            prev = i
-            has |= 1 << (first[i] + k)
-        terms.append((has, c))
-    total = {ex: c for ex, c in _lcd_numerator(terms, factors)[0].items() if c}
-    for i, f in forms.items():
-        for _ in range(lcd[i] - den.get(f, 0)):
+    total, lcd, width = _lcd_numerator(rows, ranked)
+    for i, k in lcd.items():
+        f = _form(rows[i])
+        for _ in range(k - den.get(f, 0)):
             total = div_linear(total, f, width)
             if total is None:
                 raise AssertionError("%s does not divide the numerator as often as the "
@@ -546,7 +456,40 @@ def _numerator(nvars, rows, ranked, q, den):
                                                    for ex, c in total.items()})
 
 
-def _lcd_numerator(terms, factors):
+def _lcd_numerator(rows, ranked):
+    """(N, lcd, width) for the sum of c / prod rows[i] over the nonempty
+    {sorted rank tuple: int c} ranked: its least common denominator (LCD)
+    as {i: power of rows[i]} in ascending i, and N = sum of c LCD / D over
+    the terms, a {packed exponent: nonzero int} dict with width bits per
+    slot (core.packed_width of the LCD degree, which bounds every
+    exponent).  The pole decision builds it of one form's carriers, a
+    numerator read of the whole sum.
+
+    N is built once, by halves (_by_halves).  The terms go in the order of
+    their reversed rank tuples, so the terms that share their highest
+    forms fall in the same halves: rows sort by their coefficients, so in
+    a flag sum the highest are those of the deepest dense edges, which
+    many flags share, and a half's LCD stays small.
+    """
+    lcd = {i: k for i, (k, _) in sorted(_by_form(ranked.items()).items())}
+    width = packed_width(sum(lcd.values()))
+    factors, first = [], {}
+    for i, k in lcd.items():
+        f = _form(rows[i])
+        first[i] = len(factors)
+        factors += [(packed_steps(f, width), f.const)] * k
+    terms = []
+    for dens, c in sorted(ranked.items(), key=lambda t: t[0][::-1]):
+        has, k, prev = 0, 0, None
+        for i in dens:
+            k = k + 1 if i == prev else 0
+            prev = i
+            has |= 1 << (first[i] + k)
+        terms.append((has, c))
+    return {ex: c for ex, c in _by_halves(terms, factors)[0].items() if c}, lcd, width
+
+
+def _by_halves(terms, factors):
     """The sum of c times the factors that the term lacks from the terms'
     LCD, over the (has, c) terms, and that LCD: (raw {packed exponent: int}
     dict that may keep zero entries, OR of the has masks).  factors are
@@ -563,8 +506,8 @@ def _lcd_numerator(terms, factors):
         has, c = terms[0]
         return {0: c}, has
     half = len(terms) // 2
-    left, lhas = _lcd_numerator(terms[:half], factors)
-    right, rhas = _lcd_numerator(terms[half:], factors)
+    left, lhas = _by_halves(terms[:half], factors)
+    right, rhas = _by_halves(terms[half:], factors)
     out = {}
     for part, lack in ((left, rhas & ~lhas), (right, lhas & ~rhas)):
         while lack:

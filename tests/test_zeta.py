@@ -461,7 +461,8 @@ def test_cancellation_makes_no_fraction(monkeypatch):
 @pytest.fixture
 def divisions(monkeypatch):
     """The (form, whether it divides) pairs of the div_linear calls made,
-    in order: by a numerator read, as deciding the poles makes none."""
+    in order: by deciding a form that the leading read leaves open, and by
+    a numerator read."""
     log = []
 
     def traced(terms, form, width):
@@ -478,116 +479,156 @@ def divisions(monkeypatch):
 def test_multivariate_zeta_tries_only_dividing_forms(divisions, k, form):
     # veys with hyperplane i in factor i mod k: of the 6 (k = 1) and 7
     # (k = 2) LCD forms, one cancels once, the form of veys's -1/3; the
-    # numerator read divides once per cancelled power and never fails
+    # numerator read divides once per cancelled power and never fails.  In
+    # one variable the exact leading read rules the form out; in two it
+    # reads zero at its point, and the decision divides the numerator of
+    # the form's carriers by it once
     z = multivariate_local_zeta(_mod_factors(veys(), k))
-    assert z.denominator and divisions == []
+    assert z.denominator
+    assert divisions == ([] if k == 1 else [(form, True)])
+    divisions.clear()
     assert z.numerator.terms
     assert divisions == [(form, True)]
 
 
 def _assert_normalizes_as_oracle(nvars, terms, divisions):
-    """The quotient equals the oracle's; deciding the poles divides by
-    nothing, so every logged division is made by the numerator read."""
+    """The quotient equals the oracle's.  Returns it and the divisions
+    made while deciding its poles, which are taken out of the log, so that
+    the log keeps the numerator read's."""
     z = ZetaFunction(nvars, terms)
-    assert divisions == []
+    decided = divisions[:]
+    divisions.clear()
     assert (z.numerator, z.denominator) == _oracle_normalize(nvars, terms)
-    return z
+    return z, decided
 
 
 def test_kept_whole_with_pivot_two_and_negative_entries(divisions):
     # f = 2 s1 - 3 s2 + 1 divides b - 2, b = f + 2, so 1/(f a) - 2/(f a b)
     # is 1/(a b).  On f = 0 the carriers' values read 1/a - 2/(a b) with b
     # = 2: zero only when each term gets c_m to the power of its own number
-    # of other factors.  a and b (pivot 2) keep their powers, and the
+    # of other factors.  So f is left open and divides its carriers'
+    # numerator once; a and b (pivot 2) keep their powers, and the
     # numerator read divides f out once.
     f, a, b = _af((2, -3), 1), _af((1, 1), -1), _af((2, -3), 3)
-    z = _assert_normalizes_as_oracle(2, [(F(1), [f, a]), (F(-2), [f, a, b])], divisions)
+    z, decided = _assert_normalizes_as_oracle(2, [(F(1), [f, a]), (F(-2), [f, a, b])],
+                                              divisions)
     assert z.denominator == {a: 1, b: 1}
+    assert decided == [(f, True)]
     assert divisions == [(f, True)]
 
 
-@pytest.fixture
-def laurents(monkeypatch):
-    """The (row of f, j) pairs of the _laurent calls made, in order: each
-    Laurent coefficient A_j along f that was built exactly."""
-    log = []
-    laurent = arrzeta.zeta._laurent
-
-    def traced(rows, terms, i, j):
-        log.append((rows[i], j))
-        return laurent(rows, terms, i, j)
-
-    monkeypatch.setattr(arrzeta.zeta, "_laurent", traced)
-    return log
-
-
-def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions, laurents):
+def test_kept_whole_falls_back_where_a_carrier_form_vanishes(divisions):
     # h = s1 + r + 1 vanishes at the point of f = s1 + s2 + 1 = 0 with s2
-    # = r, so the check on f (and on h, at the same point) cannot decide
-    # and the Laurent coefficients are built exactly; nothing cancels, so
-    # the numerator read divides by nothing.  With s1 + 2 for h the check
-    # decides every form.
+    # = r, so the check on f (and on h, at the same point) cannot decide,
+    # and each is settled by a failed division of its carriers' numerator;
+    # nothing cancels, so the numerator read divides by nothing.  With
+    # s1 + 2 for h the check decides every form.
     r = arrzeta.zeta._point(2)[1]
     f, g = _af((1, 1), 1), _af((0, 1), 1)
-    for h, tried in ((_af((1, 0), r + 1), True), (_af((1, 0), 2), False)):
-        laurents.clear()
-        z = _assert_normalizes_as_oracle(2, [(F(1), [f, h]), (F(1), [f, g])], divisions)
+    for h, opened in ((_af((1, 0), r + 1), True), (_af((1, 0), 2), False)):
+        z, decided = _assert_normalizes_as_oracle(2, [(F(1), [f, h]), (F(1), [f, g])],
+                                                  divisions)
         assert z.denominator == {f: 1, g: 1, h: 1}
         assert divisions == []
-        if tried:
-            assert {(1, 1, 1), (1, 0, r + 1)} <= {row for row, _ in laurents}
-        else:
-            assert laurents == []
+        assert decided == ([(h, False), (f, False)] if opened else [])
 
 
 @pytest.mark.parametrize("arr", [veys(), braid(5)], ids=["veys", "A4"])
-def test_one_variable_poles_build_no_laurent_coefficient(laurents, arr):
+def test_one_variable_poles_build_no_laurent_coefficient(divisions, arr):
     # in one variable the carriers' sum on f = 0 is read exactly: veys's
     # -1/3 and A4's cancelled candidate are simple in the LCD, so reading
-    # their sums zero rules them out, and no Laurent coefficient is built
+    # their sums zero rules them out, and deciding the poles divides nothing
     z = local_zeta(arr)
-    assert laurents == []
+    assert divisions == []
     assert {f.root() for f in z.denominator} < set(candidate_poles(arr))
 
 
 def test_kept_whole_leaves_a_double_cancellation_to_the_divisions(divisions):
     # with b = a + f and c = a + 2 f, 1/(f^2 a) - 2/(f^2 b) + 1/(f^2 c) is
-    # 2/(a b c): f^2 cancels, so the check on f reads zero, A_2 and A_1 on
-    # f = 0 are zero, and the numerator read divides f out twice; the other
-    # forms keep their powers undivided
+    # 2/(a b c): f^2 cancels, so the check on f reads zero, f divides its
+    # carriers' numerator twice, and the numerator read divides f out
+    # twice; the other forms keep their powers undivided
     f, a, g = _af((1, 1, 1), 1), _af((1, 0, 0), 2), _af((0, 0, 1), 1)
     b, c = _af((2, 1, 1), 3), _af((3, 2, 2), 4)
-    z = _assert_normalizes_as_oracle(3, [(F(1), [f, f, a]), (F(-2), [f, f, b]),
-                                         (F(1), [f, f, c]), (F(1, 3), [a, g])], divisions)
+    z, decided = _assert_normalizes_as_oracle(3, [(F(1), [f, f, a]), (F(-2), [f, f, b]),
+                                                  (F(1), [f, f, c]), (F(1, 3), [a, g])],
+                                              divisions)
     assert z.denominator == {a: 1, b: 1, c: 1, g: 1}
+    assert decided == [(f, True), (f, True)]
     assert divisions == [(f, True), (f, True)]
 
 
-@pytest.mark.parametrize("nvars, terms, den, cancels", [
+@pytest.mark.parametrize("nvars, terms, den, decided", [
     # 1/f^2 - 1/(f^2 a) = 1/(f a): f^2 cancels once
     (1, [(F(1), [_af((1,), 1)] * 2), (F(-1), [_af((1,), 1)] * 2 + [_af((1,), 2)])],
-     {_af((1,), 1): 1, _af((1,), 2): 1}, 1),
+     {_af((1,), 1): 1, _af((1,), 2): 1}, [True, False]),
     # 1/f - 1/f^2 + 1/(f^2 a) = 1/a: f^2 cancels twice
     (1, [(F(1), [_af((1,), 1)]), (F(-1), [_af((1,), 1)] * 2),
-         (F(1), [_af((1,), 1)] * 2 + [_af((1,), 2)])], {_af((1,), 2): 1}, 2),
-    # with f = a + b, 1/(f^2 a) + 1/(f^2 b) = 1/(f a b): f^2 cancels once
+         (F(1), [_af((1,), 1)] * 2 + [_af((1,), 2)])], {_af((1,), 2): 1}, [True, True]),
+    # with f = a + b, 1/(f^2 a) + 1/(f^2 b) + 1/(a b) = (f + 1)/(f a b):
+    # f^2 cancels once, and the last term does not carry f
     (2, [(F(1), [_af((1, 1), 1)] * 2 + [_af((1, 0), 2)]),
-         (F(1), [_af((1, 1), 1)] * 2 + [_af((0, 1), -1)])],
-     {_af((1, 1), 1): 1, _af((1, 0), 2): 1, _af((0, 1), -1): 1}, 1),
+         (F(1), [_af((1, 1), 1)] * 2 + [_af((0, 1), -1)]),
+         (F(1), [_af((0, 1), -1), _af((1, 0), 2)])],
+     {_af((1, 1), 1): 1, _af((1, 0), 2): 1, _af((0, 1), -1): 1}, [True, False]),
 ], ids=["one-variable-once", "one-variable-twice", "two-variables-once"])
-def test_double_form_cancels_by_its_laurent_coefficients(divisions, laurents, nvars, terms,
-                                                         den, cancels):
+def test_double_form_cancels_by_division(monkeypatch, divisions, nvars, terms, den, decided):
     # A_2 along f, the sum on f = 0 of the terms with f^2, is zero, so the
-    # order is read from A_1; the numerator read divides f out as often.
-    # In one variable A_2 is read exactly zero at the root of f, so only
-    # A_1 is built; in two its value at one point proves nothing, and A_2
-    # is built as well.
+    # leading read leaves f open; in one variable that proves only an order
+    # below 2.  The numerator of f's carriers, the terms with f, over their
+    # own LCD is divided by f until it fails or f's power 2 is used up, and
+    # the numerator read divides f out as often as it cancels.
+    built = []
+    lcd_numerator = arrzeta.zeta._lcd_numerator
+
+    def traced(rows, ranked):
+        forms = [AffineForm(row[:-1], row[-1]) for row in rows]
+        built.append(sorted(tuple(forms[i] for i in dens) for dens in ranked))
+        return lcd_numerator(rows, ranked)
+
+    monkeypatch.setattr(arrzeta.zeta, "_lcd_numerator", traced)
     f = terms[0][1][0]
-    z = _assert_normalizes_as_oracle(nvars, terms, divisions)
+    z, decisions = _assert_normalizes_as_oracle(nvars, terms, divisions)
     assert z.denominator == den
-    assert divisions == [(f, True)] * cancels
-    row = f.coeffs + (f.const,)
-    assert [j for r, j in laurents if r == row] == ([1] if nvars == 1 else [2, 1])
+    assert decisions == [(f, ok) for ok in decided]
+    assert divisions == [(f, True)] * decided.count(True)
+    # deciding builds the numerator of f's carriers alone, the read that
+    # of every term
+    every = sorted(tuple(sorted(dens)) for _, dens in terms)
+    assert built == [[dens for dens in every if f in dens], every]
+
+
+def test_modular_read_leaves_a_pivot_the_prime_divides_open(divisions):
+    # f = P s1 + s2 + 1, P = _PRIME: modulo P the pivot of f is 0, so its
+    # leading read proves nothing and f is settled by division.  In
+    # 1/(f g) + 1/(f h) f is a simple pole; with g = f + h, 1/(f h) -
+    # 1/(f g) is 1/(g h) and f cancels.
+    prime = arrzeta.zeta._PRIME
+    f, h = _af((prime, 1), 1), _af((1, 0), 1)
+    g = _af((prime + 1, 1), 2)
+    for terms, cancels in (([(F(1), [f, g]), (F(1), [f, h])], False),
+                           ([(F(1), [f, h]), (F(-1), [f, g])], True)):
+        z, decided = _assert_normalizes_as_oracle(2, terms, divisions)
+        assert (f in z.denominator) is not cancels
+        assert decided == [(f, cancels)]
+        assert divisions == [(f, True)] * cancels
+        divisions.clear()
+
+
+def test_multivariate_smc_passes_on_a_form_settled_by_division(divisions):
+    # veys with hyperplane i in factor i mod 2: the candidate 2 s1 + s2 + 1,
+    # the multivariate -1/3, is the one form the leading read leaves open,
+    # and dividing its carriers' numerator rules it out of the polar locus
+    arr = _mod_factors(veys(), 2)
+    form = _af((2, 1), 1)
+    candidates = candidate_poles(arr, multi=True)
+    assert form in candidates
+    verdict = multi_smc_verify(arr, candidates)
+    assert verdict.passed
+    assert divisions == [(form, True)]
+    z = verdict.data["zeta"]
+    assert verdict.data["polar"] == sorted(_oracle_normalize(2, z.terms)[1])
+    assert form not in verdict.data["polar"]
 
 
 @pytest.fixture

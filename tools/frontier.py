@@ -12,9 +12,10 @@ set size, the numbers of flats, dense edges and merged terms, the sha256
 of the pickled (rows, ranked, q) that the flag sum returns, the sha256 of
 the pickled sorted (row, order) pairs of the decided denominator
 ("poles_sha256", each form as its integer row: coefficients, then
-constant), and the number of Laurent coefficients built exactly while
-deciding the poles ("laurent", the calls of zeta._laurent, counted by a
-wrapper set in the child).  Two checkouts give the same digests exactly
+constant), and the number of forms that the pole decision settles by
+dividing the numerator of their carriers ("divided", the calls of
+zeta._lcd_numerator, counted by a wrapper set in the child; the child
+reads no numerator of the whole sum).  Two checkouts give the same digests exactly
 when their flag sums and decided poles agree byte for byte.
 
 A CLI case, "zeta --multi --json" and an arrangement case's name, writes
@@ -78,7 +79,7 @@ THIRTEEN = (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1
 VANDERMONDE_8 = (3, [(1, k, k * k) for k in range(1, 9)], None)
 
 # name: (arrangement as above, number of factors or None for the univariate zeta)
-CASES = {"veys": (VEYS, None)}
+CASES = {"veys": (VEYS, None), "veys i mod 2": (VEYS, 2)}
 CASES.update(("A%d" % k, (braid(k), None)) for k in range(3, 9))
 CASES.update(("B%d" % n, (type_b(n), None)) for n in range(3, 8))
 CASES.update({
@@ -148,8 +149,8 @@ def start_sampler():
 
 def scaled(sampler, start, end):
     """(plain seconds, seconds at reference speed) of the span [start, end),
-    both without the calibration loops run inside it."""
-    return tuple(round(x, 4) for x in sampler.scale(start, end))
+    both without the calibration loops run inside it, to 1 microsecond."""
+    return tuple(round(x, 6) for x in sampler.scale(start, end))
 
 
 def cli_child(name):
@@ -181,13 +182,13 @@ def cli_child(name):
 def child(name):
     """Run one case in this process and print its JSON line."""
     from arrzeta import zeta
-    laurent, built = zeta._laurent, [0]
+    lcd_numerator, built = zeta._lcd_numerator, [0]
 
     def counted(*args):
         built[0] += 1
-        return laurent(*args)
+        return lcd_numerator(*args)
 
-    zeta._laurent = counted
+    zeta._lcd_numerator = counted
     arr, multi = arrangement(name)
     sampler = start_sampler()
     t0 = perf_counter()
@@ -211,7 +212,7 @@ def child(name):
         "terms": len(ranked),
         "sha256": hashlib.sha256(pickle.dumps((rows, ranked, q), protocol=4)).hexdigest(),
         "poles_sha256": hashlib.sha256(pickle.dumps(poles, protocol=4)).hexdigest(),
-        "laurent": built[0],
+        "divided": built[0],
     }))
 
 
