@@ -441,13 +441,14 @@ def build_parser():
                    help="global instead of local")
     p.add_argument("--multi", action="store_true",
                    help="one variable per factor (needs factorization data)")
-    p.add_argument("--at", metavar="POINT",
-                   help="localize at a point, e.g. 0,0,1 (local zeta only)")
+    p.add_argument("--at", metavar="POINT", help="localize at a point (local zeta only); "
+                   "with a leading minus write --at=-1,0,1")
     p.set_defaults(func=cmd_zeta)
 
     p = subs.add_parser("walls", help="dense edge wall families")
     _add_input(p)
-    p.add_argument("--localize", metavar="POINT", help="walls through a point")
+    p.add_argument("--localize", metavar="POINT",
+                   help="walls through a point; with a leading minus write --localize=-1,0")
     p.add_argument("--separate", nargs=2, metavar=("A", "B"),
                    help="walls separating two points")
     p.set_defaults(func=cmd_walls)

@@ -303,17 +303,10 @@ class AffineForm:
     """
 
     def __init__(self, coeffs, const):
-        coeffs = tuple(as_int(c, "an affine form coefficient") for c in coeffs)
-        const = as_int(const, "an affine form constant")
-        if not coeffs or all(c == 0 for c in coeffs):
-            raise ValueError("affine form needs a nonzero coefficient vector")
-        g = gcd(*coeffs, const)
-        if g != 1:
-            raise ValueError("non-canonical affine form (content %d); use AffineForm.canonical" % g)
-        if next(c for c in coeffs if c) < 0:
-            raise ValueError("non-canonical affine form (sign); use AffineForm.canonical")
-        self.coeffs = coeffs
-        self.const = const
+        form, scale = AffineForm.canonical(coeffs, const)
+        if scale != 1:
+            raise ValueError("non-canonical affine form (scale %d); use AffineForm.canonical" % scale)
+        self.coeffs, self.const = form.coeffs, form.const
 
     @classmethod
     def canonical(cls, coeffs, const):

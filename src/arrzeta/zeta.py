@@ -53,15 +53,18 @@ that carry f, those with f in their denominators, hold all of the sum's
 pole along f, so f's order is its LCD power e less the number of times f
 divides their numerator over their own LCD.  Most forms are settled
 without that numerator, by the leading Laurent coefficient A_e along f:
-the sum on f = 0 of the terms that carry f^e.  In one variable f = 0 is
-one point, f's root, where every other form is a nonzero rational, so A_e
-is summed there exactly, on integers: a nonzero sum proves order e, and a
-zero one proves order below e, so a simple form that cancels, such as
-veys's -1/3, is ruled out at once.  In two or more variables A_e is read
-at one point modulo a prime, where only a nonzero value proves order e.
-A form that read leaves open, such as the multivariate -1/3 of veys with
-hyperplane i in factor i mod 2, is settled by dividing its carriers'
-numerator by f, at most e times.  The verdicts read only the poles.
+the sum on f = 0 of f's top carriers, the terms that carry f^e.  One
+pass over the sum (_by_form) gives each form its LCD power and its top
+carriers and no other term.  In one variable f = 0 is one point, f's
+root, where every other form is a nonzero rational, so A_e is summed
+there exactly, on integers: a nonzero sum proves order e, and a zero one
+proves order below e, so a simple form that cancels, such as veys's
+-1/3, is ruled out at once.  In two or more variables A_e is read at one
+point modulo a prime, where only a nonzero value proves order e.  A form
+that read leaves open, such as the multivariate -1/3 of veys with
+hyperplane i in factor i mod 2, is settled by dividing the numerator of
+all its carriers, gathered from the sum then, by f, at most e times.
+The verdicts read only the poles.
 
 The numerator is built on first read (_numerator), by the routine that
 builds a carriers' numerator (_lcd_numerator): once, over the LCD, as
@@ -251,8 +254,9 @@ class ZetaFunction:
         return not self.denominator
 
     def denominator_factors(self):
-        """Sorted (form, multiplicity) pairs of the normalized denominator."""
-        return sorted(self.denominator.items())
+        """Sorted (form, multiplicity) pairs of the normalized denominator:
+        its items, which _denominator inserts in sorted order."""
+        return list(self.denominator.items())
 
     def evaluate(self, point):
         """Exact value at a point off the polar locus (normalized shape)."""
@@ -300,19 +304,23 @@ class ZetaFunction:
 # poles, decided on each form's hyperplane
 
 def _by_form(terms):
-    """{form: [largest power, the terms that have it]} over (sorted
-    denominator tuple, coefficient) pairs; the largest powers make the
-    least common denominator (LCD)."""
+    """{form: (e, top)} over (sorted denominator tuple, coefficient) pairs:
+    e is the form's largest power, its power in the least common
+    denominator (LCD), and top the terms that have it to the power e, its
+    top carriers.  One pass counts each form's run in a sorted tuple; a
+    term joins the list of the power it has reached, and a higher power
+    starts a new list, so a term below the top is in none."""
     out = {}
     for term in terms:
-        dens, prev = term[0], None
-        for f in dens:
-            if f != prev:
-                prev = f
-                k = dens.count(f)
-                entry = out.setdefault(f, [k, []])
-                entry[0] = max(entry[0], k)
-                entry[1].append(term)
+        prev = k = None
+        for f in term[0]:
+            k = k + 1 if f == prev else 1
+            prev = f
+            top = out.get(f)
+            if top is None or top[0] < k:
+                out[f] = (k, [term])
+            elif top[0] == k:
+                top[1].append(term)
     return out
 
 
@@ -322,7 +330,8 @@ def _denominator(rows, ranked):
     ranked, with no zero entry; rows are the integer rows (coefficients,
     then constant) of distinct canonical forms, in sorted order.  Every
     form is decided (_poles); a numerator is built only of the terms that
-    carry a form the leading read leaves open.
+    carry a form the leading read leaves open.  The forms go in by
+    ascending row, which is AffineForm order, so the dict is sorted.
     """
     return {_form(rows[i]): e for i, e in _poles(rows, ranked)}
 
@@ -338,14 +347,16 @@ def _poles(rows, ranked):
     divides the carriers' numerator over their own LCD (_lcd_numerator),
     found by at most e divisions (div_linear); a zero numerator divides
     every time.  Most forms are settled without that numerator, by A_e,
-    the leading Laurent coefficient along f: the sum on f = 0 of the
-    carriers with f^e (_leading_nonzero).  In one variable f = 0 is one
-    point and the sum is exact: a nonzero sum proves order e, and a zero
-    one order below e, so a form of power 1 is then no pole.  In more
-    variables it is read at one point modulo _PRIME, where only a nonzero
-    value proves order e.  Only a form that the read leaves open, a zero
-    read in two or more variables or in one of power 2 or more, is
-    divided.
+    the leading Laurent coefficient along f: the sum on f = 0 of the top
+    carriers, those with f^e, which _by_form lists with e
+    (_leading_nonzero).  In one variable f = 0 is one point and the sum is
+    exact: a nonzero sum proves order e, and a zero one order below e, so
+    a form of power 1 is then no pole.  In more variables it is read at
+    one point modulo _PRIME, where only a nonzero value proves order e.
+    Only a form that the read leaves open, a zero read in two or more
+    variables or in one of power 2 or more, is divided, and only then are
+    all its carriers, a carrier below the top included, gathered from the
+    sum.
     """
     nvars = len(rows[0]) - 1 if rows else 0
     if nvars == 1:
@@ -353,10 +364,11 @@ def _poles(rows, ranked):
     else:
         prime, point = _PRIME, _point(nvars)
         at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % prime for row in rows]
-    for i, (e, having) in sorted(_by_form(ranked.items()).items()):
-        if not _leading_nonzero(rows, at, i, e, having, prime):
+    for i, (e, top) in sorted(_by_form(ranked.items()).items()):
+        if not _leading_nonzero(rows, at, i, e, top, prime):
             if prime or e > 1:
-                num, _, width = _lcd_numerator(rows, dict(having))
+                carriers = {dens: c for dens, c in ranked.items() if i in dens}
+                num, _, width = _lcd_numerator(rows, carriers)
                 f = _form(rows[i])
                 while e and (num := div_linear(num, f, width)) is not None:
                     e -= 1
@@ -379,15 +391,16 @@ def _point(nvars):
     return tuple(pow(0x2545F4914F6CDD1D, j + 1, _PRIME) for j in range(nvars))
 
 
-def _leading_nonzero(rows, at, i, e, having, prime):
-    """Whether A_e, the sum on the hyperplane of f = rows[i] of the
-    carriers among the terms having f, is nonzero at one point of it: at
-    holds every form's value at a point, reduced modulo prime, or exact
-    when prime is 0.  The other arguments are _poles'.
+def _leading_nonzero(rows, at, i, e, top, prime):
+    """Whether A_e, the sum on the hyperplane of f = rows[i] of top, f's
+    top carriers (the terms with f^e, from _by_form), is nonzero at one
+    point of it: at holds every form's value at a point, reduced modulo
+    prime, or exact when prime is 0.  The other arguments are _poles'.
 
-    On f = 0 each carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.
+    On f = 0 each top carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.
     With m f's pivot, c_m h is there w_h = c_m h - h_m f, which is free of
-    s_m, so every w_h is read at the whole point.  A carrier's
+    s_m, so every w_h is read at the whole point: its value there is its
+    value at the point of f = 0 that differs in s_m alone.  A carrier's
     c / prod h^k_h is c c_m^a / prod w_h^k_h, a its number of factors
     other than f: every carrier is brought to the same power of c_m.  The
     carriers are summed as one fraction, so no inverse is taken.
@@ -395,20 +408,17 @@ def _leading_nonzero(rows, at, i, e, having, prime):
     In one variable _poles passes the point 0 and prime 0: each w_h is the
     integer c_m nu_h - h_m nu_f, nonzero as distinct canonical rows have
     distinct roots, and the sum is A_e times the sum's positive scale, so
-    the answer is exact both ways.  Modulo a prime a nonzero sum proves
-    that A_e is not zero; a zero sum, a w_h that vanishes there or a pivot
-    c_m that the prime divides proves nothing.
+    the answer is exact both ways.  Modulo a prime the sum is the residue
+    of A_e's exact value at that point of f = 0, whatever c_m is modulo
+    the prime, so a nonzero sum proves that A_e is not zero; a zero sum or
+    a w_h that vanishes there proves nothing.
     """
     f = rows[i]
     m = next(j for j, c in enumerate(f) if c)
     cm = f[m]
-    if prime and not cm % prime:
-        return False
     w = {}
     num, den = 0, 1
-    for dens, c in having:
-        if dens.count(i) != e:
-            continue
+    for dens, c in top:
         d = 1
         for h in dens:
             if h != i:

@@ -304,6 +304,18 @@ def test_zeta_at_point(capsys):
     assert "poles: -1 (order 1)" in out
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["zeta", "--example", "veys", "--at=-1,-1,0"], "--at=-"),
+    (["walls", "--example", "boolean2", "--localize=-1,0"], "--localize=-"),
+], ids=["zeta-at", "walls-localize"])
+def test_point_with_leading_minus_parses_after_equals(capsys, argv, option):
+    # "--at -1,-1,0" reads as an option; the help names the = form, which parses
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out
+    code, out, _ = run_cli(capsys, [argv[0], "--help"])
+    assert code == 0 and option in out
+
+
 def test_zeta_global_rejects_point(capsys):
     code, out, err = run_cli(capsys, ["zeta", "--example", "veys", "--global",
                                       "--at", "0,0,1"])

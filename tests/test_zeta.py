@@ -598,6 +598,35 @@ def test_double_form_cancels_by_division(monkeypatch, divisions, nvars, terms, d
     assert built == [[dens for dens in every if f in dens], every]
 
 
+@pytest.mark.parametrize("nvars, terms, den, decided", [
+    # with b = a + f and c = b + f, 1/(f^2 a) - 1/(f^2 b) is 1/(f a b), and
+    # the carrier -1/(f a c), below f's LCD power 2, cancels the rest of f:
+    # the sum is 1/(a b c).  The top carriers alone keep a simple f.
+    (2, [(F(1), [_af((1, 1), 1)] * 2 + [_af((1, 0), 2)]),
+         (F(-1), [_af((1, 1), 1)] * 2 + [_af((2, 1), 3)]),
+         (F(-1), [_af((1, 1), 1), _af((1, 0), 2), _af((3, 2), 4)])],
+     {_af((1, 0), 2): 1, _af((2, 1), 3): 1, _af((3, 2), 4): 1}, [True, True]),
+    # with b = a + f and c = a + 2 f, the top carriers 1/(f^2 a) -
+    # 2/(f^2 b) + 1/(f^2 c) are 2/(a b c), and the carrier 1/(f g) keeps a
+    # simple f: the top carriers alone would rule f out
+    (3, [(F(1), [_af((1, 1, 1), 1)] * 2 + [_af((1, 0, 0), 2)]),
+         (F(-2), [_af((1, 1, 1), 1)] * 2 + [_af((2, 1, 1), 3)]),
+         (F(1), [_af((1, 1, 1), 1)] * 2 + [_af((3, 2, 2), 4)]),
+         (F(1), [_af((1, 1, 1), 1), _af((0, 0, 1), 1)])],
+     {_af((1, 1, 1), 1): 1, _af((1, 0, 0), 2): 1, _af((2, 1, 1), 3): 1, _af((3, 2, 2), 4): 1,
+      _af((0, 0, 1), 1): 1}, [True, False]),
+], ids=["cancelled-below-the-top", "kept-below-the-top"])
+def test_division_reads_the_carriers_below_the_top(divisions, nvars, terms, den, decided):
+    # A_2 along f reads zero, so f is left open, and the carrier with f to
+    # the power 1 decides its order: the division must take every carrier
+    # of f, not only the top ones that the leading read sums
+    f = terms[0][1][0]
+    z, decisions = _assert_normalizes_as_oracle(nvars, terms, divisions)
+    assert z.denominator == den
+    assert decisions == [(f, ok) for ok in decided]
+    assert z.denominator_factors() == sorted(z.denominator.items())
+
+
 def test_modular_read_leaves_a_pivot_the_prime_divides_open(divisions):
     # f = P s1 + s2 + 1, P = _PRIME: modulo P the pivot of f is 0, so its
     # leading read proves nothing and f is settled by division.  In
@@ -1068,6 +1097,8 @@ def _assert_dense_decision_matches_every_form(arr):
     for case, multi in cases:
         z = (multivariate_local_zeta if multi else local_zeta)(case)
         assert z.denominator == all_forms_denominator(case, multi)
+        # the denominator is kept in sorted order, which denominator_factors returns
+        assert z.denominator_factors() == sorted(z.denominator.items())
         _assert_terms_are_candidates(z, case, multi)
         _assert_terms_merge_to_themselves(z)
         if multi:
