@@ -19,6 +19,7 @@ FAIL, 2 for bad input.
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -185,12 +186,17 @@ def zeta_json(z, rep=None):
 
 def zeta_from_json(obj):
     """Rebuild a ZetaFunction from its serialized terms.  Each distinct
-    denominator entry is checked as an AffineForm once; entries are told
-    apart by their repr, since 1, 1.0 and True are one dict key."""
+    denominator entry is checked as an AffineForm once and reaches
+    ZetaFunction as that one object.  Entries are told apart by their
+    values, which are all ints in a checked entry; 1.0 and True equal 1
+    as dict keys, so an entry with any other value is checked on its own
+    (and fails)."""
     forms = {}
 
     def form(f):
-        key = repr((f["coeffs"], f["const"]))
+        key = (*f["coeffs"], f["const"])
+        if not all(type(c) is int for c in key):
+            return AffineForm(f["coeffs"], f["const"])
         if key not in forms:
             forms[key] = AffineForm(f["coeffs"], f["const"])
         return forms[key]
@@ -441,14 +447,12 @@ def build_parser():
                    help="global instead of local")
     p.add_argument("--multi", action="store_true",
                    help="one variable per factor (needs factorization data)")
-    p.add_argument("--at", metavar="POINT", help="localize at a point (local zeta only); "
-                   "with a leading minus write --at=-1,0,1")
+    p.add_argument("--at", metavar="POINT", help="localize at a point (local zeta only)")
     p.set_defaults(func=cmd_zeta)
 
     p = subs.add_parser("walls", help="dense edge wall families")
     _add_input(p)
-    p.add_argument("--localize", metavar="POINT",
-                   help="walls through a point; with a leading minus write --localize=-1,0")
+    p.add_argument("--localize", metavar="POINT", help="walls through a point")
     p.add_argument("--separate", nargs=2, metavar=("A", "B"),
                    help="walls separating two points")
     p.set_defaults(func=cmd_walls)
@@ -480,6 +484,11 @@ def build_parser():
     _add_input(p, needs_file=False)
     p.set_defaults(func=cmd_vmono_demo)
 
+    # a point with a leading minus, such as -1,0, is an argument and not an
+    # option, as in the argparse of Python 3.13; before it only a plain
+    # negative number such as -1 was
+    for p in subs.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

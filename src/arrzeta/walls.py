@@ -16,13 +16,16 @@ sort them by crossing time, ties broken per family as a nudge decides.
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd, lcm
+from operator import mul
 
 from .core import _trusted, as_int, rational, vector
 from .arrangement import dense_edges
 
 
 class WallFamily:
-    """A primitive nonnegative normal with its offset set."""
+    """A primitive nonnegative normal with its offset set.  It is immutable,
+    so q, the lcm of the offsets' denominators, and the offsets times q,
+    the integers the wall queries read, are made once."""
 
     def __init__(self, normal, offsets):
         normal = tuple(as_int(e, "a wall normal entry") for e in normal)
@@ -39,6 +42,8 @@ class WallFamily:
         if any(not 0 <= o < 1 for o in offsets):
             raise ValueError("offsets live in [0, 1)")
         self.normal, self.offsets = normal, tuple(offsets)
+        self.q = lcm(*(o.denominator for o in offsets))
+        self.nums = tuple(o.numerator * (self.q // o.denominator) for o in offsets)
 
     @property
     def dim(self):
@@ -52,11 +57,6 @@ class WallFamily:
         if len(point) != self.dim:
             raise ValueError("point length %d, family dimension %d" % (len(point), self.dim))
         return sum(e * x for e, x in zip(self.normal, point) if e)
-
-    def _numerators(self):
-        """q, the lcm of the offsets' denominators, and the offsets times q."""
-        q = lcm(*(o.denominator for o in self.offsets))
-        return q, [o.numerator * (q // o.denominator) for o in self.offsets]
 
     def hits(self, value):
         """True iff some wall of the family passes through this level."""
@@ -149,8 +149,14 @@ def walls_from_resolution(data):
 
 def nd_wall_set(arr):
     """The walls of the dense edges: their 0/1 indicator normals, offsets {0}."""
-    return WallSet(_trusted(WallFamily, normal=tuple(int(i in f.indices) for i in range(arr.r)),
-                            offsets=(Fraction(0),)) for f in dense_edges(arr))
+    families = []
+    for f in dense_edges(arr):
+        normal = [0] * arr.r
+        for i in f.indices:
+            normal[i] = 1
+        families.append(_trusted(WallFamily, normal=tuple(normal), offsets=(Fraction(0),),
+                                 q=1, nums=(0,)))
+    return WallSet(families)
 
 
 def _scaled(*points):
@@ -164,8 +170,10 @@ def _levels(walls, a, b, den):
     """(family, L(a)D, (L(b) - L(a))D, q, ms) per family, for a and b scaled
     by D: ms the m, increasing, with min(L(a), L(b)) <= m/q < max(L(a), L(b))."""
     for fam in walls:
-        va, vb = fam._dot(a), fam._dot(b)
-        q, nums = fam._numerators()
+        normal, q, nums = fam.normal, fam.q, fam.nums
+        if len(a) != len(normal) or len(b) != len(normal):
+            fam._dot(a if len(a) != len(normal) else b)  # raises the length error
+        va, vb = sum(map(mul, normal, a)), sum(map(mul, normal, b))
         lo, hi = min(va, vb) * q, max(va, vb) * q
         m_lo, m_hi = -(-lo // den), -(-hi // den)
         yield fam, va, vb - va, q, [m + p for m in range(m_lo - m_lo % q, m_hi, q)
@@ -177,8 +185,7 @@ def localized_walls(walls, point):
     (point,), den = _scaled(point)
     out = []
     for fam in walls:
-        v = fam._dot(point)
-        q, nums = fam._numerators()
+        v, q, nums = fam._dot(point), fam.q, fam.nums
         if v * q % den == 0 and v * q // den % q in nums:
             out.append(_trusted(WallInstance, normal=fam.normal, gamma=Fraction(v, den)))
     return out if isinstance(walls, WallSet) else sorted(out)

@@ -35,8 +35,15 @@ The dense edges' pole forms depend on the lattice and the factor rows
 alone.  They are worked out once per lattice and factor rows, as integer
 rows and packed slots (_PoleTable), and kept with the lattice
 (IntersectionLattice.pole_tables); the flag sums and candidate poles of an
-arrangement read that one table.  Nothing else is kept: every call sums
-the flags, decides the poles and builds its ZetaFunction afresh.
+arrangement read that one table.  It is also the rows' row table
+(_RowTable), which keeps what the pole decision reads of the rows alone:
+their AffineForms and roots, every row's value at the read point and,
+from a form's first decision on, its pivot coefficient and the values of
+its w_h (_leading_nonzero).  ZetaFunction(nvars, terms) makes a row table
+of the forms it is given.  Nothing computed from a sum is kept: every call
+sums the flags, groups the sum by form (_by_form), reads each form's
+leading coefficient, divides what that leaves open and builds its
+ZetaFunction and its denominator dict afresh.
 
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a reduced numerator / denominator
@@ -45,7 +52,7 @@ reported poles are genuine.  Both are read off one integer shape of the
 sum, (rows, ranked, q): the sorted distinct forms' integer rows and the
 merged integer coefficients over q, keyed by sorted rank tuples.  The
 flag sum is built in it, and ZetaFunction(nvars, terms) converts given
-terms to it once.  AffineForms are made only for reported results.
+terms to it once.  The AffineForms of the results are the row table's.
 
 The poles are decided one form f of the least common denominator (LCD)
 at a time (_denominator); every form of the sum is decided.  The terms
@@ -96,12 +103,65 @@ def _factor_rows(arr, multi):
     return arr.factors
 
 
-class _PoleTable:
+class _RowTable:
+    """One sorted list of distinct canonical integer rows (coefficients,
+    then constant), the forms of a sum, and what deciding their poles
+    reads of the rows alone, made once per table: a flag sum reads the
+    table of its lattice and factor rows (_PoleTable), and
+    ZetaFunction(nvars, terms) makes one of the forms it is given.  No sum
+    is kept.
+
+    rows: the rows, sorted.
+    forms: their AffineForms, the given objects or made from the rows; the
+        keys of every denominator decided over the table and the factors
+        of its terms.
+    prime, at: the modulus and every row's value at the read point: the
+        exact constants in one variable (prime 0, the point 0), residues
+        modulo _PRIME at _point in two or more.
+    roots: in one variable, the forms' roots sorted descending, made on
+        first read (candidate_poles).
+    _reads: {i: read(i)} for the forms decided so far.
+    """
+
+    def __init__(self, rows, forms=None):
+        self.rows = rows
+        # made unchecked (core._trusted): the rows are canonical
+        self.forms = forms or [_trusted(AffineForm, coeffs=row[:-1], const=row[-1])
+                               for row in rows]
+        nvars = len(rows[0]) - 1 if rows else 0
+        if nvars == 1:
+            self.prime, self.at = 0, [row[-1] for row in rows]
+        else:
+            self.prime, point = _PRIME, _point(nvars)
+            self.at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME
+                       for row in rows]
+        self._reads = {}
+
+    @cached_property
+    def roots(self):
+        return sorted((form.root() for form in self.forms), reverse=True)
+
+    def read(self, i):
+        """(w, c_m) for f = rows[i], m its pivot, which its leading read
+        takes (_leading_nonzero): w[h] is the value of w_h = c_m h - h_m f
+        at the read point, from the values in at, and w[i] is 1.  Made on
+        f's first decision and kept."""
+        if i not in self._reads:
+            f, at = self.rows[i], self.at
+            m = next(j for j, c in enumerate(f) if c)
+            w = [f[m] * a - row[m] * at[i] for row, a in zip(self.rows, at)]
+            w[i] = 1
+            self._reads[i] = w, f[m]
+        return self._reads[i]
+
+
+class _PoleTable(_RowTable):
     """The dense edges' pole forms ord . s + codim under one list of factor
     rows, as the flag sum and the candidate poles read them, ord summing
-    each factor row over the flat's hyperplanes.  It holds lattice-derived
-    data only, so one table serves every zeta function and candidate list
-    of a lattice and those rows (_pole_table); no sum is kept.
+    each factor row over the flat's hyperplanes: a _RowTable of their
+    rows, and how the flag sum packs them.  It holds lattice-derived data
+    only, so one table serves every zeta function and candidate list of a
+    lattice and those rows (_pole_table); no sum is kept.
 
     Each dense edge's integer row (ord, codim) is scale times a canonical
     row, scale its gcd: the entries are nonnegative and codim is positive,
@@ -113,8 +173,6 @@ class _PoleTable:
     unit: {position of a dense edge: 1 << width * i}, i the edge's slot,
         one slot per distinct (row, scale) pair in sorted order.
     slots: ((rank of the slot's row in rows,), scale) by slot.
-    forms, roots: the candidate poles' forms and, in one variable, their
-        roots sorted descending, made on first read (candidate_poles).
     """
 
     def __init__(self, lattice, factor_rows):
@@ -125,7 +183,7 @@ class _PoleTable:
             row = [sum(map(get, f.indices)) for get in getters] + [f.codim]
             g = gcd(*row)
             found.append((tuple(row) if g == 1 else tuple(c // g for c in row), g))
-        self.rows = tuple(sorted({row for row, _ in found}))
+        super().__init__(tuple(sorted({row for row, _ in found})))
         slots = sorted(set(found))
         self.width = packed_width(lattice.minimal_flat().codim)
         step = {slot: 1 << self.width * i for i, slot in enumerate(slots)}
@@ -133,14 +191,6 @@ class _PoleTable:
         rank = {row: i for i, row in enumerate(self.rows)}
         # (rank,) * 1 is the tuple itself, so a slot of multiplicity 1 makes no object
         self.slots = [((rank[row],), scale) for row, scale in slots]
-
-    @cached_property
-    def forms(self):
-        return [_form(row) for row in self.rows]
-
-    @cached_property
-    def roots(self):
-        return sorted((form.root() for form in self.forms), reverse=True)
 
 
 def _pole_table(arr, lattice, multi):
@@ -153,12 +203,6 @@ def _pole_table(arr, lattice, multi):
     if table is None:
         table = lattice.pole_tables[factor_rows] = _PoleTable(lattice, factor_rows)
     return table
-
-
-def _form(row):
-    """The AffineForm of a canonical integer row (coefficients, then
-    constant), made unchecked (core._trusted)."""
-    return _trusted(AffineForm, coeffs=row[:-1], const=row[-1])
 
 
 def candidate_poles(arr, multi=False, lattice=None):
@@ -208,7 +252,9 @@ class ZetaFunction:
                     seen.append((f.coeffs + (f.const,), f))
                 key.append(i)
             given.append((rational(coef), key))
-        rows = sorted({row for row, _ in seen})
+        # the first object of each row, set last as seen is read backwards
+        first = dict(reversed(seen))
+        rows = sorted(first)
         rank = {row: i for i, row in enumerate(rows)}
         rank_of = [rank[row] for row, _ in seen]
         q = lcm(*(coef.denominator for coef, _ in given))
@@ -216,18 +262,19 @@ class ZetaFunction:
         for coef, key in given:
             key = tuple(sorted(map(rank_of.__getitem__, key)))
             ranked[key] = ranked.get(key, 0) + coef.numerator * (q // coef.denominator)
-        self._quotient(rows, ranked, q)
+        self._quotient(_RowTable(rows, [first[row] for row in rows]), ranked, q)
 
     @classmethod
-    def _merged(cls, nvars, rows, ranked, q):
-        """The zeta function of a sum already in _denominator's shape, such
-        as the flag sum."""
+    def _merged(cls, nvars, table, ranked, q):
+        """The zeta function of a sum already in _denominator's shape over
+        the rows of a _RowTable, such as the flag sum over its lattice's
+        _PoleTable."""
         z = cls.__new__(cls)
         z.nvars = nvars
-        z._quotient(rows, ranked, q)
+        z._quotient(table, ranked, q)
         return z
 
-    def _quotient(self, rows, ranked, q):
+    def _quotient(self, table, ranked, q):
         """Keep the sum and decide its poles (_denominator).  A sum with a
         nonzero constant part, the terms with no denominator, is not
         proper; the rest is a sum of proper fractions, whose reduced
@@ -235,13 +282,13 @@ class ZetaFunction:
         ranked = {dens: c for dens, c in ranked.items() if c}
         if () in ranked:
             raise ValueError("zeta function is not a proper rational function")
-        self._sum = (rows, ranked, q)
-        self.denominator = _denominator(rows, ranked)
+        self._sum = (table, ranked, q)
+        self.denominator = _denominator(table, ranked)
 
     @cached_property
     def terms(self):
-        rows, ranked, q = self._sum
-        forms = [_form(row) for row in rows]
+        table, ranked, q = self._sum
+        forms = table.forms
         return tuple((Fraction(c, q), tuple(forms[i] for i in dens))
                      for dens, c in sorted(ranked.items()))
 
@@ -324,22 +371,22 @@ def _by_form(terms):
     return out
 
 
-def _denominator(rows, ranked):
+def _denominator(table, ranked):
     """{AffineForm: pole order} for the forms that are poles of the sum of
     c / (q prod rows[i]) over the {sorted rank tuple: int c} entries of
-    ranked, with no zero entry; rows are the integer rows (coefficients,
-    then constant) of distinct canonical forms, in sorted order.  Every
+    ranked, with no zero entry, rows those of the _RowTable table.  Every
     form is decided (_poles); a numerator is built only of the terms that
-    carry a form the leading read leaves open.  The forms go in by
-    ascending row, which is AffineForm order, so the dict is sorted.
+    carry a form the leading read leaves open.  The keys are the table's
+    forms, in ascending row, which is AffineForm order, so the dict is
+    sorted; the dict itself is new on every call.
     """
-    return {_form(rows[i]): e for i, e in _poles(rows, ranked)}
+    forms = table.forms
+    return {forms[i]: e for i, e in _poles(table, ranked)}
 
 
-def _poles(rows, ranked):
+def _poles(table, ranked):
     """The (i, order) pairs of the poles rows[i] of a sum as for
-    _denominator, given by the integer rows (coefficients, then constant)
-    of its forms, in ascending i; lazily.
+    _denominator, in ascending i; lazily.
 
     The carriers of a form f of the least common denominator, of power e
     there, are the terms with f in their denominators; the other terms
@@ -356,20 +403,15 @@ def _poles(rows, ranked):
     Only a form that the read leaves open, a zero read in two or more
     variables or in one of power 2 or more, is divided, and only then are
     all its carriers, a carrier below the top included, gathered from the
-    sum.
+    sum.  The forms, the read point's values and each form's w_h come
+    from the table; _by_form and the reads run on every call.
     """
-    nvars = len(rows[0]) - 1 if rows else 0
-    if nvars == 1:
-        prime, at = 0, [row[-1] for row in rows]
-    else:
-        prime, point = _PRIME, _point(nvars)
-        at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % prime for row in rows]
     for i, (e, top) in sorted(_by_form(ranked.items()).items()):
-        if not _leading_nonzero(rows, at, i, e, top, prime):
-            if prime or e > 1:
+        if not _leading_nonzero(table, i, e, top):
+            if table.prime or e > 1:
                 carriers = {dens: c for dens, c in ranked.items() if i in dens}
-                num, _, width = _lcd_numerator(rows, carriers)
-                f = _form(rows[i])
+                num, _, width = _lcd_numerator(table, carriers)
+                f = table.forms[i]
                 while e and (num := div_linear(num, f, width)) is not None:
                     e -= 1
             else:
@@ -391,21 +433,21 @@ def _point(nvars):
     return tuple(pow(0x2545F4914F6CDD1D, j + 1, _PRIME) for j in range(nvars))
 
 
-def _leading_nonzero(rows, at, i, e, top, prime):
+def _leading_nonzero(table, i, e, top):
     """Whether A_e, the sum on the hyperplane of f = rows[i] of top, f's
-    top carriers (the terms with f^e, from _by_form), is nonzero at one
-    point of it: at holds every form's value at a point, reduced modulo
-    prime, or exact when prime is 0.  The other arguments are _poles'.
+    top carriers (the terms with f^e, from _by_form), is nonzero at the
+    table's read point: exact when its prime is 0, else modulo the prime.
 
     On f = 0 each top carrier c / (f^e prod h^k_h) leaves c / prod h^k_h.
     With m f's pivot, c_m h is there w_h = c_m h - h_m f, which is free of
     s_m, so every w_h is read at the whole point: its value there is its
-    value at the point of f = 0 that differs in s_m alone.  A carrier's
+    value at the point of f = 0 that differs in s_m alone.  The table
+    holds those values, with 1 at f itself (_RowTable.read).  A carrier's
     c / prod h^k_h is c c_m^a / prod w_h^k_h, a its number of factors
     other than f: every carrier is brought to the same power of c_m.  The
     carriers are summed as one fraction, so no inverse is taken.
 
-    In one variable _poles passes the point 0 and prime 0: each w_h is the
+    In one variable the point is 0 and the prime 0: each w_h is the
     integer c_m nu_h - h_m nu_f, nonzero as distinct canonical rows have
     distinct roots, and the sum is A_e times the sum's positive scale, so
     the answer is exact both ways.  Modulo a prime the sum is the residue
@@ -413,18 +455,13 @@ def _leading_nonzero(rows, at, i, e, top, prime):
     the prime, so a nonzero sum proves that A_e is not zero; a zero sum or
     a w_h that vanishes there proves nothing.
     """
-    f = rows[i]
-    m = next(j for j, c in enumerate(f) if c)
-    cm = f[m]
-    w = {}
+    w, cm = table.read(i)
+    prime = table.prime
     num, den = 0, 1
     for dens, c in top:
         d = 1
         for h in dens:
-            if h != i:
-                if h not in w:
-                    w[h] = cm * at[h] - rows[h][m] * at[i]
-                d *= w[h]
+            d *= w[h]
         num = num * d + c * cm ** (len(dens) - e) * den
         den *= d
         if prime:
@@ -437,14 +474,14 @@ def _leading_nonzero(rows, at, i, e, top, prime):
 # ---------------------------------------------------------------------------
 # numerators over the least common denominator
 
-def _numerator(nvars, rows, ranked, q, den):
+def _numerator(nvars, table, ranked, q, den):
     """The numerator MultiPoly of the reduced quotient of the sum of
-    c / (q prod rows[i]) over ranked (as for _denominator), whose reduced
-    denominator den is already decided.
+    c / (q prod rows[i]) over ranked (as for _denominator, rows those of
+    the _RowTable table), whose reduced denominator den, keyed by the
+    table's forms, is already decided.
 
     The numerator over the least common denominator is built once
-    (_lcd_numerator), and each LCD form, made from its row (_form), is
-    divided out (div_linear, on the same packed dict) as often as the
+    (_lcd_numerator), and each LCD form, the table's, is divided out (div_linear, on the same packed dict) as often as the
     decided orders say it cancels: its LCD power less its power in den.
     A division that fails raises AssertionError, so a read catches a
     cancellation decided where there is none, but not one that was missed.
@@ -454,9 +491,9 @@ def _numerator(nvars, rows, ranked, q, den):
     """
     if not ranked:
         return MultiPoly(nvars)
-    total, lcd, width = _lcd_numerator(rows, ranked)
+    total, lcd, width = _lcd_numerator(table, ranked)
     for i, k in lcd.items():
-        f = _form(rows[i])
+        f = table.forms[i]
         for _ in range(k - den.get(f, 0)):
             total = div_linear(total, f, width)
             if total is None:
@@ -466,9 +503,10 @@ def _numerator(nvars, rows, ranked, q, den):
                                                    for ex, c in total.items()})
 
 
-def _lcd_numerator(rows, ranked):
+def _lcd_numerator(table, ranked):
     """(N, lcd, width) for the sum of c / prod rows[i] over the nonempty
-    {sorted rank tuple: int c} ranked: its least common denominator (LCD)
+    {sorted rank tuple: int c} ranked, rows those of the _RowTable table,
+    whose forms it reads: its least common denominator (LCD)
     as {i: power of rows[i]} in ascending i, and N = sum of c LCD / D over
     the terms, a {packed exponent: nonzero int} dict with width bits per
     slot (core.packed_width of the LCD degree, which bounds every
@@ -485,7 +523,7 @@ def _lcd_numerator(rows, ranked):
     width = packed_width(sum(lcd.values()))
     factors, first = [], {}
     for i, k in lcd.items():
-        f = _form(rows[i])
+        f = table.forms[i]
         first[i] = len(factors)
         factors += [(packed_steps(f, width), f.const)] * k
     terms = []
@@ -664,7 +702,9 @@ def _local(arr, multi, point):
                                "through the origin)")
     if arr.r == 0:
         raise ArrangementError("the empty arrangement has no zeta function")
-    return ZetaFunction._merged(len(_factor_rows(arr, multi)), *_flag_sum(arr, multi))
+    _, ranked, q = _flag_sum(arr, multi)
+    return ZetaFunction._merged(len(_factor_rows(arr, multi)), _pole_table(arr, arr.lattice, multi),
+                                ranked, q)
 
 
 def local_zeta(arr, point=None):

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 import arrzeta.cli
 from arrzeta import (AffineForm, WallFamily, WallInstance, local_zeta,
                      multivariate_local_zeta)
-from arrzeta.cli import _json_text, build_parser, json_form, run, zeta_from_json, zeta_json
+from arrzeta.cli import (_json_text, build_parser, json_form, parse_point, run, zeta_from_json,
+                         zeta_json)
+from arrzeta.walls import nd_wall_set, separating_walls
 
-from conftest import threelines, threelines_factored, veys
+from conftest import boolean2, threelines, threelines_factored, veys
 
 
 def run_cli(capsys, argv):
@@ -243,6 +245,38 @@ def test_zeta_from_json_checks_each_distinct_entry_once(monkeypatch, capsys):
     assert sorted(made) == sorted(set(entries)) and len(entries) > len(made)
 
 
+def test_zeta_from_json_hands_one_object_per_entry(monkeypatch):
+    # each distinct entry is made once, with no repr of any entry, and the
+    # zeta reports the very objects made: its row table is built of them;
+    # a True after an equal checked entry still raises
+    z = multivariate_local_zeta(threelines_factored())
+    data = json.loads(json.dumps(zeta_json(z), default=json_form))
+    made = []
+
+    class Counted(AffineForm):
+        def __init__(self, coeffs, const):
+            made.append(self)
+            super().__init__(coeffs, const)
+
+    def no_repr(obj):
+        raise AssertionError("repr(%s)" % object.__repr__(obj))
+
+    monkeypatch.setattr(arrzeta.cli, "AffineForm", Counted)
+    monkeypatch.setattr(arrzeta.cli, "repr", no_repr, raising=False)
+    again = zeta_from_json(data)
+    assert again == z
+    entries = {(tuple(f["coeffs"]), f["const"]) for t in data["terms"] for f in t["denominator"]}
+    assert sorted((f.coeffs, f.const) for f in made) == sorted(entries)
+    ids = {id(f) for f in made}
+    assert {id(f) for _, dens in again.terms for f in dens} == ids
+    assert {id(f) for f in again.denominator} <= ids
+    first = data["terms"][0]["denominator"][0]
+    assert first["const"] == 1
+    data["terms"].append({"coef": "1", "denominator": [dict(first, const=True)]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        zeta_from_json(data)
+
+
 @pytest.mark.parametrize("source, flags", [(["--example", "veys"], []), (None, ["--multi"])],
                          ids=["univariate", "multivariate"])
 def test_zeta_json_decides_poles_once(monkeypatch, capsys, factored_file, source, flags):
@@ -309,11 +343,28 @@ def test_zeta_at_point(capsys):
     (["walls", "--example", "boolean2", "--localize=-1,0"], "--localize=-"),
 ], ids=["zeta-at", "walls-localize"])
 def test_point_with_leading_minus_parses_after_equals(capsys, argv, option):
-    # "--at -1,-1,0" reads as an option; the help names the = form, which parses
+    # the = form parses, and so does a point with a leading minus as the
+    # next argument, so the help no longer asks for the = form
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and out
+    assert run_cli(capsys, [*argv[:-1], *argv[-1].split("=", 1)]) == (0, out, "")
     code, out, _ = run_cli(capsys, [argv[0], "--help"])
-    assert code == 0 and option in out
+    assert code == 0 and option not in out
+
+
+@pytest.mark.parametrize("a, b", [("-1,0", "1,1"), ("1,0", "-1,1"), ("-1,0", "-1/2,-3")],
+                         ids=["first", "second", "both"])
+def test_walls_separate_points_with_leading_minus(capsys, a, b):
+    # argparse before Python 3.13 took "-1,0" for an option and exited 2
+    # with "expected 2 arguments"
+    code, out, err = run_cli(capsys, ["walls", "--example", "boolean2", "--separate", a, b])
+    assert (code, err) == (0, "")
+    assert "walls separating %s from %s: " % (a, b) in out
+    code, out, _ = run_cli(capsys, ["walls", "--example", "boolean2", "--separate", a, b,
+                                    "--json"])
+    walls = separating_walls(nd_wall_set(boolean2()), parse_point(a), parse_point(b))
+    assert json.loads(out)["separating"] == [
+        {"normal": list(w.normal), "level": str(w.gamma)} for w in walls]
 
 
 def test_zeta_global_rejects_point(capsys):

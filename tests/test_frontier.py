@@ -48,3 +48,21 @@ def test_frontier_case_line():
     count, digest = _poles_sha256(multivariate_local_zeta(arr))
     assert count == 6
     assert (mod2["case"], mod2["poles_sha256"], mod2["divided"]) == ("veys i mod 2", digest, 1)
+
+
+def test_frontier_against_a_checkout():
+    # --against runs both sides, here this checkout twice, and prints one
+    # summary line per case instead of the children's lines
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "frontier.py"), "--case", "veys",
+                           "--against", str(ROOT), "--rounds", "1"],
+                          capture_output=True, text=True, check=True, timeout=120)
+    [got] = map(json.loads, done.stdout.splitlines())
+    times = ["lattice_s", "lattice_ref_s", "sum_s", "sum_ref_s", "poles_s", "poles_ref_s"]
+    assert list(got) == ["case", "this", "other", "lower", "same"]
+    assert got["case"] == "veys"
+    for side in ("this", "other"):
+        assert list(got[side]) == times + ["peak_rss_mb"]
+        assert all(v >= 0 for v in got[side].values())
+    assert list(got["lower"]) == times
+    assert all(rounds in ([], [1]) for rounds in got["lower"].values())
+    assert got["same"] == {"sha256": True, "poles_sha256": True, "divided": True}

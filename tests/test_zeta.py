@@ -340,11 +340,11 @@ def test_normalize_at_the_packing_width_boundary(degree, divisions):
     forms = [_af((1, 0), k) for k in range(1, degree)] + [_af((1, 1), 1)]
     terms = [(F(1), ()), (F(-2, 3), forms), (F(5, 7), forms[:2])]
     ordered = sorted(forms)
-    rows = [f.coeffs + (f.const,) for f in ordered]
+    table = arrzeta.zeta._RowTable([f.coeffs + (f.const,) for f in ordered], ordered)
     ranked = {tuple(sorted(map(ordered.index, dens))): int(coef * 21) for coef, dens in terms}
-    den = arrzeta.zeta._denominator(rows, ranked)
+    den = arrzeta.zeta._denominator(table, ranked)
     assert divisions == []
-    num = arrzeta.zeta._numerator(2, rows, ranked, 21, den)
+    num = arrzeta.zeta._numerator(2, table, ranked, 21, den)
     assert (num, den) == _oracle_normalize(2, terms)
     assert max(ex[0] for ex in num.terms) == degree
     # no form cancels, so the numerator read divides by none
@@ -581,10 +581,10 @@ def test_double_form_cancels_by_division(monkeypatch, divisions, nvars, terms, d
     built = []
     lcd_numerator = arrzeta.zeta._lcd_numerator
 
-    def traced(rows, ranked):
-        forms = [AffineForm(row[:-1], row[-1]) for row in rows]
+    def traced(table, ranked):
+        forms = [AffineForm(row[:-1], row[-1]) for row in table.rows]
         built.append(sorted(tuple(forms[i] for i in dens) for dens in ranked))
-        return lcd_numerator(rows, ranked)
+        return lcd_numerator(table, ranked)
 
     monkeypatch.setattr(arrzeta.zeta, "_lcd_numerator", traced)
     f = terms[0][1][0]
@@ -1128,9 +1128,10 @@ def test_flag_sum_decides_exactly_the_candidate_forms(monkeypatch, arr):
     # other form
     seen = []
 
-    def traced(rows, ranked):
+    def traced(table, ranked):
+        rows = table.rows
         seen.append((rows, {rows[i] for dens in ranked for i in dens}))
-        return original(rows, ranked)
+        return original(table, ranked)
 
     original = arrzeta.zeta._denominator
     monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)
@@ -1223,6 +1224,76 @@ def test_candidate_poles_returns_a_new_list(multi):
     assert zeta(arr).terms == terms
 
 
+def _fresh(arr):
+    """A copy of arr with a lattice, and so row tables, of its own."""
+    return Arrangement(arr.n, arr.forms, arr.mults, factors=arr.factors)
+
+
+def _assert_later_zetas_decide_as_a_fresh_lattice(arr):
+    # the row table keeps each form's read values from its first decision
+    # on; every later zeta of the lattice, univariate and multivariate in
+    # turn, decides exactly the poles that a fresh lattice decides
+    zetas = [local_zeta, global_zeta]
+    if arr.factors is not None:
+        zetas += [multivariate_local_zeta, multivariate_global_zeta]
+    for _ in range(3):
+        for zeta in zetas:
+            got, want = zeta(arr).denominator, zeta(_fresh(arr)).denominator
+            assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("arr", DENSE_CORPUS, ids=DENSE_IDS)
+def test_later_zetas_decide_as_a_fresh_lattice(arr):
+    _assert_later_zetas_decide_as_a_fresh_lattice(arr)
+    for k in (2, 3):
+        _assert_later_zetas_decide_as_a_fresh_lattice(_mod_factors(arr, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_central_arrangements())
+def test_later_zetas_decide_as_a_fresh_lattice_random(arr):
+    _assert_later_zetas_decide_as_a_fresh_lattice(arr)
+
+
+def test_results_report_the_row_tables_forms():
+    # a flag sum's denominator keys and term factors are its pole table's
+    # AffineForm objects, on every call
+    arr = _mod_factors(veys(), 2)
+    for multi, zeta in ((False, local_zeta), (True, multivariate_local_zeta)):
+        ids = {id(f) for f in arrzeta.zeta._pole_table(arr, arr.lattice, multi).forms}
+        for z in (zeta(arr), zeta(arr)):
+            assert {id(f) for f in z.denominator} <= ids
+            assert {id(f) for _, dens in z.terms for f in dens} == ids
+    # ZetaFunction(nvars, terms) reports the objects it was given: of two
+    # equal ones, the first
+    f, g, h = _af((1, 0), 1), _af((0, 1), 1), _af((1, 1), 2)
+    twin = _af((1, 0), 1)
+    z = ZetaFunction(2, [(F(1), [f, g]), (F(1, 2), [twin, h]), (F(3), [h])])
+    assert twin == f and twin is not f
+    made = [x for _, dens in z.terms for x in dens] + list(z.denominator)
+    assert {id(x) for x in made} == {id(f), id(g), id(h)}
+
+
+def test_changing_a_denominator_dict_changes_no_other():
+    arr = _mod_factors(veys(), 2)
+    for multi, zeta in ((False, local_zeta), (True, multivariate_local_zeta)):
+        table = arrzeta.zeta._pole_table(arr, arr.lattice, multi)
+        forms, rows = list(table.forms), table.rows
+        one, other = zeta(arr), zeta(arr)
+        assert one.denominator is not other.denominator
+        want = dict(other.denominator)
+        one.denominator[next(iter(one.denominator))] += 5
+        one.denominator.clear()
+        assert other.denominator == want and zeta(arr).denominator == want
+        assert table.forms == forms and table.rows is rows
+        assert zeta(_fresh(arr)).denominator == want
+    terms = local_zeta(veys()).terms
+    one, other = ZetaFunction(1, terms), ZetaFunction(1, terms)
+    want = dict(other.denominator)
+    one.denominator.popitem()
+    assert other.denominator == want == ZetaFunction(1, terms).denominator
+
+
 @pytest.mark.parametrize("arr", [_mod_factors(braid(5), 2), _mod_factors(braid(6), 3)],
                          ids=["A4-mod-2", "A5-mod-3"])
 def test_terms_read_back_decide_only_candidate_forms(monkeypatch, arr):
@@ -1233,9 +1304,9 @@ def test_terms_read_back_decide_only_candidate_forms(monkeypatch, arr):
     data = json.loads(json.dumps(zeta_json(z), default=json_form))
     seen = []
 
-    def traced(rows, ranked):
-        seen.append(rows)
-        return original(rows, ranked)
+    def traced(table, ranked):
+        seen.append(list(table.rows))
+        return original(table, ranked)
 
     original = arrzeta.zeta._denominator
     monkeypatch.setattr(arrzeta.zeta, "_denominator", traced)

@@ -3,6 +3,7 @@
     python3 tools/frontier.py                      # every case, library from src/
     python3 tools/frontier.py --case A8 --case B7
     python3 tools/frontier.py --src OTHER/src      # another checkout's library
+    python3 tools/frontier.py --against OTHER --rounds 3   # both checkouts, paired
 
 For each case a child process imports the library, builds the
 arrangement, then its lattice (Arrangement.lattice), then the flag sum
@@ -34,6 +35,16 @@ both figures, and their speed during a step scales the step to the time it
 would take on a core that runs the loop in speed.REF_S seconds.  The cores
 of a shared host change speed, which the reference seconds take out; still
 compare runs made side by side, the two sides alternating.
+
+With --against OTHER, a checkout's root, every case runs on both sides
+in each of --rounds rounds, the side that goes first alternating from one
+case and round to the next.  Each side's child is that checkout's own
+tools/frontier.py, importing that checkout's src/, since the private
+functions a child calls may differ between them.  Instead of the children's
+lines it prints one JSON line per case: both sides' medians of each time
+and of the peak RSS ("this", "other"), the rounds, counted from 1, in which
+this side's time is lower ("lower"), and whether the digests and the
+number of divided forms agree over every run of both sides ("same").
 
 Case names: A_k is the braid arrangement x_i - x_j in C^(k+1) and B_n the
 root-system arrangement of type B in C^n.  "i mod k" puts hyperplane i,
@@ -196,7 +207,8 @@ def child(name):
     t1 = perf_counter()
     rows, ranked, q = zeta._flag_sum(arr, multi)
     t2 = perf_counter()
-    z = zeta.ZetaFunction._merged(len(zeta._factor_rows(arr, multi)), rows, ranked, q)
+    z = zeta.ZetaFunction._merged(len(zeta._factor_rows(arr, multi)),
+                                  zeta._pole_table(arr, lattice, multi), ranked, q)
     t3 = perf_counter()
     sampler.stop()
     poles = sorted((f.coeffs + (f.const,), k) for f, k in z.denominator.items())
@@ -216,20 +228,68 @@ def child(name):
     }))
 
 
+# what --against compares for equality, where a case's line has it
+DIGESTS = ("exit", "sha256", "poles_sha256", "divided")
+
+
+def paired(names, rounds, other):
+    """Run every case on this checkout and on other, rounds times each, the
+    first side alternating, and print one summary line per case; the number
+    of cases a child failed in."""
+    # imported here, not in the children: it adds about 0.6 MB to their peak RSS
+    import statistics
+    sides = ((os.path.abspath(__file__), os.path.join(ROOT, "src")),
+             (os.path.join(other, "tools", "frontier.py"), os.path.join(other, "src")))
+    failed = 0
+    for c, name in enumerate(names):
+        lines = ([], [])
+        for r in range(rounds):
+            for side in ((0, 1) if (c + r) % 2 == 0 else (1, 0)):
+                script, src = sides[side]
+                done = subprocess.run([sys.executable, script, "--child", name, "--src", src],
+                                      stdout=subprocess.PIPE, text=True)
+                if done.returncode:
+                    break
+                lines[side].append(json.loads(done.stdout))
+        if len(lines[0]) + len(lines[1]) < 2 * rounds:
+            failed += 1
+            continue
+        times = [k for k in lines[0][0] if k.endswith(("_s", "seconds"))]
+        print(json.dumps({
+            "case": name,
+            **{key: {k: round(statistics.median(line[k] for line in side), 6)
+                     for k in times + ["peak_rss_mb"]}
+               for key, side in zip(("this", "other"), lines)},
+            "lower": {k: [r + 1 for r, (a, b) in enumerate(zip(*lines)) if a[k] < b[k]]
+                      for k in times},
+            "same": {k: len({line[k] for side in lines for line in side}) == 1
+                     for k in DIGESTS if k in lines[0][0]},
+        }))
+    return failed
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--case", action="append", choices=sorted(CASES) + sorted(CLI_CASES),
                    help="a case to run (repeatable; default: every case)")
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="the directory the arrzeta package is imported from")
+    p.add_argument("--against", metavar="CHECKOUT",
+                   help="another checkout's root: run both, paired, and print per case "
+                        "their medians, the rounds this side is lower in and whether the "
+                        "digests agree")
+    p.add_argument("--rounds", type=int, default=1, help="rounds of each side with --against")
     p.add_argument("--child", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.child:
         sys.path.insert(0, args.src)
         (cli_child if args.child in CLI_CASES else child)(args.child)
         return 0
+    names = args.case or [*CASES, *CLI_CASES]
+    if args.against:
+        return 1 if paired(names, args.rounds, os.path.abspath(args.against)) else 0
     failed = 0
-    for name in args.case or [*CASES, *CLI_CASES]:
+    for name in names:
         done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name,
                                "--src", os.path.abspath(args.src)])
         failed += done.returncode != 0
