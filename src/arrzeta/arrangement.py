@@ -195,8 +195,9 @@ class IntersectionLattice:
     position of flats[k].indices - flats[y].indices (see zeta._flag_sum).
     pole_tables starts empty; zeta fills it on first use with one
     zeta._PoleTable per tuple of factor rows, the dense edges' pole forms
-    under that factorization, so the flag sums and candidate poles of the
-    lattice's arrangement make them once.
+    under that factorization and, from the first flag sum on, the classes
+    of flats with equal local sums, so the flag sums and candidate poles
+    of the lattice's arrangement make them once.
     """
 
     def __init__(self, flats, pos, mobius, euler):

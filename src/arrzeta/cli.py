@@ -108,15 +108,22 @@ def _json_text(obj):
     for byte, built in one recursion into one list of pieces.  A str, int,
     bool, None, list, tuple or dict is taken by its exact type, anything
     else goes to json_form; a dict key that is not a str, or a float,
-    raises TypeError."""
+    raises TypeError.  The text of each library value whose JSON form is
+    an object is made once per call and indentation, and repeated where
+    the value recurs, as an affine form does in the terms of a zeta; a
+    Fraction, whose form is a string, is written each time, as most of
+    them occur once."""
     out = []
-    _json_pieces(obj, "\n", out)
+    _json_pieces(obj, "\n", out, {})
     return "".join(out)
 
 
-def _json_pieces(value, indent, out):
+def _json_pieces(value, indent, out, made):
     """Append the JSON text of value to out; indent is a newline followed
-    by the indentation of the line value starts on."""
+    by the indentation of the line value starts on.  made maps (id(value),
+    indent) of each library value written so far whose json_form is not a
+    str to (value, its text); it keeps the value, so no id is reused while
+    the text is written."""
     t = type(value)
     if t is str:
         out.append(_escape(value))
@@ -133,7 +140,7 @@ def _json_pieces(value, indent, out):
         sep = "[" + inner
         for x in value:
             out.append(sep)
-            _json_pieces(x, inner, out)
+            _json_pieces(x, inner, out, made)
             sep = "," + inner
         out.append(indent + "]")
     elif t is dict:
@@ -146,7 +153,7 @@ def _json_pieces(value, indent, out):
             if type(key) is not str:
                 raise TypeError("JSON object keys must be str, not %r" % (key,))
             out.append(sep + _escape(key) + ": ")
-            _json_pieces(x, inner, out)
+            _json_pieces(x, inner, out, made)
             sep = "," + inner
         out.append(indent + "}")
     elif value is None:
@@ -156,7 +163,19 @@ def _json_pieces(value, indent, out):
     elif value is False:
         out.append("false")
     else:
-        _json_pieces(json_form(value), indent, out)
+        key = id(value), indent
+        if key in made:
+            out.append(made[key][1])
+            return
+        form = json_form(value)
+        if type(form) is str:
+            out.append(_escape(form))
+            return
+        piece = []
+        _json_pieces(form, indent, piece, made)
+        text = "".join(piece)
+        made[key] = value, text
+        out.append(text)
 
 
 def emit(obj, as_json):

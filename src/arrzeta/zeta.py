@@ -24,26 +24,29 @@ ambient space, the local zeta at a generic point of the flat: by the flag
 recursion at a dense flat, and as the product of its components' sums at
 any other.  No flag is enumerated.  It runs on integers alone and by
 lattice position: the lattice records the dense edges' positions and each
-other flat's split into two once, and each such sum, kept in a list
-indexed by the flat's position, has integer coefficients over monomials
-in the dense edges' unscaled pole forms, each packed into one int; no
-flat is hashed and none keeps a denominator.  Only at the minimal flat is
-each monomial unpacked into a sorted tuple of canonical form ranks and
-the forms' scales divided out, over one least common q.
+other flat's split into two once.  One sum is made per class of flats
+with equal sums (_PoleTable.plan; braid A7 has 22 classes among 4,140
+flats), kept in a list indexed by class, with integer coefficients over
+monomials in the dense edges' unscaled pole forms, each packed into one
+int; no flat is hashed and none keeps a denominator.  Only at the minimal
+flat is each monomial unpacked into a sorted tuple of canonical form
+ranks and the forms' scales divided out, over one least common q.
 
-The dense edges' pole forms depend on the lattice and the factor rows
-alone.  They are worked out once per lattice and factor rows, as integer
-rows and packed slots (_PoleTable), and kept with the lattice
+The dense edges' pole forms and the classes depend on the lattice and
+the factor rows alone.  They are worked out once per lattice and factor
+rows, as integer rows and packed slots (_PoleTable) and, on the first
+flag sum, the class plan, and kept with the lattice
 (IntersectionLattice.pole_tables); the flag sums and candidate poles of an
 arrangement read that one table.  It is also the rows' row table
 (_RowTable), which keeps what the pole decision reads of the rows alone:
-their AffineForms and roots, every row's value at the read point and,
-from a form's first decision on, its pivot coefficient and the values of
-its w_h (_leading_nonzero).  ZetaFunction(nvars, terms) makes a row table
-of the forms it is given.  Nothing computed from a sum is kept: every call
-sums the flags, groups the sum by form (_by_form), reads each form's
-leading coefficient, divides what that leaves open and builds its
-ZetaFunction and its denominator dict afresh.
+their AffineForms, their roots and the roots' descending ranks, every
+row's value at the read point and, from a form's first decision on, its
+pivot coefficient and the values of its w_h (_leading_nonzero).
+ZetaFunction(nvars, terms) makes a row table of the forms it is given.
+Nothing computed from a sum is kept: every call makes every class's sum,
+groups the sum by form (_by_form), reads each form's leading coefficient,
+divides what that leaves open and builds its ZetaFunction and its
+denominator dict afresh.
 
 Results are exact rational functions in two shapes: the merged flag sum,
 one term per distinct denominator, and a reduced numerator / denominator
@@ -86,6 +89,7 @@ unpacked into a MultiPoly once, at the end.
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
+from operator import mul
 
 from .core import (AffineForm, MultiPoly, _add_times_form, _trusted, as_int, div_linear,
                    format_poly, integer_kernel, packed_steps, packed_width, poly_eval,
@@ -118,8 +122,11 @@ class _RowTable:
     prime, at: the modulus and every row's value at the read point: the
         exact constants in one variable (prime 0, the point 0), residues
         modulo _PRIME at _point in two or more.
-    roots: in one variable, the forms' roots sorted descending, made on
-        first read (candidate_poles).
+    root_rank: in one variable, {id(form): (rank, root)}, rank the place
+        of the root in descending order (distinct canonical rows have
+        distinct roots), made on first read; poles sorts by it.  The
+        table keeps the forms, so their ids stay theirs.
+    roots: the roots in that order, made on first read (candidate_poles).
     _reads: {i: read(i)} for the forms decided so far.
     """
 
@@ -133,13 +140,18 @@ class _RowTable:
             self.prime, self.at = 0, [row[-1] for row in rows]
         else:
             self.prime, point = _PRIME, _point(nvars)
-            self.at = [(sum(a * x for a, x in zip(row, point)) + row[-1]) % _PRIME
+            self.at = [(sum(map(mul, row, point)) + row[-1]) % _PRIME
                        for row in rows]
         self._reads = {}
 
     @cached_property
+    def root_rank(self):
+        ranked = sorted(((form.root(), id(form)) for form in self.forms), reverse=True)
+        return {key: (rank, root) for rank, (root, key) in enumerate(ranked)}
+
+    @cached_property
     def roots(self):
-        return sorted((form.root() for form in self.forms), reverse=True)
+        return [root for _, root in sorted(self.root_rank.values())]
 
     def read(self, i):
         """(w, c_m) for f = rows[i], m its pivot, which its leading read
@@ -173,16 +185,28 @@ class _PoleTable(_RowTable):
     unit: {position of a dense edge: 1 << width * i}, i the edge's slot,
         one slot per distinct (row, scale) pair in sorted order.
     slots: ((rank of the slot's row in rows,), scale) by slot.
+
+    plan: the classes of flats with equal local sums D(X), made on the
+    first flag sum and kept, so that it makes one sum per class.  Classes
+    are numbered in lattice order, the ambient space 0.  A dense X's key
+    is its unit and the sorted pairs (class c, sum of interval_euler(Y, X)
+    over the Y of X's Euler row in c) with a nonzero sum; any other proper
+    X's is the sorted pair of the classes of its split (y, g).  Equal keys
+    give equal sums, by induction in lattice order, as D(X) is that
+    weighted sum of the D(c) over X's unscaled form, or D(y) D(g); two
+    classes may still have equal sums.  Braid A_k's classes are the
+    partitions of k + 1: 22 among A7's 4,140 flats.
     """
 
     def __init__(self, lattice, factor_rows):
-        getters = [r.__getitem__ for r in factor_rows]
+        # a hyperplane's entries in the factor rows, so ord sums columns
+        column = list(zip(*factor_rows)).__getitem__
         found = []
         for k in lattice.dense:
             f = lattice.flats[k]
-            row = [sum(map(get, f.indices)) for get in getters] + [f.codim]
+            row = (*map(sum, zip(*map(column, f.indices))), f.codim)
             g = gcd(*row)
-            found.append((tuple(row) if g == 1 else tuple(c // g for c in row), g))
+            found.append((row if g == 1 else tuple(c // g for c in row), g))
         super().__init__(tuple(sorted({row for row, _ in found})))
         slots = sorted(set(found))
         self.width = packed_width(lattice.minimal_flat().codim)
@@ -191,6 +215,31 @@ class _PoleTable(_RowTable):
         rank = {row: i for i, row in enumerate(self.rows)}
         # (rank,) * 1 is the tuple itself, so a slot of multiplicity 1 makes no object
         self.slots = [((rank[row],), scale) for row, scale in slots]
+        self._plan = None
+
+    def plan(self, lattice):
+        """(keys, classes): keys[c - 1] is class c's key, (unit, pairs) or
+        (0, (class, class)) for a split, and classes[k] the class of the
+        flat at position k.  A class fixes its flats' codimension, so the
+        minimal flat's class is the last."""
+        if self._plan is None:
+            euler, unit, splits = lattice.euler, self.unit, lattice.splits
+            index, classes = {}, [0]
+            for k in range(1, len(euler)):
+                u = unit.get(k)
+                if u:
+                    by = {}
+                    for y, e in euler[k].items():
+                        c = classes[y]
+                        by[c] = by.get(c, 0) + e
+                    key = u, tuple(sorted([item for item in by.items() if item[1]]))
+                else:
+                    y, g = splits[k]
+                    a, b = classes[y], classes[g]
+                    key = 0, ((a, b) if a < b else (b, a))
+                classes.append(index.setdefault(key, len(index) + 1))
+            self._plan = list(index), classes
+        return self._plan
 
 
 def _pole_table(arr, lattice, multi):
@@ -594,8 +643,9 @@ class PoleReport:
 def poles(z):
     """Poles of the normalized form: genuine after cancellation."""
     if z.nvars == 1:
-        pairs = sorted(((f.root(), k) for f, k in z.denominator.items()), reverse=True)
-        return PoleReport(univariate=pairs)
+        rank = z._sum[0].root_rank
+        pairs = sorted((rank[id(f)], k) for f, k in z.denominator.items())
+        return PoleReport(univariate=[(root, k) for (_, root), k in pairs])
     return PoleReport(multivariate=z.denominator_factors())
 
 
@@ -634,43 +684,48 @@ def _flag_sum(arr, multi):
     G_i has the largest codimension.  So Y is the join of every component
     but one, G, and the answer is D(minimal flat).
 
-    The flats are visited in lattice order and D is a list indexed by
-    position, so every D(Y) and D(G) is ready when X needs it.  D(X) has
-    integer coefficients over monomials in the unscaled forms s_X L_X,
-    one slot per distinct (row, scale) pair in sorted order, packed like
-    an exponent vector into one int with core.packed_width(rank) bits per
+    The sums run over the classes of the table's plan (_PoleTable.plan),
+    in lattice order, one D per class in a list indexed by class: a dense
+    class's key holds its unit and, per class c below, the sum e of
+    interval_euler over its row's flats in c, and its D is the sum of the
+    e D(c) over its unscaled form; a split class's key is the pair of its
+    split's classes and its D their product.  Equal keys give equal D by
+    induction, so every flat of a class has its D.  D has integer
+    coefficients over monomials in the unscaled forms s_X L_X, one slot
+    per distinct (row, scale) pair in sorted order, packed like an
+    exponent vector into one int with core.packed_width(rank) bits per
     slot (a term of D(X) has at most codim X factors): adding s_X L_X adds
     one int, the table's unit of X, and a product of monomials is a sum,
-    so no flat keeps a denominator.  The slots, units and rows come from
-    the table, made on the lattice's first sum under these factor rows;
-    the sums themselves are made on every call.  At the minimal flat each key is read from its highest
-    slot down into the sorted tuple of its form ranks and the product p of
-    its scales, and c / p is added to that tuple's entry over q, the lcm
-    of the p so far, the entries made being multiplied up as q grows.
-    Dividing out the gcd of q and the coefficients leaves the one integer
-    shape of these rational entries with the least q, however the terms
-    were grouped.  Zero entries are left to ZetaFunction._quotient.
+    so no flat keeps a denominator.  The slots, units, rows and plan come
+    from the table; the class sums are made on every call.  At the
+    minimal flat each key is
+    read from its highest slot down into the sorted tuple of its form
+    ranks and the product p of its scales, and c / p is added to that
+    tuple's entry over q, the lcm of the p so far, the entries made being
+    multiplied up as q grows.  Dividing out the gcd of q and the
+    coefficients leaves the one integer shape of these rational entries
+    with the least q, however the terms were grouped; the order of the
+    entries follows the grouping.  Zero entries are left to
+    ZetaFunction._quotient.
     """
     lattice = arr.lattice
     table = _pole_table(arr, lattice, multi)
-    unit, width = table.unit, table.width
     sums = [{0: 1}]
-    for k, below in enumerate(lattice.euler[1:], 1):
+    for u, parts in table.plan(lattice)[0]:
         out = {}
-        if k in unit:
-            u = unit[k]
-            for y, e in below.items():
-                for key, c in sums[y].items():
+        if u:
+            for c, e in parts:
+                for key, v in sums[c].items():
                     key += u
-                    out[key] = out.get(key, 0) + e * c
+                    out[key] = out.get(key, 0) + e * v
         else:
-            y, g = lattice.splits[k]
+            y, g = parts
             dg = sums[g]
             for ky, cy in sums[y].items():
                 for kg, cg in dg.items():
                     out[ky + kg] = out.get(ky + kg, 0) + cy * cg
         sums.append(out)
-    slots = table.slots
+    slots, width = table.slots, table.width
     ranked, q = {}, 1
     for key, c in sums[-1].items():
         dens, p = [], 1

@@ -6,14 +6,15 @@ routes it does: row reduction over Q (fraction_kernel), the rational basis
 of a flat (flat_basis), the closure of an index set, the brute-force
 lattice with its Mobius table by definition and the open-stratum Euler
 characteristics read off it, long division by an affine form over Q, the
-chain-sum flag formula, the flag-sum recursion in Fractions, the braid
-local zeta by a recursion over set partitions with no lattice, the geometric
-interval and restriction arrangements, the specialization of a
-multivariate zeta, the pole decision over every form of the flag sum's
-least common denominator, polytope membership, the adapted-vector
-violations summed in Fractions, separating and localized walls by their
-definition, the concrete-nudge chamber path and the leverage scores by
-Cauchy-Binet over every basis of the normals.
+chain-sum flag formula, every flat's sum by the flag-sum recursion in
+Fractions, with or without the product rule at the flats that are not
+dense, the braid local zeta by a recursion over set partitions with no
+lattice, the geometric interval and restriction arrangements, the
+specialization of a multivariate zeta, the pole decision over every form
+of the flag sum's least common denominator, polytope membership, the
+adapted-vector violations summed in Fractions, separating and localized
+walls by their definition, the concrete-nudge chamber path and the
+leverage scores by Cauchy-Binet over every basis of the normals.
 
 The library's MultiPoly is a result type with products only, so tests
 write their polynomials with poly (dict literals and sums) and form_poly.
@@ -39,7 +40,8 @@ __all__ = [
     "thirteen", "random_lines", "random_central_c3", "random_rational_point",
     "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
     "stratum_euler", "long_division", "poly", "form_poly", "Chain", "enumerate_chains",
-    "chain_terms", "fraction_flag_sum", "braid_local_zeta", "merged_terms", "interval_arrangement",
+    "chain_terms", "fraction_flat_sums", "fraction_flag_sum", "braid_local_zeta",
+    "merged_terms", "interval_arrangement",
     "restriction_arrangement", "specialize", "all_forms_denominator",
     "polytope_member", "fraction_adapted_violations",
     "brute_separating_walls", "brute_localized_walls", "nudged_path",
@@ -358,21 +360,36 @@ def chain_terms(arr, multi=False, use_global=False):
     return tuple((coef, dens) for coef, dens in terms if coef)
 
 
-def fraction_flag_sum(arr, multi=False):
-    """The flag sum by the recursion over flats with every D(X), the sum
-    over the flags from X up to the ambient space, kept in Fractions and
-    its denominators as sorted tuples of AffineForms:
+def fraction_flat_sums(arr, multi=False, products=False):
+    """{flat: D(flat)} by the recursion over flats, every D(X), the sum
+    over the flags from X up to the ambient space, kept in Fractions as
+    {sorted tuple of AffineForms: nonzero Fraction}:
 
         D(X) = (1/s_X) sum of interval_euler(Y, X) * (D(Y) with L_X added)
 
     over euler_below(X), L_X, s_X the canonical pole form and scale of X.
-    Returns D(minimal flat) as the (coefficient, sorted denominator) pairs
-    with a nonzero coefficient, sorted by denominator: the shape of
-    ZetaFunction.terms for the local zeta."""
+    With products, a proper flat that is not dense (is_dense) takes
+    instead the product of the sums of its components, the maximal dense
+    flats below it, found by their index sets: the sum over the dense
+    edges alone, term for term that of the library's flag sum."""
     lattice = arr.lattice
     rows = arr.factors if multi else [arr.mults]
     sums = {lattice.ambient: {(): Fraction(1)}}
+    dense = [x for x in lattice.flats[1:] if lattice.is_dense(x)]
     for x in lattice.flats[1:]:
+        if products and not lattice.is_dense(x):
+            below = [g for g in dense if g.indices <= x.indices]
+            out = {(): Fraction(1)}
+            for g in below:
+                if not any(g.indices < h.indices for h in below):
+                    prod = {}
+                    for da, ca in out.items():
+                        for db, cb in sums[g].items():
+                            key = tuple(sorted(da + db))
+                            prod[key] = prod.get(key, 0) + ca * cb
+                    out = prod
+            sums[x] = {dens: coef for dens, coef in out.items() if coef}
+            continue
         form, scale = AffineForm.canonical([sum(row[i] for i in x.indices) for row in rows],
                                            x.codim)
         out = {}
@@ -381,7 +398,16 @@ def fraction_flag_sum(arr, multi=False):
                 key = tuple(sorted(dens + (form,)))
                 out[key] = out.get(key, 0) + e * coef
         sums[x] = {dens: coef / scale for dens, coef in out.items() if coef}
-    return tuple((coef, dens) for dens, coef in sorted(sums[lattice.minimal_flat()].items()))
+    return sums
+
+
+def fraction_flag_sum(arr, multi=False):
+    """D(minimal flat) of fraction_flat_sums, over every flat, as the
+    (coefficient, sorted denominator) pairs with a nonzero coefficient,
+    sorted by denominator: the shape of ZetaFunction.terms for the local
+    zeta."""
+    sums = fraction_flat_sums(arr, multi)
+    return tuple((coef, dens) for dens, coef in sorted(sums[arr.lattice.minimal_flat()].items()))
 
 
 def _integer_partitions(m, largest=None):

@@ -1,7 +1,7 @@
 """tools/frontier.py: a case's line, made in a fresh process, carries both
-kinds of seconds, the digests of the flag sum and of the poles computed
-here, and the number of forms that the pole decision settles by
-division."""
+kinds of seconds, the classes of the flag sum's plan and the chi of the
+dense rows, the digests of the flag sum and of the poles computed here,
+and the number of forms that the pole decision settles by division."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from arrzeta import Arrangement, local_zeta, multivariate_local_zeta
+from arrzeta import Arrangement, dense_edges, local_zeta, multivariate_local_zeta
 from arrzeta.examples import veys
 from arrzeta.zeta import _flag_sum
 
@@ -29,10 +29,17 @@ def test_frontier_case_line():
     got, mod2 = map(json.loads, done.stdout.splitlines())
     assert list(got) == ["case", "lattice_s", "lattice_ref_s", "sum_s", "sum_ref_s",
                          "poles_s", "poles_ref_s", "peak_rss_mb", "flats", "dense", "terms",
-                         "sha256", "poles_sha256", "divided"]
+                         "classes", "dense_chi", "sha256", "poles_sha256", "divided"]
     assert all(got[k] >= 0 for k in got if k.endswith("_s"))
     assert (got["case"], got["flats"], got["dense"], got["terms"]) == ("veys", 13, 8, 12)
-    digest = hashlib.sha256(pickle.dumps(_flag_sum(veys(), False), protocol=4)).hexdigest()
+    # veys's 13 flats fall into 9 classes, and its 8 dense rows hold 24 chi
+    lattice = veys().lattice
+    assert (got["classes"], got["dense_chi"]) == (
+        9, sum(len(lattice.euler_below(f)) for f in dense_edges(veys())))
+    # the digest of the flag sum does not depend on the order of its entries
+    rows, ranked, q = _flag_sum(veys(), False)
+    items = sorted((dens, c) for dens, c in ranked.items() if c)
+    digest = hashlib.sha256(pickle.dumps((rows, items, q), protocol=4)).hexdigest()
     assert got["sha256"] == digest
     # veys's cancelled -1/3 is ruled out by its exact one-variable read
     count, digest = _poles_sha256(local_zeta(veys()))

@@ -29,7 +29,7 @@ ALLOWED = {
     "walls.walls_from_resolution": "the validated route nd_wall_set is checked against "
                                    "in test_walls.py",
     "arrangement.IntersectionLattice.euler_below":
-        "the flag-sum oracle conftest.fraction_flag_sum and test_lattice.py read it",
+        "the flag-sum oracle conftest.fraction_flat_sums and test_lattice.py read it",
     "arrangement.IntersectionLattice.flat":
         "the public lookup of a flat by its index set; the tests read it",
     "walls.WallFamily.hits":

@@ -28,6 +28,7 @@ from arrzeta.zeta import ZetaFunction
 
 from conftest import (Chain, all_forms_denominator, boolean2, boolean2_factored,
                       braid, braid_local_zeta, chain_terms, enumerate_chains, fraction_flag_sum,
+                      fraction_flat_sums, _integer_partitions,
                       long_division, merged_terms, ninefold, random_central_c3,
                       random_lines, random_rational_point, specialize,
                       stratum_euler, thirteen, threelines, threelines_factored,
@@ -1231,21 +1232,26 @@ def _fresh(arr):
 
 def _assert_later_zetas_decide_as_a_fresh_lattice(arr):
     # the row table keeps each form's read values from its first decision
-    # on; every later zeta of the lattice, univariate and multivariate in
-    # turn, decides exactly the poles that a fresh lattice decides
+    # on, and the pole table its class plan from its first flag sum on;
+    # every later zeta of the lattice, univariate and multivariate in
+    # turn, has exactly the terms and poles of its first and of a fresh
+    # lattice's, the multivariate zeta of a one-row factorization
+    # included, which reads the table the univariate zeta made
     zetas = [local_zeta, global_zeta]
     if arr.factors is not None:
         zetas += [multivariate_local_zeta, multivariate_global_zeta]
+    first = {}
     for _ in range(3):
         for zeta in zetas:
-            got, want = zeta(arr).denominator, zeta(_fresh(arr)).denominator
-            assert list(got.items()) == list(want.items())
+            got, want = zeta(arr), zeta(_fresh(arr))
+            assert list(got.denominator.items()) == list(want.denominator.items())
+            assert got.terms == want.terms == first.setdefault(zeta, got.terms)
 
 
 @pytest.mark.parametrize("arr", DENSE_CORPUS, ids=DENSE_IDS)
 def test_later_zetas_decide_as_a_fresh_lattice(arr):
     _assert_later_zetas_decide_as_a_fresh_lattice(arr)
-    for k in (2, 3):
+    for k in (1, 2, 3):
         _assert_later_zetas_decide_as_a_fresh_lattice(_mod_factors(arr, k))
 
 
@@ -1253,6 +1259,83 @@ def test_later_zetas_decide_as_a_fresh_lattice(arr):
 @given(_central_arrangements())
 def test_later_zetas_decide_as_a_fresh_lattice_random(arr):
     _assert_later_zetas_decide_as_a_fresh_lattice(arr)
+
+
+# ---------------------------------------------------------------------------
+# the class plan: one sum per class of flats with equal local sums
+
+def _flag_sum_terms(arr, multi):
+    """zeta._flag_sum as {sorted tuple of AffineForms: Fraction}, zero
+    entries left out."""
+    rows, ranked, q = arrzeta.zeta._flag_sum(arr, multi)
+    forms = [_af(row[:-1], row[-1]) for row in rows]
+    return {tuple(forms[i] for i in dens): F(c, q) for dens, c in ranked.items() if c}
+
+
+def _plan(arr, multi):
+    lattice = arr.lattice
+    return arrzeta.zeta._pole_table(arr, lattice, multi).plan(lattice)
+
+
+def _assert_flag_sum_matches_flat_sums(arr):
+    # the sum over the classes is term for term the Fraction recursion
+    # with the product rule, and the flats of one class have equal sums
+    # under it, and equal functions under the recursion over every flat
+    lattice = arr.lattice
+    for multi in (False, True) if arr.factors is not None else (False,):
+        nvars = len(arr.factors) if multi else 1
+        products = fraction_flat_sums(arr, multi, products=True)
+        every = fraction_flat_sums(arr, multi)
+        assert _flag_sum_terms(arr, multi) == products[lattice.minimal_flat()]
+        keys, classes = _plan(arr, multi)
+        assert len(classes) == len(lattice) and classes[0] == 0
+        assert sorted(set(classes)) == list(range(len(keys) + 1)) and classes[-1] == len(keys)
+        first = {}
+        for x, c in zip(lattice.flats, classes):
+            y = first.setdefault(c, x)
+            if y is not x:
+                assert products[x] == products[y]
+                assert ZetaFunction(nvars, [(coef, dens) for dens, coef in every[x].items()]) \
+                    == ZetaFunction(nvars, [(coef, dens) for dens, coef in every[y].items()])
+
+
+@pytest.mark.parametrize("arr", DENSE_CORPUS, ids=DENSE_IDS)
+def test_flag_sum_matches_flat_sums(arr):
+    _assert_flag_sum_matches_flat_sums(arr)
+    for k in (2, 3):
+        _assert_flag_sum_matches_flat_sums(_mod_factors(arr, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_central_arrangements())
+def test_flag_sum_matches_flat_sums_random(arr):
+    _assert_flag_sum_matches_flat_sums(arr)
+
+
+def _block_sizes(m, flat):
+    """The block sizes of the set partition of range(m) that a flat of
+    braid(m) is, its hyperplanes x_i - x_j joining i and j, sorted
+    descending."""
+    pairs, block = list(combinations(range(m), 2)), list(range(m))
+    for h in flat.indices:
+        i, j = pairs[h]
+        old, new = block[j], block[i]
+        block = [new if b == old else b for b in block]
+    return tuple(sorted(Counter(block).values(), reverse=True))
+
+
+@pytest.mark.parametrize("k", range(1, 8), ids=["A%d" % k for k in range(1, 8)])
+def test_braid_plan_classes_are_the_partitions(k):
+    # on braid A_k a flat's sum is fixed by its block sizes, and the plan
+    # tells every two patterns apart: p(k + 1) classes, 2, 3, 5, 7, 11,
+    # 15 and 22, the ambient space's included, among Bell(k + 1) flats
+    arr = braid(k + 1)
+    keys, classes = _plan(arr, False)
+    assert len(keys) + 1 == len(list(_integer_partitions(k + 1)))
+    pattern = {}
+    for x, c in zip(arr.lattice.flats, classes):
+        assert pattern.setdefault(c, _block_sizes(k + 1, x)) == _block_sizes(k + 1, x)
+    assert len(set(pattern.values())) == len(pattern)
 
 
 def test_results_report_the_row_tables_forms():

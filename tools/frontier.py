@@ -9,15 +9,21 @@ For each case a child process imports the library, builds the
 arrangement, then its lattice (Arrangement.lattice), then the flag sum
 (zeta._flag_sum) and the pole decision (zeta.ZetaFunction._merged), and
 prints one JSON line: the seconds of those three steps, the peak resident
-set size, the numbers of flats, dense edges and merged terms, the sha256
-of the pickled (rows, ranked, q) that the flag sum returns, the sha256 of
-the pickled sorted (row, order) pairs of the decided denominator
-("poles_sha256", each form as its integer row: coefficients, then
-constant), and the number of forms that the pole decision settles by
-dividing the numerator of their carriers ("divided", the calls of
-zeta._lcd_numerator, counted by a wrapper set in the child; the child
-reads no numerator of the whole sum).  Two checkouts give the same digests exactly
-when their flag sums and decided poles agree byte for byte.
+set size, the numbers of flats, dense edges and merged terms, two counts
+that do not depend on the host ("classes", the classes of flats with
+equal local sums in the pole table's plan, the ambient space's included,
+null for a library with no plan, and "dense_chi", the interval Euler
+characteristics in the dense edges' rows of IntersectionLattice.euler),
+the sha256 of the pickled (rows, sorted nonzero items of ranked, q) of
+the flag sum's (rows, ranked, q), the sha256 of the pickled sorted (row,
+order) pairs of the decided denominator ("poles_sha256", each form as
+its integer row: coefficients, then constant), and the number of forms
+that the pole decision settles by dividing the numerator of their
+carriers ("divided", the calls of zeta._lcd_numerator, counted by a
+wrapper set in the child; the child reads no numerator of the whole
+sum).  Two checkouts give the same digests exactly when their flag sums
+are equal as mappings, in whatever order their entries were made, and
+their decided poles agree.
 
 A CLI case, "zeta --multi --json" and an arrangement case's name, writes
 that arrangement to a JSON file and runs `arrzeta zeta FILE --multi --json`
@@ -32,19 +38,23 @@ Every time comes twice: plain wall-clock seconds ("lattice_s",
 perfbench/speed.py, imported from this script's checkout and not changed:
 every 25 ms it times a fixed calibration loop.  Those loops are left out of
 both figures, and their speed during a step scales the step to the time it
-would take on a core that runs the loop in speed.REF_S seconds.  The cores
-of a shared host change speed, which the reference seconds take out; still
-compare runs made side by side, the two sides alternating.
+would take on a core that runs the loop in speed.REF_S seconds.  The
+cyclic garbage collector runs before each timed step, so that no step
+pays for what an earlier one left behind.  The cores of a shared host
+change speed, which the reference seconds take out; still compare runs
+made side by side, the two sides alternating.
 
 With --against OTHER, a checkout's root, every case runs on both sides
 in each of --rounds rounds, the side that goes first alternating from one
 case and round to the next.  Each side's child is that checkout's own
 tools/frontier.py, importing that checkout's src/, since the private
-functions a child calls may differ between them.  Instead of the children's
-lines it prints one JSON line per case: both sides' medians of each time
-and of the peak RSS ("this", "other"), the rounds, counted from 1, in which
-this side's time is lower ("lower"), and whether the digests and the
-number of divided forms agree over every run of both sides ("same").
+functions a child calls may differ between them; to compare digests whose
+definition has changed, run this script with --src OTHER/src instead.
+Instead of the children's lines it prints one JSON line per case: both
+sides' medians of each time and of the peak RSS ("this", "other"), the
+rounds, counted from 1, in which this side's time is lower ("lower"), and
+whether the digests and the number of divided forms agree over every run
+of both sides ("same").
 
 Case names: A_k is the braid arrangement x_i - x_j in C^(k+1) and B_n the
 root-system arrangement of type B in C^n.  "i mod k" puts hyperplane i,
@@ -53,6 +63,7 @@ zeta; "/r" is one factor per hyperplane.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -164,6 +175,14 @@ def scaled(sampler, start, end):
     return tuple(round(x, 6) for x in sampler.scale(start, end))
 
 
+def flag_sum_sha256(rows, ranked, q):
+    """The sha256 of the pickled (rows, sorted nonzero items of ranked, q)
+    of a flag sum (rows, ranked, q): the same for equal sums, whatever
+    order ranked was built in."""
+    items = sorted((dens, c) for dens, c in ranked.items() if c)
+    return hashlib.sha256(pickle.dumps((rows, items, q), protocol=4)).hexdigest()
+
+
 def cli_child(name):
     """Run one CLI case in this process and print its JSON line."""
     from arrzeta.cli import run
@@ -173,6 +192,7 @@ def cli_child(name):
             json.dump(arrangement_json(CLI_CASES[name]), fh)
         out = Digest()
         sampler = start_sampler()
+        gc.collect()
         t0 = perf_counter()
         with redirect_stdout(out):
             code = run(["zeta", path, "--multi", "--json"])
@@ -202,18 +222,26 @@ def child(name):
     zeta._lcd_numerator = counted
     arr, multi = arrangement(name)
     sampler = start_sampler()
-    t0 = perf_counter()
-    lattice = arr.lattice
-    t1 = perf_counter()
-    rows, ranked, q = zeta._flag_sum(arr, multi)
-    t2 = perf_counter()
-    z = zeta.ZetaFunction._merged(len(zeta._factor_rows(arr, multi)),
-                                  zeta._pole_table(arr, lattice, multi), ranked, q)
-    t3 = perf_counter()
+    spans = []
+
+    def timed(step):
+        gc.collect()
+        start = perf_counter()
+        value = step()
+        spans.append((start, perf_counter()))
+        return value
+
+    lattice = timed(lambda: arr.lattice)
+    rows, ranked, q = timed(lambda: zeta._flag_sum(arr, multi))
+    z = timed(lambda: zeta.ZetaFunction._merged(len(zeta._factor_rows(arr, multi)),
+                                                zeta._pole_table(arr, lattice, multi), ranked, q))
     sampler.stop()
     poles = sorted((f.coeffs + (f.const,), k) for f, k in z.denominator.items())
+    # a library from before the class plan has none to count
+    table = zeta._pole_table(arr, lattice, multi)
+    classes = len(table.plan(lattice)[0]) + 1 if hasattr(table, "plan") else None
     times = {}
-    for step, start, end in (("lattice", t0, t1), ("sum", t1, t2), ("poles", t2, t3)):
+    for step, (start, end) in zip(("lattice", "sum", "poles"), spans):
         times[step + "_s"], times[step + "_ref_s"] = scaled(sampler, start, end)
     print(json.dumps({
         "case": name,
@@ -222,7 +250,9 @@ def child(name):
         "flats": len(lattice),
         "dense": len(lattice.dense),
         "terms": len(ranked),
-        "sha256": hashlib.sha256(pickle.dumps((rows, ranked, q), protocol=4)).hexdigest(),
+        "classes": classes,
+        "dense_chi": sum(len(lattice.euler[k]) for k in lattice.dense),
+        "sha256": flag_sum_sha256(rows, ranked, q),
         "poles_sha256": hashlib.sha256(pickle.dumps(poles, protocol=4)).hexdigest(),
         "divided": built[0],
     }))
