@@ -12,17 +12,20 @@ contains every hyperplane through W.  The partial order used everywhere is
 reverse inclusion of subspaces, i.e. inclusion of index sets, with bottom
 element the ambient space (empty index set).
 
-The lattice is built over the integers: the walk carries, for each flat,
-one primitive integer trace per class of hyperplanes outside it whose
-traces are proportional, and takes a cover's traces from its parent's by
-2x2 determinants, so no flat needs a kernel; a flat keeps only its index
-set and codimension.  One recursion over each flat's lower interval fills
-every table, by the flats' positions in lattice order: mu(ambient, X), the
-nonzero interval Euler characteristics chi(X, Y), all exact, and, read off
-them once, the dense edges' positions and every other proper flat's split
-into two flats, so dense_edges and the flag sum hash no index set.  Each
-arrangement builds its lattice once, on the first read of
-Arrangement.lattice, and every reader shares it.
+The lattice is built over the integers, from the input rows to the
+tables: the walk carries, for each flat, one primitive integer trace per
+class of hyperplanes outside it whose traces are proportional, and takes
+a cover's traces from its parent's by 2x2 determinants, so no flat needs
+a kernel; it keeps each index set as an int mask, and a flat keeps only
+its index set, made once as a frozenset, and codimension.  One pass in
+lattice order fills every table, by the flats' positions: it tells the
+dense flats from the others by one component test per flat, keeps each
+other proper flat's split into two flats and takes its mu(ambient, X) as
+their product, and runs the recursion over the lower interval at the
+dense flats alone, for their mu(ambient, X) and their nonzero interval
+Euler characteristics chi(X, Y), all exact.  So dense_edges and the flag
+sum hash no index set.  Each arrangement builds its lattice once, on the
+first read of Arrangement.lattice, and every reader shares it.
 """
 
 from collections import deque
@@ -60,29 +63,32 @@ class Arrangement:
         if n < 1:
             raise ArrangementError("ambient dimension must be at least 1")
         self.n = n
-        parsed_forms = []
-        parsed_consts = []
-        for idx, f in enumerate(forms):
-            f = [rational(e) for e in f]
+        parsed_forms, parsed_consts, rows = [], [], []
+        for idx, given in enumerate(forms):
+            given = tuple(given)
+            f = [rational(e) for e in given]
             if len(f) == n:
                 normal, const = f, Fraction(0)
+                given += (0,)
             elif len(f) == n + 1:
                 normal, const = f[:n], f[n]
             else:
                 raise ArrangementError("form %d has length %d, expected %d" % (idx + 1, len(f), n))
-            if all(e == 0 for e in normal):
+            if not any(normal):
                 raise ArrangementError("form %d has zero normal vector" % (idx + 1,))
             parsed_forms.append(tuple(normal))
             parsed_consts.append(const)
+            rows.append(given)
         self.forms = tuple(parsed_forms)
         self.consts = tuple(parsed_consts)
         self.r = len(self.forms)
         # two forms are proportional exactly when their whole affine rows
-        # have the same primitive integer key; a central row's key is its
-        # primitive normal with a 0 appended
+        # have the same primitive integer key; each key is taken from the
+        # row as given, a 0 appended to a central one, so that a row of
+        # ints is read with no Fraction
         normals, seen = [], {}
-        for i, (normal, const) in enumerate(zip(self.forms, self.consts)):
-            key = primitive_normal(normal + (const,))
+        for i, row in enumerate(rows):
+            key = primitive_normal(row)
             if key in seen:
                 raise ArrangementError(
                     "forms %d and %d are proportional; merge them into one "
@@ -184,31 +190,31 @@ class IntersectionLattice:
     index in that order, the ambient space's 0; pos maps each flat's index
     set to its position, and every table is by position.  mobius is a
     tuple parallel to flats: mobius[k] is mu(ambient, flats[k]), which
-    gives the characteristic polynomial.  euler holds one dict per
-    position k: it maps the position j of each flat below flats[k] with a
-    nonzero interval_euler chi to chi(flats[j], flats[k]), in lattice
-    order; it gives the flag sum and the dense edges.  Both are filled
-    from lower intervals (see intersection_lattice).  Read off euler once,
-    dense holds the positions of the dense proper flats, those whose row
-    has an entry at 0, in lattice order, and splits maps every other
-    proper flat's position k to (y, g), y the first key of row k and g the
-    position of flats[k].indices - flats[y].indices (see zeta._flag_sum).
-    pole_tables starts empty; zeta fills it on first use with one
-    zeta._PoleTable per tuple of factor rows, the dense edges' pole forms
-    under that factorization and, from the first flag sum on, the classes
-    of flats with equal local sums, so the flag sums and candidate poles
-    of the lattice's arrangement make them once.
+    gives the characteristic polynomial.  dense holds the positions of the
+    dense proper flats, in lattice order.  euler maps each of them, k, to
+    its row: a dict from the position j of each flat below flats[k] with a
+    nonzero interval_euler to chi(flats[j], flats[k]), in lattice order; it
+    gives the flag sum.  Every other proper flat is the direct sum of its
+    components, the maximal dense flats below it, and splits maps its
+    position k to (y, g): y the least position among the joins of all its
+    components but one, g the position of flats[k].indices -
+    flats[y].indices, a component.  Such a flat has no row: interval_euler
+    and euler_below read its numbers off its split's rows.  All are filled
+    in one pass (see intersection_lattice).  pole_tables starts empty;
+    zeta fills it on first use with one zeta._PoleTable per tuple of
+    factor rows, the dense edges' pole forms under that factorization and,
+    from the first flag sum on, the classes of flats with equal local
+    sums, so the flag sums and candidate poles of the lattice's
+    arrangement make them once.
     """
 
-    def __init__(self, flats, pos, mobius, euler):
+    def __init__(self, flats, pos, mobius, euler, splits):
         self.flats = tuple(flats)
         self._pos = pos
         self.mobius = tuple(mobius)
         self.euler = euler
-        self.dense = tuple(k for k, below in enumerate(euler[1:], 1) if 0 in below)
-        self.splits = {k: (y, self._pos[self.flats[k].indices - self.flats[y].indices])
-                       for k, below in enumerate(euler[1:], 1) if 0 not in below
-                       for y in [next(iter(below))]}
+        self.dense = tuple(euler)
+        self.splits = splits
         self.pole_tables = {}
 
     def _position(self, indices):
@@ -236,16 +242,43 @@ class IntersectionLattice:
     def interval_euler(self, X, Y):
         """Euler characteristic of the projectivized complement of the
         interval arrangement between flats X < Y:
-        sum over X <= Z <= Y of mu(X, Z) (codim Y - codim Z)."""
+        sum over X <= Z <= Y of mu(X, Z) (codim Y - codim Z).
+
+        At a Y split as (y, g), [X, Y] is the product of [X & y, y] and
+        [X & g, g], and Crapo's beta of a product of two lattices of rank
+        at least 1 is 0: the value is that of (X & g, g) if X contains y,
+        that of (X & y, y) if X contains g, and 0 otherwise."""
         if not X.indices < Y.indices:
             raise ArrangementError("interval needs flats X < Y (index set of X "
                                    "strictly inside that of Y)")
-        return self.euler[self._position(Y.indices)].get(self._position(X.indices), 0)
+        x, j, k = X.indices, self._position(X.indices), self._position(Y.indices)
+        while k in self.splits:
+            y, g = self.splits[k]
+            if self.flats[y].indices <= x:
+                k = g
+            elif self.flats[g].indices <= x:
+                k = y
+            else:
+                return 0
+            x &= self.flats[k].indices
+            j = self._pos[x]
+        return self.euler[k].get(j, 0)
 
     def euler_below(self, Y):
         """The (X, interval_euler(X, Y)) pairs over the flats X < Y whose
         value is nonzero, in lattice order."""
-        return [(self.flats[j], e) for j, e in self.euler[self._position(Y.indices)].items()]
+        return [(self.flats[j], e) for j, e in self._row(self._position(Y.indices))]
+
+    def _row(self, k):
+        """The (j, chi(flats[j], flats[k])) pairs of euler_below: none at
+        the ambient space, and by the product rule of interval_euler at a
+        flat that is not dense."""
+        if k not in self.splits:
+            return self.euler.get(k, {}).items()
+        flats, pos = self.flats, self._pos
+        return sorted((pos[flats[j].indices | flats[b].indices], e)
+                      for a, b in (self.splits[k], self.splits[k][::-1])
+                      for j, e in self._row(a))
 
     def is_dense(self, flat):
         """A proper flat is dense iff its localized arrangement is
@@ -260,28 +293,69 @@ class IntersectionLattice:
 
 def _restrict(classes, p):
     """The classes of the cover ker p, from the (trace, members) classes
-    of its parent, p the trace of one of them: every other trace t becomes
-    the primitive key of [p_m t_j - p_j t_m for j != m], m the index of
-    p's first nonzero entry, and classes with equal keys merge into one
-    new members list."""
+    of its parent, members an int mask of hyperplanes and p the trace of
+    one of them: every other trace t becomes the primitive key of
+    [p_m t_j - p_j t_m for j != m], m the index of p's first nonzero
+    entry, and classes with equal keys merge, their masks OR-ed.  Every
+    trace is a primitive key, so one with t_m = 0 becomes t without its
+    entry m: p_m > 0 scales the rest, whose gcd and first nonzero entry
+    are t's."""
     if len(p) == 2:
         # ker p is a line, on which all nonzero traces are proportional
-        others = [i for t, members in classes if t is not p for i in members]
+        others = 0
+        for t, members in classes:
+            if t is not p:
+                others |= members
         return [((1,), others)] if others else []
-    m = next(j for j, e in enumerate(p) if e)
-    pm = p[m]
+    for m, pm in enumerate(p):
+        if pm:
+            break
     out = {}
     for t, members in classes:
         if t is not p:
             tm = t[m]
-            trace = [pm * a - tm * b for a, b in zip(t, p)]
-            del trace[m]  # p_m t_m - p_m t_m
-            key = primitive_key(trace)
-            if key in out:
-                out[key] += members
+            if tm:
+                trace = [pm * a - tm * b for a, b in zip(t, p)]
+                del trace[m]  # p_m t_m - p_m t_m
+                key = primitive_key(trace)
             else:
-                out[key] = list(members)
+                key = t[:m] + t[m + 1:]
+            out[key] = out.get(key, 0) | members
     return list(out.items())
+
+
+def _walk(normals):
+    """The flats of the central arrangement with these primitive normals,
+    each as the int mask of its index set (bit i for hyperplane i):
+    ({mask: codim}, {mask of a proper flat: the masks of its lower
+    covers}).  See intersection_lattice."""
+    codim, lower = {0: 0}, {}
+    # a queued flat comes with its parent's classes and the trace p of the
+    # class it was reached by; its own classes are worked out when popped
+    queue = deque([(0, [(v, 1 << i) for i, v in enumerate(normals)], None)])
+    while queue:
+        x, parent, p = queue.popleft()
+        classes = parent if p is None else _restrict(parent, p)
+        c = codim[x] + 1
+        for trace, members in classes:
+            y = x | members
+            if y in lower:
+                lower[y].append(x)
+            else:
+                lower[y] = [x]
+                codim[y] = c
+                queue.append((y, classes, trace))
+    return codim, lower
+
+
+def _bits(mask):
+    """The indices of the set bits of an int mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def intersection_lattice(arr):
@@ -293,9 +367,9 @@ def intersection_lattice(arr):
     proportional cut out the same cover, whose index set, X's plus that
     class, is already closed, since a hyperplane through the cover Y
     meets X in Y and so has a trace on X proportional to the class's.
-    The walk keeps one primitive integer trace per class, in coordinates
-    of some integer basis of X; the ambient space's traces are the
-    normals.  If Y is reached through the class with trace p, and m is
+    The walk (_walk) keeps one primitive integer trace per class, in
+    coordinates of some integer basis of X; the ambient space's traces are
+    the normals.  If Y is reached through the class with trace p, and m is
     the index of p's first nonzero entry, the vectors p_m e_j - p_j e_m
     (j != m) are a basis of ker p, which is Y; on it a trace t on X
     becomes [p_m t_j - p_j t_m for j != m], one 2x2 determinant per
@@ -304,58 +378,77 @@ def intersection_lattice(arr):
     cover, so classes only merge and one trace per class is enough.  A
     cover's traces are worked out when the walk reaches it, from its
     parent's classes and p: no kernel, no dot product in the ambient
-    space and no Fraction is made.
+    space and no Fraction is made.  Index sets are int masks, a class's
+    members one mask and a cover X's mask OR that one; each flat's
+    frozenset is made once, when the flats are sorted.
 
-    P(X/Y) is the disjoint union of the projectivized complements of the
-    intervals [Z, Y], X <= Z < Y, so chi(X, Y) = codim Y - codim X - (sum
-    of chi(Z, Y) over X < Z < Y): summed over those Z, interval_euler's
-    formula keeps mu(X, X) (codim Y - codim X) alone, as the mu(Z, W)
-    cancel at every other W < Y.  So each Y, in lattice order, takes the
-    flats below it from its lower covers, then chi(X, Y) for X from the
-    top down, and mu(ambient, Y) = -(sum of mu(ambient, X) over X < Y).
+    One pass in lattice order then fills the tables, each Y from one of
+    its lower covers X, whose components it has.  Each component of X
+    lies in one of Y; a component G of X is one of Y exactly when Y minus
+    G is a flat of codim codim Y - codim G, additive ranks being a split
+    of the localization.  The rest of Y is then one more component,
+    dense: the new hyperplanes raise the rank by 1, so they cannot join
+    two components.  Y is dense exactly when no component of X splits
+    off.  A Y that is not dense is the direct sum y + g of its split
+    (IntersectionLattice.splits), so its lower interval is the product of
+    theirs: its flats are the unions of theirs, and mu(ambient, Y) is
+    mu(ambient, y) mu(ambient, g).
+
+    Only a dense Y runs the chi recursion.  P(X/Y) is the disjoint union
+    of the projectivized complements of the intervals [Z, Y], X <= Z < Y,
+    so chi(X, Y) = codim Y - codim X - (sum of chi(Z, Y) over X < Z < Y):
+    summed over those Z, interval_euler's formula keeps mu(X, X) (codim Y
+    - codim X) alone, as the mu(Z, W) cancel at every other W < Y.  So a
+    dense Y takes the flats below it from its lower covers, then chi(X, Y)
+    for X from the top down, and mu(ambient, Y) = -(sum of mu(ambient, X)
+    over X < Y).
     """
     _require_central(arr, "intersection_lattice")
-    # the walk's flats are made unchecked (core._trusted): their indices
-    # are ints from range and their codims ints
-    ambient = _trusted(Flat, indices=frozenset(), codim=0)
-    flats = {ambient.indices: ambient}
-    lower = {}
-    # a queued flat comes with its parent's classes and the trace p of the
-    # class it was reached by; its own classes are worked out when popped
-    queue = deque([(ambient, [(v, [i]) for i, v in enumerate(arr.normals)], None)])
-    while queue:
-        x, parent, p = queue.popleft()
-        classes = parent if p is None else _restrict(parent, p)
-        for trace, members in classes:
-            # X's set grown in ascending order, which fixes the frozenset's
-            # iteration order
-            indices = set(x.indices)
-            indices.update(sorted(members))
-            indices = frozenset(indices)
-            lower.setdefault(indices, []).append(x.indices)
-            if indices not in flats:
-                flats[indices] = _trusted(Flat, indices=indices, codim=x.codim + 1)
-                queue.append((flats[indices], classes, trace))
-    ordered = sorted(flats.values(), key=Flat.key)
-    pos = {f.indices: k for k, f in enumerate(ordered)}
-    codim = [f.codim for f in ordered]
-    # below[k]: the positions of the X <= ordered[k], descending; acc[j]:
-    # the sum of chi(Z, Y) over the ordered[j] < Z < Y, reset once read
-    below, mobius, euler, acc = [[0]], [1], [{}], [0] * len(ordered)
-    for k, y in enumerate(ordered[1:], 1):
-        down = sorted({j for x in lower[y.indices] for j in below[pos[x]]}, reverse=True)
+    codim, lower = _walk(arr.normals)
+    order = sorted((c, _bits(m), m) for m, c in codim.items())
+    # made unchecked (core._trusted): the indices are ints from range and
+    # the codims ints
+    flats = [_trusted(Flat, indices=frozenset(b), codim=c) for c, b, _ in order]
+    masks = [m for _, _, m in order]
+    codims = [c for c, _, _ in order]
+    del codim, order  # the walk's map and the sorted bits are not read again
+    at = {m: k for k, m in enumerate(masks)}
+    # parts[k]: the positions of the components of flats[k]; below[k]: the
+    # positions of the X <= flats[k]; acc[j]: the sum of chi(Z, Y) over the
+    # flats[j] < Z < Y, reset once read
+    parts, below, mobius, euler, splits = [()], [[0]], [1], {}, {}
+    acc = [0] * len(masks)
+    for k in range(1, len(masks)):
+        y, c = masks[k], codims[k]
+        covers = lower.pop(y)
+        off, rest = [], y
+        for g in parts[at[covers[0]]]:
+            j = at.get(y ^ masks[g])
+            if j is not None and codims[j] == c - codims[g]:
+                off.append((j, g))
+                rest ^= masks[g]
+        if off:
+            off.append((at[y ^ rest], at[rest]))
+            a, b = splits[k] = min(off)
+            parts.append(tuple(g for _, g in off))
+            below.append([at[masks[u] | masks[v]] for u in below[a] for v in below[b]])
+            mobius.append(mobius[a] * mobius[b])
+            continue
+        parts.append((k,))
+        down = sorted({j for x in covers for j in below[at[x]]}, reverse=True)
         below.append([k] + down)
         mobius.append(-sum(map(mobius.__getitem__, down)))
         row = []
         for j in down:
-            e = y.codim - codim[j] - acc[j]
+            e = c - codims[j] - acc[j]
             if e:
                 row.append((j, e))
                 for z in below[j]:
                     acc[z] += e
             acc[j] = 0
-        euler.append(dict(reversed(row)))
-    return IntersectionLattice(ordered, pos, mobius, euler)
+        euler[k] = dict(reversed(row))
+    return IntersectionLattice(flats, {f.indices: k for k, f in enumerate(flats)},
+                               mobius, euler, splits)
 
 
 def char_poly(arr, lattice=None):
@@ -412,12 +505,12 @@ def dense_edges(arr, lattice=None):
     """Proper flats whose localized arrangement is indecomposable, in
     lattice order.
 
-    Read off the Euler table through Crapo's beta invariant (see
-    IntersectionLattice.is_dense): a proper flat is dense exactly when
-    its row of IntersectionLattice.euler has an entry at position 0, the
-    ambient space; the lattice records their positions once
-    (IntersectionLattice.dense).  Every hyperplane is dense; the origin is
-    dense iff the arrangement is essential and indecomposable.
+    The lattice records their positions once (IntersectionLattice.dense),
+    from the component test of its table pass (intersection_lattice); by
+    Crapo's beta invariant they are the proper flats with a nonzero
+    interval_euler from the ambient space (IntersectionLattice.is_dense).
+    Every hyperplane is dense; the origin is dense iff the arrangement is
+    essential and indecomposable.
     """
     lattice = lattice or arr.lattice
     return [lattice.flats[k] for k in lattice.dense]

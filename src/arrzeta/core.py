@@ -244,7 +244,7 @@ class MultiPoly:
 
     def sorted_terms(self):
         """Terms sorted by total degree descending, then exponents descending."""
-        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __repr__(self):
         return "MultiPoly(%s)" % format_poly(self)

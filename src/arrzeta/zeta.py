@@ -13,8 +13,8 @@ the Euler characteristic of the open stratum of the first flat, plus the
 empty flag; on a central arrangement that is the local sum (see
 global_zeta).  The interval Euler characteristics are the nonzero ones
 the arrangement's one intersection lattice, Arrangement.lattice, keeps for
-each flat by lattice position (IntersectionLattice.euler); no interval
-arrangement is built.
+each dense flat by lattice position (IntersectionLattice.euler), the only
+rows the sum reads; no interval arrangement is built.
 
 Only the dense edges, the building set of the minimal wonderful model (De
 Concini and Procesi, Selecta Math. 1995), give denominators, so every
@@ -124,8 +124,8 @@ class _RowTable:
         modulo _PRIME at _point in two or more.
     root_rank: in one variable, {id(form): (rank, root)}, rank the place
         of the root in descending order (distinct canonical rows have
-        distinct roots), made on first read; poles sorts by it.  The
-        table keeps the forms, so their ids stay theirs.
+        distinct roots), ordered on integers and made on first read; poles
+        sorts by it.  The table keeps the forms, so their ids stay theirs.
     roots: the roots in that order, made on first read (candidate_poles).
     _reads: {i: read(i)} for the forms decided so far.
     """
@@ -146,8 +146,11 @@ class _RowTable:
 
     @cached_property
     def root_rank(self):
-        ranked = sorted(((form.root(), id(form)) for form in self.forms), reverse=True)
-        return {key: (rank, root) for rank, (root, key) in enumerate(ranked)}
+        # the root of N s + c is -c/N, so the roots descend as the integers
+        # c (M // N) ascend, M the lcm of the N
+        m = lcm(*(n for n, _ in self.rows))
+        ranked = sorted(zip(self.rows, self.forms), key=lambda item: item[0][1] * (m // item[0][0]))
+        return {id(form): (rank, form.root()) for rank, (_, form) in enumerate(ranked)}
 
     @cached_property
     def roots(self):
@@ -221,11 +224,14 @@ class _PoleTable(_RowTable):
         """(keys, classes): keys[c - 1] is class c's key, (unit, pairs) or
         (0, (class, class)) for a split, and classes[k] the class of the
         flat at position k.  A class fixes its flats' codimension, so the
-        minimal flat's class is the last."""
+        minimal flat's class is the last.  One pass in lattice order reads
+        the Euler row of each dense flat (IntersectionLattice.euler, which
+        has a row for the dense flats alone) and the split of every other
+        proper flat (IntersectionLattice.splits)."""
         if self._plan is None:
             euler, unit, splits = lattice.euler, self.unit, lattice.splits
             index, classes = {}, [0]
-            for k in range(1, len(euler)):
+            for k in range(1, len(lattice)):
                 u = unit.get(k)
                 if u:
                     by = {}
@@ -669,20 +675,21 @@ def _flag_sum(arr, multi):
         D(X) = sum of interval_euler(Y, X) * D(Y) / (s_X L_X)
 
     over the flats Y < X with a nonzero interval_euler, read by lattice
-    position from IntersectionLattice.euler.  Any other proper X is the
-    direct sum of its components G_1, ..., G_k (k >= 2), the maximal dense
-    flats below it, and the zeta of a direct sum is the product of the
-    zetas: D(X) = D(G_1) ... D(G_k).  It is taken as D(Y) D(G), Y the
-    first flat of X's Euler row and G the flat on X's index set minus Y's,
-    which the lattice records once (IntersectionLattice.splits).
-    Each flat Y < X is the join of flats Y_i <= G_i, and [Y, X] is the
-    product of the [Y_i, G_i]; Crapo's beta of a product of two lattices
-    of rank at least 1 is 0, so interval_euler(Y, X) is nonzero only when
-    all Y_i but one equal their G_i.  The row is filled in lattice order,
-    so its first Y has the least codimension: the one other Y_i is the
-    ambient space, where interval_euler is nonzero as G_i is dense, and
-    G_i has the largest codimension.  So Y is the join of every component
-    but one, G, and the answer is D(minimal flat).
+    position from X's row of IntersectionLattice.euler.  Any other proper
+    X is the direct sum of its components G_1, ..., G_k (k >= 2), the
+    maximal dense flats below it, and the zeta of a direct sum is the
+    product of the zetas: D(X) = D(G_1) ... D(G_k).  It is taken as
+    D(Y) D(G), (Y, G) the split the lattice records once
+    (IntersectionLattice.splits): G one component and Y the join of the
+    others, the one of least position.  Such an X has no Euler row and
+    needs none.  Each flat Y < X is the join of flats Y_i <= G_i, and
+    [Y, X] is the product of the [Y_i, G_i]; Crapo's beta of a product of
+    two lattices of rank at least 1 is 0, so interval_euler(Y, X) is
+    nonzero only when all Y_i but one equal their G_i, and is then
+    interval_euler(Y_i, G_i): the product rule, by which
+    IntersectionLattice.interval_euler and euler_below read such an X;
+    the first flat of its row so read is the first flat of its split.  The
+    answer is D(minimal flat).
 
     The sums run over the classes of the table's plan (_PoleTable.plan),
     in lattice order, one D per class in a list indexed by class: a dense

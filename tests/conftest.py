@@ -8,8 +8,9 @@ lattice with its Mobius table by definition and the open-stratum Euler
 characteristics read off it, long division by an affine form over Q, the
 chain-sum flag formula, every flat's sum by the flag-sum recursion in
 Fractions, with or without the product rule at the flats that are not
-dense, the braid local zeta by a recursion over set partitions with no
-lattice, the geometric interval and restriction arrangements, the
+dense, the braid local zeta by a recursion over set partitions and the
+B_n local zeta by one over the Dowling lattice, both with no lattice, the
+geometric interval and restriction arrangements, the
 specialization of a multivariate zeta, the pole decision over every form
 of the flag sum's least common denominator, polytope membership, the
 adapted-vector violations summed in Fractions, separating and localized
@@ -41,6 +42,7 @@ __all__ = [
     "fraction_kernel", "flat_basis", "closure", "brute_force_lattice",
     "stratum_euler", "long_division", "poly", "form_poly", "Chain", "enumerate_chains",
     "chain_terms", "fraction_flat_sums", "fraction_flag_sum", "braid_local_zeta",
+    "type_b_local_zeta",
     "merged_terms", "interval_arrangement",
     "restriction_arrangement", "specialize", "all_forms_denominator",
     "polytope_member", "fraction_adapted_violations",
@@ -455,6 +457,47 @@ def braid_local_zeta(m, s):
             total += term
         d.append(total / (comb(k, 2) * s + k - 1))
     return d[m]
+
+
+def type_b_local_zeta(n, s):
+    """The local zeta of the B_n arrangement in C^n (type_b(n)) at the
+    rational s, read off the Dowling lattice Q_n(Z/2) (Dowling, J. Combin.
+    Theory B 14, 1973) with no lattice walk, Euler table or dense test.
+
+    A flat is a zero block Z, on which every x_i = 0, and signed nonzero
+    blocks, on each of which x_i = +-x_j; the flats with |Z| = z and
+    nonzero blocks of sizes p_1, ..., p_k number C(n, z) times the set
+    partitions of the other n - z coordinates with those block sizes
+    times 2^(p - 1) for each block of size p.  The interval above such a
+    flat is the lattice of B_k, whose characteristic polynomial is
+    (t - 1)(t - 3)...(t - 2k + 1), so its interval_euler up to the top is
+    (-2)^(k - 1) (k - 1)!; its local zeta is that of B_z times the braid
+    zeta of each block (braid_local_zeta).  The top, the origin, is dense
+    with pole form n^2 s + n, so D_B(0) = 1 and
+
+        D_B(n) = sum over the flats other than the top of
+                 (-2)^(k - 1) (k - 1)! D_B(z) prod over the blocks of D_A(p),
+                 divided by n^2 s + n,
+
+    the flats grouped by z and their block sizes."""
+    braid_zeta = [None] + [braid_local_zeta(p, s) for p in range(1, n + 1)]
+    d = [Fraction(1)]
+    for m in range(1, n + 1):
+        total = 0
+        for z in range(m):
+            for parts in _integer_partitions(m - z):
+                k = len(parts)
+                count = comb(m, z) * factorial(m - z)
+                for p in parts:
+                    count //= factorial(p)
+                for c in Counter(parts).values():
+                    count //= factorial(c)
+                term = count * 2 ** (m - z - k) * (-2) ** (k - 1) * factorial(k - 1) * d[z]
+                for p in parts:
+                    term *= braid_zeta[p]
+                total += term
+        d.append(total / (m * m * s + m))
+    return d[n]
 
 
 def merged_terms(terms):

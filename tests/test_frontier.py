@@ -4,6 +4,7 @@ dense rows, the digests of the flag sum and of the poles computed here,
 and the number of forms that the pole decision settles by division."""
 
 import hashlib
+import importlib.util
 import json
 import pickle
 import subprocess
@@ -72,4 +73,17 @@ def test_frontier_against_a_checkout():
         assert all(v >= 0 for v in got[side].values())
     assert list(got["lower"]) == times
     assert all(rounds in ([], [1]) for rounds in got["lower"].values())
-    assert got["same"] == {"sha256": True, "poles_sha256": True, "divided": True}
+    assert got["same"] == {"classes": True, "dense_chi": True, "sha256": True,
+                           "poles_sha256": True, "divided": True}
+
+
+def test_a9_runs_only_when_named():
+    # braid A9, 45 hyperplanes in C^10, is a case --case A9 runs, and no
+    # run without --case does
+    spec = importlib.util.spec_from_file_location("frontier", ROOT / "tools" / "frontier.py")
+    frontier = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(frontier)
+    a9 = frontier.arrangement_json("A9")
+    assert (a9["n"], len(a9["forms"]), a9["factors"]) == (10, 45, None)
+    assert "A9" not in frontier.DEFAULT
+    assert set(frontier.DEFAULT) == set(frontier.CASES) - {"A9"} | set(frontier.CLI_CASES)

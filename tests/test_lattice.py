@@ -269,6 +269,37 @@ def test_lattice_is_built_without_fractions(monkeypatch):
     assert flat_basis(arrs[0], lattices[0].flats[1]) and made
 
 
+def test_lattice_past_a_machine_word():
+    # 70 Vandermonde planes in C^3 need a 70-bit mask: any three are
+    # independent, so the flats are the ambient space, the 70 planes, the
+    # C(70, 2) lines and the origin, and the dense edges the planes and the
+    # origin, in (codim, sorted index tuple) order
+    arr = Arrangement(3, [(1, k, k * k) for k in range(1, 71)])
+    lat = intersection_lattice(arr)
+    want = ([()] + [(i,) for i in range(70)] + list(combinations(range(70), 2))
+            + [tuple(range(70))])
+    assert len(lat) == 1 + 70 + 70 * 69 // 2 + 1 == 2487
+    assert [tuple(sorted(f.indices)) for f in lat.flats] == want
+    assert [f.codim for f in lat.flats] == [0] + [1] * 70 + [2] * 2415 + [3]
+    assert [f.key() for f in dense_edges(arr)] == [(1, (i,)) for i in range(70)] + [
+        (3, tuple(range(70)))]
+
+
+def test_lattice_makes_one_frozenset_per_flat(monkeypatch):
+    # the walk keeps index sets as int masks and makes each flat's
+    # frozenset once, none per cover pair
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return frozenset(*args)
+
+    monkeypatch.setattr(arrzeta.arrangement, "frozenset", counted, raising=False)
+    lat = intersection_lattice(braid(6))
+    assert len(lat) == 203
+    assert len(made) <= len(lat)
+
+
 def test_interval_euler_needs_nested_flats():
     lat = intersection_lattice(threelines())
     origin, line = lat.flat([0, 1, 2]), lat.flat([0])

@@ -32,7 +32,7 @@ from conftest import (Chain, all_forms_denominator, boolean2, boolean2_factored,
                       long_division, merged_terms, ninefold, random_central_c3,
                       random_lines, random_rational_point, specialize,
                       stratum_euler, thirteen, threelines, threelines_factored,
-                      type_b, veys, xy_ab, xy_in_c3, xyz)
+                      type_b, type_b_local_zeta, veys, xy_ab, xy_in_c3, xyz)
 
 F = Fraction
 
@@ -1495,7 +1495,7 @@ def _assert_lattice_records_dense_and_splits(arr):
         assert _connected_by_ranks(normals(flats[k].indices), n)
     for k, (y, g) in lat.splits.items():
         x, head, rest = flats[k], flats[y], flats[g]
-        assert y == next(iter(lat.euler[k]))
+        assert lat.euler_below(x)[0][0] == head
         assert head.indices and rest.indices and not head.indices & rest.indices
         assert head.indices | rest.indices == x.indices
         assert head.codim + rest.codim == x.codim
@@ -1613,6 +1613,15 @@ def test_braid_matches_partition_lattice_oracle(m):
     assert not any(_divides(f, z.numerator) for f in z.denominator)
     if m == 8:
         assert lcm(*(c.denominator for c, _ in z.terms)) == 315
+
+
+@pytest.mark.parametrize("n", range(1, 7), ids=["B%d" % n for n in range(1, 7)])
+def test_type_b_matches_dowling_lattice_oracle(n):
+    # the oracle walks no lattice: it checks the walk, the component test
+    # and the product rule of the flats that are not dense at B scale
+    z = local_zeta(type_b(n))
+    for s in (F(1, 3), F(-11, 97), F(5)):
+        assert z.evaluate((s,)) == type_b_local_zeta(n, s)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
     python3 tools/frontier.py                      # every case, library from src/
     python3 tools/frontier.py --case A8 --case B7
+    python3 tools/frontier.py --case A9            # opt-in: never in the default run
     python3 tools/frontier.py --src OTHER/src      # another checkout's library
     python3 tools/frontier.py --against OTHER --rounds 3   # both checkouts, paired
 
@@ -53,13 +54,14 @@ definition has changed, run this script with --src OTHER/src instead.
 Instead of the children's lines it prints one JSON line per case: both
 sides' medians of each time and of the peak RSS ("this", "other"), the
 rounds, counted from 1, in which this side's time is lower ("lower"), and
-whether the digests and the number of divided forms agree over every run
-of both sides ("same").
+whether the digests, the number of divided forms and the two counts
+"classes" and "dense_chi" agree over every run of both sides ("same").
 
 Case names: A_k is the braid arrangement x_i - x_j in C^(k+1) and B_n the
 root-system arrangement of type B in C^n.  "i mod k" puts hyperplane i,
 its whole multiplicity, into factor i mod k and takes the multivariate
-zeta; "/r" is one factor per hyperplane.
+zeta; "/r" is one factor per hyperplane.  A9 runs only when named with
+--case A9, as it takes tens of seconds and some 400 MB.
 """
 
 import argparse
@@ -120,8 +122,16 @@ CASES.update({
 })
 
 
+# cases run only when named with --case: braid A9, 115,975 flats, takes
+# tens of seconds and some 400 MB
+OPT_IN = {"A9": (braid(9), None)}
+CASES.update(OPT_IN)
+
 # name: the case whose arrangement `zeta FILE --multi --json` reads
 CLI_CASES = {"zeta --multi --json " + case: case for case in ("B3 /9", "ninefold /9")}
+
+# the cases run when none is named
+DEFAULT = [name for name in [*CASES, *CLI_CASES] if name not in OPT_IN]
 
 
 def arrangement_json(name):
@@ -259,7 +269,7 @@ def child(name):
 
 
 # what --against compares for equality, where a case's line has it
-DIGESTS = ("exit", "sha256", "poles_sha256", "divided")
+DIGESTS = ("exit", "classes", "dense_chi", "sha256", "poles_sha256", "divided")
 
 
 def paired(names, rounds, other):
@@ -301,7 +311,8 @@ def paired(names, rounds, other):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--case", action="append", choices=sorted(CASES) + sorted(CLI_CASES),
-                   help="a case to run (repeatable; default: every case)")
+                   help="a case to run (repeatable; default: every case but %s)"
+                        % ", ".join(OPT_IN))
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="the directory the arrzeta package is imported from")
     p.add_argument("--against", metavar="CHECKOUT",
@@ -315,7 +326,7 @@ def main(argv=None):
         sys.path.insert(0, args.src)
         (cli_child if args.child in CLI_CASES else child)(args.child)
         return 0
-    names = args.case or [*CASES, *CLI_CASES]
+    names = args.case or DEFAULT
     if args.against:
         return 1 if paired(names, args.rounds, os.path.abspath(args.against)) else 0
     failed = 0
